@@ -11,10 +11,10 @@ reaching into submodules::
 
 The facade re-exports the frozen spec types (:class:`CampaignSpec`,
 :class:`StageSpec`, :class:`ScenarioSpec`, ...) and the runner
-primitives they lower onto, plus :func:`list_figures` for discovering
-the sweepable figure names.  Import from here rather than from the
-implementation modules: these names are the package's compatibility
-surface.
+primitives they lower onto, plus :func:`list_figures` and
+:func:`figure_spec` for discovering figures and building their arms.
+Import from here rather than from the implementation modules: these
+names are the package's compatibility surface.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from repro.campaign.spec import (
     figure_knobs,
 )
 from repro.campaign.validate import ValidationReport, validate_run
+from repro.experiments.figures import FIGURES, figure_spec
 from repro.runner.cache import ResultCache, default_cache_dir
 from repro.runner.executor import ParallelExecutor
 from repro.runner.spec import ScenarioSpec, canonical, content_key
@@ -69,26 +70,5 @@ __all__ = [
 
 
 def list_figures() -> tuple[str, ...]:
-    """The sweepable figure names campaigns and ``repro sweep`` accept."""
-    from repro.runner.tasks import FIGURE_CELL_TASKS
-
-    return tuple(FIGURE_CELL_TASKS)
-
-
-def figure_spec(figure: str, **knobs: object) -> ScenarioSpec:
-    """One content-keyed ``figure.cells`` arm for ``figure``.
-
-    Thin wrapper over the per-figure entry points in
-    :data:`repro.experiments.FIGURE_SPECS`; accepts that figure's knobs
-    (``noise=`` for lab figures, ``quick=`` for the rest, ``seed=`` for
-    seeded figures).
-    """
-    from repro.experiments import FIGURE_SPECS
-
-    try:
-        entry = FIGURE_SPECS[figure]
-    except KeyError:
-        raise KeyError(
-            f"unknown figure {figure!r}; choose one of {list_figures()}"
-        ) from None
-    return entry(**knobs)
+    """The registered figure names, in the order ``repro list`` shows them."""
+    return tuple(FIGURES)

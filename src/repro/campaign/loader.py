@@ -10,7 +10,7 @@ The on-disk format is a small, strict mapping::
       quick: true
       replications: 2
     stages:
-      - figure: fig2a              # required; a sweepable figure name
+      - figure: fig2a              # required; a registered figure name
         name: connections          # optional; defaults to the figure
         noise: 0.05                # lab figures only
         seeds: [0, 1, 2]           # or replications: N (+ base_seed: B)
@@ -40,12 +40,13 @@ from repro.campaign.spec import (
     figure_is_seeded,
     figure_knobs,
 )
+from repro.experiments.figures import FIGURES, KNOBS, parse_knob
 
 __all__ = ["CampaignError", "load_campaign", "parse_campaign"]
 
 _TOP_KEYS = frozenset({"campaign", "description", "analysis", "defaults", "stages"})
 _ANALYSIS_KEYS = frozenset({"confidence"})
-_KNOB_KEYS = frozenset({"quick", "noise"})
+_KNOB_KEYS = frozenset(KNOBS)
 _SEED_KEYS = frozenset({"seeds", "replications", "base_seed"})
 _STAGE_KEYS = frozenset({"figure", "name", "sweep"}) | _KNOB_KEYS | _SEED_KEYS
 _DEFAULT_KEYS = _KNOB_KEYS | _SEED_KEYS
@@ -169,12 +170,8 @@ def _parse_stage(raw: Any, index: int, defaults: Mapping[str, Any]) -> list[Stag
     figure = raw.get("figure")
     if not isinstance(figure, str) or not figure:
         raise CampaignError(f"{where}: 'figure' is required and must be a string")
-    from repro.runner.tasks import FIGURE_CELL_TASKS
-
-    if figure not in FIGURE_CELL_TASKS:
-        raise CampaignError(
-            f"{where}: unknown figure {figure!r}; choose one of {list(FIGURE_CELL_TASKS)}"
-        )
+    if figure not in FIGURES:
+        raise CampaignError(f"{where}: unknown figure {figure!r}; choose one of {list(FIGURES)}")
     where = f"stages[{index}] ({figure})"
     base_name = raw.get("name", figure)
     base_name = _require_str(base_name, f"{where}.name")
@@ -287,18 +284,11 @@ def _parse_seed_grid(
 
 
 def _check_knob(knob: str, value: Any, where: str) -> Any:
-    """Type-check one knob value (``quick``: bool, ``noise``: number)."""
-    if knob == "quick":
-        if not isinstance(value, bool):
-            raise CampaignError(f"{where}: expected a bool, got {value!r}")
-        return value
-    if knob == "noise":
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise CampaignError(f"{where}: expected a number, got {value!r}")
-        if value < 0:
-            raise CampaignError(f"{where}: noise must be >= 0, got {value!r}")
-        return float(value)
-    raise CampaignError(f"{where}: unknown knob {knob!r}")  # pragma: no cover
+    """Type-check one knob value, mapping its error to :class:`CampaignError`."""
+    try:
+        return parse_knob(knob, value)
+    except ValueError as exc:
+        raise CampaignError(f"{where}: {exc}") from None
 
 
 def _check_int(value: Any, where: str) -> int:

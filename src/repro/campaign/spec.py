@@ -9,11 +9,10 @@ are the same computation, and every compiled arm reuses the runner's
 :func:`~repro.runner.spec.content_key` so results dedupe across stages
 and across campaigns through the on-disk cache.
 
-The compilation target is the ``figure.cells`` task via the
-spec-producing entry points each experiment module exports
-(:data:`repro.experiments.FIGURE_SPECS`): a stage lowers to one
-:class:`~repro.runner.spec.ScenarioSpec` per seed, with deterministic
-figures collapsing to a single seed-free arm.
+The compilation target is the ``figure.cells`` task, through the figure
+registry's spec builder (:func:`repro.experiments.figures.figure_spec`):
+a stage lowers to one :class:`~repro.runner.spec.ScenarioSpec` per seed,
+with deterministic figures collapsing to a single seed-free arm.
 """
 
 from __future__ import annotations
@@ -24,10 +23,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.experiments.lab_common import (
-    DETERMINISTIC_FIGURES,
-    LAB_CELL_FIGURES,
-)
+from repro.experiments.figures import figure_spec, get_figure
 from repro.runner.spec import ScenarioSpec, canonical, content_key
 
 __all__ = [
@@ -43,19 +39,15 @@ __all__ = [
 def figure_knobs(figure: str) -> frozenset[str]:
     """The knob names that apply to (and key) one figure's arms.
 
-    Lab figures consume ``noise`` (their outcomes are otherwise exact);
-    every other figure consumes ``quick``.  Keeping inapplicable knobs
-    out of a stage keeps them out of the content keys, so an inert knob
-    can never split the cache.
+    Keeping inapplicable knobs out of a stage keeps them out of the
+    content keys, so an inert knob can never split the cache.
     """
-    if figure in LAB_CELL_FIGURES:
-        return frozenset({"noise"})
-    return frozenset({"quick"})
+    return frozenset({get_figure(figure).knob})
 
 
 def figure_is_seeded(figure: str) -> bool:
     """Whether the figure consumes the seed (False ⇒ one seed-free arm)."""
-    return figure not in DETERMINISTIC_FIGURES
+    return get_figure(figure).seeded
 
 
 @dataclass(frozen=True)
@@ -89,11 +81,12 @@ class StageSpec:
         Unique stage name inside the campaign (defaults to the figure
         name in the loader; sweep expansion suffixes ``[knob=value]``).
     figure:
-        A sweepable figure name (one of
-        :data:`repro.runner.tasks.FIGURE_CELL_TASKS`).
+        A registered figure name (a key of
+        :data:`repro.experiments.figures.FIGURES`).
     knobs:
-        Figure-applicable knob settings (``noise`` for lab figures,
-        ``quick`` for the rest).  Canonicalized, never mutated.
+        Figure-applicable knob settings (the figure's
+        :attr:`~repro.experiments.figures.Figure.knob`).  Canonicalized,
+        never mutated.
     seeds:
         Seed grid; one arm per seed.  Empty for deterministic figures,
         which compile to a single seed-free arm.
@@ -108,12 +101,10 @@ class StageSpec:
 
     def __post_init__(self) -> None:
         """Validate knob applicability and the seed grid shape."""
-        extra = set(self.knobs) - figure_knobs(self.figure)
-        if extra:
-            raise ValueError(
-                f"stage {self.name!r}: knob(s) {sorted(extra)} do not apply to "
-                f"figure {self.figure!r} (allowed: {sorted(figure_knobs(self.figure))})"
-            )
+        try:
+            get_figure(self.figure).check_knobs(self.knobs)
+        except ValueError as exc:
+            raise ValueError(f"stage {self.name!r}: {exc}") from None
         if figure_is_seeded(self.figure):
             if not self.seeds:
                 raise ValueError(
@@ -137,14 +128,11 @@ class StageSpec:
 
     def arms(self) -> tuple[ScenarioSpec, ...]:
         """Lower this stage onto runner specs, one per seed."""
-        from repro.experiments import FIGURE_SPECS
-
-        entry = FIGURE_SPECS[self.figure]
         knobs = dict(self.knobs)
         if self.deterministic:
-            return (entry(**knobs, label=f"{self.name}[deterministic]"),)
+            return (figure_spec(self.figure, label=f"{self.name}[deterministic]", **knobs),)
         return tuple(
-            entry(**knobs, seed=seed, label=f"{self.name}[seed={seed}]")
+            figure_spec(self.figure, seed=seed, label=f"{self.name}[seed={seed}]", **knobs)
             for seed in self.seeds
         )
 

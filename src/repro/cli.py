@@ -49,202 +49,18 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.units import SESSION_METRICS
-from repro.experiments import (
-    PairedLinkExperiment,
-    compare_designs,
-    compare_links_at_baseline,
-    run_aqm_experiment,
-    run_cc_experiment,
-    run_churn_experiment,
-    run_connections_experiment,
-    run_fleet_experiment,
-    run_fq_experiment,
-    run_l4s_experiment,
-    run_pacing_experiment,
-    run_parking_lot_experiment,
-    run_rtt_experiment,
-    run_switchback_ramp_experiment,
-)
+from repro.experiments.figures import FIGURES, figure_spec
+from repro.obs.trace import RunTracer, add_trace_arguments
 from repro.reporting import format_table
-from repro.runner import ParallelExecutor, ResultCache, ScenarioSpec, default_cache_dir
-from repro.runner.tasks import FIGURE_CELL_TASKS
-from repro.workload import WorkloadConfig
+from repro.runner import ParallelExecutor, ResultCache, default_cache_dir
 
 __all__ = ["build_parser", "main"]
-
-#: Figures that only need the fluid lab simulator.
-LAB_FIGURES = {
-    "fig2a": run_connections_experiment,
-    "fig2b": run_pacing_experiment,
-    "fig3": run_cc_experiment,
-}
-
-#: Figures derived from the paired-link workload run.
-PAIRED_FIGURES = ("baseline", "fig5", "fig7", "fig8", "fig9", "fig10")
-
-#: Beyond-the-paper topology figures on the packet-level simulator.
-TOPOLOGY_FIGURES = (
-    "topo_rtt",
-    "topo_aqm",
-    "topo_parking",
-    "topo_fq",
-    "topo_churn",
-    "topo_l4s",
-)
-
-#: Topology figures that consume the seed (dynamic-traffic randomness);
-#: the rest are deterministic and collapse to one sweep replication.
-SEEDED_TOPOLOGY_FIGURES = ("topo_churn",)
-
-#: The sharded packet/fluid fleet experiment (bias vs cluster size).
-FLEET_FIGURES = ("fleet",)
-
-#: One-line help per figure subcommand (shown in ``repro --help``).
-_FIGURE_HELP = {
-    "fig2a": "parallel-connections lab figure (Figure 2a)",
-    "fig2b": "pacing lab figure (Figure 2b)",
-    "fig3": "Cubic-vs-BBR lab figure (Figure 3)",
-    "baseline": "Section 4.1 baseline link-similarity table",
-    "fig5": "paired-link treatment-effect table (Figure 5)",
-    "fig7": "paired-link throughput cells (Figure 7)",
-    "fig8": "paired-link min-RTT cells (Figure 8)",
-    "fig9": "paired-link retransmission split (Figure 9)",
-    "fig10": "switchback / event-study design comparison (Figure 10)",
-    "topo_rtt": "A/B bias under heterogeneous RTTs",
-    "topo_aqm": "A/B bias under AQM (CoDel/RED) vs drop-tail",
-    "topo_parking": "parking-lot bias and cross-segment spillover",
-    "topo_fq": "per-flow FQ-CoDel vs drop-tail bias",
-    "topo_churn": "bias under flow churn + switchback-vs-ramp",
-    "topo_l4s": "L4S/DCTCP marking vs classic AQM bias",
-    "fleet": "sharded fleet: bias vs assignment cluster size",
-}
 
 
 def _make_cache(args: argparse.Namespace) -> ResultCache | None:
     if not args.cache:
         return None
     return ResultCache(args.cache_dir or default_cache_dir())
-
-
-def _print_lab_figure(name: str, args: argparse.Namespace) -> None:
-    figure = LAB_FIGURES[name](jobs=args.jobs, cache=_make_cache(args))
-    print("\n".join(figure.summary_lines()))
-
-
-def _parse_rtt_spread(text: str, parser: argparse.ArgumentParser) -> tuple[float, ...]:
-    try:
-        values = tuple(float(part) for part in text.split(",") if part.strip())
-    except ValueError:
-        values = ()
-    if not values or any(v <= 0 for v in values):
-        parser.error(f"--rtt-spread needs positive comma-separated ms values, got {text!r}")
-    return values
-
-
-def _parse_disciplines(text: str, parser: argparse.ArgumentParser) -> tuple[str, ...]:
-    from repro.netsim.packet.queue import QUEUE_DISCIPLINES
-
-    names = tuple(part.strip() for part in text.split(",") if part.strip())
-    unknown = [name for name in names if name not in QUEUE_DISCIPLINES]
-    if not names or unknown:
-        parser.error(
-            f"--disciplines needs comma-separated names from "
-            f"{', '.join(sorted(QUEUE_DISCIPLINES))}; got {text!r}"
-        )
-    return names
-
-
-def _parse_churn_rates(text: str, parser: argparse.ArgumentParser) -> tuple[float, ...]:
-    try:
-        values = tuple(float(part) for part in text.split(",") if part.strip())
-    except ValueError:
-        values = ()
-    if not values or any(v < 0 for v in values) or len(set(values)) != len(values):
-        parser.error(
-            f"--churn-rates needs distinct non-negative comma-separated "
-            f"flow-per-second values, got {text!r}"
-        )
-    return values
-
-
-def _print_topology_figure(
-    name: str, args: argparse.Namespace, parser: argparse.ArgumentParser
-) -> None:
-    if name == "topo_churn":
-        if not 0.5 < args.traffic_split <= 1.0:
-            parser.error("--traffic-split must be in (0.5, 1.0]")
-        cache = _make_cache(args)
-        comparison = run_churn_experiment(
-            churn_rates=_parse_churn_rates(args.churn_rates, parser),
-            quick=args.quick,
-            jobs=args.jobs,
-            cache=cache,
-            seed=args.seed,
-        )
-        print("\n".join(comparison.summary_lines()))
-        print()
-        ramp = run_switchback_ramp_experiment(
-            traffic_split=args.traffic_split,
-            quick=args.quick,
-            jobs=args.jobs,
-            cache=cache,
-            seed=args.seed,
-        )
-        print("\n".join(ramp.summary_lines()))
-        return
-    if name == "topo_l4s":
-        comparison = run_l4s_experiment(
-            quick=args.quick,
-            jobs=args.jobs,
-            cache=_make_cache(args),
-        )
-        print("\n".join(comparison.summary_lines()))
-        return
-    if name == "topo_rtt":
-        figure = run_rtt_experiment(
-            rtt_spread_ms=_parse_rtt_spread(args.rtt_spread, parser),
-            quick=args.quick,
-            jobs=args.jobs,
-            cache=_make_cache(args),
-        )
-        print("\n".join(figure.summary_lines()))
-        return
-    if name == "topo_parking":
-        from repro.experiments.lab_parking_lot import MIN_SEGMENTS
-
-        if args.segments < MIN_SEGMENTS:
-            parser.error(
-                f"--segments must be at least {MIN_SEGMENTS} (cross-segment "
-                "spillover needs two disjoint unit spans)"
-            )
-        comparison = run_parking_lot_experiment(
-            n_segments=args.segments,
-            quick=args.quick,
-            jobs=args.jobs,
-            cache=_make_cache(args),
-        )
-    elif name == "topo_fq":
-        # topo_fq has its own discipline default (droptail vs fq_codel);
-        # an explicit --disciplines still overrides it.
-        if args.disciplines is not None:
-            disciplines = _parse_disciplines(args.disciplines, parser)
-        else:
-            disciplines = ("droptail", "fq_codel")
-        comparison = run_fq_experiment(
-            disciplines=disciplines,
-            quick=args.quick,
-            jobs=args.jobs,
-            cache=_make_cache(args),
-        )
-    else:
-        comparison = run_aqm_experiment(
-            disciplines=_parse_disciplines(args.disciplines, parser),
-            quick=args.quick,
-            jobs=args.jobs,
-            cache=_make_cache(args),
-        )
-    print("\n".join(comparison.summary_lines()))
 
 
 def _command_line(args: argparse.Namespace) -> str:
@@ -266,201 +82,36 @@ def _command_line(args: argparse.Namespace) -> str:
     return " ".join(parts)
 
 
-def _make_tracer(args: argparse.Namespace):
+def _make_tracer(args: argparse.Namespace) -> RunTracer | None:
     """The run tracer for ``--trace DIR``, or ``None``."""
-    if not args.trace:
+    if not getattr(args, "trace", None):
         return None
-    from repro.obs.trace import RunTracer
-
     return RunTracer(args.trace, command=_command_line(args))
 
 
-def _print_fleet_figure(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
-    from repro.netsim.fleet import GRANULARITIES
-
-    granularities = (
-        GRANULARITIES if args.granularity == "all" else (args.granularity,)
-    )
-    if args.units is not None and args.units < 1:
-        parser.error("--units must be positive")
-    if args.edges is not None and args.edges < 1:
-        parser.error("--edges must be positive")
-
-    # Observability: a traced/profiled executor plus a live shard
-    # progress line (on a terminal, or whenever a trace is requested).
-    tracer = _make_tracer(args)
-    progress = None
-    if tracer is not None or sys.stderr.isatty():
-        from repro.obs.trace import ProgressPrinter
-
-        progress = ProgressPrinter("shards")
-    executor = None
-    if tracer is not None or args.profile or progress is not None:
-        executor = ParallelExecutor(
-            jobs=args.jobs,
-            cache=_make_cache(args),
-            tracer=tracer,
-            profile=args.profile,
-            on_task_done=progress,
-        )
-
-    from repro.obs.trace import walltime
-
-    started = walltime()
-    comparison = run_fleet_experiment(
-        units=args.units,
-        edges=args.edges,
-        granularities=granularities,
-        quick=args.quick,
-        jobs=args.jobs,
-        cache=_make_cache(args) if executor is None else None,
-        executor=executor,
-        probe_interval_s=args.probe or 0.0,
-        seed=args.seed,
-    )
-    print("\n".join(comparison.summary_lines()))
-
-    if tracer is not None:
-        wall = walltime() - started
-        fleets = len(comparison.outcomes) + 2
-        tracer.add_counters(comparison.counters)
-        tracer.finish(
-            {
-                "figure": "fleet",
-                "shards": comparison.spec.edges * fleets,
-                "units": comparison.spec.units,
-                "units_per_s": (
-                    comparison.spec.units * fleets / wall if wall > 0 else 0.0
-                ),
-            }
-        )
-        print(f"trace written to {args.trace}", file=sys.stderr)
-
-
-def _run_paired(args: argparse.Namespace):
-    sessions = 150 if args.quick else 300
-    config = WorkloadConfig(sessions_at_peak=sessions, seed=args.seed)
-    return PairedLinkExperiment(config=config).run(
-        jobs=args.jobs, cache=_make_cache(args)
-    )
-
-
-def _print_paired_figure(name: str, args: argparse.Namespace) -> None:
-    outcome = _run_paired(args)
-    if name == "baseline":
-        rows = [
-            [r.metric, f"{r.relative_percent:+.1f}%", "yes" if r.significant else "no"]
-            for r in compare_links_at_baseline(outcome.baseline_table)
-        ]
-        print(format_table(["metric", "link1 vs link2", "significant"], rows))
-    elif name == "fig5":
-        rows = [
-            [
-                row["metric"],
-                f"{row['ab_0.05']:+.1f}%",
-                f"{row['ab_0.95']:+.1f}%",
-                f"{row['tte']:+.1f}%",
-                f"{row['spillover']:+.1f}%",
-            ]
-            for row in outcome.figure5_rows()
-        ]
-        print(format_table(["metric", "A/B 5%", "A/B 95%", "TTE", "spillover"], rows))
-    elif name == "fig7":
-        cells = outcome.figure7_cells()
-        print(
-            format_table(
-                ["cell", "throughput (Mb/s)"],
-                [
-                    ["link 1, capped 95%", f"{cells.link1_treated:.2f}"],
-                    ["link 1, uncapped 5%", f"{cells.link1_control:.2f}"],
-                    ["link 2, capped 5%", f"{cells.link2_treated:.2f}"],
-                    ["link 2, uncapped 95%", f"{cells.link2_control:.2f}"],
-                ],
-            )
-        )
-    elif name == "fig8":
-        cells = outcome.figure8_cells()
-        print(
-            format_table(
-                ["cell", "min RTT (normalized)"],
-                [
-                    ["link 1, capped 95%", f"{cells.link1_treated:.3f}"],
-                    ["link 1, uncapped 5%", f"{cells.link1_control:.3f}"],
-                    ["link 2, capped 5%", f"{cells.link2_treated:.3f}"],
-                    ["link 2, uncapped 95%", f"{cells.link2_control:.3f}"],
-                ],
-            )
-        )
-    elif name == "fig9":
-        split = outcome.figure9_retransmit_split()
-        print(
-            format_table(
-                ["period", "retransmit change"],
-                [
-                    ["peak", f"{100 * split['peak']:+.1f}%"],
-                    ["off-peak", f"{100 * split['off_peak']:+.1f}%"],
-                    ["overall TTE", f"{100 * split['overall']:+.1f}%"],
-                ],
-            )
-        )
-    elif name == "fig10":
-        comparison = compare_designs(
-            outcome.experiment_table,
-            (0, 1, 2, 3, 4),
-            outcome.estimates["tte"],
-            baselines=outcome.baselines,
-            jobs=args.jobs,
-            cache=_make_cache(args),
-        )
-        rows = [
-            [
-                row["metric"],
-                f"{row['paired_link']:+.1f}%",
-                f"{row['switchback']:+.1f}%",
-                f"{row['event_study']:+.1f}%",
-            ]
-            for row in comparison.rows(SESSION_METRICS)
-        ]
-        print(format_table(["metric", "paired link", "switchback", "event study"], rows))
-    else:  # pragma: no cover - guarded by argparse choices
-        raise KeyError(name)
-
-
 def _run_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    target = args.target
-    if target is None or target not in FIGURE_CELL_TASKS:
+    figure = FIGURES.get(args.target) if args.target else None
+    if figure is None:
         parser.error(
-            f"'sweep' needs a figure to replicate; choose one of {', '.join(FIGURE_CELL_TASKS)}"
+            f"'sweep' needs a figure to replicate; choose one of {', '.join(FIGURES)}"
         )
     if args.replications < 1:
         parser.error("--replications must be at least 1")
     if args.profile and args.trace is None:
         parser.error("--profile requires --trace DIR (hotspots land in the trace)")
 
-    # Only include knobs the figure actually consumes: noise applies to lab
-    # figures, quick to paired-link and topology figures.  Keeping inert
-    # flags out of the spec keeps them out of the content key, so they
-    # cannot split the cache.
-    params: dict[str, object] = {"figure": target}
-    if target in LAB_FIGURES:
-        params["noise"] = args.noise
-    else:
-        params["quick"] = args.quick
-    # Topology figures other than topo_churn ignore the seed entirely
-    # (packet sims are deterministic), so replications would recompute
-    # identical cells; collapse them to one seed-free run.  topo_churn
-    # draws its arrivals and flow sizes from the seed, so its
-    # replications genuinely differ.
-    deterministic = (
-        target in TOPOLOGY_FIGURES and target not in SEEDED_TOPOLOGY_FIGURES
-    )
-    replication_count = 1 if deterministic else args.replications
+    # The spec carries only the knob the figure consumes, so an inert flag
+    # (--noise on a paired figure, --quick on a lab one) cannot split the
+    # cache; an unseeded figure's replications would recompute identical
+    # cells, so they collapse to one seed-free run.
+    target = figure.name
+    replication_count = args.replications if figure.seeded else 1
     specs = [
-        ScenarioSpec(
-            task="figure.cells",
-            params=params,
-            seed=None if deterministic else args.seed + r,
+        figure_spec(
+            target,
+            seed=args.seed + r,
             label=f"sweep[{target}, seed={args.seed + r}]",
+            **{figure.knob: getattr(args, figure.knob)},
         )
         for r in range(replication_count)
     ]
@@ -484,7 +135,7 @@ def _run_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         values = np.array([float(rep[cell]) for rep in replications])
         half = confidence_half_width(values)
         rows.append([cell, f"{values.mean():+.3f}", f"±{half:.3f}", str(len(values))])
-    if deterministic:
+    if not figure.seeded:
         print(f"{target}: deterministic figure, 1 replication (seeds have no effect)")
     else:
         print(
@@ -559,11 +210,13 @@ def _run_validate_command(
 
 def _run_list_command() -> int:
     """``repro list``: enumerate figures, campaign commands and tools."""
-    print("lab figures:        " + ", ".join(sorted(LAB_FIGURES)))
-    print("paired-link figures: " + ", ".join(PAIRED_FIGURES))
-    print("topology figures:    " + ", ".join(TOPOLOGY_FIGURES))
-    print("fleet figures:       " + ", ".join(FLEET_FIGURES))
-    print("sweepable figures:   " + ", ".join(FIGURE_CELL_TASKS))
+    groups: dict[str, list[str]] = {}
+    for figure in FIGURES.values():
+        groups.setdefault(figure.group, []).append(figure.name)
+    for index, (group, names) in enumerate(groups.items()):
+        # The first heading has always been one column narrower.
+        print(f"{group} figures:".ljust(20 if index == 0 else 21) + ", ".join(names))
+    print("sweepable figures:   " + ", ".join(FIGURES))
     print(
         "campaigns:           run (repro run campaign.yaml --jobs N --trace RUN), "
         "validate (repro validate RUN)"
@@ -605,21 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     tracing = argparse.ArgumentParser(add_help=False)
-    tracing.add_argument(
-        "--trace",
-        metavar="DIR",
-        default=None,
-        help=(
-            "write run tracing (task spans, cache events; JSONL + Chrome "
-            "trace-event JSON) to this directory; render it afterwards "
-            "with 'repro report DIR'"
-        ),
-    )
-    tracing.add_argument(
-        "--profile",
-        action="store_true",
-        help="wrap each runner task in cProfile (requires --trace)",
-    )
+    add_trace_arguments(tracing)
 
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -724,97 +363,11 @@ def build_parser() -> argparse.ArgumentParser:
     configure_report_parser(report)
     report.set_defaults(_subparser=report)
 
-    for name in (*LAB_FIGURES, *PAIRED_FIGURES):
-        figure = subparsers.add_parser(
-            name, parents=[common], help=_FIGURE_HELP[name]
-        )
-        figure.set_defaults(_subparser=figure)
-
-    for name in TOPOLOGY_FIGURES:
-        figure = subparsers.add_parser(
-            name, parents=[common], help=_FIGURE_HELP[name]
-        )
-        if name == "topo_rtt":
-            figure.add_argument(
-                "--rtt-spread",
-                default="10,20,40,80",
-                help="per-unit RTT profile, comma-separated ms (default: 10,20,40,80)",
-            )
-        if name == "topo_aqm":
-            figure.add_argument(
-                "--disciplines",
-                default="droptail,codel",
-                help="queue disciplines to compare (default: droptail,codel)",
-            )
-        if name == "topo_fq":
-            figure.add_argument(
-                "--disciplines",
-                default=None,
-                help="queue disciplines to compare (default: droptail,fq_codel)",
-            )
-        if name == "topo_parking":
-            figure.add_argument(
-                "--segments",
-                type=int,
-                default=4,
-                help="bottleneck segments in the parking-lot chain (default: 4)",
-            )
-        if name == "topo_churn":
-            figure.add_argument(
-                "--churn-rates",
-                default="0,2,6",
-                help=(
-                    "churn intensities, comma-separated flow arrivals per "
-                    "second (default: 0,2,6; include 0 for the static "
-                    "reference)"
-                ),
-            )
-            figure.add_argument(
-                "--traffic-split",
-                type=float,
-                default=1.0,
-                help=(
-                    "within-interval allocation of the switchback-ramp "
-                    "scenario, in (0.5, 1]: 1 (default) runs pure 100/0 "
-                    "intervals, 0.95 the production 95/5 variant (scales the "
-                    "unit count up so the 5%% arm keeps a unit — markedly "
-                    "slower)"
-                ),
-            )
-        figure.set_defaults(_subparser=figure)
-
-    fleet = subparsers.add_parser(
-        "fleet", parents=[common, tracing], help=_FIGURE_HELP["fleet"]
-    )
-    fleet.add_argument(
-        "--units",
-        type=int,
-        default=None,
-        help="fleet size (default: 20000, or 10000 with --quick)",
-    )
-    fleet.add_argument(
-        "--edges",
-        type=int,
-        default=None,
-        help="edge bottlenecks (default: 200, or 100 with --quick)",
-    )
-    fleet.add_argument(
-        "--granularity",
-        choices=["unit", "edge", "region", "all"],
-        default="all",
-        help="assignment granularity to compare (default: all three)",
-    )
-    fleet.add_argument(
-        "--probe",
-        type=float,
-        metavar="SECONDS",
-        default=None,
-        help=(
-            "sample in-sim queue depth on every fleet shard at this simulated-"
-            "time cadence (never changes results)"
-        ),
-    )
-    fleet.set_defaults(_subparser=fleet)
+    for figure in FIGURES.values():
+        sub = subparsers.add_parser(figure.name, parents=[common], help=figure.help)
+        if figure.add_arguments is not None:
+            figure.add_arguments(sub)
+        sub.set_defaults(_subparser=sub)
 
     return parser
 
@@ -845,14 +398,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         subparser.error("--profile requires --trace DIR (hotspots land in the trace)")
     if getattr(args, "probe", None) is not None and args.probe <= 0:
         subparser.error("--probe needs a positive sampling interval in seconds")
-    if args.figure in LAB_FIGURES:
-        _print_lab_figure(args.figure, args)
-    elif args.figure in TOPOLOGY_FIGURES:
-        _print_topology_figure(args.figure, args, subparser)
-    elif args.figure in FLEET_FIGURES:
-        _print_fleet_figure(args, subparser)
-    else:
-        _print_paired_figure(args.figure, args)
+    tracer = _make_tracer(args)
+    lines = FIGURES[args.figure].render(args, subparser, _make_cache(args), tracer)
+    print("\n".join(lines))
+    if tracer is not None:
+        print(f"trace written to {args.trace}", file=sys.stderr)
     return 0
 
 

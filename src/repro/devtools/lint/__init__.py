@@ -4,7 +4,8 @@ Machine-checks the conventions every result in this reproduction rests
 on: all randomness seeded and spec-derived (DET001), no wall clocks in
 simulation code (DET002), no unordered set iteration feeding results
 (DET003), frozen content-keyable specs (KEY001), inert-at-default task
-knobs (KEY002), and no cross-module private reads (API001).
+knobs (KEY002), no cross-module private reads (API001), and imports
+that point down the layer map (LAY001).
 
 Library entry point::
 

@@ -1,6 +1,6 @@
 """Lint configuration: rule scopes and the content-key task baseline.
 
-Two pieces of repo-specific policy live here rather than in the rules
+Three pieces of repo-specific policy live here rather than in the rules
 themselves:
 
 * ``RULE_SCOPES`` — which parts of the ``repro`` package each rule
@@ -15,6 +15,9 @@ themselves:
   existing cache keys — are unaffected.  A parameter without a default
   is only legal if it is recorded here, which makes widening a task's
   required surface an explicit, reviewed act.
+
+* ``LAYER_IMPORTERS`` — the upper layers of the package and the modules
+  allowed to import each (LAY001).
 """
 
 from __future__ import annotations
@@ -22,7 +25,13 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
-__all__ = ["LintConfig", "DEFAULT_CONFIG", "RULE_SCOPES", "TASK_PARAM_BASELINE"]
+__all__ = [
+    "LintConfig",
+    "DEFAULT_CONFIG",
+    "RULE_SCOPES",
+    "TASK_PARAM_BASELINE",
+    "LAYER_IMPORTERS",
+]
 
 #: Module-prefix scopes per rule code (``None`` would mean "everywhere").
 RULE_SCOPES: dict[str, tuple[str, ...]] = {
@@ -62,6 +71,24 @@ RULE_SCOPES: dict[str, tuple[str, ...]] = {
     "KEY001": ("repro",),
     "KEY002": ("repro",),
     "API001": ("repro",),
+    "LAY001": ("repro",),
+}
+
+#: Upper layers and the module prefixes allowed to import each (LAY001).
+#: Every other ``repro`` module sits below them.  Edges between the lower
+#: layers (netsim -> runner, netsim -> obs, netsim.traffic ->
+#: workload.demand) are not policed.
+LAYER_IMPORTERS: dict[str, tuple[str, ...]] = {
+    "repro.experiments": (
+        "repro.experiments",
+        "repro.campaign",
+        "repro.api",
+        "repro.cli",
+        "repro.__main__",
+    ),
+    "repro.campaign": ("repro.campaign", "repro.api", "repro.cli"),
+    "repro.cli": ("repro.cli", "repro.api", "repro.__main__"),
+    "repro.api": ("repro.api", "repro.cli", "repro.__main__"),
 }
 
 #: Required (default-less) parameters recorded per registered task.

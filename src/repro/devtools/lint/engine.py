@@ -16,6 +16,7 @@ from pathlib import Path
 import repro.devtools.lint.api  # noqa: F401
 import repro.devtools.lint.contentkey  # noqa: F401
 import repro.devtools.lint.determinism  # noqa: F401
+import repro.devtools.lint.layers  # noqa: F401
 from repro.devtools.lint.base import RULES, Diagnostic, Rule
 from repro.devtools.lint.config import DEFAULT_CONFIG, LintConfig
 from repro.devtools.lint.contentkey import InertDefaultRule
@@ -127,8 +128,9 @@ def build_parser() -> argparse.ArgumentParser:
             prog="repro lint",
             description=(
                 "AST-based invariant linter: determinism (DET*), content-key "
-                "hygiene (KEY*) and API hygiene (API*) contracts.  See "
-                "docs/invariants.md for the rule table and rationale."
+                "hygiene (KEY*), API hygiene (API*) and layering (LAY*) "
+                "contracts.  See docs/invariants.md for the rule table and "
+                "rationale."
             ),
         )
     )

@@ -30,59 +30,23 @@ substrate and returns the rows/series behind the paper's figures:
   experiment (Figures 5-9 and 13).
 * :mod:`repro.experiments.alternate_designs` — the Section 5 emulated
   switchback and event study (Figures 10-12) and the A/A calibration.
+
+Each module registers its figures in :mod:`repro.experiments.figures`,
+the one registry the CLI, sweeps, campaigns and :mod:`repro.api` read.
+The imports below run in registry order, the order ``repro list`` shows.
 """
 
-from functools import partial
-
+from repro.experiments.figures import FIGURES, Figure, figure_spec
 from repro.experiments.lab_common import (
-    DETERMINISTIC_FIGURES,
-    FLEET_CELL_FIGURES,
-    LAB_CELL_FIGURES,
     LabFigure,
-    PAIRED_CELL_FIGURES,
-    TOPOLOGY_CELL_FIGURES,
-    figure_cells_spec,
     packet_sweep_to_figure,
     sweep_to_figure,
 )
-from repro.experiments.lab_connections import (
-    connections_spec,
-    run_connections_experiment,
-)
-from repro.experiments.lab_pacing import pacing_spec, run_pacing_experiment
-from repro.experiments.lab_cc import cc_spec, run_cc_experiment
-from repro.experiments.lab_topology import (
-    AqmBiasComparison,
-    aqm_spec,
-    rtt_spec,
-    run_aqm_experiment,
-    run_rtt_experiment,
-)
-from repro.experiments.lab_parking_lot import (
-    ParkingLotComparison,
-    fq_figure_spec,
-    parking_lot_spec,
-    run_fq_experiment,
-    run_parking_lot_experiment,
-)
-from repro.experiments.lab_churn import (
-    ChurnBiasComparison,
-    SwitchbackRampOutcome,
-    churn_spec,
-    run_churn_experiment,
-    run_switchback_ramp_experiment,
-)
-from repro.experiments.lab_l4s import (
-    L4sBiasComparison,
-    l4s_spec,
-    run_l4s_experiment,
-)
-from repro.experiments.paired_link import (
-    PairedLinkExperiment,
-    PairedLinkOutcome,
-    paired_figure_spec,
-)
-from repro.experiments.baseline_validation import baseline_spec, compare_links_at_baseline
+from repro.experiments.lab_connections import run_connections_experiment
+from repro.experiments.lab_pacing import run_pacing_experiment
+from repro.experiments.lab_cc import run_cc_experiment
+from repro.experiments.paired_link import PairedLinkExperiment, PairedLinkOutcome
+from repro.experiments.baseline_validation import compare_links_at_baseline
 from repro.experiments.alternate_designs import (
     AlternateDesignComparison,
     emulate_event_study,
@@ -90,64 +54,40 @@ from repro.experiments.alternate_designs import (
     run_aa_calibration,
     compare_designs,
 )
+from repro.experiments.lab_topology import (
+    AqmBiasComparison,
+    run_aqm_experiment,
+    run_rtt_experiment,
+)
+from repro.experiments.lab_parking_lot import (
+    ParkingLotComparison,
+    run_fq_experiment,
+    run_parking_lot_experiment,
+)
+from repro.experiments.lab_churn import (
+    ChurnBiasComparison,
+    SwitchbackRampOutcome,
+    run_churn_experiment,
+    run_switchback_ramp_experiment,
+)
+from repro.experiments.lab_l4s import L4sBiasComparison, run_l4s_experiment
+from repro.experiments.lab_fleet import (
+    FleetBiasComparison,
+    FleetOutcome,
+    run_fleet_experiment,
+)
 from repro.experiments.gradual_deployment import (
     GradualDeploymentOutcome,
     run_gradual_deployment,
 )
-from repro.experiments.lab_fleet import (
-    FleetBiasComparison,
-    FleetOutcome,
-    fleet_spec,
-    run_fleet_experiment,
-)
-
-#: Spec-producing entry point per sweepable figure: each callable returns
-#: the content-keyed ``figure.cells`` :class:`~repro.runner.ScenarioSpec`
-#: for one replication of that figure.  Lab figures take ``(noise, seed)``,
-#: deterministic topology figures take ``(quick)``, and every other figure
-#: takes ``(quick, seed)`` — the campaign compiler targets this registry.
-FIGURE_SPECS = {
-    "fig2a": connections_spec,
-    "fig2b": pacing_spec,
-    "fig3": cc_spec,
-    "baseline": baseline_spec,
-    "fig5": partial(paired_figure_spec, "fig5"),
-    "fig7": partial(paired_figure_spec, "fig7"),
-    "fig8": partial(paired_figure_spec, "fig8"),
-    "fig9": partial(paired_figure_spec, "fig9"),
-    "fig10": partial(paired_figure_spec, "fig10"),
-    "topo_rtt": rtt_spec,
-    "topo_aqm": aqm_spec,
-    "topo_parking": parking_lot_spec,
-    "topo_fq": fq_figure_spec,
-    "topo_churn": churn_spec,
-    "topo_l4s": l4s_spec,
-    "fleet": fleet_spec,
-}
 
 __all__ = [
+    "Figure",
+    "FIGURES",
+    "figure_spec",
     "LabFigure",
     "sweep_to_figure",
     "packet_sweep_to_figure",
-    "figure_cells_spec",
-    "FIGURE_SPECS",
-    "LAB_CELL_FIGURES",
-    "PAIRED_CELL_FIGURES",
-    "TOPOLOGY_CELL_FIGURES",
-    "FLEET_CELL_FIGURES",
-    "DETERMINISTIC_FIGURES",
-    "connections_spec",
-    "pacing_spec",
-    "cc_spec",
-    "baseline_spec",
-    "paired_figure_spec",
-    "rtt_spec",
-    "aqm_spec",
-    "parking_lot_spec",
-    "fq_figure_spec",
-    "churn_spec",
-    "l4s_spec",
-    "fleet_spec",
     "run_connections_experiment",
     "run_pacing_experiment",
     "run_cc_experiment",

@@ -23,14 +23,14 @@ no traffic was capped anywhere, and counting false positives.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 
 from repro.core.analysis.pipeline import AnalysisConfig, MetricEstimate, analyze_metric
 from repro.core.designs import EventStudyDesign, SwitchbackDesign
 from repro.core.units import SESSION_METRICS, OutcomeTable
 from repro.runner.cache import ResultCache
 from repro.runner.executor import ParallelExecutor
-from repro.runner.spec import ScenarioSpec
+from repro.runner.spec import ScenarioSpec, register_task
 
 __all__ = [
     "AlternateDesignComparison",
@@ -39,6 +39,8 @@ __all__ = [
     "emulate_day_split",
     "run_aa_calibration",
     "compare_designs",
+    "switchback_emulation",
+    "event_study_emulation",
 ]
 
 
@@ -148,6 +150,44 @@ def emulate_event_study(
         metrics=metrics,
         baselines=baselines,
         config=config,
+    )
+
+
+@register_task("experiments.switchback_emulation")
+def switchback_emulation(
+    table: OutcomeTable,
+    days: Sequence[int],
+    metrics: Sequence[str],
+    baselines: Mapping[str, float] | None = None,
+    analysis: AnalysisConfig | None = None,
+    seed: int | None = None,
+) -> dict[str, MetricEstimate]:
+    """Runner task: :func:`emulate_switchback` with its default design."""
+    return emulate_switchback(
+        table,
+        days,
+        metrics=tuple(metrics),
+        baselines=dict(baselines) if baselines else None,
+        config=analysis,
+    )
+
+
+@register_task("experiments.event_study_emulation")
+def event_study_emulation(
+    table: OutcomeTable,
+    days: Sequence[int],
+    metrics: Sequence[str],
+    baselines: Mapping[str, float] | None = None,
+    analysis: AnalysisConfig | None = None,
+    seed: int | None = None,
+) -> dict[str, MetricEstimate]:
+    """Runner task: :func:`emulate_event_study` with its default design."""
+    return emulate_event_study(
+        table,
+        days,
+        metrics=tuple(metrics),
+        baselines=dict(baselines) if baselines else None,
+        config=analysis,
     )
 
 

@@ -14,16 +14,13 @@ hourly aggregation and Newey-West standard errors.
 
 from __future__ import annotations
 
-from repro.experiments.lab_common import figure_cells_spec
-from repro.runner.spec import ScenarioSpec
-
 from dataclasses import dataclass
 from collections.abc import Sequence
 
 from repro.core.analysis.pipeline import AnalysisConfig, MetricEstimate, analyze_metric
 from repro.core.units import SESSION_METRICS, OutcomeTable
 
-__all__ = ["LinkComparisonRow", "compare_links_at_baseline", "baseline_spec"]
+__all__ = ["LinkComparisonRow", "compare_links_at_baseline"]
 
 
 @dataclass(frozen=True)
@@ -82,15 +79,3 @@ def compare_links_at_baseline(
         )
         rows.append(LinkComparisonRow(metric=metric, estimate=estimate))
     return rows
-
-
-def baseline_spec(
-    quick: bool = False, seed: int | None = 0, label: str | None = None
-) -> ScenarioSpec:
-    """Runner spec for the Section 4.1 baseline link-similarity table.
-
-    The campaign compiler's entry point: returns the content-keyed
-    ``figure.cells`` spec whose execution reproduces
-    :func:`compare_links_at_baseline` on the untreated week at one seed.
-    """
-    return figure_cells_spec("baseline", quick=quick, seed=seed, label=label)

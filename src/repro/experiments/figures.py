@@ -1,0 +1,194 @@
+"""The figure registry: every ``repro`` figure, declared once.
+
+Each figure of the paper, and of this reproduction's extensions, is one
+:class:`Figure` record, registered by the experiment module that computes
+it.  The record holds everything the layers above need to know about the
+figure: its help line and ``repro list`` group, the knob it consumes,
+whether it consumes the seed, how one replication reduces to scalar cells
+and what ``repro <name>`` prints.  The CLI, ``repro sweep``, campaigns and
+:mod:`repro.api` all derive from :data:`FIGURES`, so adding a figure is one
+``register(Figure(...))`` call in its experiment module.
+
+Registry order is import order: :mod:`repro.experiments` imports its
+modules in the order ``repro list`` shows their figures.
+
+This module also holds the two functions every figure shares:
+:func:`figure_spec`, the one constructor of content-keyed ``figure.cells``
+arms, and the ``figure.cells`` runner task itself.
+"""
+
+from __future__ import annotations
+
+import argparse
+from collections.abc import Callable, Iterable, Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any
+
+from repro.runner.spec import ScenarioSpec, register_task
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.obs.trace import RunTracer
+    from repro.runner.cache import ResultCache
+
+__all__ = [
+    "KNOBS",
+    "Figure",
+    "FIGURES",
+    "register",
+    "get_figure",
+    "parse_knob",
+    "figure_spec",
+    "figure_cells",
+]
+
+#: The knobs a figure can consume, each figure exactly one.  Their
+#: defaults are the ``figure.cells`` task defaults.
+KNOBS: tuple[str, ...] = ("quick", "noise")
+
+
+@dataclass(frozen=True)
+class Figure:
+    """One figure and every rule the layers above apply to it.
+
+    Attributes
+    ----------
+    name:
+        Registry name, ``repro`` subcommand and ``figure.cells`` param.
+    help:
+        One-line help shown by ``repro --help``.
+    group:
+        The ``repro list`` group the figure is listed under.
+    knob:
+        The one knob of :data:`KNOBS` the figure consumes: ``noise`` for
+        the fluid lab figures, ``quick`` for the rest.  The other knob is
+        inert, so it never enters the figure's content keys.
+    seeded:
+        Whether the figure consumes the seed.  An unseeded figure is a
+        pure function of its knob, so its replications collapse to one
+        seed-free arm.
+    cells:
+        Reduces one replication to flat ``{cell: value}`` scalars; called
+        as ``cells(<knob>=value, seed=seed)``, ``seed`` only if seeded.
+    render:
+        Runs the figure for ``repro <name>`` and returns the lines it
+        prints; called as ``render(args, parser, cache, tracer)`` with
+        the parsed flags, the subcommand parser (for usage errors), the
+        ``--cache`` result cache and the ``--trace`` tracer (or ``None``).
+    add_arguments:
+        Optional hook adding the figure's own flags to its subcommand.
+    """
+
+    name: str
+    help: str
+    group: str
+    knob: str
+    seeded: bool
+    cells: Callable[..., dict[str, float]]
+    render: Callable[
+        [argparse.Namespace, argparse.ArgumentParser, ResultCache | None, RunTracer | None],
+        Sequence[str],
+    ]
+    add_arguments: Callable[[argparse.ArgumentParser], object] | None = None
+
+    def __post_init__(self) -> None:
+        """Reject a knob ``figure.cells`` does not take."""
+        if self.knob not in KNOBS:
+            raise ValueError(f"figure {self.name!r}: knob {self.knob!r} is not one of {KNOBS}")
+
+    def check_knobs(self, knobs: Iterable[str]) -> None:
+        """Raise ``ValueError`` naming the allowed knob if any is inapplicable."""
+        extra = sorted(set(knobs) - {self.knob})
+        if extra:
+            raise ValueError(
+                f"knob(s) {extra} do not apply to figure {self.name!r} "
+                f"(allowed: {[self.knob]})"
+            )
+
+
+#: Every registered figure, by name, in registry order.
+FIGURES: dict[str, Figure] = {}
+
+
+def register(figure: Figure) -> Figure:
+    """Add ``figure`` to :data:`FIGURES` and return it."""
+    existing = FIGURES.get(figure.name)
+    if existing is not None and existing is not figure:
+        raise ValueError(f"figure {figure.name!r} is already registered")
+    FIGURES[figure.name] = figure
+    return figure
+
+
+def get_figure(name: str) -> Figure:
+    """The registered figure called ``name`` (``KeyError`` if unknown)."""
+    try:
+        return FIGURES[name]
+    except KeyError:
+        raise KeyError(f"unknown figure {name!r}; choose one of {list(FIGURES)}") from None
+
+
+def parse_knob(knob: str, value: Any) -> Any:
+    """Validate a knob value read from outside the program; return it normalised.
+
+    ``quick`` must be a bool and ``noise`` a non-negative number; raises
+    ``ValueError`` otherwise.
+    """
+    if knob == "quick":
+        if not isinstance(value, bool):
+            raise ValueError(f"expected a bool, got {value!r}")
+        return value
+    if knob == "noise":
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"expected a number, got {value!r}")
+        if value < 0:
+            raise ValueError(f"noise must be >= 0, got {value!r}")
+        return float(value)
+    raise ValueError(f"unknown knob {knob!r}")
+
+
+def figure_spec(
+    figure: str,
+    seed: int | None = 0,
+    label: str | None = None,
+    **knobs: Any,
+) -> ScenarioSpec:
+    """A content-keyed ``figure.cells`` arm: one replication of ``figure``.
+
+    Applies the inert-knob rule so equal computations share a content
+    key: the spec carries only the figure's own knob (at the task
+    default when not given, so a knob spelled at its default keys like
+    one never passed), and an unseeded figure's seed is normalised to
+    ``None`` so replications cannot split the cache.  An inapplicable
+    knob raises ``ValueError`` naming the allowed one.
+    """
+    entry = get_figure(figure)
+    entry.check_knobs(knobs)
+    params: dict[str, object] = {"figure": figure}
+    if entry.knob == "noise":
+        params["noise"] = float(knobs.get("noise", 0.0))
+    else:
+        params["quick"] = bool(knobs.get("quick", False))
+    arm_seed = None if not entry.seeded or seed is None else int(seed)
+    if label is None:
+        label = f"{figure}[seed={arm_seed}]" if entry.seeded else f"{figure}[deterministic]"
+    return ScenarioSpec(task="figure.cells", params=params, seed=arm_seed, label=label)
+
+
+@register_task("figure.cells")
+def figure_cells(
+    figure: str,
+    quick: bool = False,
+    noise: float = 0.0,
+    seed: int | None = 0,
+) -> dict[str, float]:
+    """One replication of a figure, reduced to its scalar cells.
+
+    Returns a flat ``{cell name: value}`` mapping so ``repro sweep`` and
+    campaigns can aggregate means and confidence intervals across seeds.
+    The figure receives only its own knob, and the seed only if it is
+    seeded.
+    """
+    entry = get_figure(figure)
+    kwargs: dict[str, Any] = {entry.knob: quick if entry.knob == "quick" else noise}
+    if entry.seeded:
+        kwargs["seed"] = seed
+    return entry.cells(**kwargs)

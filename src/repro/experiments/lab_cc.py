@@ -11,14 +11,14 @@ is in the minority look good.
 
 from __future__ import annotations
 
-from repro.experiments.lab_common import figure_cells_spec, LabFigure, sweep_to_figure
-from repro.runner.spec import ScenarioSpec
+from repro.experiments.figures import Figure, register
+from repro.experiments.lab_common import LabFigure, sweep_to_figure
 from repro.netsim.fluid.application import Application
 from repro.netsim.fluid.competition import CompetitionModel
 from repro.netsim.fluid.lab import run_lab_sweep
 from repro.netsim.fluid.link import BottleneckLink
 
-__all__ = ["run_cc_experiment", "cc_spec"]
+__all__ = ["run_cc_experiment"]
 
 
 def run_cc_experiment(
@@ -63,13 +63,16 @@ def run_cc_experiment(
     )
 
 
-def cc_spec(
-    noise: float = 0.0, seed: int | None = 0, label: str | None = None
-) -> ScenarioSpec:
-    """Runner spec for one Figure 3 (Cubic vs BBR) replication.
-
-    The campaign compiler's entry point: returns the content-keyed
-    ``figure.cells`` spec whose execution reproduces
-    :func:`run_cc_experiment`'s scalar cells at one seed.
-    """
-    return figure_cells_spec("fig3", noise=noise, seed=seed, label=label)
+register(
+    Figure(
+        name="fig3",
+        help="Cubic-vs-BBR lab figure (Figure 3)",
+        group="lab",
+        knob="noise",
+        seeded=True,
+        cells=lambda noise, seed: run_cc_experiment(noise=noise, seed=seed).cells(),
+        render=lambda args, parser, cache, tracer: run_cc_experiment(
+            jobs=args.jobs, cache=cache
+        ).summary_lines(),
+    )
+)

@@ -35,14 +35,15 @@ worker count.
 
 from __future__ import annotations
 
+import argparse
 import math
 import random
 from dataclasses import dataclass
 from collections.abc import Sequence
 
 from repro.core.designs.switchback import SwitchbackDesign
-from repro.experiments.lab_common import figure_cells_spec, LabFigure, packet_sweep_to_figure
-from repro.runner.spec import ScenarioSpec
+from repro.experiments.figures import Figure, register
+from repro.experiments.lab_common import LabFigure, packet_sweep_to_figure
 from repro.experiments.lab_topology import sweep_scale
 from repro.netsim.packet.simulation import FlowConfig
 from repro.netsim.packet.sweep import run_packet_sweep
@@ -53,7 +54,6 @@ __all__ = [
     "ChurnStats",
     "ChurnBiasComparison",
     "run_churn_experiment",
-    "churn_spec",
     "SwitchbackRampOutcome",
     "run_switchback_ramp_experiment",
 ]
@@ -158,6 +158,24 @@ class ChurnBiasComparison:
                 f"{stats.flows_completed} completed, mean FCT {fct}, {tail}"
             )
         return lines
+
+    def cells(self) -> dict[str, float]:
+        """Scalar cells per intensity: bias, completed flows and FCTs."""
+        cells: dict[str, float] = {}
+        for rate in self.rates():
+            cells[f"bias_throughput@0.5:churn{rate:g}"] = self.bias(rate)
+            stats = self.churn[rate]
+            cells[f"churn_flows_completed:churn{rate:g}"] = float(stats.flows_completed)
+            # Always emit the FCT cells so replications agree on the cell set
+            # (0.0 stands for "no completions", which only zero churn hits).
+            for name, value in (
+                ("mean_fct_s", stats.mean_fct_s),
+                ("fct_p50_s", stats.p50_fct_s),
+                ("fct_p95_s", stats.p95_fct_s),
+                ("fct_p99_s", stats.p99_fct_s),
+            ):
+                cells[f"{name}:churn{rate:g}"] = 0.0 if value is None else value
+        return cells
 
 
 def run_churn_experiment(
@@ -577,13 +595,78 @@ def run_switchback_ramp_experiment(
     )
 
 
-def churn_spec(
-    quick: bool = False, seed: int | None = 0, label: str | None = None
-) -> ScenarioSpec:
-    """Runner spec for one topo_churn replication (seeded arrivals).
+def _parse_churn_rates(text: str, parser: argparse.ArgumentParser) -> tuple[float, ...]:
+    try:
+        values = tuple(float(part) for part in text.split(",") if part.strip())
+    except ValueError:
+        values = ()
+    if not values or any(v < 0 for v in values) or len(set(values)) != len(values):
+        parser.error(
+            f"--churn-rates needs distinct non-negative comma-separated "
+            f"flow-per-second values, got {text!r}"
+        )
+    return values
 
-    The campaign compiler's entry point: returns the content-keyed
-    ``figure.cells`` spec whose execution reproduces
-    :func:`run_churn_experiment`'s scalar cells at one seed.
-    """
-    return figure_cells_spec("topo_churn", quick=quick, seed=seed, label=label)
+
+def _add_churn_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--churn-rates",
+        default="0,2,6",
+        help=(
+            "churn intensities, comma-separated flow arrivals per "
+            "second (default: 0,2,6; include 0 for the static "
+            "reference)"
+        ),
+    )
+    parser.add_argument(
+        "--traffic-split",
+        type=float,
+        default=1.0,
+        help=(
+            "within-interval allocation of the switchback-ramp "
+            "scenario, in (0.5, 1]: 1 (default) runs pure 100/0 "
+            "intervals, 0.95 the production 95/5 variant (scales the "
+            "unit count up so the 5%% arm keeps a unit — markedly "
+            "slower)"
+        ),
+    )
+
+
+def _render_churn(
+    args: argparse.Namespace, parser: argparse.ArgumentParser, cache, tracer
+) -> list[str]:
+    """The churn sweep, then the switchback-vs-event-study ramp."""
+    if not 0.5 < args.traffic_split <= 1.0:
+        parser.error("--traffic-split must be in (0.5, 1.0]")
+    comparison = run_churn_experiment(
+        churn_rates=_parse_churn_rates(args.churn_rates, parser),
+        quick=args.quick,
+        jobs=args.jobs,
+        cache=cache,
+        seed=args.seed,
+    )
+    ramp = run_switchback_ramp_experiment(
+        traffic_split=args.traffic_split,
+        quick=args.quick,
+        jobs=args.jobs,
+        cache=cache,
+        seed=args.seed,
+    )
+    return [*comparison.summary_lines(), "", *ramp.summary_lines()]
+
+
+register(
+    Figure(
+        name="topo_churn",
+        help="bias under flow churn + switchback-vs-ramp",
+        group="topology",
+        knob="quick",
+        # Arrival times and flow sizes are drawn from the seed.
+        seeded=True,
+        cells=lambda quick, seed: run_churn_experiment(
+            quick=quick, seed=0 if seed is None else seed
+        ).cells(),
+        render=_render_churn,
+        add_arguments=_add_churn_arguments,
+    )
+)

@@ -6,11 +6,6 @@ allocation the figure shows the treated and control groups' mean throughput
 and retransmission rate.  :class:`LabFigure` packages those rows together
 with the derived estimands (naive A/B estimates at each allocation, TTE,
 spillover) so benchmarks and examples can print them directly.
-
-This module also hosts the figure taxonomy shared by the sweep CLI and
-the campaign compiler (which figures consume which knobs, which consume
-the seed) and :func:`figure_cells_spec`, the single constructor every
-experiment module's spec-producing entry point delegates to.
 """
 
 from __future__ import annotations
@@ -20,7 +15,6 @@ from typing import TYPE_CHECKING
 
 from repro.core.estimands import PotentialOutcomeCurve
 from repro.netsim.fluid.lab import LAB_METRICS, LabSweepResult
-from repro.runner.spec import ScenarioSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.netsim.packet.sweep import PacketSweepResult
@@ -30,86 +24,7 @@ __all__ = [
     "LabFigure",
     "sweep_to_figure",
     "packet_sweep_to_figure",
-    "figure_cells_spec",
-    "LAB_CELL_FIGURES",
-    "PAIRED_CELL_FIGURES",
-    "TOPOLOGY_CELL_FIGURES",
-    "FLEET_CELL_FIGURES",
-    "DETERMINISTIC_FIGURES",
 ]
-
-#: Fluid-lab figures: consume ``noise`` (and the seed that draws it).
-LAB_CELL_FIGURES: tuple[str, ...] = ("fig2a", "fig2b", "fig3")
-
-#: Paired-link workload figures: consume ``quick`` and the workload seed.
-PAIRED_CELL_FIGURES: tuple[str, ...] = (
-    "baseline",
-    "fig5",
-    "fig7",
-    "fig8",
-    "fig9",
-    "fig10",
-)
-
-#: Packet-level topology figures: consume ``quick``.
-TOPOLOGY_CELL_FIGURES: tuple[str, ...] = (
-    "topo_rtt",
-    "topo_aqm",
-    "topo_parking",
-    "topo_fq",
-    "topo_churn",
-    "topo_l4s",
-)
-
-#: The sharded fleet experiment: consumes ``quick`` and the fleet seed.
-FLEET_CELL_FIGURES: tuple[str, ...] = ("fleet",)
-
-#: Figures whose cells are a pure function of their knobs — no seed
-#: consumer anywhere, so replications collapse to one seed-free arm.
-#: (topo_churn draws arrivals and flow sizes from the seed; the other
-#: topology figures are deterministic packet sims.)
-DETERMINISTIC_FIGURES: tuple[str, ...] = (
-    "topo_rtt",
-    "topo_aqm",
-    "topo_parking",
-    "topo_fq",
-    "topo_l4s",
-)
-
-
-def figure_cells_spec(
-    figure: str,
-    quick: bool = False,
-    noise: float = 0.0,
-    seed: int | None = 0,
-    label: str | None = None,
-) -> ScenarioSpec:
-    """A content-keyed :class:`ScenarioSpec` for one ``figure.cells`` arm.
-
-    Applies the inert-knob rule so equal computations share a content
-    key: lab figures carry only ``noise`` (they ignore ``quick``), every
-    other figure carries only ``quick`` (they ignore ``noise``), and
-    deterministic figures are normalized to ``seed=None`` so replications
-    cannot split the cache.  Defaults match the ``figure.cells`` task
-    defaults, so a knob left at its default keys identically to one
-    never passed at all.
-    """
-    from repro.runner.tasks import FIGURE_CELL_TASKS
-
-    if figure not in FIGURE_CELL_TASKS:
-        raise KeyError(
-            f"unknown figure {figure!r}; choose one of {FIGURE_CELL_TASKS}"
-        )
-    params: dict[str, object] = {"figure": figure}
-    if figure in LAB_CELL_FIGURES:
-        params["noise"] = float(noise)
-    else:
-        params["quick"] = bool(quick)
-    deterministic = figure in DETERMINISTIC_FIGURES
-    arm_seed = None if deterministic else (None if seed is None else int(seed))
-    if label is None:
-        label = f"{figure}[deterministic]" if deterministic else f"{figure}[seed={arm_seed}]"
-    return ScenarioSpec(task="figure.cells", params=params, seed=arm_seed, label=label)
 
 
 @dataclass(frozen=True)
@@ -160,6 +75,15 @@ class LabFigure:
     def ab_estimate(self, metric: str, allocation: float) -> float:
         """Naive A/B estimate at the given allocation."""
         return self._curve(metric).ate(allocation)
+
+    def cells(self) -> dict[str, float]:
+        """Scalar cells: both TTEs, the 50 % A/B estimate and its spillover."""
+        return {
+            "tte_throughput_mbps": self.tte("throughput_mbps"),
+            "tte_retransmit_fraction": self.tte("retransmit_fraction"),
+            "ab_throughput_mbps@0.5": self.ab_estimate("throughput_mbps", 0.5),
+            "spillover_throughput@0.5": self.spillover("throughput_mbps", 0.5),
+        }
 
     def _curve(self, metric: str) -> PotentialOutcomeCurve:
         if metric == "throughput_mbps":

@@ -16,14 +16,14 @@ tests of the paper's Section 3.1:
 
 from __future__ import annotations
 
-from repro.experiments.lab_common import figure_cells_spec, LabFigure, sweep_to_figure
-from repro.runner.spec import ScenarioSpec
+from repro.experiments.figures import Figure, register
+from repro.experiments.lab_common import LabFigure, sweep_to_figure
 from repro.netsim.fluid.application import Application
 from repro.netsim.fluid.competition import CompetitionModel
 from repro.netsim.fluid.lab import run_lab_sweep
 from repro.netsim.fluid.link import BottleneckLink
 
-__all__ = ["run_connections_experiment", "connections_spec"]
+__all__ = ["run_connections_experiment"]
 
 
 def run_connections_experiment(
@@ -79,13 +79,16 @@ def run_connections_experiment(
     )
 
 
-def connections_spec(
-    noise: float = 0.0, seed: int | None = 0, label: str | None = None
-) -> ScenarioSpec:
-    """Runner spec for one Figure 2a (parallel connections) replication.
-
-    The campaign compiler's entry point: returns the content-keyed
-    ``figure.cells`` spec whose execution reproduces
-    :func:`run_connections_experiment`'s scalar cells at one seed.
-    """
-    return figure_cells_spec("fig2a", noise=noise, seed=seed, label=label)
+register(
+    Figure(
+        name="fig2a",
+        help="parallel-connections lab figure (Figure 2a)",
+        group="lab",
+        knob="noise",
+        seeded=True,
+        cells=lambda noise, seed: run_connections_experiment(noise=noise, seed=seed).cells(),
+        render=lambda args, parser, cache, tracer: run_connections_experiment(
+            jobs=args.jobs, cache=cache
+        ).summary_lines(),
+    )
+)

@@ -34,13 +34,15 @@ actually needed after content-key dedupe.
 
 from __future__ import annotations
 
-from repro.experiments.lab_common import figure_cells_spec
-from repro.runner.spec import ScenarioSpec
-
+import argparse
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
+from repro.experiments.figures import Figure, register
 from repro.netsim.fleet import GRANULARITIES, FleetResult, FleetSpec, run_fleet
+from repro.obs.trace import ProgressPrinter, add_trace_arguments, walltime
+from repro.runner.executor import ParallelExecutor
 
 __all__ = [
     "DEFAULT_FLEET",
@@ -48,7 +50,6 @@ __all__ = [
     "FleetOutcome",
     "FleetBiasComparison",
     "run_fleet_experiment",
-    "fleet_spec",
 ]
 
 #: Full-scale fleet defaults: 20k units on 200 edge bottlenecks.
@@ -125,6 +126,17 @@ class FleetBiasComparison:
             "water-fill coupling, region-level only the (uncongested) backbone"
         )
         return lines
+
+    def cells(self) -> dict[str, float]:
+        """Scalar cells: the true TTE, then estimate, bias and p50 per granularity."""
+        cells: dict[str, float] = {"tte_throughput_mbps": self.truth_tte}
+        for granularity, outcome in self.outcomes.items():
+            cells[f"ab_throughput_mbps@0.5:{granularity}"] = outcome.ab_estimate()
+            cells[f"bias_throughput@0.5:{granularity}"] = self.bias(granularity)
+            cells[f"p50_treated_mbps:{granularity}"] = outcome.result.quantile(
+                "treated", "throughput_mbps", 0.5
+            )
+        return cells
 
 
 def run_fleet_experiment(
@@ -233,13 +245,90 @@ def run_fleet_experiment(
     )
 
 
-def fleet_spec(
-    quick: bool = False, seed: int | None = 0, label: str | None = None
-) -> ScenarioSpec:
-    """Runner spec for one fleet replication (seeded assignment + loss).
+def _add_fleet_arguments(parser: argparse.ArgumentParser) -> None:
+    add_trace_arguments(parser)
+    parser.add_argument(
+        "--units",
+        type=int,
+        default=None,
+        help="fleet size (default: 20000, or 10000 with --quick)",
+    )
+    parser.add_argument(
+        "--edges",
+        type=int,
+        default=None,
+        help="edge bottlenecks (default: 200, or 100 with --quick)",
+    )
+    parser.add_argument(
+        "--granularity",
+        choices=["unit", "edge", "region", "all"],
+        default="all",
+        help="assignment granularity to compare (default: all three)",
+    )
+    parser.add_argument(
+        "--probe",
+        type=float,
+        metavar="SECONDS",
+        default=None,
+        help=(
+            "sample in-sim queue depth on every fleet shard at this simulated-"
+            "time cadence (never changes results)"
+        ),
+    )
 
-    The campaign compiler's entry point: returns the content-keyed
-    ``figure.cells`` spec whose execution reproduces
-    :func:`run_fleet_experiment`'s scalar cells at one seed.
-    """
-    return figure_cells_spec("fleet", quick=quick, seed=seed, label=label)
+
+def _render_fleet(
+    args: argparse.Namespace, parser: argparse.ArgumentParser, cache, tracer
+) -> list[str]:
+    if args.units is not None and args.units < 1:
+        parser.error("--units must be positive")
+    if args.edges is not None and args.edges < 1:
+        parser.error("--edges must be positive")
+    # A live shard progress line on a terminal, or whenever a trace is on.
+    progress = None
+    if tracer is not None or sys.stderr.isatty():
+        progress = ProgressPrinter("shards")
+    executor = ParallelExecutor(
+        jobs=args.jobs, cache=cache, tracer=tracer, profile=args.profile, on_task_done=progress
+    )
+    started = walltime()
+    comparison = run_fleet_experiment(
+        units=args.units,
+        edges=args.edges,
+        granularities=GRANULARITIES if args.granularity == "all" else (args.granularity,),
+        quick=args.quick,
+        executor=executor,
+        probe_interval_s=args.probe or 0.0,
+        seed=args.seed,
+    )
+    if tracer is not None:
+        wall = walltime() - started
+        fleets = len(comparison.outcomes) + 2
+        tracer.add_counters(comparison.counters)
+        tracer.finish(
+            {
+                "figure": "fleet",
+                "shards": comparison.spec.edges * fleets,
+                "units": comparison.spec.units,
+                "units_per_s": comparison.spec.units * fleets / wall if wall > 0 else 0.0,
+            }
+        )
+    return comparison.summary_lines()
+
+
+register(
+    Figure(
+        name="fleet",
+        help="sharded fleet: bias vs assignment cluster size",
+        group="fleet",
+        knob="quick",
+        # The treatment assignment and every squeezed shard's loss stream
+        # derive from the seed.
+        seeded=True,
+        cells=lambda quick, seed: run_fleet_experiment(
+            quick=quick, seed=0 if seed is None else seed
+        ).cells(),
+        render=_render_fleet,
+        add_arguments=_add_fleet_arguments,
+    )
+)

@@ -43,14 +43,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.experiments.lab_common import figure_cells_spec, LabFigure, packet_sweep_to_figure
-from repro.runner.spec import ScenarioSpec
+from repro.experiments.figures import Figure, register
+from repro.experiments.lab_common import LabFigure, packet_sweep_to_figure
 from repro.experiments.lab_topology import sweep_scale
 from repro.netsim.packet.queue import QUEUE_DISCIPLINES
 from repro.netsim.packet.simulation import FlowConfig
 from repro.netsim.packet.sweep import run_packet_sweep
 
-__all__ = ["L4S_ARMS", "L4sBiasComparison", "run_l4s_experiment", "l4s_spec"]
+__all__ = ["L4S_ARMS", "L4sBiasComparison", "run_l4s_experiment"]
 
 #: The four arms of the L4S lab: (arm name, queue discipline, the
 #: ``FlowConfig.ecn`` mode of every unit, whether units pace).  The L4S
@@ -118,6 +118,12 @@ class L4sBiasComparison:
             f"(ratio {self.coexistence_ratio:.2f})"
         )
         return lines
+
+    def cells(self) -> dict[str, float]:
+        """Scalar cells: per-arm bias plus the coexistence ratio."""
+        cells = {f"bias_throughput@0.5:{arm}": self.bias(arm) for arm in self.figures}
+        cells["coexistence_ratio"] = self.coexistence_ratio
+        return cells
 
 
 def run_l4s_experiment(
@@ -209,11 +215,17 @@ def run_l4s_experiment(
     )
 
 
-def l4s_spec(quick: bool = False, label: str | None = None) -> ScenarioSpec:
-    """Runner spec for the topo_l4s figure (deterministic lottery seed).
-
-    The campaign compiler's entry point: returns the content-keyed
-    ``figure.cells`` spec whose execution reproduces
-    :func:`run_l4s_experiment`'s scalar cells.
-    """
-    return figure_cells_spec("topo_l4s", quick=quick, label=label)
+register(
+    Figure(
+        name="topo_l4s",
+        help="L4S/DCTCP marking vs classic AQM bias",
+        group="topology",
+        knob="quick",
+        # DualPI2's lotteries draw from the experiment's fixed default seed.
+        seeded=False,
+        cells=lambda quick: run_l4s_experiment(quick=quick).cells(),
+        render=lambda args, parser, cache, tracer: run_l4s_experiment(
+            quick=args.quick, jobs=args.jobs, cache=cache
+        ).summary_lines(),
+    )
+)

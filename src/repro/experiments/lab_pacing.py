@@ -16,14 +16,14 @@ here:
 
 from __future__ import annotations
 
-from repro.experiments.lab_common import figure_cells_spec, LabFigure, sweep_to_figure
-from repro.runner.spec import ScenarioSpec
+from repro.experiments.figures import Figure, register
+from repro.experiments.lab_common import LabFigure, sweep_to_figure
 from repro.netsim.fluid.application import Application
 from repro.netsim.fluid.competition import CompetitionModel
 from repro.netsim.fluid.lab import run_lab_sweep
 from repro.netsim.fluid.link import BottleneckLink
 
-__all__ = ["run_pacing_experiment", "pacing_spec"]
+__all__ = ["run_pacing_experiment"]
 
 
 def run_pacing_experiment(
@@ -57,13 +57,16 @@ def run_pacing_experiment(
     )
 
 
-def pacing_spec(
-    noise: float = 0.0, seed: int | None = 0, label: str | None = None
-) -> ScenarioSpec:
-    """Runner spec for one Figure 2b (pacing) replication.
-
-    The campaign compiler's entry point: returns the content-keyed
-    ``figure.cells`` spec whose execution reproduces
-    :func:`run_pacing_experiment`'s scalar cells at one seed.
-    """
-    return figure_cells_spec("fig2b", noise=noise, seed=seed, label=label)
+register(
+    Figure(
+        name="fig2b",
+        help="pacing lab figure (Figure 2b)",
+        group="lab",
+        knob="noise",
+        seeded=True,
+        cells=lambda noise, seed: run_pacing_experiment(noise=noise, seed=seed).cells(),
+        render=lambda args, parser, cache, tracer: run_pacing_experiment(
+            jobs=args.jobs, cache=cache
+        ).summary_lines(),
+    )
+)

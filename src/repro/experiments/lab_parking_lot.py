@@ -30,12 +30,17 @@ so results are deterministic and bit-identical for any worker count.
 
 from __future__ import annotations
 
+import argparse
 from dataclasses import dataclass
 from collections.abc import Sequence
 
-from repro.experiments.lab_common import figure_cells_spec, LabFigure, packet_sweep_to_figure
-from repro.runner.spec import ScenarioSpec
-from repro.experiments.lab_topology import AqmBiasComparison, run_aqm_experiment
+from repro.experiments.figures import Figure, register
+from repro.experiments.lab_common import LabFigure, packet_sweep_to_figure
+from repro.experiments.lab_topology import (
+    AqmBiasComparison,
+    parse_disciplines,
+    run_aqm_experiment,
+)
 from repro.netsim.packet.network import parking_lot_path, parking_lot_queues
 from repro.netsim.packet.simulation import FlowConfig
 from repro.netsim.packet.sweep import run_packet_sweep
@@ -46,8 +51,6 @@ __all__ = [
     "SEGMENT_SPAN",
     "ParkingLotComparison",
     "run_parking_lot_experiment",
-    "parking_lot_spec",
-    "fq_figure_spec",
     "run_fq_experiment",
 ]
 
@@ -137,6 +140,14 @@ class ParkingLotComparison:
             f"with it): {self.remote_spillover_mbps:+.2f} Mb/s"
         )
         return lines
+
+    def cells(self) -> dict[str, float]:
+        """Scalar cells: per-topology bias plus the cross-segment spillover."""
+        cells = {
+            f"bias_throughput@0.5:{topology}": self.bias(topology) for topology in self.figures
+        }
+        cells["remote_spillover_mbps"] = self.remote_spillover_mbps
+        return cells
 
 
 def run_parking_lot_experiment(
@@ -342,21 +353,54 @@ def run_fq_experiment(
     )
 
 
-def parking_lot_spec(quick: bool = False, label: str | None = None) -> ScenarioSpec:
-    """Runner spec for the topo_parking figure (deterministic, seed-free).
+def _render_parking_lot(
+    args: argparse.Namespace, parser: argparse.ArgumentParser, cache, tracer
+) -> list[str]:
+    if args.segments < MIN_SEGMENTS:
+        parser.error(
+            f"--segments must be at least {MIN_SEGMENTS} (cross-segment "
+            "spillover needs two disjoint unit spans)"
+        )
+    return run_parking_lot_experiment(
+        n_segments=args.segments, quick=args.quick, jobs=args.jobs, cache=cache
+    ).summary_lines()
 
-    The campaign compiler's entry point: returns the content-keyed
-    ``figure.cells`` spec whose execution reproduces
-    :func:`run_parking_lot_experiment`'s scalar cells.
-    """
-    return figure_cells_spec("topo_parking", quick=quick, label=label)
 
-
-def fq_figure_spec(quick: bool = False, label: str | None = None) -> ScenarioSpec:
-    """Runner spec for the topo_fq figure (deterministic, seed-free).
-
-    The campaign compiler's entry point: returns the content-keyed
-    ``figure.cells`` spec whose execution reproduces
-    :func:`run_fq_experiment`'s scalar cells.
-    """
-    return figure_cells_spec("topo_fq", quick=quick, label=label)
+register(
+    Figure(
+        name="topo_parking",
+        help="parking-lot bias and cross-segment spillover",
+        group="topology",
+        knob="quick",
+        seeded=False,
+        cells=lambda quick: run_parking_lot_experiment(quick=quick).cells(),
+        render=_render_parking_lot,
+        add_arguments=lambda parser: parser.add_argument(
+            "--segments",
+            type=int,
+            default=DEFAULT_SEGMENTS,
+            help="bottleneck segments in the parking-lot chain (default: 4)",
+        ),
+    )
+)
+register(
+    Figure(
+        name="topo_fq",
+        help="per-flow FQ-CoDel vs drop-tail bias",
+        group="topology",
+        knob="quick",
+        seeded=False,
+        cells=lambda quick: run_fq_experiment(quick=quick).cells(),
+        render=lambda args, parser, cache, tracer: run_fq_experiment(
+            disciplines=parse_disciplines(args.disciplines, parser),
+            quick=args.quick,
+            jobs=args.jobs,
+            cache=cache,
+        ).summary_lines(),
+        add_arguments=lambda parser: parser.add_argument(
+            "--disciplines",
+            default="droptail,fq_codel",
+            help="queue disciplines to compare (default: droptail,fq_codel)",
+        ),
+    )
+)

@@ -24,11 +24,12 @@ so results are deterministic and bit-identical for any worker count.
 
 from __future__ import annotations
 
+import argparse
 from dataclasses import dataclass
 from collections.abc import Sequence
 
-from repro.experiments.lab_common import figure_cells_spec, LabFigure, packet_sweep_to_figure
-from repro.runner.spec import ScenarioSpec
+from repro.experiments.figures import Figure, register
+from repro.experiments.lab_common import LabFigure, packet_sweep_to_figure
 from repro.netsim.packet.queue import QUEUE_DISCIPLINES
 from repro.netsim.packet.simulation import FlowConfig
 from repro.netsim.packet.sweep import run_packet_sweep
@@ -37,10 +38,9 @@ __all__ = [
     "DEFAULT_RTT_SPREAD_MS",
     "AqmBiasComparison",
     "run_rtt_experiment",
-    "rtt_spec",
-    "aqm_spec",
     "run_aqm_experiment",
     "sweep_scale",
+    "parse_disciplines",
 ]
 
 #: Default per-unit RTT profile (ms): a 8x spread, cycled across units so
@@ -154,6 +154,17 @@ class AqmBiasComparison:
             lines.append(f"  {discipline:>9}: {self.bias(discipline):+.2f}")
         return lines
 
+    def cells(self) -> dict[str, float]:
+        """Scalar cells per discipline: bias, TTE and the 50 % A/B estimate."""
+        cells: dict[str, float] = {}
+        for discipline, figure in self.figures.items():
+            cells[f"bias_throughput@0.5:{discipline}"] = self.bias(discipline)
+            cells[f"tte_throughput_mbps:{discipline}"] = figure.tte("throughput_mbps")
+            cells[f"ab_throughput_mbps@0.5:{discipline}"] = figure.ab_estimate(
+                "throughput_mbps", 0.5
+            )
+        return cells
+
 
 def run_aqm_experiment(
     disciplines: Sequence[str] = ("droptail", "codel"),
@@ -222,21 +233,67 @@ def run_aqm_experiment(
     return AqmBiasComparison(figures=figures)
 
 
-def rtt_spec(quick: bool = False, label: str | None = None) -> ScenarioSpec:
-    """Runner spec for the topo_rtt figure (deterministic, seed-free).
+def parse_disciplines(text: str, parser: argparse.ArgumentParser) -> tuple[str, ...]:
+    """The ``--disciplines`` flag: comma-separated queue discipline names."""
+    names = tuple(part.strip() for part in text.split(",") if part.strip())
+    unknown = [name for name in names if name not in QUEUE_DISCIPLINES]
+    if not names or unknown:
+        parser.error(
+            f"--disciplines needs comma-separated names from "
+            f"{', '.join(sorted(QUEUE_DISCIPLINES))}; got {text!r}"
+        )
+    return names
 
-    The campaign compiler's entry point: returns the content-keyed
-    ``figure.cells`` spec whose execution reproduces
-    :func:`run_rtt_experiment`'s scalar cells.
-    """
-    return figure_cells_spec("topo_rtt", quick=quick, label=label)
+
+def _parse_rtt_spread(text: str, parser: argparse.ArgumentParser) -> tuple[float, ...]:
+    try:
+        values = tuple(float(part) for part in text.split(",") if part.strip())
+    except ValueError:
+        values = ()
+    if not values or any(v <= 0 for v in values):
+        parser.error(f"--rtt-spread needs positive comma-separated ms values, got {text!r}")
+    return values
 
 
-def aqm_spec(quick: bool = False, label: str | None = None) -> ScenarioSpec:
-    """Runner spec for the topo_aqm figure (deterministic, seed-free).
-
-    The campaign compiler's entry point: returns the content-keyed
-    ``figure.cells`` spec whose execution reproduces
-    :func:`run_aqm_experiment`'s scalar cells.
-    """
-    return figure_cells_spec("topo_aqm", quick=quick, label=label)
+register(
+    Figure(
+        name="topo_rtt",
+        help="A/B bias under heterogeneous RTTs",
+        group="topology",
+        knob="quick",
+        seeded=False,
+        cells=lambda quick: run_rtt_experiment(quick=quick).cells(),
+        render=lambda args, parser, cache, tracer: run_rtt_experiment(
+            rtt_spread_ms=_parse_rtt_spread(args.rtt_spread, parser),
+            quick=args.quick,
+            jobs=args.jobs,
+            cache=cache,
+        ).summary_lines(),
+        add_arguments=lambda parser: parser.add_argument(
+            "--rtt-spread",
+            default="10,20,40,80",
+            help="per-unit RTT profile, comma-separated ms (default: 10,20,40,80)",
+        ),
+    )
+)
+register(
+    Figure(
+        name="topo_aqm",
+        help="A/B bias under AQM (CoDel/RED) vs drop-tail",
+        group="topology",
+        knob="quick",
+        seeded=False,
+        cells=lambda quick: run_aqm_experiment(quick=quick).cells(),
+        render=lambda args, parser, cache, tracer: run_aqm_experiment(
+            disciplines=parse_disciplines(args.disciplines, parser),
+            quick=args.quick,
+            jobs=args.jobs,
+            cache=cache,
+        ).summary_lines(),
+        add_arguments=lambda parser: parser.add_argument(
+            "--disciplines",
+            default="droptail,codel",
+            help="queue disciplines to compare (default: droptail,codel)",
+        ),
+    )
+)

@@ -18,10 +18,8 @@ confidence-interval comparison (Figure 13).
 
 from __future__ import annotations
 
-from repro.experiments.lab_common import figure_cells_spec
-
 from dataclasses import dataclass, field
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 
 import numpy as np
 
@@ -29,12 +27,16 @@ from repro.core.analysis.pipeline import AnalysisConfig, MetricEstimate
 from repro.core.designs import PairedLinkDesign
 from repro.core.experiment import ExperimentResult, evaluate_design
 from repro.core.units import SESSION_METRICS, OutcomeTable
+from repro.experiments.alternate_designs import AlternateDesignComparison, compare_designs
+from repro.experiments.baseline_validation import compare_links_at_baseline
+from repro.experiments.figures import Figure, register
+from repro.reporting import format_table
 from repro.runner.cache import ResultCache
 from repro.runner.executor import ParallelExecutor
 from repro.runner.spec import ScenarioSpec
 from repro.workload.netflix import WorkloadConfig
 
-__all__ = ["PairedLinkExperiment", "PairedLinkOutcome", "CellMeans", "paired_figure_spec"]
+__all__ = ["PairedLinkExperiment", "PairedLinkOutcome", "CellMeans"]
 
 #: Estimand labels reported in Figure 5, in display order.
 FIGURE5_ESTIMANDS: tuple[str, ...] = ("ab_0.05", "ab_0.95", "tte", "spillover")
@@ -345,23 +347,176 @@ class PairedLinkExperiment:
         )
 
 
-def paired_figure_spec(
-    figure: str,
-    quick: bool = False,
-    seed: int | None = 0,
-    label: str | None = None,
-) -> ScenarioSpec:
-    """Runner spec for one paired-link figure replication (fig5/7/8/9/10).
+# -- the paired-link figures ----------------------------------------------------
+#
+# Every paired-link figure reduces one run of the experiment above; the
+# figure's seed is the workload seed and ``quick`` halves the sessions.
 
-    The campaign compiler's entry point: returns the content-keyed
-    ``figure.cells`` spec whose execution re-runs the
-    :class:`PairedLinkExperiment` workload at one seed and reduces it to
-    the named figure's scalar cells.
-    """
-    from repro.experiments.lab_common import PAIRED_CELL_FIGURES
 
-    if figure not in PAIRED_CELL_FIGURES:
-        raise KeyError(
-            f"unknown paired-link figure {figure!r}; choose one of {PAIRED_CELL_FIGURES}"
-        )
-    return figure_cells_spec(figure, quick=quick, seed=seed, label=label)
+def _run_workload(
+    quick: bool, seed: int, jobs: int = 1, cache: ResultCache | None = None
+) -> PairedLinkOutcome:
+    config = WorkloadConfig(sessions_at_peak=150 if quick else 300, seed=seed)
+    return PairedLinkExperiment(config=config).run(jobs=jobs, cache=cache)
+
+
+def _paired_figure(
+    name: str,
+    help: str,
+    cells: Callable[[PairedLinkOutcome], dict[str, float]],
+    table: Callable[[PairedLinkOutcome, int, ResultCache | None], str],
+) -> Figure:
+    """A figure reduced from one paired-link run: ``cells`` for sweeps and
+    campaigns, ``table(outcome, jobs, cache)`` for ``repro <name>``."""
+    return Figure(
+        name=name,
+        help=help,
+        group="paired-link",
+        knob="quick",
+        seeded=True,
+        cells=lambda quick, seed: cells(_run_workload(quick, 0 if seed is None else seed)),
+        render=lambda args, parser, cache, tracer: [
+            table(_run_workload(args.quick, args.seed, args.jobs, cache), args.jobs, cache)
+        ],
+    )
+
+
+def _cell_means(cells: CellMeans) -> dict[str, float]:
+    return {
+        "link1_treated": cells.link1_treated,
+        "link1_control": cells.link1_control,
+        "link2_treated": cells.link2_treated,
+        "link2_control": cells.link2_control,
+    }
+
+
+def _cell_means_table(header: str, cells: CellMeans, spec: str) -> str:
+    return format_table(
+        ["cell", header],
+        [
+            ["link 1, capped 95%", format(cells.link1_treated, spec)],
+            ["link 1, uncapped 5%", format(cells.link1_control, spec)],
+            ["link 2, capped 5%", format(cells.link2_treated, spec)],
+            ["link 2, uncapped 95%", format(cells.link2_control, spec)],
+        ],
+    )
+
+
+def _retransmit_table(outcome: PairedLinkOutcome) -> str:
+    split = outcome.figure9_retransmit_split()
+    return format_table(
+        ["period", "retransmit change"],
+        [
+            ["peak", f"{100 * split['peak']:+.1f}%"],
+            ["off-peak", f"{100 * split['off_peak']:+.1f}%"],
+            ["overall TTE", f"{100 * split['overall']:+.1f}%"],
+        ],
+    )
+
+
+def _design_comparison(
+    outcome: PairedLinkOutcome, jobs: int = 1, cache: ResultCache | None = None
+) -> AlternateDesignComparison:
+    return compare_designs(
+        outcome.experiment_table,
+        outcome.days,
+        outcome.estimates["tte"],
+        baselines=outcome.baselines,
+        jobs=jobs,
+        cache=cache,
+    )
+
+
+def _design_cells(outcome: PairedLinkOutcome) -> dict[str, float]:
+    comparison = _design_comparison(outcome)
+    return {
+        f"{design}:{metric}": getattr(comparison, design)[metric].relative_percent
+        for design in comparison.DESIGNS
+        for metric in SESSION_METRICS
+    }
+
+
+def _design_table(outcome: PairedLinkOutcome, jobs: int, cache: ResultCache | None) -> str:
+    comparison = _design_comparison(outcome, jobs, cache)
+    return format_table(
+        ["metric", "paired link", "switchback", "event study"],
+        [
+            [row["metric"], *(f"{row[design]:+.1f}%" for design in comparison.DESIGNS)]
+            for row in comparison.rows(SESSION_METRICS)
+        ],
+    )
+
+
+register(
+    _paired_figure(
+        "baseline",
+        "Section 4.1 baseline link-similarity table",
+        cells=lambda outcome: {
+            f"rel_diff_pct:{row.metric}": row.relative_percent
+            for row in compare_links_at_baseline(outcome.baseline_table)
+        },
+        table=lambda outcome, jobs, cache: format_table(
+            ["metric", "link1 vs link2", "significant"],
+            [
+                [r.metric, f"{r.relative_percent:+.1f}%", "yes" if r.significant else "no"]
+                for r in compare_links_at_baseline(outcome.baseline_table)
+            ],
+        ),
+    )
+)
+register(
+    _paired_figure(
+        "fig5",
+        "paired-link treatment-effect table (Figure 5)",
+        cells=lambda outcome: {
+            f"{estimand}:{metric}": outcome.estimates[estimand][metric].relative_percent
+            for estimand in FIGURE5_ESTIMANDS
+            for metric in SESSION_METRICS
+        },
+        table=lambda outcome, jobs, cache: format_table(
+            ["metric", "A/B 5%", "A/B 95%", "TTE", "spillover"],
+            [
+                [row["metric"], *(f"{row[e]:+.1f}%" for e in FIGURE5_ESTIMANDS)]
+                for row in outcome.figure5_rows()
+            ],
+        ),
+    )
+)
+register(
+    _paired_figure(
+        "fig7",
+        "paired-link throughput cells (Figure 7)",
+        cells=lambda outcome: _cell_means(outcome.figure7_cells()),
+        table=lambda outcome, jobs, cache: _cell_means_table(
+            "throughput (Mb/s)", outcome.figure7_cells(), ".2f"
+        ),
+    )
+)
+register(
+    _paired_figure(
+        "fig8",
+        "paired-link min-RTT cells (Figure 8)",
+        cells=lambda outcome: _cell_means(outcome.figure8_cells()),
+        table=lambda outcome, jobs, cache: _cell_means_table(
+            "min RTT (normalized)", outcome.figure8_cells(), ".3f"
+        ),
+    )
+)
+register(
+    _paired_figure(
+        "fig9",
+        "paired-link retransmission split (Figure 9)",
+        cells=lambda outcome: {
+            name: 100.0 * value for name, value in outcome.figure9_retransmit_split().items()
+        },
+        table=lambda outcome, jobs, cache: _retransmit_table(outcome),
+    )
+)
+register(
+    _paired_figure(
+        "fig10",
+        "switchback / event-study design comparison (Figure 10)",
+        cells=_design_cells,
+        table=_design_table,
+    )
+)

@@ -20,18 +20,27 @@ a run directory:
 
 from __future__ import annotations
 
+import argparse
+import functools
 import json
 import os
 import sys
 import time
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Any
 
 from repro.obs.profile import ProfileRow, merge_profile_rows, run_profiled
 
-__all__ = ["walltime", "TaskRun", "observe_spec", "RunTracer", "ProgressPrinter"]
+__all__ = [
+    "walltime",
+    "TaskRun",
+    "observe_spec",
+    "RunTracer",
+    "ProgressPrinter",
+    "add_trace_arguments",
+]
 
 
 def walltime() -> float:
@@ -78,19 +87,28 @@ class TaskRun:
     result: Any = None
 
 
-def observe_spec(spec: Any, profile: bool = False) -> TaskRun:
+def observe_spec(
+    spec: Any, profile: bool = False, task: Callable[..., Any] | None = None
+) -> TaskRun:
     """Execute one runner spec and wrap the outcome in a :class:`TaskRun`.
 
-    Module-level so ``ProcessPoolExecutor`` can pickle it; imports the
-    runner lazily to keep ``repro.obs`` import-light and cycle-free.
+    ``task`` is the spec's task function when the caller has already
+    resolved it (the executor does, so worker processes receive the
+    function itself rather than a name to look up); by default it is
+    looked up in the task registry.  Module-level so
+    ``ProcessPoolExecutor`` can pickle it; imports the runner lazily to
+    keep ``repro.obs`` import-light and cycle-free.
     """
-    from repro.runner.spec import run_spec
+    if task is None:
+        from repro.runner.spec import get_task
 
+        task = get_task(spec.task)
+    run = functools.partial(task, seed=spec.seed, **dict(spec.params))
     started = walltime()
     if profile:
-        result, rows = run_profiled(lambda: run_spec(spec))
+        result, rows = run_profiled(run)
     else:
-        result, rows = run_spec(spec), ()
+        result, rows = run(), ()
     return TaskRun(
         task=spec.task,
         label=spec.label or spec.task,
@@ -231,3 +249,22 @@ class ProgressPrinter:
         end = "\n" if done >= total else "\r"
         self.stream.write(f"  {self.label}: {done}/{total} ({rate:.1f}/s){end}")
         self.stream.flush()
+
+
+def add_trace_arguments(parser: argparse.ArgumentParser) -> None:
+    """Declare the run-tracing flags, ``--trace DIR`` and ``--profile``."""
+    parser.add_argument(
+        "--trace",
+        metavar="DIR",
+        default=None,
+        help=(
+            "write run tracing (task spans, cache events; JSONL + Chrome "
+            "trace-event JSON) to this directory; render it afterwards "
+            "with 'repro report DIR'"
+        ),
+    )
+    parser.add_argument(
+        "--profile",
+        action="store_true",
+        help="wrap each runner task in cProfile (requires --trace)",
+    )

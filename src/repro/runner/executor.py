@@ -6,33 +6,33 @@ fan the misses out over a process pool (or run them inline for
 in spec order.  Because every spec carries its own seed, the results are
 bit-identical regardless of ``jobs``.
 
-Observability (all off by default, and the untraced path is exactly the
-historical code): a :class:`~repro.obs.trace.RunTracer` receives task
-spans and cache hit/miss events, ``profile=True`` wraps each task body
-in cProfile, and ``on_task_done`` delivers live progress callbacks —
-``(done, total, run)`` — as tasks complete.  None of these change what
-is executed or cached, only what is observed about it.
+Each spec's task is looked up in this process and sent to the worker as
+the function itself.  Functions pickle by reference, so unpickling one
+imports its module in the worker; a task registered above the runner
+(such as ``figure.cells`` in :mod:`repro.experiments.figures`) is thus
+found under every process start method, ``spawn`` included.
+
+Observability (all off by default): a :class:`~repro.obs.trace.RunTracer`
+receives task spans and cache hit/miss events, ``profile=True`` wraps
+each task body in cProfile, and ``on_task_done`` delivers live progress
+callbacks — ``(done, total, run)`` — as tasks complete.  None of these
+change what is executed or cached, only what is observed about it.
 """
 
 from __future__ import annotations
 
 import os
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from typing import TYPE_CHECKING, Any
 
 from repro.runner.cache import ResultCache
-from repro.runner.spec import ScenarioSpec, content_key, run_spec
+from repro.runner.spec import ScenarioSpec, content_key, get_task
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.trace import RunTracer, TaskRun
 
 __all__ = ["ParallelExecutor", "run_specs"]
-
-
-def _execute(spec: ScenarioSpec) -> Any:
-    # Module-level so worker processes can unpickle a reference to it.
-    return run_spec(spec)
 
 
 class ParallelExecutor:
@@ -46,7 +46,7 @@ class ParallelExecutor:
         value below 1 means "one per CPU".
     cache:
         Optional :class:`ResultCache`.  Hits skip execution entirely;
-        fresh results are stored after execution.
+        fresh results are stored as their tasks complete.
     tracer:
         Optional :class:`~repro.obs.trace.RunTracer`: receives a span per
         executed task and a cache event per lookup.
@@ -74,9 +74,6 @@ class ParallelExecutor:
         self.profile = profile
         self.on_task_done = on_task_done
 
-    def _observing(self) -> bool:
-        return self.tracer is not None or self.profile or self.on_task_done is not None
-
     def run(self, spec: ScenarioSpec) -> Any:
         """Execute a single spec (through the cache if one is set)."""
         return self.map([spec])[0]
@@ -102,56 +99,33 @@ class ParallelExecutor:
                 else:
                     pending.append(i)
 
-        if pending:
-            to_run = [specs[i] for i in pending]
-            if self._observing():
-                fresh = self._execute_observed(to_run)
-            else:
-                fresh = self._execute_pending(to_run)
-            for i, value in zip(pending, fresh):
-                results[i] = value
-                if self.cache is not None:
-                    self.cache.put(keys[i], value)
-        return results
-
-    def _execute_pending(self, specs: Sequence[ScenarioSpec]) -> list[Any]:
-        if self.jobs == 1 or len(specs) == 1:
-            return [run_spec(spec) for spec in specs]
-        workers = min(self.jobs, len(specs))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_execute, specs))
-
-    def _execute_observed(self, specs: Sequence[ScenarioSpec]) -> list[Any]:
-        """Execute with tracing/profiling/progress; same results, observed."""
-        from repro.obs.trace import TaskRun, observe_spec
-
-        total = len(specs)
-        results: list[Any] = [None] * total
-        done = 0
-
-        def fold(index: int, run: TaskRun) -> None:
-            nonlocal done
-            done += 1
-            results[index] = run.result
+        for done, (i, run) in enumerate(self._execute(specs, pending), start=1):
+            results[i] = run.result
+            if self.cache is not None:
+                self.cache.put(keys[i], run.result)
             if self.tracer is not None:
                 self.tracer.task(run)
             if self.on_task_done is not None:
-                self.on_task_done(done, total, run)
+                self.on_task_done(done, len(pending), run)
+        return results
 
-        if self.jobs == 1 or total == 1:
-            for index, spec in enumerate(specs):
-                fold(index, observe_spec(spec, self.profile))
-            return results
+    def _execute(
+        self, specs: Sequence[ScenarioSpec], pending: Sequence[int]
+    ) -> Iterator[tuple[int, TaskRun]]:
+        """Run ``specs[i]`` for each pending ``i``; yield ``(i, run)`` as each completes."""
+        from repro.obs.trace import observe_spec
 
-        workers = min(self.jobs, total)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        calls = [(i, get_task(specs[i].task)) for i in pending]
+        if self.jobs == 1 or len(calls) <= 1:
+            for i, task in calls:
+                yield i, observe_spec(specs[i], self.profile, task)
+            return
+        with ProcessPoolExecutor(max_workers=min(self.jobs, len(calls))) as pool:
             futures = {
-                pool.submit(observe_spec, spec, self.profile): index
-                for index, spec in enumerate(specs)
+                pool.submit(observe_spec, specs[i], self.profile, task): i for i, task in calls
             }
             for future in as_completed(futures):
-                fold(futures[future], future.result())
-        return results
+                yield futures[future], future.result()
 
 
 def run_specs(

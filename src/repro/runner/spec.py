@@ -7,11 +7,14 @@ and the unit of identity for :class:`~repro.runner.cache.ResultCache`:
 :func:`content_key` derives a stable hash from the task name, the
 canonicalized parameters, the seed and the package version.
 
-Tasks are registered with :func:`register_task` and must satisfy two
-rules so specs can cross process boundaries:
+Tasks are registered with :func:`register_task` when their module is
+imported: the built-in substrate tasks of :mod:`repro.runner.tasks` load
+on first lookup, and tasks defined in higher layers (``figure.cells`` in
+:mod:`repro.experiments.figures`) register when that layer is imported.
+A task must satisfy two rules so specs can cross process boundaries:
 
-* the task function is defined at module level (worker processes import
-  it by name when the pool uses the ``spawn`` start method);
+* the task function is defined at module level (the executor sends it
+  to worker processes by reference, and unpickling imports its module);
 * it accepts a ``seed`` keyword argument (possibly ``None``) and draws
   *all* of its randomness from it, so a spec's result is a pure function
   of the spec.
@@ -56,7 +59,10 @@ def register_task(name: str) -> Callable[[Callable[..., Any]], Callable[..., Any
 
 
 def get_task(name: str) -> Callable[..., Any]:
-    """Look up a registered task, loading the built-in tasks on first use."""
+    """Look up a registered task, loading the built-in tasks on first use.
+
+    Tasks of higher layers are found once their module is imported.
+    """
     _ensure_builtin_tasks()
     try:
         return _TASKS[name]

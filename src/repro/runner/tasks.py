@@ -1,11 +1,12 @@
-"""Built-in runner tasks.
+"""Built-in substrate tasks: debug echo, simulation arms, workload tables.
 
 Each task is a module-level function registered with
 :func:`repro.runner.spec.register_task`.  Tasks import the simulators
 *inside* the function body: this module is imported lazily by the task
 registry, and the simulators themselves import the runner, so deferring
 the heavy imports keeps the dependency graph acyclic and worker start-up
-cheap.
+cheap.  Tasks built from experiments (``figure.cells``, the design
+emulations) register in :mod:`repro.experiments`, above the runner.
 
 Every task accepts a ``seed`` keyword argument and derives all of its
 randomness from it (or ignores it when the underlying computation is
@@ -26,10 +27,6 @@ __all__ = [
     "baseline_table",
     "experiment_table",
     "aa_table",
-    "switchback_emulation",
-    "event_study_emulation",
-    "figure_cells",
-    "FIGURE_CELL_TASKS",
 ]
 
 
@@ -184,273 +181,3 @@ def aa_table(config: Any, days: Sequence[int], seed: int | None = None) -> Any:
     from repro.workload.netflix import PairedLinkWorkload
 
     return PairedLinkWorkload(config).generate_aa_test(tuple(days))
-
-
-# -- emulated alternate designs ------------------------------------------------
-
-
-@register_task("experiments.switchback_emulation")
-def switchback_emulation(
-    table: Any,
-    days: Sequence[int],
-    metrics: Sequence[str],
-    baselines: Mapping[str, float] | None = None,
-    analysis: Any = None,
-    seed: int | None = None,
-) -> Any:
-    """Emulated switchback TTE estimates from paired-link data."""
-    from repro.experiments.alternate_designs import emulate_switchback
-
-    return emulate_switchback(
-        table,
-        days,
-        metrics=tuple(metrics),
-        baselines=dict(baselines) if baselines else None,
-        config=analysis,
-    )
-
-
-@register_task("experiments.event_study_emulation")
-def event_study_emulation(
-    table: Any,
-    days: Sequence[int],
-    metrics: Sequence[str],
-    baselines: Mapping[str, float] | None = None,
-    analysis: Any = None,
-    seed: int | None = None,
-) -> Any:
-    """Emulated event-study TTE estimates from paired-link data."""
-    from repro.experiments.alternate_designs import emulate_event_study
-
-    return emulate_event_study(
-        table,
-        days,
-        metrics=tuple(metrics),
-        baselines=dict(baselines) if baselines else None,
-        config=analysis,
-    )
-
-
-# -- multi-seed figure replication ---------------------------------------------
-
-#: Figures the ``figure.cells`` task (and ``repro sweep``) can replicate.
-FIGURE_CELL_TASKS: tuple[str, ...] = (
-    "fig2a",
-    "fig2b",
-    "fig3",
-    "baseline",
-    "fig5",
-    "fig7",
-    "fig8",
-    "fig9",
-    "fig10",
-    "topo_rtt",
-    "topo_aqm",
-    "topo_parking",
-    "topo_fq",
-    "topo_churn",
-    "topo_l4s",
-    "fleet",
-)
-
-
-@register_task("figure.cells")
-def figure_cells(
-    figure: str,
-    quick: bool = False,
-    noise: float = 0.0,
-    seed: int | None = 0,
-) -> dict[str, float]:
-    """One replication of a figure, reduced to its scalar cells.
-
-    Returns a flat ``{cell name: value}`` mapping so ``repro sweep`` can
-    aggregate mean and confidence intervals across seeds.  Lab figures use
-    ``noise`` as the measurement-noise level (their outcomes are otherwise
-    deterministic); paired-link figures re-run the synthetic workload with
-    the given seed.
-    """
-    if figure in ("fig2a", "fig2b", "fig3"):
-        return _lab_cells(figure, noise=noise, seed=seed)
-    if figure == "topo_churn":
-        # Unlike the other topology figures, churn consumes the seed:
-        # arrival times and flow sizes are drawn from it.
-        return _churn_cells(quick=quick, seed=seed)
-    if figure == "fleet":
-        # The fleet consumes the seed too: the treatment assignment and
-        # every squeezed shard's loss stream derive from it.
-        return _fleet_cells(quick=quick, seed=seed)
-    if figure in ("topo_rtt", "topo_aqm", "topo_parking", "topo_fq", "topo_l4s"):
-        return _topology_cells(figure, quick=quick)
-    if figure in FIGURE_CELL_TASKS:
-        return _paired_cells(figure, quick=quick, seed=seed)
-    raise KeyError(
-        f"figure {figure!r} cannot be swept; choose one of {FIGURE_CELL_TASKS}"
-    )
-
-
-def _lab_cells(figure: str, noise: float, seed: int | None) -> dict[str, float]:
-    from repro.experiments import (
-        run_cc_experiment,
-        run_connections_experiment,
-        run_pacing_experiment,
-    )
-
-    runners = {
-        "fig2a": run_connections_experiment,
-        "fig2b": run_pacing_experiment,
-        "fig3": run_cc_experiment,
-    }
-    fig = runners[figure](noise=noise, seed=seed)
-    return {
-        "tte_throughput_mbps": fig.tte("throughput_mbps"),
-        "tte_retransmit_fraction": fig.tte("retransmit_fraction"),
-        "ab_throughput_mbps@0.5": fig.ab_estimate("throughput_mbps", 0.5),
-        "spillover_throughput@0.5": fig.spillover("throughput_mbps", 0.5),
-    }
-
-
-def _topology_cells(figure: str, quick: bool) -> dict[str, float]:
-    # Packet-level topology figures are deterministic, so the seed is
-    # deliberately not consumed: every replication returns the same cells
-    # (topo_l4s pins DualPI2's lottery seed to the experiment default).
-    from repro.experiments.lab_l4s import run_l4s_experiment
-    from repro.experiments.lab_parking_lot import (
-        run_fq_experiment,
-        run_parking_lot_experiment,
-    )
-    from repro.experiments.lab_topology import run_aqm_experiment, run_rtt_experiment
-
-    if figure == "topo_l4s":
-        comparison = run_l4s_experiment(quick=quick)
-        cells = {
-            f"bias_throughput@0.5:{arm}": comparison.bias(arm)
-            for arm in comparison.figures
-        }
-        cells["coexistence_ratio"] = comparison.coexistence_ratio
-        return cells
-    if figure == "topo_rtt":
-        fig = run_rtt_experiment(quick=quick)
-        return {
-            "tte_throughput_mbps": fig.tte("throughput_mbps"),
-            "tte_retransmit_fraction": fig.tte("retransmit_fraction"),
-            "ab_throughput_mbps@0.5": fig.ab_estimate("throughput_mbps", 0.5),
-            "spillover_throughput@0.5": fig.spillover("throughput_mbps", 0.5),
-        }
-    if figure == "topo_parking":
-        parking = run_parking_lot_experiment(quick=quick)
-        cells = {
-            f"bias_throughput@0.5:{topology}": parking.bias(topology)
-            for topology in parking.figures
-        }
-        cells["remote_spillover_mbps"] = parking.remote_spillover_mbps
-        return cells
-    if figure == "topo_fq":
-        comparison = run_fq_experiment(quick=quick)
-    else:
-        comparison = run_aqm_experiment(quick=quick)
-    cells = {}
-    for discipline, fig in comparison.figures.items():
-        cells[f"bias_throughput@0.5:{discipline}"] = comparison.bias(discipline)
-        cells[f"tte_throughput_mbps:{discipline}"] = fig.tte("throughput_mbps")
-        cells[f"ab_throughput_mbps@0.5:{discipline}"] = fig.ab_estimate(
-            "throughput_mbps", 0.5
-        )
-    return cells
-
-
-def _churn_cells(quick: bool, seed: int | None) -> dict[str, float]:
-    from repro.experiments.lab_churn import run_churn_experiment
-
-    comparison = run_churn_experiment(quick=quick, seed=0 if seed is None else seed)
-    cells: dict[str, float] = {}
-    for rate in comparison.rates():
-        cells[f"bias_throughput@0.5:churn{rate:g}"] = comparison.bias(rate)
-        stats = comparison.churn[rate]
-        cells[f"churn_flows_completed:churn{rate:g}"] = float(stats.flows_completed)
-        # Always emit the FCT cells so replications agree on the cell set
-        # (0.0 stands for "no completions", which only zero churn hits).
-        cells[f"mean_fct_s:churn{rate:g}"] = (
-            0.0 if stats.mean_fct_s is None else stats.mean_fct_s
-        )
-        for name, value in (
-            ("p50", stats.p50_fct_s),
-            ("p95", stats.p95_fct_s),
-            ("p99", stats.p99_fct_s),
-        ):
-            cells[f"fct_{name}_s:churn{rate:g}"] = 0.0 if value is None else value
-    return cells
-
-
-def _fleet_cells(quick: bool, seed: int | None) -> dict[str, float]:
-    from repro.experiments.lab_fleet import run_fleet_experiment
-
-    comparison = run_fleet_experiment(quick=quick, seed=0 if seed is None else seed)
-    cells: dict[str, float] = {"tte_throughput_mbps": comparison.truth_tte}
-    for granularity, outcome in comparison.outcomes.items():
-        cells[f"ab_throughput_mbps@0.5:{granularity}"] = outcome.ab_estimate()
-        cells[f"bias_throughput@0.5:{granularity}"] = comparison.bias(granularity)
-        cells[f"p50_treated_mbps:{granularity}"] = outcome.result.quantile(
-            "treated", "throughput_mbps", 0.5
-        )
-    return cells
-
-
-def _paired_cells(figure: str, quick: bool, seed: int | None) -> dict[str, float]:
-    from repro.core.units import SESSION_METRICS
-    from repro.experiments import (
-        PairedLinkExperiment,
-        compare_designs,
-        compare_links_at_baseline,
-    )
-    from repro.workload import WorkloadConfig
-
-    sessions = 150 if quick else 300
-    config = WorkloadConfig(sessions_at_peak=sessions, seed=0 if seed is None else seed)
-    outcome = PairedLinkExperiment(config=config).run()
-
-    if figure == "baseline":
-        return {
-            f"rel_diff_pct:{row.metric}": row.relative_percent
-            for row in compare_links_at_baseline(outcome.baseline_table)
-        }
-    if figure == "fig5":
-        cells: dict[str, float] = {}
-        for estimand in ("ab_0.05", "ab_0.95", "tte", "spillover"):
-            for metric in SESSION_METRICS:
-                cells[f"{estimand}:{metric}"] = outcome.estimates[estimand][
-                    metric
-                ].relative_percent
-        return cells
-    if figure == "fig7":
-        c = outcome.figure7_cells()
-        return {
-            "link1_treated": c.link1_treated,
-            "link1_control": c.link1_control,
-            "link2_treated": c.link2_treated,
-            "link2_control": c.link2_control,
-        }
-    if figure == "fig8":
-        c = outcome.figure8_cells()
-        return {
-            "link1_treated": c.link1_treated,
-            "link1_control": c.link1_control,
-            "link2_treated": c.link2_treated,
-            "link2_control": c.link2_control,
-        }
-    if figure == "fig9":
-        split = outcome.figure9_retransmit_split()
-        return {name: 100.0 * value for name, value in split.items()}
-    if figure == "fig10":
-        comparison = compare_designs(
-            outcome.experiment_table,
-            outcome.days,
-            outcome.estimates["tte"],
-            baselines=outcome.baselines,
-        )
-        cells = {}
-        for design in comparison.DESIGNS:
-            for metric in SESSION_METRICS:
-                estimate = getattr(comparison, design)[metric]
-                cells[f"{design}:{metric}"] = estimate.relative_percent
-        return cells
-    raise KeyError(f"unknown paired-link figure {figure!r}")

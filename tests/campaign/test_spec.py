@@ -9,7 +9,7 @@ from repro.campaign import (
     figure_is_seeded,
     figure_knobs,
 )
-from repro.runner.tasks import FIGURE_CELL_TASKS
+from repro.experiments.figures import FIGURES
 
 
 class TestFigureTaxonomy:
@@ -141,7 +141,7 @@ class TestCampaignSpec:
         assert arm.key == content_key(sweep_spec)
 
     def test_every_figure_compiles(self):
-        for figure in FIGURE_CELL_TASKS:
+        for figure in FIGURES:
             seeds = () if not figure_is_seeded(figure) else (0,)
             stage = StageSpec(name=figure, figure=figure, seeds=seeds)
             [arm] = stage.arms()

@@ -57,7 +57,7 @@ class TestLintCli:
     def test_list_rules(self, capsys):
         assert main(["lint", "--list-rules"]) == 0
         out = capsys.readouterr().out
-        for code in ("DET001", "DET002", "DET003", "KEY001", "KEY002", "API001"):
+        for code in ("DET001", "DET002", "DET003", "KEY001", "KEY002", "API001", "LAY001"):
             assert code in out
 
     def test_lint_listed_as_tool(self, capsys):

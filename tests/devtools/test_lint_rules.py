@@ -623,11 +623,109 @@ class TestApi001PrivateAccess:
         assert diags == []
 
 
+def lint_module(tmp_path, module, code):
+    """Lint ``code`` as module ``module`` of a throwaway package tree.
+
+    LAY001 needs the file's dotted module name, which the walker derives
+    from the ``__init__.py`` chain.
+    """
+    *packages, name = module.split(".")
+    directory = tmp_path
+    for package in packages:
+        directory = directory / package
+        directory.mkdir(exist_ok=True)
+        (directory / "__init__.py").touch()
+    path = directory / f"{name}.py"
+    path.write_text(textwrap.dedent(code))
+    return lint_paths([path], select=["LAY001"])
+
+
+class TestLay001LayerImports:
+    def test_runner_importing_experiments_fires(self, tmp_path):
+        diags = lint_module(
+            tmp_path,
+            "repro.runner.tasks",
+            """
+            from repro.experiments.figures import FIGURES
+            """,
+        )
+        assert codes(diags) == ["LAY001"]
+        assert "repro.experiments.figures" in diags[0].message
+
+    def test_function_level_and_relative_imports_fire(self, tmp_path):
+        diags = lint_module(
+            tmp_path,
+            "repro.runner.tasks",
+            """
+            def cells():
+                from ..experiments import lab_cc
+                from repro import campaign
+                import repro.api
+                return lab_cc, campaign, repro.api
+            """,
+        )
+        assert codes(diags) == ["LAY001", "LAY001", "LAY001"]
+        assert [d.line for d in diags] == [3, 4, 5]
+
+    def test_experiments_importing_cli_fires(self, tmp_path):
+        diags = lint_module(
+            tmp_path,
+            "repro.experiments.lab_cc",
+            """
+            from repro.cli import main
+            """,
+        )
+        assert codes(diags) == ["LAY001"]
+
+    def test_allowed_importers_are_clean(self, tmp_path):
+        for module in ("repro.experiments.lab_cc", "repro.campaign.spec", "repro.api"):
+            diags = lint_module(
+                tmp_path,
+                module,
+                """
+                from repro.experiments.figures import FIGURES
+                from repro.runner.spec import ScenarioSpec
+                """,
+            )
+            assert diags == [], module
+        diags = lint_module(tmp_path, "repro.cli", "from repro.api import figure_spec\n")
+        assert diags == []
+
+    def test_downward_imports_are_clean(self, tmp_path):
+        diags = lint_module(
+            tmp_path,
+            "repro.netsim.packet.sweep",
+            """
+            from repro.runner.executor import ParallelExecutor
+            from repro.obs.probe import ProbeConfig
+            """,
+        )
+        assert diags == []
+
+    def test_suppression_honoured(self, tmp_path):
+        diags = lint_module(
+            tmp_path,
+            "repro.runner.tasks",
+            """
+            from repro.experiments import figures  # repro-lint: disable=LAY001
+            """,
+        )
+        assert diags == []
+
+    def test_file_outside_a_package_is_not_flagged(self, tmp_path):
+        diags = lint_snippet(
+            tmp_path, "from repro.experiments import figures\n", select=["LAY001"]
+        )
+        assert diags == []
+
+
 class TestRuleMetadata:
     def test_every_rule_has_code_summary_and_scope(self):
         from repro.devtools.lint import RULES
 
-        assert set(RULES) == {"DET001", "DET002", "DET003", "KEY001", "KEY002", "API001"}
+        assert set(RULES) == {
+            "DET001", "DET002", "DET003", "KEY001", "KEY002", "API001", "LAY001",
+        }
         for cls in RULES.values():
             assert cls.code and cls.summary
             assert cls.scopes, f"{cls.code} should be explicitly scoped"

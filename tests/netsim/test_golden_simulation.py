@@ -141,11 +141,9 @@ class TestGoldenSweepCells:
     def test_quick_aqm_bias_cells_stable(self):
         # The figure.cells values printed by `repro sweep topo_aqm --quick`;
         # pins the full chain sweep -> executor -> experiment -> cells.
-        from repro.runner.spec import ScenarioSpec
+        from repro import api
 
-        cells = ScenarioSpec(
-            task="figure.cells", params={"figure": "topo_aqm", "quick": True}
-        ).run()
+        cells = api.figure_spec("topo_aqm", quick=True).run()
         assert set(cells) == {
             "bias_throughput@0.5:droptail",
             "tte_throughput_mbps:droptail",

@@ -177,10 +177,6 @@ class TestTracedExecutor:
         ).map(_echo_specs(3))
         assert seen == [(1, 3), (2, 3), (3, 3)]
 
-    def test_untraced_executor_unchanged(self):
-        # No tracer, no profile, no callback: the plain path runs.
-        assert ParallelExecutor(jobs=2)._observing() is False
-
 
 class TestProgressPrinter:
     def test_prints_rate_line_and_final_newline(self):

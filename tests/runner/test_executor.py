@@ -90,3 +90,29 @@ class TestExecutorCaching:
         ParallelExecutor(jobs=1, cache=cache).map(specs[:2])
         results = ParallelExecutor(jobs=1, cache=cache).map(specs)
         assert [r["index"] for r in results] == list(range(4))
+
+
+class TestSpawnWorkers:
+    def test_figure_cells_arm_runs_in_spawned_workers(self, monkeypatch):
+        # A spawned worker starts from a fresh interpreter with no task
+        # registered above the runner; it finds figure.cells only because
+        # the executor sends the task function, whose unpickling imports
+        # repro.experiments.figures there.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        from functools import partial
+
+        from repro import api
+        from repro.runner import executor as executor_module
+
+        spawn = multiprocessing.get_context("spawn")
+        monkeypatch.setattr(
+            executor_module, "ProcessPoolExecutor", partial(ProcessPoolExecutor, mp_context=spawn)
+        )
+        specs = [
+            api.figure_spec("fig2a", noise=0.05, seed=3),
+            ScenarioSpec(task="debug.echo", params={"x": 1}),
+        ]
+        spawned = ParallelExecutor(jobs=2).map(specs)
+        assert spawned == ParallelExecutor(jobs=1).map(specs)
+        assert "tte_throughput_mbps" in spawned[0]

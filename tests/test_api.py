@@ -27,9 +27,9 @@ class TestSurface:
 
 class TestHelpers:
     def test_list_figures_matches_the_task_registry(self):
-        from repro.runner.tasks import FIGURE_CELL_TASKS
+        from repro.experiments.figures import FIGURES
 
-        assert api.list_figures() == tuple(FIGURE_CELL_TASKS)
+        assert api.list_figures() == tuple(FIGURES)
         assert "fig2a" in api.list_figures()
         assert "fleet" in api.list_figures()
 
@@ -42,6 +42,18 @@ class TestHelpers:
     def test_figure_spec_unknown_figure(self):
         with pytest.raises(KeyError, match="unknown figure 'figZ'"):
             api.figure_spec("figZ")
+
+    @pytest.mark.parametrize(
+        ("figure", "knobs", "allowed"),
+        [("fig2a", {"quick": True}, "noise"), ("fig5", {"noise": 0.1}, "quick")],
+    )
+    def test_figure_spec_inapplicable_knob_names_the_allowed_one(self, figure, knobs, allowed):
+        # The same error a campaign stage raises for the same mistake.
+        with pytest.raises(ValueError, match=rf"do not apply to figure '{figure}' "
+                           rf"\(allowed: \['{allowed}'\]\)"):
+            api.figure_spec(figure, **knobs)
+        with pytest.raises(ValueError, match="do not apply"):
+            api.StageSpec(name="s", figure=figure, knobs=knobs, seeds=(0,))
 
 
 class TestEndToEnd:

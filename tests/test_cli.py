@@ -2,25 +2,14 @@
 
 import pytest
 
-from repro.cli import (
-    FLEET_FIGURES,
-    LAB_FIGURES,
-    PAIRED_FIGURES,
-    TOPOLOGY_FIGURES,
-    build_parser,
-    main,
-)
+from repro.cli import build_parser, main
+from repro.experiments.figures import FIGURES
 
 
 class TestParser:
     def test_known_figures_accepted(self):
         parser = build_parser()
-        for name in (
-            list(LAB_FIGURES)
-            + list(PAIRED_FIGURES)
-            + list(TOPOLOGY_FIGURES)
-            + list(FLEET_FIGURES)
-        ):
+        for name in FIGURES:
             args = parser.parse_args([name])
             assert args.figure == name
 

@@ -214,7 +214,8 @@ def _run_list_command() -> int:
     for figure in FIGURES.values():
         groups.setdefault(figure.group, []).append(figure.name)
     for index, (group, names) in enumerate(groups.items()):
-        # The first heading has always been one column narrower.
+        # The first heading is one column narrower than the rest, as it
+        # always was: this output is pinned byte for byte.
         print(f"{group} figures:".ljust(20 if index == 0 else 21) + ", ".join(names))
     print("sweepable figures:   " + ", ".join(FIGURES))
     print(

@@ -16,8 +16,7 @@ themselves:
   is only legal if it is recorded here, which makes widening a task's
   required surface an explicit, reviewed act.
 
-* ``LAYER_IMPORTERS`` — the upper layers of the package and the modules
-  allowed to import each (LAY001).
+* ``LAYERS`` — the package's layers from bottom to top (LAY001).
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ __all__ = [
     "DEFAULT_CONFIG",
     "RULE_SCOPES",
     "TASK_PARAM_BASELINE",
-    "LAYER_IMPORTERS",
+    "LAYERS",
 ]
 
 #: Module-prefix scopes per rule code (``None`` would mean "everywhere").
@@ -74,22 +73,20 @@ RULE_SCOPES: dict[str, tuple[str, ...]] = {
     "LAY001": ("repro",),
 }
 
-#: Upper layers and the module prefixes allowed to import each (LAY001).
-#: Every other ``repro`` module sits below them.  Edges between the lower
-#: layers (netsim -> runner, netsim -> obs, netsim.traffic ->
-#: workload.demand) are not policed.
-LAYER_IMPORTERS: dict[str, tuple[str, ...]] = {
-    "repro.experiments": (
-        "repro.experiments",
-        "repro.campaign",
-        "repro.api",
-        "repro.cli",
-        "repro.__main__",
-    ),
-    "repro.campaign": ("repro.campaign", "repro.api", "repro.cli"),
-    "repro.cli": ("repro.cli", "repro.api", "repro.__main__"),
-    "repro.api": ("repro.api", "repro.cli", "repro.__main__"),
-}
+#: The package's layers, bottom to top, each a tuple of module prefixes
+#: (LAY001).  A module may import its own layer and those below it.  It
+#: belongs to the layer of its longest matching prefix, so the root entry
+#: ``repro`` also holds any package no other entry lists; a test requires
+#: every package to be listed.
+LAYERS: tuple[tuple[str, ...], ...] = (
+    ("repro", "repro.core", "repro.obs", "repro.reporting", "repro.devtools"),
+    ("repro.runner",),
+    ("repro.workload",),
+    ("repro.netsim",),
+    ("repro.experiments",),
+    ("repro.campaign",),
+    ("repro.api", "repro.cli", "repro.__main__"),
+)
 
 #: Required (default-less) parameters recorded per registered task.
 #: KEY002 flags any default-less parameter not listed here.

@@ -1,18 +1,21 @@
 """Layering rule: LAY001 (imports point down the layer map).
 
-The package is layered (see ``docs/architecture.md``): substrates and
-the runner at the bottom, the figure harnesses of ``repro.experiments``
-above them, declarative campaigns above those, and the two public
-surfaces, ``repro.cli`` and ``repro.api``, on top.  An import from a
-lower layer into a higher one ties the substrate to what is built on
-it: a runner that imports experiments cannot run a spec without loading
-every figure harness.
+The package is layered (see ``docs/architecture.md``), bottom to top:
+the ``repro`` root with ``core``, ``obs``, ``reporting`` and
+``devtools``; the runner; the workload; the network simulators; the
+figure harnesses of ``repro.experiments``; declarative campaigns; and
+the public surfaces ``repro.api``, ``repro.cli`` and ``repro.__main__``.
+An import from a lower layer into a higher one ties the substrate to
+what is built on it: a runner that imports the simulators cannot run a
+spec without loading them, and the two can no longer change apart.
 
 LAY001 flags every import, at module or function level and including
-relative ones, of a guarded package from a module outside that
-package's allowed importers (``LAYER_IMPORTERS`` in
-:mod:`repro.devtools.lint.config`).  The rule needs the importing file's
-module name, so files outside any package are never flagged.
+relative ones, of a module in a higher layer than the importing file's
+(``LAYERS`` in :mod:`repro.devtools.lint.config`).  A module belongs to
+the layer of its longest matching prefix, so a package listed nowhere
+falls to the bottom with the ``repro`` root.  The rule needs the
+importing file's module name, so files outside any package are never
+flagged.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import ast
 from collections.abc import Iterator
 
 from repro.devtools.lint.base import Diagnostic, Rule, register_rule
-from repro.devtools.lint.config import LAYER_IMPORTERS, RULE_SCOPES
+from repro.devtools.lint.config import LAYERS, RULE_SCOPES
 from repro.devtools.lint.walker import FileContext
 
 __all__ = ["LayerImportRule"]
@@ -30,6 +33,20 @@ __all__ = ["LayerImportRule"]
 def _within(module: str, package: str) -> bool:
     """Whether ``module`` is ``package`` or one of its submodules."""
     return module == package or module.startswith(package + ".")
+
+
+def _layer(module: str) -> tuple[int, str] | None:
+    """``(index in LAYERS, matching prefix)`` of ``module``, or ``None`` outside ``repro``."""
+    matches = [
+        (len(prefix), index, prefix)
+        for index, prefixes in enumerate(LAYERS)
+        for prefix in prefixes
+        if _within(module, prefix)
+    ]
+    if not matches:
+        return None
+    _, index, prefix = max(matches)
+    return index, prefix
 
 
 def _imported(node: ast.Import | ast.ImportFrom, ctx: FileContext) -> list[str]:
@@ -52,31 +69,26 @@ class LayerImportRule(Rule):
     """LAY001: no imports of a higher layer from below it."""
 
     code = "LAY001"
-    summary = "import of a higher layer (experiments, campaign, cli, api) from below it"
+    summary = "import of a module in a higher layer (LAYERS, bottom to top)"
     scopes = RULE_SCOPES["LAY001"]
 
     def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
         """Flag each import statement that reaches above the file's layer."""
         importer = ctx.module
-        if importer is None:
+        own = None if importer is None else _layer(importer)
+        if own is None:
             return
         for node in ast.walk(ctx.tree):
             if not isinstance(node, (ast.Import, ast.ImportFrom)):
                 continue
             for target in _imported(node, ctx):
-                violated = [
-                    package
-                    for package, importers in LAYER_IMPORTERS.items()
-                    if _within(target, package)
-                    and not any(_within(importer, allowed) for allowed in importers)
-                ]
-                if violated:
+                layer = _layer(target)
+                if layer is not None and layer[0] > own[0]:
                     yield self.report(
                         ctx,
                         node,
-                        f"{importer} imports {target}, a layer above it "
-                        f"({violated[0]} may be imported only from "
-                        f"{', '.join(LAYER_IMPORTERS[violated[0]])}); move the "
-                        "shared code down or register it from above",
+                        f"{importer} imports {target}, a layer above it ({layer[1]} "
+                        f"sits above {own[1]} in LAYERS); move the shared code "
+                        "down or register it from above",
                     )
                     break

@@ -43,7 +43,7 @@ from collections.abc import Sequence
 
 from repro.core.designs.switchback import SwitchbackDesign
 from repro.experiments.figures import Figure, register
-from repro.experiments.lab_common import LabFigure, packet_sweep_to_figure
+from repro.experiments.lab_common import LabFigure, sweep_to_figure
 from repro.experiments.lab_topology import sweep_scale
 from repro.netsim.packet.simulation import FlowConfig
 from repro.netsim.packet.sweep import run_packet_sweep
@@ -240,7 +240,7 @@ def run_churn_experiment(
             cache=cache,
             **scale,
         )
-        figures[rate] = packet_sweep_to_figure(
+        figures[rate] = sweep_to_figure(
             sweep,
             name=f"topo_churn[{rate:g}/s]",
             description=(

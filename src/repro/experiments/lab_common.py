@@ -23,7 +23,6 @@ __all__ = [
     "LabFigureRow",
     "LabFigure",
     "sweep_to_figure",
-    "packet_sweep_to_figure",
 ]
 
 
@@ -117,76 +116,34 @@ class LabFigure:
         return lines
 
 
-def sweep_to_figure(sweep: LabSweepResult, name: str, description: str) -> LabFigure:
-    """Convert a lab allocation sweep into the figure representation."""
-    rows: list[LabFigureRow] = []
-    for k in sorted(sweep.results):
-        result = sweep.results[k]
-        n = sweep.n_units
-        rows.append(
-            LabFigureRow(
-                n_treated=k,
-                n_control=n - k,
-                allocation=k / n,
-                treatment_throughput_mbps=(
-                    result.group_mean("throughput_mbps", True) if k > 0 else None
-                ),
-                control_throughput_mbps=(
-                    result.group_mean("throughput_mbps", False) if k < n else None
-                ),
-                treatment_retransmit=(
-                    result.group_mean("retransmit_fraction", True) if k > 0 else None
-                ),
-                control_retransmit=(
-                    result.group_mean("retransmit_fraction", False) if k < n else None
-                ),
-            )
-        )
-    return LabFigure(
-        name=name,
-        description=description,
-        rows=rows,
-        throughput_curve=sweep.curve("throughput_mbps"),
-        retransmit_curve=sweep.curve("retransmit_fraction"),
-    )
-
-
-def packet_sweep_to_figure(
-    sweep: PacketSweepResult, name: str, description: str
+def sweep_to_figure(
+    sweep: LabSweepResult | PacketSweepResult, name: str, description: str
 ) -> LabFigure:
-    """Convert a packet-level allocation sweep into the figure representation.
+    """Convert a fluid or packet allocation sweep into the figure representation.
 
-    The packet and fluid sweeps expose the same potential-outcome curve
-    interface, so the resulting :class:`LabFigure` is interchangeable with
-    the fluid-model figures downstream (summary lines, TTE, spillover).
+    Both sweeps expose the same potential-outcome curves, so each row reads
+    the treated and control means at ``k/n`` off them (``None`` at the
+    endpoint with no units in that arm).
     """
-    rows: list[LabFigureRow] = []
-    for k in sorted(sweep.results):
-        result = sweep.results[k]
-        n = sweep.n_units
-        rows.append(
-            LabFigureRow(
-                n_treated=k,
-                n_control=n - k,
-                allocation=k / n,
-                treatment_throughput_mbps=(
-                    result.group_mean_throughput(True) if k > 0 else None
-                ),
-                control_throughput_mbps=(
-                    result.group_mean_throughput(False) if k < n else None
-                ),
-                treatment_retransmit=(
-                    result.group_mean_retransmit(True) if k > 0 else None
-                ),
-                control_retransmit=(
-                    result.group_mean_retransmit(False) if k < n else None
-                ),
-            )
+    throughput = sweep.curve("throughput_mbps")
+    retransmit = sweep.curve("retransmit_fraction")
+    n = sweep.n_units
+    rows = [
+        LabFigureRow(
+            n_treated=k,
+            n_control=n - k,
+            allocation=k / n,
+            treatment_throughput_mbps=throughput.mu_treatment(k / n) if k > 0 else None,
+            control_throughput_mbps=throughput.mu_control(k / n) if k < n else None,
+            treatment_retransmit=retransmit.mu_treatment(k / n) if k > 0 else None,
+            control_retransmit=retransmit.mu_control(k / n) if k < n else None,
         )
+        for k in sorted(sweep.results)
+    ]
     return LabFigure(
         name=name,
         description=description,
         rows=rows,
-        throughput_curve=sweep.curve("throughput_mbps"),
-        retransmit_curve=sweep.curve("retransmit_fraction"),
+        throughput_curve=throughput,
+        retransmit_curve=retransmit,
     )

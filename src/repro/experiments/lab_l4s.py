@@ -44,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.experiments.figures import Figure, register
-from repro.experiments.lab_common import LabFigure, packet_sweep_to_figure
+from repro.experiments.lab_common import LabFigure, sweep_to_figure
 from repro.experiments.lab_topology import sweep_scale
 from repro.netsim.packet.queue import QUEUE_DISCIPLINES
 from repro.netsim.packet.simulation import FlowConfig
@@ -178,7 +178,7 @@ def run_l4s_experiment(
             **scale,
         )
         ecn_label = "no ECN" if ecn is False else f"ecn={ecn}"
-        figures[arm] = packet_sweep_to_figure(
+        figures[arm] = sweep_to_figure(
             sweep,
             name=f"topo_l4s[{arm}]",
             description=(

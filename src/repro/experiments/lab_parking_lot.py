@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from collections.abc import Sequence
 
 from repro.experiments.figures import Figure, register
-from repro.experiments.lab_common import LabFigure, packet_sweep_to_figure
+from repro.experiments.lab_common import LabFigure, sweep_to_figure
 from repro.experiments.lab_topology import (
     AqmBiasComparison,
     parse_disciplines,
@@ -254,7 +254,7 @@ def run_parking_lot_experiment(
     )
 
     figures = {
-        "single": packet_sweep_to_figure(
+        "single": sweep_to_figure(
             single_sweep,
             name="topo_parking[single]",
             description=(
@@ -264,7 +264,7 @@ def run_parking_lot_experiment(
                 f"shared drop-tail bottleneck"
             ),
         ),
-        "parking": packet_sweep_to_figure(
+        "parking": sweep_to_figure(
             parking_sweep,
             name="topo_parking[parking]",
             description=(

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from collections.abc import Sequence
 
 from repro.experiments.figures import Figure, register
-from repro.experiments.lab_common import LabFigure, packet_sweep_to_figure
+from repro.experiments.lab_common import LabFigure, sweep_to_figure
 from repro.netsim.packet.queue import QUEUE_DISCIPLINES
 from repro.netsim.packet.simulation import FlowConfig
 from repro.netsim.packet.sweep import run_packet_sweep
@@ -112,7 +112,7 @@ def run_rtt_experiment(
         **scale,
     )
     spread = "/".join(f"{r:g}" for r in rtt_spread_ms)
-    return packet_sweep_to_figure(
+    return sweep_to_figure(
         sweep,
         name="topo_rtt",
         description=(
@@ -221,7 +221,7 @@ def run_aqm_experiment(
             cache=cache,
             **scale,
         )
-        figures[discipline] = packet_sweep_to_figure(
+        figures[discipline] = sweep_to_figure(
             sweep,
             name=f"{name}[{discipline}]",
             description=(

@@ -24,7 +24,7 @@ from collections.abc import Callable, Sequence
 import numpy as np
 
 from repro.core.analysis.pipeline import AnalysisConfig, MetricEstimate
-from repro.core.designs import PairedLinkDesign
+from repro.core.designs import ExperimentDesign, PairedLinkDesign
 from repro.core.experiment import ExperimentResult, evaluate_design
 from repro.core.units import SESSION_METRICS, OutcomeTable
 from repro.experiments.alternate_designs import AlternateDesignComparison, compare_designs
@@ -33,8 +33,8 @@ from repro.experiments.figures import Figure, register
 from repro.reporting import format_table
 from repro.runner.cache import ResultCache
 from repro.runner.executor import ParallelExecutor
-from repro.runner.spec import ScenarioSpec
-from repro.workload.netflix import WorkloadConfig
+from repro.runner.spec import ScenarioSpec, register_task
+from repro.workload.netflix import PairedLinkWorkload, WorkloadConfig
 
 __all__ = ["PairedLinkExperiment", "PairedLinkOutcome", "CellMeans"]
 
@@ -255,6 +255,37 @@ class PairedLinkOutcome:
                 config=AnalysisConfig(aggregation="account"),
             )
         return out
+
+
+# -- the three workload weeks, as runner tasks ---------------------------------
+
+
+@register_task("workload.baseline_table")
+def generate_baseline_table(
+    config: WorkloadConfig, days: Sequence[int], seed: int | None = None
+) -> OutcomeTable:
+    """The untreated baseline week of the paired-link workload."""
+    return PairedLinkWorkload(config).generate_baseline(tuple(days))
+
+
+@register_task("workload.experiment_table")
+def generate_experiment_table(
+    config: WorkloadConfig,
+    design: ExperimentDesign,
+    days: Sequence[int],
+    seed: int | None = None,
+) -> OutcomeTable:
+    """The main experiment week under a paired-link allocation plan."""
+    plan = design.allocation_plan(config.links, tuple(days))
+    return PairedLinkWorkload(config).generate(plan, tuple(days), treatment_active=True)
+
+
+@register_task("workload.aa_table")
+def generate_aa_table(
+    config: WorkloadConfig, days: Sequence[int], seed: int | None = None
+) -> OutcomeTable:
+    """The post-experiment A/A week (labelled but never capped)."""
+    return PairedLinkWorkload(config).generate_aa_test(tuple(days))
 
 
 @dataclass

@@ -1,13 +1,13 @@
 """One shard: an edge bottleneck packet simulation reduced to statistics.
 
-``run_shard`` is the body of the ``fleet.shard_arm`` runner task.  It
-builds the edge's flow population (treated units open
-``treatment_connections`` connections — the paper's Figure 2a
-intervention), runs the packet engine on the fast path
-(``scheduler="auto"``, ``event_batching=True``), and reduces the result
-to a :class:`~repro.netsim.fleet.aggregate.ShardStats` before returning
-— the full ``PacketSimResult`` (O(units on this edge)) never leaves the
-worker process.
+``run_shard`` is the ``fleet.shard_arm`` runner task.  It builds the
+edge's flow population (treated units open ``treatment_connections``
+connections — the paper's Figure 2a intervention), runs the packet
+engine on the fast path (``scheduler="auto"``, ``event_batching=True``),
+and reduces the result to a
+:class:`~repro.netsim.fleet.aggregate.ShardStats` before returning — the
+full ``PacketSimResult`` (O(units on this edge)) never leaves the worker
+process.
 
 Upstream congestion computed by the fluid passes arrives as plain
 numbers: ``capacity_mbps`` is the *effective* (upstream-limited) drain
@@ -26,6 +26,7 @@ from repro.netsim.fleet.aggregate import (
     ShardStats,
     cell_key,
 )
+from repro.runner.spec import register_task
 
 __all__ = ["run_shard", "shard_simulation", "reduce_result"]
 
@@ -101,6 +102,7 @@ def shard_simulation(
     )
 
 
+@register_task("fleet.shard_arm")
 def run_shard(
     treated_mask: tuple[bool, ...],
     treatment_connections: int,

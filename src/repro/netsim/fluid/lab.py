@@ -29,7 +29,7 @@ from repro.netsim.fluid.competition import (
 from repro.netsim.fluid.link import BottleneckLink
 from repro.runner.cache import ResultCache
 from repro.runner.executor import ParallelExecutor
-from repro.runner.spec import ScenarioSpec
+from repro.runner.spec import ScenarioSpec, register_task
 
 __all__ = [
     "LabExperimentResult",
@@ -86,6 +86,7 @@ class LabExperimentResult:
         return self.group_mean(metric, True) - self.group_mean(metric, False)
 
 
+@register_task("netsim.fluid_arm")
 def run_lab_experiment(
     applications: Sequence[Application],
     link: BottleneckLink | None = None,
@@ -94,6 +95,9 @@ def run_lab_experiment(
     seed: int | None = None,
 ) -> LabExperimentResult:
     """Run one lab test: all applications share the bottleneck.
+
+    Also the ``netsim.fluid_arm`` runner task: each arm of
+    :func:`run_lab_sweep` is one call.
 
     Parameters
     ----------

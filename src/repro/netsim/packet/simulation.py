@@ -27,6 +27,7 @@ from repro.netsim.packet.network import Network, PathConfig, QueueConfig
 from repro.netsim.packet.tcp.base import normalize_ecn
 from repro.obs.metrics import EngineCounters
 from repro.obs.probe import ProbeConfig, ProbeLog
+from repro.runner.spec import register_task
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.netsim.traffic.source import DynamicTrafficResult, TrafficSource
@@ -228,6 +229,7 @@ class PacketSimResult:
         return fcts[min(rank, len(fcts) - 1)]
 
 
+@register_task("netsim.packet_arm")
 def simulate(
     flows: Sequence[FlowConfig],
     capacity_mbps: float = 100.0,
@@ -252,7 +254,9 @@ def simulate(
     A thin wrapper over :class:`~repro.netsim.packet.network.Network`:
     builds the default single-bottleneck topology, adds any extra queues
     and cross traffic, attaches every flow (honouring per-flow ``rtt_ms``
-    and ``path`` overrides) and runs it.
+    and ``path`` overrides) and runs it.  It is also the
+    ``netsim.packet_arm`` runner task: each arm of
+    :func:`~repro.netsim.packet.sweep.run_packet_sweep` is one call.
 
     Parameters
     ----------

@@ -143,7 +143,8 @@ def run_packet_sweep(
         Number of applications sharing the bottleneck in every run.
     treatment_factory, control_factory:
         Callables mapping an application id to a treated / control
-        :class:`FlowConfig`.  The ``treated`` flag is set by the sweep.
+        :class:`FlowConfig`.  The ``treated`` flag is set by the sweep;
+        every other field, ``transfer_bytes`` included, is kept.
     allocations:
         Which treated counts to simulate (defaults to every value from 0 to
         ``n_units``).  Packet-level runs are much slower than the fluid
@@ -258,18 +259,7 @@ def run_packet_sweep(
                     path = PathConfig(loss_rate=loss_rate)
                 elif path.loss_rate == 0.0:
                     path = replace(path, loss_rate=loss_rate)
-            flows.append(
-                FlowConfig(
-                    flow_id=base.flow_id,
-                    cc=base.cc,
-                    connections=base.connections,
-                    paced=base.paced,
-                    ecn=base.ecn,
-                    treated=i < k,
-                    rtt_ms=unit_rtt,
-                    path=path,
-                )
-            )
+            flows.append(replace(base, treated=i < k, rtt_ms=unit_rtt, path=path))
         # The seed is inert when no RNG exists to consume it; keep it out
         # of the content key so replications cannot split the cache.
         spec_seed = seed if _consumes_seed(

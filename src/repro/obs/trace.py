@@ -63,7 +63,8 @@ class TaskRun:
     Attributes
     ----------
     task:
-        Task name from the spec (``"packet_arm"``, ``"fleet_shard_arm"``, ...).
+        Task name from the spec (``"netsim.packet_arm"``,
+        ``"fleet.shard_arm"``, ...).
     label:
         Human label from the spec, or the task name when unset.
     started:
@@ -87,22 +88,14 @@ class TaskRun:
     result: Any = None
 
 
-def observe_spec(
-    spec: Any, profile: bool = False, task: Callable[..., Any] | None = None
-) -> TaskRun:
+def observe_spec(spec: Any, task: Callable[..., Any], profile: bool = False) -> TaskRun:
     """Execute one runner spec and wrap the outcome in a :class:`TaskRun`.
 
-    ``task`` is the spec's task function when the caller has already
-    resolved it (the executor does, so worker processes receive the
-    function itself rather than a name to look up); by default it is
-    looked up in the task registry.  Module-level so
-    ``ProcessPoolExecutor`` can pickle it; imports the runner lazily to
-    keep ``repro.obs`` import-light and cycle-free.
+    ``task`` is the spec's task function, resolved by the caller (the
+    executor does so in the parent, so worker processes receive the
+    function itself rather than a name to look up).  Module-level so
+    ``ProcessPoolExecutor`` can pickle it.
     """
-    if task is None:
-        from repro.runner.spec import get_task
-
-        task = get_task(spec.task)
     run = functools.partial(task, seed=spec.seed, **dict(spec.params))
     started = walltime()
     if profile:

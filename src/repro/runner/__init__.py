@@ -19,11 +19,10 @@ package gives those arms a common shape and a common execution engine:
     parameters, seed and the package version, so re-running a figure with
     unchanged parameters is instant while any parameter change misses.
 
-The built-in substrate tasks live in :mod:`repro.runner.tasks`; they are
-loaded lazily the first time a spec is run so the simulators can
-themselves import the runner without creating an import cycle.  The
-runner imports nothing from the layers above it: figure tasks register
-from :mod:`repro.experiments`.
+The runner imports nothing from the layers above it.  Each task
+registers on the function it runs, in the module that defines it: the
+packet, fluid and fleet arms in :mod:`repro.netsim`, the paired-link
+workload tables and ``figure.cells`` in :mod:`repro.experiments`.
 """
 
 from repro.runner.cache import ResultCache, default_cache_dir

@@ -8,9 +8,9 @@ bit-identical regardless of ``jobs``.
 
 Each spec's task is looked up in this process and sent to the worker as
 the function itself.  Functions pickle by reference, so unpickling one
-imports its module in the worker; a task registered above the runner
-(such as ``figure.cells`` in :mod:`repro.experiments.figures`) is thus
-found under every process start method, ``spawn`` included.
+imports its module in the worker: every task is found under every
+process start method, ``spawn`` included, although each registers in
+its own module and the runner imports none of them.
 
 Observability (all off by default): a :class:`~repro.obs.trace.RunTracer`
 receives task spans and cache hit/miss events, ``profile=True`` wraps
@@ -24,13 +24,11 @@ from __future__ import annotations
 import os
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
+from repro.obs.trace import RunTracer, TaskRun, observe_spec
 from repro.runner.cache import ResultCache
 from repro.runner.spec import ScenarioSpec, content_key, get_task
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.trace import RunTracer, TaskRun
 
 __all__ = ["ParallelExecutor", "run_specs"]
 
@@ -113,16 +111,14 @@ class ParallelExecutor:
         self, specs: Sequence[ScenarioSpec], pending: Sequence[int]
     ) -> Iterator[tuple[int, TaskRun]]:
         """Run ``specs[i]`` for each pending ``i``; yield ``(i, run)`` as each completes."""
-        from repro.obs.trace import observe_spec
-
         calls = [(i, get_task(specs[i].task)) for i in pending]
         if self.jobs == 1 or len(calls) <= 1:
             for i, task in calls:
-                yield i, observe_spec(specs[i], self.profile, task)
+                yield i, observe_spec(specs[i], task, self.profile)
             return
         with ProcessPoolExecutor(max_workers=min(self.jobs, len(calls))) as pool:
             futures = {
-                pool.submit(observe_spec, specs[i], self.profile, task): i for i, task in calls
+                pool.submit(observe_spec, specs[i], task, self.profile): i for i, task in calls
             }
             for future in as_completed(futures):
                 yield futures[future], future.result()

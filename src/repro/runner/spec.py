@@ -7,11 +7,13 @@ and the unit of identity for :class:`~repro.runner.cache.ResultCache`:
 :func:`content_key` derives a stable hash from the task name, the
 canonicalized parameters, the seed and the package version.
 
-Tasks are registered with :func:`register_task` when their module is
-imported: the built-in substrate tasks of :mod:`repro.runner.tasks` load
-on first lookup, and tasks defined in higher layers (``figure.cells`` in
-:mod:`repro.experiments.figures`) register when that layer is imported.
-A task must satisfy two rules so specs can cross process boundaries:
+Each task registers with :func:`register_task` on the function it runs,
+in the module that defines that function (``netsim.packet_arm`` on
+:func:`repro.netsim.packet.simulation.simulate`, ``figure.cells`` in
+:mod:`repro.experiments.figures`, ...), so a task is known once its
+module is imported, as it is wherever a spec for it is built.
+Only ``debug.echo``, used by tests and smoke checks, lives here.  A task
+must satisfy two rules so specs can cross process boundaries:
 
 * the task function is defined at module level (the executor sends it
   to worker processes by reference, and unpickling imports its module);
@@ -59,23 +61,20 @@ def register_task(name: str) -> Callable[[Callable[..., Any]], Callable[..., Any
 
 
 def get_task(name: str) -> Callable[..., Any]:
-    """Look up a registered task, loading the built-in tasks on first use.
-
-    Tasks of higher layers are found once their module is imported.
-    """
-    _ensure_builtin_tasks()
+    """Look up a registered task by name."""
     try:
         return _TASKS[name]
     except KeyError:
         raise KeyError(
-            f"unknown runner task {name!r}; registered tasks: {sorted(_TASKS)}"
+            f"unknown runner task {name!r}; import the module that defines it "
+            f"(registered tasks: {sorted(_TASKS)})"
         ) from None
 
 
-def _ensure_builtin_tasks() -> None:
-    # The built-in tasks call into the simulators, which themselves import
-    # the runner; importing them lazily here keeps the modules acyclic.
-    import repro.runner.tasks  # noqa: F401
+@register_task("debug.echo")
+def echo(seed: int | None = None, **params: Any) -> dict[str, Any]:
+    """Return the spec's own payload; used by tests and smoke checks."""
+    return {"seed": seed, **params}
 
 
 @dataclass(frozen=True)

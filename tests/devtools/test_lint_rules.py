@@ -644,7 +644,7 @@ class TestLay001LayerImports:
     def test_runner_importing_experiments_fires(self, tmp_path):
         diags = lint_module(
             tmp_path,
-            "repro.runner.tasks",
+            "repro.runner.executor",
             """
             from repro.experiments.figures import FIGURES
             """,
@@ -655,7 +655,7 @@ class TestLay001LayerImports:
     def test_function_level_and_relative_imports_fire(self, tmp_path):
         diags = lint_module(
             tmp_path,
-            "repro.runner.tasks",
+            "repro.runner.spec",
             """
             def cells():
                 from ..experiments import lab_cc
@@ -676,6 +676,39 @@ class TestLay001LayerImports:
             """,
         )
         assert codes(diags) == ["LAY001"]
+
+    def test_runner_importing_substrates_fires(self, tmp_path):
+        # The runner sits below the workload and the simulators it
+        # executes, so it may not wrap their functions as tasks.
+        diags = lint_module(
+            tmp_path,
+            "repro.runner.executor",
+            """
+            def packet_arm(flows, seed=None):
+                from repro.netsim.packet.simulation import simulate
+                return simulate(flows, seed=seed)
+
+            def aa_table(config, days, seed=None):
+                from repro.workload.netflix import PairedLinkWorkload
+                return PairedLinkWorkload(config).generate_aa_test(days)
+            """,
+        )
+        assert codes(diags) == ["LAY001", "LAY001"]
+        assert "repro.netsim.packet.simulation" in diags[0].message
+        assert "repro.workload.netflix" in diags[1].message
+
+    def test_obs_importing_runner_at_function_level_fires(self, tmp_path):
+        diags = lint_module(
+            tmp_path,
+            "repro.obs.trace",
+            """
+            def observe_spec(spec):
+                from repro.runner.spec import get_task
+                return get_task(spec.task)
+            """,
+        )
+        assert codes(diags) == ["LAY001"]
+        assert "repro.runner sits above repro.obs" in diags[0].message
 
     def test_allowed_importers_are_clean(self, tmp_path):
         for module in ("repro.experiments.lab_cc", "repro.campaign.spec", "repro.api"):
@@ -698,6 +731,18 @@ class TestLay001LayerImports:
             """
             from repro.runner.executor import ParallelExecutor
             from repro.obs.probe import ProbeConfig
+
+            def arm():
+                from repro.runner.spec import register_task
+                return register_task
+            """,
+        )
+        assert diags == []
+        diags = lint_module(
+            tmp_path,
+            "repro.netsim.traffic.demand",
+            """
+            from repro.workload.demand import DiurnalDemandModel
             """,
         )
         assert diags == []
@@ -705,7 +750,7 @@ class TestLay001LayerImports:
     def test_suppression_honoured(self, tmp_path):
         diags = lint_module(
             tmp_path,
-            "repro.runner.tasks",
+            "repro.runner.executor",
             """
             from repro.experiments import figures  # repro-lint: disable=LAY001
             """,
@@ -717,6 +762,31 @@ class TestLay001LayerImports:
             tmp_path, "from repro.experiments import figures\n", select=["LAY001"]
         )
         assert diags == []
+
+    def test_unlisted_package_falls_to_the_bottom_layer(self, tmp_path):
+        diags = lint_module(
+            tmp_path,
+            "repro.newpkg.mod",
+            """
+            from repro.runner.spec import ScenarioSpec
+            """,
+        )
+        assert codes(diags) == ["LAY001"]
+
+    def test_every_package_and_top_level_module_has_a_layer(self):
+        # A new package must be placed in LAYERS explicitly; an entry for a
+        # module that no longer exists is stale.
+        from pathlib import Path
+
+        import repro
+        from repro.devtools.lint.config import LAYERS
+
+        root = Path(repro.__file__).parent
+        modules = {f"repro.{path.stem}" for path in root.glob("*.py") if path.stem != "__init__"}
+        packages = {f"repro.{path.parent.name}" for path in root.glob("*/__init__.py")}
+        listed = [prefix for layer in LAYERS for prefix in layer]
+        assert len(listed) == len(set(listed))
+        assert set(listed) == modules | packages | {"repro"}
 
 
 class TestRuleMetadata:

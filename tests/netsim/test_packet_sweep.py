@@ -222,3 +222,27 @@ class TestSweepTopologyKnobs:
         result = sweep.results[1]
         assert [f.flow_id for f in result.flows] == [0, 1]
         assert {"seg0", "seg1", "seg2"} <= set(result.queue_drops)
+
+
+class TestFactoryFieldsSurvive:
+    def test_finite_transfers_complete_as_in_simulate(self):
+        # The sweep sets only ``treated`` (and composes RTT/path): a
+        # factory's finite transfer must reach the arm, so each flow's
+        # completion matches a direct simulation of the same configs.
+        from dataclasses import replace
+
+        from repro.netsim.packet.simulation import simulate
+
+        def factory(i):
+            return FlowConfig(i, transfer_bytes=150_000)
+
+        kwargs = dict(capacity_mbps=10.0, duration_s=3.0, warmup_s=0.5)
+        sweep = run_packet_sweep(
+            2, treatment_factory=factory, control_factory=factory, allocations=(1,), **kwargs
+        )
+        direct = simulate([replace(factory(0), treated=True), factory(1)], **kwargs)
+        swept = sweep.results[1].flows
+        assert [(f.completed, f.fct_s) for f in swept] == [
+            (f.completed, f.fct_s) for f in direct.flows
+        ]
+        assert all(f.completed for f in swept)

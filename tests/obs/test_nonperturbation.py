@@ -18,7 +18,7 @@ from repro.netsim.fleet import FleetSpec, run_fleet
 from repro.netsim.fleet.aggregate import QUEUE_DEPTH_CELL
 from repro.netsim.packet.simulation import FlowConfig, simulate
 from repro.obs import EngineCounters, ProbeConfig
-from repro.runner.spec import ScenarioSpec, content_key
+from repro.runner.spec import content_key, get_task
 
 PROBE = ProbeConfig(interval_s=0.5)
 
@@ -157,7 +157,8 @@ class TestContentKeyInertness:
         # spec (and cache key) is untouched.
         import inspect
 
-        from repro.runner.tasks import fleet_shard_arm, packet_arm
+        packet_arm = get_task("netsim.packet_arm")
+        fleet_shard_arm = get_task("fleet.shard_arm")
 
         assert inspect.signature(packet_arm).parameters["probe"].default is None
         assert (

@@ -12,7 +12,7 @@ from repro.obs import (
 )
 from repro.obs.profile import run_profiled
 from repro.obs.trace import observe_spec
-from repro.runner import ParallelExecutor, ResultCache, ScenarioSpec
+from repro.runner import ParallelExecutor, ResultCache, ScenarioSpec, get_task
 
 
 def _echo_specs(n):
@@ -120,7 +120,9 @@ class TestProfiling:
 
 class TestObserveSpec:
     def test_wraps_result_and_timing(self):
-        run = observe_spec(ScenarioSpec(task="debug.echo", params={"x": 1}, seed=7))
+        run = observe_spec(
+            ScenarioSpec(task="debug.echo", params={"x": 1}, seed=7), get_task("debug.echo")
+        )
         assert run.task == "debug.echo"
         assert run.result["x"] == 1
         assert run.wall_s >= 0.0
@@ -129,7 +131,7 @@ class TestObserveSpec:
 
     def test_profile_flag_collects_rows(self):
         run = observe_spec(
-            ScenarioSpec(task="debug.echo", params={"x": 1}), profile=True
+            ScenarioSpec(task="debug.echo", params={"x": 1}), get_task("debug.echo"), profile=True
         )
         assert run.profile_rows
 

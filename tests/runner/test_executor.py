@@ -116,3 +116,61 @@ class TestSpawnWorkers:
         spawned = ParallelExecutor(jobs=2).map(specs)
         assert spawned == ParallelExecutor(jobs=1).map(specs)
         assert "tte_throughput_mbps" in spawned[0]
+
+    def test_substrate_tasks_run_in_spawned_workers(self, monkeypatch):
+        # Each substrate task registers on the function it runs, in a
+        # module no runner module imports; a spawned worker finds it only
+        # by unpickling the function the executor sends.
+        import multiprocessing
+        import pickle
+        from concurrent.futures import ProcessPoolExecutor
+        from functools import partial
+
+        import repro.experiments.paired_link  # noqa: F401  (workload tables)
+        from repro.netsim.fleet import FleetSpec, shard_specs
+        from repro.netsim.fluid.application import Application
+        from repro.netsim.packet.simulation import FlowConfig
+        from repro.runner import executor as executor_module
+        from repro.workload.netflix import WorkloadConfig
+
+        spawn = multiprocessing.get_context("spawn")
+        monkeypatch.setattr(
+            executor_module, "ProcessPoolExecutor", partial(ProcessPoolExecutor, mp_context=spawn)
+        )
+        fleet_specs, _ = shard_specs(
+            FleetSpec(units=6, edges=1, regions=1, duration_s=1.0, warmup_s=0.25)
+        )
+        specs = [
+            ScenarioSpec(
+                task="netsim.packet_arm",
+                params={
+                    "flows": (FlowConfig(0), FlowConfig(1, connections=2)),
+                    "capacity_mbps": 10.0,
+                    "duration_s": 1.0,
+                    "warmup_s": 0.25,
+                },
+            ),
+            fleet_specs[0],
+            ScenarioSpec(
+                task="netsim.fluid_arm",
+                params={"applications": (Application(0), Application(1, connections=2))},
+            ),
+            ScenarioSpec(
+                task="workload.aa_table",
+                params={
+                    "config": WorkloadConfig(sessions_at_peak=20, n_accounts=100),
+                    "days": (0,),
+                },
+            ),
+            ScenarioSpec(task="debug.echo", params={"x": 1}),
+        ]
+        assert [s.task for s in specs] == [
+            "netsim.packet_arm",
+            "fleet.shard_arm",
+            "netsim.fluid_arm",
+            "workload.aa_table",
+            "debug.echo",
+        ]
+        spawned = ParallelExecutor(jobs=2).map(specs)
+        serial = ParallelExecutor(jobs=1).map(specs)
+        assert [pickle.dumps(r) for r in spawned] == [pickle.dumps(r) for r in serial]

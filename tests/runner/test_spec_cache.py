@@ -40,7 +40,7 @@ class TestSpecAndRegistry:
         assert ScenarioSpec(task="test.add", params={"a": 1, "b": 1}).run() == 2
 
     def test_unknown_task_raises(self):
-        with pytest.raises(KeyError, match="unknown runner task"):
+        with pytest.raises(KeyError, match="unknown runner task 'test.nope'; import the module"):
             run_spec(ScenarioSpec(task="test.nope"))
 
     def test_duplicate_registration_raises(self):

@@ -5,14 +5,15 @@ a single drop-tail bottleneck at saturation — 8 Reno connections filling
 a 200 Mb/s link — and report the engine's *absolute* throughput in
 segments/sec and scheduler events/sec via the ``throughput`` fixture, so
 the perf trajectory (``BENCH_*.json``) records speedups, not just
-regressions.  The same workload measured under each engine
-configuration:
+regressions.  Every network runs the binary-heap scheduler; the same
+workload is measured twice:
 
-* the binary-heap scheduler (the default),
-* the calendar-queue scheduler (order-identical, see
-  ``docs/performance.md``),
-* event batching (macro-packets), whose ≥2x speedup is the acceptance
-  bar asserted by ``test_batching_speedup_is_at_least_2x``.
+* unbatched (the default, one event per segment and hop),
+* with event batching (macro-packets), whose ≥2x speedup is the
+  acceptance bar asserted by ``test_batching_speedup_is_at_least_2x``.
+
+The two ``test_scheduler_churn_*`` benchmarks time the bare heap and the
+calendar queue the benchmark harness still patches, with no network.
 
 The workload matches the cost model in ``docs/performance.md``: at
 saturation the unbatched engine spends ~2 scheduler events per segment
@@ -58,29 +59,14 @@ def _segments_sent(result):
 
 
 def _assert_saturated(result):
-    # The engine variants must all actually fill the link; a variant
-    # that "wins" by sending less traffic is not faster, it is wrong.
+    # Both engine variants must actually fill the link; a variant that
+    # "wins" by sending less traffic is not faster, it is wrong.
     assert result.total_throughput_mbps() >= 0.95 * SATURATION["capacity_mbps"]
 
 
 def test_saturation_heap(benchmark, throughput):
-    # Explicit "heap": the default is now "auto" (which would pick the
-    # calendar queue for this geometry), but this benchmark pins the
-    # binary-heap reference point.
-    network, result, wall = run_once(benchmark, _timed_run, scheduler="heap")
+    network, result, wall = run_once(benchmark, _timed_run)
     _assert_saturated(result)
-    assert network.scheduler.kind == "heap"
-    throughput.record(
-        packets=_segments_sent(result),
-        events=network.scheduler.events_processed,
-        seconds=wall,
-    )
-
-
-def test_saturation_calendar(benchmark, throughput):
-    network, result, wall = run_once(benchmark, _timed_run, scheduler="calendar")
-    _assert_saturated(result)
-    assert network.scheduler.kind == "calendar"
     throughput.record(
         packets=_segments_sent(result),
         events=network.scheduler.events_processed,
@@ -104,9 +90,8 @@ def test_saturation_batched(benchmark, throughput):
 def test_batching_speedup_is_at_least_2x():
     """The acceptance bar: batching buys >=2x segments/sec at saturation.
 
-    Measured locally at ~3.9x with the default ``batch_segments=8``; the
-    2x floor leaves room for CI jitter.  Best-of-two per variant damps
-    one-off scheduler hiccups on shared runners.
+    The 2x floor leaves room for CI jitter.  Best-of-two per variant
+    damps one-off scheduler hiccups on shared runners.
     """
 
     def best_rate(**engine_kwargs):

@@ -90,8 +90,8 @@ class ShardStats:
     drops: int = 0
     dynamic_flows_started: int = 0
     dynamic_flows_completed: int = 0
-    #: Engine counters folded across shards (uniform for both scheduler
-    #: kinds; see :class:`repro.obs.metrics.EngineCounters`).  Deduped
+    #: Engine counters folded across shards (see
+    #: :class:`repro.obs.metrics.EngineCounters`).  Deduped
     #: shards contribute once per edge they stand for — the "as-if" cost
     #: of the fleet, not the cache-reduced cost actually paid.
     events_processed: int = 0

@@ -3,8 +3,8 @@
 ``run_shard`` is the ``fleet.shard_arm`` runner task.  It builds the
 edge's flow population (treated units open ``treatment_connections``
 connections — the paper's Figure 2a intervention), runs the packet
-engine on the fast path (``scheduler="auto"``, ``event_batching=True``),
-and reduces the result to a
+engine on its batched fast path (``event_batching=True``), and reduces
+the result to a
 :class:`~repro.netsim.fleet.aggregate.ShardStats` before returning — the
 full ``PacketSimResult`` (O(units on this edge)) never leaves the worker
 process.
@@ -92,7 +92,6 @@ def shard_simulation(
         warmup_s=warmup_s,
         traffic_sources=traffic_sources,
         seed=seed,
-        scheduler="auto",
         event_batching=True,
         probe=(
             ProbeConfig(interval_s=probe_interval_s, include_flows=False)

@@ -5,8 +5,10 @@ principles: senders with simplified Reno, Cubic or BBR congestion control
 (optionally paced) share one or more bottleneck queues; throughput and
 retransmissions are measured per flow.
 
-The topology is composable (:mod:`repro.netsim.packet.network`): queue
-disciplines are pluggable (drop-tail, RED, CoDel, FQ-CoDel — see
+Every simulation runs on one binary-heap
+:class:`~repro.netsim.packet.engine.EventScheduler`.  The topology is
+composable (:mod:`repro.netsim.packet.network`): queue disciplines are
+pluggable (drop-tail, RED, CoDel, FQ-CoDel, DualPI2 — see
 :mod:`repro.netsim.packet.queue`), flows may negotiate ECN (AQMs then
 CE-mark instead of dropping), each flow can carry its own RTT and path,
 paths may include a random-loss segment or a sequence of queues
@@ -27,7 +29,7 @@ model's sharing behaviour and to support ablation benchmarks.
 Public entry point: :func:`repro.netsim.packet.simulation.simulate`.
 """
 
-from repro.netsim.packet.engine import CalendarScheduler, EventScheduler, make_scheduler
+from repro.netsim.packet.engine import EventScheduler
 from repro.netsim.packet.network import (
     Network,
     PathConfig,
@@ -50,8 +52,6 @@ from repro.netsim.packet.tcp import BBRSender, CubicSender, RenoSender, TcpSende
 
 __all__ = [
     "EventScheduler",
-    "CalendarScheduler",
-    "make_scheduler",
     "QueueDiscipline",
     "DropTailQueue",
     "REDQueue",

@@ -1,25 +1,13 @@
 """Discrete-event scheduling engines.
 
-Two interchangeable schedulers drive the packet simulator:
+:class:`EventScheduler` — a binary heap — drives every packet
+simulation.  Events are ``(time, sequence, callback)`` tuples; the
+sequence number breaks ties so that events scheduled earlier run earlier
+and comparison never falls through to the (non-comparable) callback.
 
-* :class:`EventScheduler` — a binary heap (the default).  Events are
-  ``(time, sequence, callback)`` tuples; the sequence number breaks ties
-  so that events scheduled earlier run earlier and comparison never
-  falls through to the (non-comparable) callback.
-* :class:`CalendarScheduler` — a calendar queue (Brown 1988): a ring of
-  time buckets, each a small sorted list.  When the event horizon is
-  short relative to the bucket width — as it is at steady state, where
-  almost every pending event lies within one RTT — scheduling degrades
-  from the heap's O(log n) comparisons to an O(1) bucket append, at the
-  cost of a bucket scan when events are sparse.
-
-Both schedulers deliver the *exact same event order* for the same calls
-(time, then scheduling sequence); the property and fuzz tests in
-``tests/netsim/test_scheduler_property.py`` pin this, which is what lets
-the network builder switch between them without perturbing a single
-simulation result.  :func:`make_scheduler` is the factory the builder
-uses; ``"auto"`` picks the calendar queue when the expected event
-spacing fits its geometry (see :meth:`CalendarScheduler.suits`).
+:class:`CalendarScheduler` is a calendar queue (Brown 1988) that fires
+events in the same order.  No network builds it; it is kept only for
+the benchmark harness (see its docstring).
 """
 
 from __future__ import annotations
@@ -29,11 +17,13 @@ import itertools
 from bisect import insort
 from collections.abc import Callable
 
-__all__ = ["EventScheduler", "CalendarScheduler", "SCHEDULERS", "make_scheduler"]
+__all__ = ["EventScheduler", "CalendarScheduler"]
 
 
 class EventScheduler:
     """A simple discrete-event scheduler backed by a binary heap.
+
+    Every :class:`~repro.netsim.packet.network.Network` builds one.
 
     Example
     -------
@@ -45,9 +35,6 @@ class EventScheduler:
     >>> fired
     ['b', 'a']
     """
-
-    #: Registry name used by :func:`make_scheduler`.
-    kind = "heap"
 
     #: Cancelled-entry count above which :meth:`cancel` rebuilds the heap.
     _COMPACT_THRESHOLD = 64
@@ -62,8 +49,8 @@ class EventScheduler:
         #: of the performance model; see ``docs/performance.md``).
         self.events_processed = 0
         #: Lifetime count of events ever inserted (processed + cancelled
-        #: + still pending); part of the uniform counter schema both
-        #: scheduler kinds report (:class:`repro.obs.metrics.EngineCounters`).
+        #: + still pending); reported in
+        #: :class:`repro.obs.metrics.EngineCounters`.
         self.events_scheduled = 0
 
     @property
@@ -153,6 +140,11 @@ class EventScheduler:
 class CalendarScheduler:
     """A calendar-queue scheduler: a ring of ``buckets`` sorted lists.
 
+    No network builds this class: the heap ran faster end to end.  It
+    remains only because ``perfbench/tracing.py`` imports it and patches
+    its ``schedule`` and ``run``; it goes together with that import and
+    its order-parity tests.
+
     Events land in bucket ``int(time / bucket_s) % buckets``; each bucket
     is kept sorted by ``(time, sequence)``, so within a bucket — and
     therefore globally — events fire in exactly the order the heap
@@ -174,14 +166,11 @@ class CalendarScheduler:
     ----------
     bucket_s:
         Bucket (day) width in seconds.  Pick the expected spacing between
-        events — the network builder uses the MSS serialization time of
-        its bottleneck.
+        events, such as the MSS serialization time of a bottleneck.
     buckets:
         Ring size.  ``bucket_s * buckets`` is the year length: the
         horizon within which an event is reachable without a year check.
     """
-
-    kind = "calendar"
 
     #: Cancelled-entry count above which :meth:`cancel` rebuilds the ring.
     _COMPACT_THRESHOLD = 64
@@ -208,21 +197,6 @@ class CalendarScheduler:
         self.events_processed = 0
         #: Same contract as :attr:`EventScheduler.events_scheduled`.
         self.events_scheduled = 0
-
-    @classmethod
-    def suits(cls, horizon_s: float, bucket_s: float) -> bool:
-        """Whether the calendar geometry fits an event horizon.
-
-        True when ``horizon_s`` (the span most pending events live in —
-        one RTT plus worst-case queueing at steady state) fits inside one
-        ring revolution of ``bucket_s``-wide buckets, so the pop path
-        almost never needs a year check.  The network builder's
-        ``scheduler="auto"`` policy calls this with its base RTT and the
-        bottleneck's MSS serialization time.
-        """
-        if bucket_s <= 0 or horizon_s <= 0:
-            return False
-        return horizon_s / bucket_s <= cls.DEFAULT_BUCKETS
 
     @property
     def now(self) -> float:
@@ -341,46 +315,3 @@ class CalendarScheduler:
         self.events_processed += 1
         entry[2]()
         return True
-
-
-#: Scheduler implementations selectable by name in :func:`make_scheduler`.
-SCHEDULERS: dict[str, type] = {
-    EventScheduler.kind: EventScheduler,
-    CalendarScheduler.kind: CalendarScheduler,
-}
-
-
-def make_scheduler(
-    kind: str = "heap",
-    *,
-    horizon_s: float | None = None,
-    bucket_s: float | None = None,
-    buckets: int = CalendarScheduler.DEFAULT_BUCKETS,
-) -> EventScheduler | CalendarScheduler:
-    """Construct a scheduler by name: ``"heap"``, ``"calendar"`` or ``"auto"``.
-
-    ``"auto"`` selects the calendar queue when both geometry hints are
-    given and :meth:`CalendarScheduler.suits` accepts them — i.e. when
-    the event horizon (``horizon_s``, typically one base RTT) is short
-    relative to the expected event spacing (``bucket_s``, typically one
-    MSS serialization time), as it is at steady state — and falls back
-    to the heap otherwise.
-    """
-    if kind == "auto":
-        if (
-            bucket_s is not None
-            and horizon_s is not None
-            and CalendarScheduler.suits(horizon_s, bucket_s)
-        ):
-            kind = "calendar"
-        else:
-            kind = "heap"
-    if kind == "heap":
-        return EventScheduler()
-    if kind == "calendar":
-        if bucket_s is None:
-            raise ValueError("the calendar scheduler needs a bucket_s width")
-        return CalendarScheduler(bucket_s, buckets=buckets)
-    raise ValueError(
-        f"unknown scheduler {kind!r}; expected one of {sorted(SCHEDULERS)} or 'auto'"
-    )

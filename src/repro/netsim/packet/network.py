@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from collections.abc import Mapping, Sequence
 from typing import TYPE_CHECKING, Any
 
-from repro.netsim.packet.engine import make_scheduler
+from repro.netsim.packet.engine import EventScheduler
 from repro.netsim.packet.packets import Packet, PacketPool
 from repro.netsim.packet.queue import QUEUE_DISCIPLINES, QueueDiscipline, make_queue
 from repro.netsim.packet.tcp import make_sender
@@ -47,6 +47,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
     from repro.netsim.traffic.source import TrafficSource
 
 __all__ = [
+    "BATCH_SEGMENTS",
     "DEFAULT_QUEUE",
     "DYNAMIC_UNIT_BASE",
     "PathConfig",
@@ -63,6 +64,10 @@ DEFAULT_QUEUE = "bottleneck"
 #: own experimental unit (its own FQ-CoDel sub-queue); the offset keeps
 #: those unit ids clear of any measured or cross-traffic application id.
 DYNAMIC_UNIT_BASE = 1_000_000
+
+#: Macro-packet size cap, in segments, of every sender when
+#: ``event_batching`` is on.
+BATCH_SEGMENTS = 8
 
 
 @dataclass(frozen=True)
@@ -238,7 +243,7 @@ class Network:
         Segment size used by every sender.
     queue_discipline:
         Discipline of the default queue (``"droptail"``, ``"red"``,
-        ``"codel"``).
+        ``"codel"``, ``"fq_codel"`` or ``"dualpi2"``).
     queue_params:
         Extra constructor parameters for the default queue's discipline.
     seed:
@@ -246,23 +251,13 @@ class Network:
         queue disciplines with an internal RNG (RED) unless
         ``queue_params`` pins its own ``seed``.  Inert when no path has a
         loss segment and the discipline draws no randomness.
-    scheduler:
-        Event-scheduler implementation: ``"auto"`` (default — the
-        calendar queue when the event horizon, one base RTT at MSS
-        serialization ticks, fits its geometry; the heap otherwise; see
-        :func:`repro.netsim.packet.engine.make_scheduler`), ``"heap"``
-        or ``"calendar"``.  Both schedulers deliver the identical event
-        order, so this knob never changes results, only speed.
     event_batching:
         Default-off fast path: when True, senders coalesce up to
-        ``batch_segments`` MSS segments into one macro-packet, so a
+        :data:`BATCH_SEGMENTS` MSS segments into one macro-packet, so a
         window of k segments costs O(k / batch) scheduler events.
         Results are *approximately* equal to the unbatched run (same
         steady-state rates, coarser burst granularity); leave it off
         whenever bit-exact traces matter.  See ``docs/performance.md``.
-    batch_segments:
-        Macro-packet size cap, in segments, when ``event_batching`` is
-        on (default 8); inert otherwise.
     """
 
     def __init__(
@@ -275,29 +270,18 @@ class Network:
         queue_discipline: str = "droptail",
         queue_params: dict[str, Any] | None = None,
         seed: int | None = None,
-        scheduler: str = "auto",
         event_batching: bool = False,
-        batch_segments: int = 8,
     ):
         if capacity_mbps <= 0:
             raise ValueError("capacity_mbps must be positive")
         if base_rtt_ms <= 0:
             raise ValueError("base_rtt_ms must be positive")
-        if batch_segments < 1:
-            raise ValueError("batch_segments must be at least 1")
         self.capacity_mbps = float(capacity_mbps)
         self.base_rtt_ms = float(base_rtt_ms)
         self.mss_bytes = int(mss_bytes)
-        # Calendar geometry: one bucket per MSS serialization time at the
-        # default bottleneck, a horizon of one base RTT (where nearly all
-        # pending events live at steady state).
-        self.scheduler = make_scheduler(
-            scheduler,
-            horizon_s=self.base_rtt_ms / 1000.0,
-            bucket_s=self.mss_bytes * 8.0 / (self.capacity_mbps * 1e6),
-        )
+        self.scheduler = EventScheduler()
         self.event_batching = bool(event_batching)
-        self._batch_segments = int(batch_segments) if self.event_batching else 1
+        self._batch_segments = BATCH_SEGMENTS if self.event_batching else 1
         self._pool = PacketPool()
         self._seed = 0 if seed is None else int(seed)
         self._rng = random.Random(self._seed)
@@ -587,8 +571,8 @@ class Network:
         """Run the simulation and assemble per-application results.
 
         With a ``probe``, the scheduler runs in probe-interval chunks and
-        the network samples read-only snapshots between chunks.  Both
-        scheduler kinds pop the identical event order across repeated
+        the network samples read-only snapshots between chunks.  The
+        scheduler pops the identical event order across repeated
         ``run(until=t)`` barriers, so the probed run's event sequence —
         and therefore every result and counter — is byte-identical to the
         unprobed one (pinned by the golden tests).
@@ -690,7 +674,6 @@ class Network:
             queue_marks={name: q.packets_marked for name, q in self._queues.items()},
             traffic=traffic,
             engine=EngineCounters(
-                scheduler=self.scheduler.kind,
                 events_processed=self.scheduler.events_processed,
                 events_scheduled=self.scheduler.events_scheduled,
                 pool_acquired=self._pool.acquired,

@@ -158,8 +158,8 @@ class PacketSimResult:
     #: Per-source lifecycle results of dynamic traffic, keyed by the
     #: source's label (``"source<i>"`` when unset); empty without sources.
     traffic: dict[str, DynamicTrafficResult] = field(default_factory=dict)
-    #: Engine counters of the run (uniform schema for both scheduler
-    #: kinds); ``None`` only for hand-built results in tests.
+    #: Engine counters of the run; ``None`` only for hand-built results
+    #: in tests.
     engine: EngineCounters | None = None
     #: Sampled in-sim telemetry when the run was probed, else ``None``.
     probe: ProbeLog | None = None
@@ -244,9 +244,7 @@ def simulate(
     cross_traffic: Sequence[FlowConfig] | None = None,
     traffic_sources: Sequence[TrafficSource] | None = None,
     seed: int | None = None,
-    scheduler: str = "auto",
     event_batching: bool = False,
-    batch_segments: int = 8,
     probe: ProbeConfig | None = None,
 ) -> PacketSimResult:
     """Run a packet-level simulation of flows sharing a bottleneck.
@@ -300,20 +298,13 @@ def simulate(
         Seed for the random-loss and RED RNGs, and for every traffic
         source's arrival/size draws; inert for the default loss-free,
         churn-free drop-tail topology.
-    scheduler:
-        Event-scheduler implementation: ``"auto"`` (default — picks the
-        calendar queue when the workload suits it, the heap otherwise),
-        ``"heap"`` or ``"calendar"``.  All deliver the identical event
-        order, so this knob changes speed, never results.
     event_batching:
-        Default-off fast path: coalesce up to ``batch_segments`` MSS
-        segments into one macro-packet (one scheduler event per burst).
+        Default-off fast path: coalesce up to
+        :data:`~repro.netsim.packet.network.BATCH_SEGMENTS` MSS segments
+        into one macro-packet (one scheduler event per burst).
         Steady-state rates match the unbatched run within the tolerances
         pinned by the trace-equivalence tests, but traces are not
         bit-identical; leave it off when they must be.
-    batch_segments:
-        Macro-packet size cap when ``event_batching`` is on (default 8);
-        inert otherwise.
     probe:
         In-sim telemetry sampling (:class:`repro.obs.probe.ProbeConfig`).
         ``None`` (default) disables probing; when set, the result's
@@ -337,9 +328,7 @@ def simulate(
         queue_discipline=queue_discipline,
         queue_params=dict(queue_params) if queue_params else None,
         seed=seed,
-        scheduler=scheduler,
         event_batching=event_batching,
-        batch_segments=batch_segments,
     )
     for queue_config in extra_queues or ():
         network.add_queue_config(queue_config)

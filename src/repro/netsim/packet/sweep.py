@@ -127,9 +127,7 @@ def run_packet_sweep(
     rtt_ms: Sequence[float] | None = None,
     loss_rate: float = 0.0,
     seed: int | None = None,
-    scheduler: str = "auto",
     event_batching: bool = False,
-    batch_segments: int = 8,
     probe: Any = None,
     jobs: int = 1,
     cache: ResultCache | None = None,
@@ -156,7 +154,8 @@ def run_packet_sweep(
         simulation finishes quickly; the sharing behaviour is rate-free.
     queue_discipline, queue_params:
         Bottleneck queue discipline (``"droptail"``/``"red"``/``"codel"``/
-        ``"fq_codel"``) and its extra parameters, applied to every arm.
+        ``"fq_codel"``/``"dualpi2"``) and its extra parameters, applied to
+        every arm.
     extra_queues:
         Additional named queues (e.g. a parking-lot chain) added to every
         arm; factory-supplied paths may route through them.
@@ -170,7 +169,8 @@ def run_packet_sweep(
     rtt_ms:
         Per-unit RTT profile: unit ``i`` gets ``rtt_ms[i % len(rtt_ms)]``
         unless its factory already set an explicit ``rtt_ms``.  ``None``
-        keeps every unit on ``base_rtt_ms``.
+        keeps every unit on ``base_rtt_ms``; an empty profile is an
+        error.
     loss_rate:
         Random-loss probability applied to every unit's path.  Composes
         with factory-supplied :class:`PathConfig`\\ s: a factory path that
@@ -184,18 +184,13 @@ def run_packet_sweep(
         segment and no seed-consuming discipline), mirroring the
         inert-knob rule, so replications of deterministic sweeps share
         one cache entry.
-    scheduler:
-        Event-scheduler implementation (``"auto"`` (default)/``"heap"``/
-        ``"calendar"``).  Order-identical by contract, so results never
-        depend on it; like every knob it enters the content key only
-        when it deviates from the default.
-    event_batching, batch_segments:
+    event_batching:
         Macro-packet fast path (see
         :func:`repro.netsim.packet.simulation.simulate`).  Batching
         changes the simulated traces (coarser bursts), so when enabled
-        both knobs enter the content key — batched and unbatched runs
-        must not share cache entries; left off they stay out of the key,
-        per the inert-knob rule.
+        it enters the content key — batched and unbatched runs must not
+        share cache entries; left off it stays out of the key, per the
+        inert-knob rule.
     probe:
         In-sim telemetry (:class:`repro.obs.probe.ProbeConfig`) attached
         to every arm.  Probing never changes results, so like every inert
@@ -211,6 +206,8 @@ def run_packet_sweep(
     """
     if n_units < 1:
         raise ValueError("n_units must be at least 1")
+    if rtt_ms is not None and len(rtt_ms) == 0:
+        raise ValueError("rtt_ms must not be empty")
     if allocations is None:
         allocations = tuple(range(n_units + 1))
     for k in allocations:
@@ -231,13 +228,10 @@ def run_packet_sweep(
         extra_params["cross_traffic"] = tuple(cross_traffic)
     if traffic_sources:
         extra_params["traffic_sources"] = tuple(traffic_sources)
-    if scheduler != "auto":
-        extra_params["scheduler"] = scheduler
     if event_batching:
         # Batching approximates the unbatched traces, so batched and
         # unbatched runs must not share cache entries.
         extra_params["event_batching"] = True
-        extra_params["batch_segments"] = int(batch_segments)
     if probe is not None:
         # The simulated outcomes are probe-independent, but the cached
         # result object carries the probe log, so probed runs key apart.

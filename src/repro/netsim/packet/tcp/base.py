@@ -17,7 +17,9 @@ delivers two kinds of feedback:
   ACK detection).
 
 Subclasses implement :meth:`TcpSender.on_ack` and :meth:`TcpSender.on_loss`
-to update the congestion window, and may override
+to update the congestion window — each law written once, for an ack of
+any number of segments (one, or a macro-packet's burst under event
+batching) — and may override
 :meth:`TcpSender.current_pacing_rate_bps` to pace at an algorithm-specific
 rate (BBR always paces; Reno/Cubic pace only when Linux-style ``fq`` pacing
 is enabled for the flow).
@@ -114,17 +116,17 @@ class TcpSender:
         loss event for the whole burst), so a window of k segments costs
         O(k / batch) scheduler events instead of O(k).  Per-segment
         counters (``packets_sent``, ``inflight``, cwnd growth, ...) are
-        scaled by each packet's ``segments`` field, and subclasses
-        provide closed-form :meth:`on_ack_batch` growth so a batch of n
-        acks costs O(1) work.  The congestion *dynamics* are slightly
-        coarser (burstier arrivals, burst-granular losses); see
-        ``docs/performance.md`` for the measured deviations.
+        scaled by each packet's ``segments`` field, and :meth:`on_ack`
+        takes the segment count, so a batch of n acks costs O(1) work.
+        The congestion *dynamics* are slightly coarser (burstier
+        arrivals, burst-granular losses); see ``docs/performance.md``
+        for the measured deviations.
     pool:
-        Optional :class:`~repro.netsim.packet.packets.PacketPool` to
-        allocate packets from.  The network builder shares one pool per
-        simulation and recycles packets after their ack/loss handler
-        runs; a pooled packet has every field rewritten on reuse, so
-        results are bit-identical with or without a pool.
+        :class:`~repro.netsim.packet.packets.PacketPool` to allocate
+        packets from (default: a fresh pool of the sender's own).  The
+        network builder shares one pool per simulation and recycles
+        packets after their ack/loss handler runs; a pooled packet has
+        every field rewritten on reuse, so sharing changes no result.
     """
 
     #: Pacing-rate multiple of cwnd/RTT used during congestion avoidance by
@@ -134,6 +136,9 @@ class TcpSender:
 
     #: EWMA gain of the L4S marked-fraction estimator (DCTCP's g = 1/16).
     L4S_ALPHA_GAIN = 1.0 / 16.0
+
+    #: Minimum congestion window, in packets, after any window reduction.
+    MIN_CWND = 2.0
 
     #: Event batching keeps at least this many macro-packets per window:
     #: a macro never exceeds window/4, so batching only coalesces when
@@ -174,7 +179,7 @@ class TcpSender:
         self.base_rtt_s = float(base_rtt_s)
         self.paced = bool(paced)
         self.batch_segments = int(batch_segments)
-        self._pool = pool
+        self._pool = pool if pool is not None else PacketPool()
         #: Whether the flow negotiated ECN at all (either response mode).
         self.ecn = ecn_mode is not None
         #: ``"classic"`` / ``"l4s"`` / ``None`` (no ECN).
@@ -327,22 +332,15 @@ class TcpSender:
 
     # -- hooks for subclasses ---------------------------------------------------
 
-    def on_ack(self, packet: Packet, rtt_sample: float) -> None:
-        """Update congestion state after a successful delivery."""
-        raise NotImplementedError
+    def on_ack(self, packet: Packet, rtt_sample: float, segments: int) -> None:
+        """Update congestion state after ``packet`` delivered ``segments`` acks.
 
-    def on_ack_batch(self, packet: Packet, rtt_sample: float, segments: int) -> None:
-        """Update congestion state after a macro-packet delivery.
-
-        Called instead of :meth:`on_ack` when event batching coalesced
-        ``segments`` acks into one.  The default simply replays
-        :meth:`on_ack` per segment — always correct, O(segments).
-        Subclasses override with a closed-form O(1) update (Reno adds
-        ``n/cwnd`` in one step; BBR takes a single delivery-rate sample
-        for the whole burst).
+        ``segments`` is 1 for a plain packet and the burst size for a
+        macro-packet; each law handles any count in O(1) (Reno adds
+        ``n/cwnd`` in one step; BBR takes one delivery-rate sample for
+        the whole burst).
         """
-        for _ in range(segments):
-            self.on_ack(packet, rtt_sample)
+        raise NotImplementedError
 
     def on_loss(self, packet: Packet) -> None:
         """Update congestion state after a loss."""
@@ -371,10 +369,7 @@ class TcpSender:
         Subclasses whose growth law keeps extra state (Cubic's epoch)
         extend this to resynchronise that state with the reduced window.
         """
-        self.cwnd = max(
-            self.cwnd * (1.0 - self.l4s_alpha / 2.0),
-            getattr(self, "MIN_CWND", 2.0),
-        )
+        self.cwnd = max(self.cwnd * (1.0 - self.l4s_alpha / 2.0), self.MIN_CWND)
         self.ssthresh = self.cwnd
 
     @property
@@ -399,8 +394,8 @@ class TcpSender:
 
         A macro-packet (``packet.segments > 1``) acknowledges its whole
         burst at once: per-segment counters scale by the segment count,
-        the RTT sample is taken once, and congestion growth runs through
-        :meth:`on_ack_batch` instead of :meth:`on_ack`.
+        the RTT sample is taken once, and :meth:`on_ack` grows the window
+        for every segment in one call.
         """
         if self.completed:
             return  # stale feedback for an already-finished transfer
@@ -449,10 +444,7 @@ class TcpSender:
             if now >= self._ecn_reaction_deadline:
                 self._ecn_reaction_deadline = now + self.srtt
                 self.on_ecn_mark(packet)
-        if segments == 1:
-            self.on_ack(packet, rtt_sample)
-        else:
-            self.on_ack_batch(packet, rtt_sample, segments)
+        self.on_ack(packet, rtt_sample, segments)
         self._try_send()
 
     def handle_loss(self, packet: Packet) -> None:
@@ -515,28 +507,16 @@ class TcpSender:
         else:
             retransmission = False
             self._new_packets_sent += segments
-        if self._pool is not None:
-            packet = self._pool.acquire(
-                flow_id=self.flow_id,
-                sequence=self.next_sequence,
-                size_bytes=self.mss_bytes * segments,
-                send_time=self.scheduler.now,
-                is_retransmission=retransmission,
-                ecn_capable=self.ecn,
-                l4s=self.ecn_mode == "l4s",
-                segments=segments,
-            )
-        else:
-            packet = Packet(
-                flow_id=self.flow_id,
-                sequence=self.next_sequence,
-                size_bytes=self.mss_bytes * segments,
-                send_time=self.scheduler.now,
-                is_retransmission=retransmission,
-                ecn_capable=self.ecn,
-                l4s=self.ecn_mode == "l4s",
-                segments=segments,
-            )
+        packet = self._pool.acquire(
+            flow_id=self.flow_id,
+            sequence=self.next_sequence,
+            size_bytes=self.mss_bytes * segments,
+            send_time=self.scheduler.now,
+            is_retransmission=retransmission,
+            ecn_capable=self.ecn,
+            l4s=self.ecn_mode == "l4s",
+            segments=segments,
+        )
         self.next_sequence += 1
         return packet
 

@@ -88,8 +88,13 @@ class BBRSender(TcpSender):
         )
         return super()._send_one()
 
-    def on_ack(self, packet: Packet, rtt_sample: float) -> None:
-        """Fold one delivery-rate sample into the bandwidth filter."""
+    def on_ack(self, packet: Packet, rtt_sample: float, segments: int) -> None:
+        """Fold one delivery-rate sample into the bandwidth filter.
+
+        BBR's model is byte-based: the packet's full ``size_bytes`` is
+        credited to the delivery total, so a macro-packet of any
+        ``segments`` count takes exactly one rate sample for its burst.
+        """
         self._delivered_bytes_total += packet.size_bytes
         sample = self._delivered_at_send.pop(packet.sequence, None)
         if sample is not None:
@@ -99,17 +104,6 @@ class BBRSender(TcpSender):
                 rate = (self._delivered_bytes_total - delivered_then) * 8.0 / elapsed
                 self._bw_samples.append(rate)
         self._update_phase()
-
-    def on_ack_batch(self, packet: Packet, rtt_sample: float, segments: int) -> None:
-        """One delivery-rate sample per macro-packet, not per segment.
-
-        BBR's model is byte-based: :meth:`on_ack` already credits the
-        macro-packet's full ``size_bytes`` to the delivery total and
-        takes exactly one rate sample from the burst — replaying it per
-        segment (the base-class default) would multiply the delivered
-        byte count.  So a batched ack is simply a single :meth:`on_ack`.
-        """
-        self.on_ack(packet, rtt_sample)
 
     def on_loss(self, packet: Packet) -> None:
         """Drop the stale delivery sample; BBRv1 does not react to loss.

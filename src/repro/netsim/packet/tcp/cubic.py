@@ -27,8 +27,6 @@ class CubicSender(TcpSender):
     C = 0.4
     #: Multiplicative decrease: window shrinks to (1 - BETA) * W_max.
     BETA = 0.3
-    #: Minimum congestion window, in packets.
-    MIN_CWND = 2.0
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -47,32 +45,15 @@ class CubicSender(TcpSender):
             self._k = 0.0
             self._w_max = self.cwnd
 
-    def on_ack(self, packet: Packet, rtt_sample: float) -> None:
-        """Step the window toward the cubic target W(t) for one ack."""
-        if self.in_slow_start:
-            self.cwnd += 1.0
-            return
-        if self._epoch_start is None:
-            self._begin_epoch()
-        t = self.scheduler.now - (self._epoch_start or self.scheduler.now)
-        target = self.C * (t - self._k) ** 3 + self._w_max
-        # TCP-friendly region: emulate Reno's average growth rate.
-        self._w_tcp += 3.0 * self.BETA / (2.0 - self.BETA) / max(self.cwnd, 1.0)
-        target = max(target, self._w_tcp)
-        if target > self.cwnd:
-            # Spread the increase over the acks of one RTT.
-            self.cwnd += (target - self.cwnd) / max(self.cwnd, 1.0)
-        else:
-            self.cwnd += 0.01 / max(self.cwnd, 1.0)
+    def on_ack(self, packet: Packet, rtt_sample: float, segments: int) -> None:
+        """Step the window toward the cubic target W(t) for ``segments`` acks.
 
-    def on_ack_batch(self, packet: Packet, rtt_sample: float, segments: int) -> None:
-        """O(1) growth for a batch of ``segments`` acks.
-
-        The cubic target W(t) depends only on the epoch clock, not on
-        the ack count, so a batch evaluates it once and takes n steps of
-        the same spread toward it — clamped at the target, exactly where
-        n per-ack steps would converge.  The TCP-friendly floor advances
-        its Reno-emulation window by n acks' worth in one update.
+        Each ack spreads the gap to the target over the acks of one RTT.
+        The target depends only on the epoch clock, not on the ack count,
+        so a macro-packet evaluates it once and takes n steps of the same
+        spread toward it — clamped at the target, exactly where n per-ack
+        steps would converge.  The TCP-friendly floor (Reno emulation)
+        advances by n acks' worth in one update.
         """
         if self.in_slow_start:
             headroom = max(self.ssthresh - self.cwnd, 0.0)

@@ -19,23 +19,15 @@ class RenoSender(TcpSender):
 
     #: Multiplicative decrease factor applied on loss.
     BETA = 0.5
-    #: Minimum congestion window, in packets.
-    MIN_CWND = 2.0
 
-    def on_ack(self, packet: Packet, rtt_sample: float) -> None:
-        """AIMD growth: +1 per ack in slow start, +1/cwnd afterwards."""
-        if self.in_slow_start:
-            self.cwnd += 1.0
-        else:
-            self.cwnd += 1.0 / max(self.cwnd, 1.0)
-
-    def on_ack_batch(self, packet: Packet, rtt_sample: float, segments: int) -> None:
-        """O(1) growth for a batch of ``segments`` acks.
+    def on_ack(self, packet: Packet, rtt_sample: float, segments: int) -> None:
+        """AIMD growth for ``segments`` acks, in O(1).
 
         Slow start adds one packet per ack; congestion avoidance adds
-        ``n/cwnd`` in a single step (the first-order form of n repeated
-        ``1/cwnd`` increments — the higher-order correction is O(n²/cwnd³)
-        and far below the batching tolerance).  A batch straddling the
+        ``n/cwnd`` in a single step — exactly ``1/cwnd`` for one ack,
+        and the first-order form of n repeated ``1/cwnd`` increments for
+        a macro-packet (the higher-order correction is O(n²/cwnd³) and
+        far below the batching tolerance).  A batch straddling the
         slow-start exit splits at the threshold.
         """
         if self.in_slow_start:

@@ -19,8 +19,8 @@ Three tiers, each usable on its own (see ``docs/observability.md``):
   counters and hotspots.
 
 :mod:`repro.obs.metrics` holds the engine-counter schema
-(:class:`~repro.obs.metrics.EngineCounters`) both scheduler variants
-report uniformly, and a small mergeable :class:`~repro.obs.metrics.MetricsRegistry`.
+(:class:`~repro.obs.metrics.EngineCounters`) every packet simulation
+reports, and a small mergeable :class:`~repro.obs.metrics.MetricsRegistry`.
 """
 
 from repro.obs.metrics import EngineCounters, MetricsRegistry

@@ -1,9 +1,9 @@
 """Engine counters and a small mergeable metrics registry.
 
-:class:`EngineCounters` is the uniform counter schema every packet
-simulation reports (satellite of the observability layer): both
-scheduler variants — heap and calendar — fill the *same* fields, so
-dashboards and reports never branch on the engine kind.
+:class:`EngineCounters` is the counter schema every packet simulation
+reports (satellite of the observability layer): one record per run, the
+same fields batched or not, so dashboards and reports never branch on
+the engine configuration.
 
 :class:`MetricsRegistry` is the accumulation side: a flat name → number
 mapping with ``inc``/``set_gauge``/``merge``, used by the CLI to total
@@ -21,12 +21,10 @@ __all__ = ["EngineCounters", "MetricsRegistry"]
 
 @dataclass(frozen=True)
 class EngineCounters:
-    """Counters of one packet-engine run, identical for both schedulers.
+    """Counters of one packet-engine run.
 
     Attributes
     ----------
-    scheduler:
-        Engine kind that ran: ``"heap"`` or ``"calendar"``.
     events_processed:
         Scheduler callbacks executed (the events/sec numerator of the
         performance model, see ``docs/performance.md``).
@@ -41,7 +39,6 @@ class EngineCounters:
         Packets lost on impaired path segments (not queue drops).
     """
 
-    scheduler: str
     events_processed: int
     events_scheduled: int
     pool_acquired: int
@@ -49,7 +46,7 @@ class EngineCounters:
     random_losses: int = 0
 
     def as_dict(self) -> dict[str, float]:
-        """The counters as a flat mapping (scheduler kind excluded)."""
+        """The counters as a flat mapping."""
         return {
             "events_processed": float(self.events_processed),
             "events_scheduled": float(self.events_scheduled),

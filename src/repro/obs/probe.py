@@ -7,7 +7,7 @@ tests and ``repro lint`` (DET002):
 * probes never read wall clocks — every timestamp is the scheduler's
   simulated ``now``;
 * probes never schedule events — the network runs the scheduler in
-  probe-interval chunks (both schedulers pop the exact same event order
+  probe-interval chunks (the scheduler pops the exact same event order
   across repeated ``run(until=t)`` barriers) and samples *between*
   chunks, so the event sequence, every counter and every result is
   byte-identical with probes on or off;

@@ -1,7 +1,7 @@
 """Event batching: macro-packet mechanics and trace equivalence.
 
-Batching is an *approximation* knob (unlike the scheduler, which is
-exact), so these tests pin two different contracts:
+Batching is an *approximation* knob: batched traces differ from
+unbatched ones, so these tests pin two different contracts:
 
 * mechanics — macro sizing, counter scaling, pooling and cache keying
   are exact properties, asserted exactly;
@@ -18,7 +18,7 @@ from repro.netsim.packet.engine import EventScheduler
 from repro.netsim.packet.packets import Packet, PacketPool
 from repro.netsim.packet.simulation import FlowConfig, simulate
 from repro.netsim.packet.sweep import run_packet_sweep
-from repro.netsim.packet.tcp import BBRSender, RenoSender
+from repro.netsim.packet.tcp import BBRSender, CubicSender, RenoSender
 
 #: Large-BDP bottleneck (~333 packet BDP): windows are big enough for
 #: full-size macros, so this is the regime the fidelity bounds cover.
@@ -132,14 +132,7 @@ class TestTraceEquivalence:
 
 
 class TestKnobInertness:
-    """Defaults must be bit-identical to the pre-batching engine."""
-
-    def test_batch_segments_inert_without_event_batching(self):
-        flows = [FlowConfig(0, cc="reno", connections=2), FlowConfig(1, cc="cubic")]
-        kw = dict(capacity_mbps=20.0, duration_s=4.0, warmup_s=1.0)
-        default = simulate(flows, **kw)
-        assert simulate(flows, batch_segments=23, **kw) == default
-        assert simulate(flows, event_batching=False, batch_segments=8, **kw) == default
+    """Batching keys the cache only when it is on."""
 
     def test_batching_on_changes_the_cache_key(self):
         specs = {}
@@ -155,33 +148,10 @@ class TestKnobInertness:
             )
             specs[batching] = recorder.specs[0]
         assert "event_batching" not in specs[False].params
-        assert "batch_segments" not in specs[False].params
         assert specs[True].params["event_batching"] is True
-        assert specs[True].params["batch_segments"] == 8
         from repro.runner.spec import content_key
 
         assert content_key(specs[True]) != content_key(specs[False])
-
-    def test_scheduler_choice_stays_out_of_the_cache_key(self):
-        # The scheduler is order-identical, so a non-default choice keys
-        # the spec (it names the requested engine) but the default
-        # ("auto") must produce the exact pre-existing key — flipping
-        # the default from "heap" to "auto" must not split the cache.
-        specs = {}
-        for scheduler in ("auto", "heap", "calendar"):
-            recorder = _SpecRecorder()
-            run_packet_sweep(
-                2,
-                treatment_factory=lambda i: FlowConfig(i, connections=2),
-                control_factory=lambda i: FlowConfig(i),
-                allocations=(1,),
-                scheduler=scheduler,
-                executor=recorder,
-            )
-            specs[scheduler] = recorder.specs[0]
-        assert "scheduler" not in specs["auto"].params
-        assert specs["heap"].params["scheduler"] == "heap"
-        assert specs["calendar"].params["scheduler"] == "calendar"
 
 
 class TestBatchedSweepDeterminism:
@@ -313,23 +283,48 @@ class TestMacroCounterScaling:
         batched.ssthresh = 1.0
         one = Packet(flow_id=0, sequence=0, size_bytes=1500, send_time=0.0)
         for _ in range(8):
-            serial.on_ack(one, 0.02)
+            serial.on_ack(one, 0.02, segments=1)
         macro = Packet(
             flow_id=0, sequence=0, size_bytes=1500 * 8, send_time=0.0, segments=8
         )
-        batched.on_ack_batch(macro, 0.02, segments=8)
+        batched.on_ack(macro, 0.02, segments=8)
+        assert batched.cwnd == pytest.approx(serial.cwnd, rel=1e-3)
+
+    def test_batched_cubic_growth_matches_serial_acks(self):
+        # The Cubic twin: n singles and one n-segment macro step toward
+        # the same cubic target W(t) and must agree to first order.
+        one = Packet(flow_id=0, sequence=0, size_bytes=1500, send_time=0.0)
+
+        def two_seconds_after_a_loss():
+            sender, _ = make_sender(CubicSender, initial_cwnd=200.0)
+            sender.scheduler.run(until=1.0)
+            sender.on_loss(one)  # W_max = 200, cwnd = 140, new epoch
+            sender.on_ack(one, 0.02, segments=1)  # the epoch starts at t = 1 s
+            sender.scheduler.run(until=3.0)  # W(2 s) is ~185, far above cwnd
+            return sender
+
+        serial = two_seconds_after_a_loss()
+        batched = two_seconds_after_a_loss()
+        start = serial.cwnd
+        for _ in range(8):
+            serial.on_ack(one, 0.02, segments=1)
+        macro = Packet(
+            flow_id=0, sequence=0, size_bytes=1500 * 8, send_time=0.0, segments=8
+        )
+        batched.on_ack(macro, 0.02, segments=8)
+        assert serial.cwnd > start + 2.0  # the cubic target, not the floor, drives growth
         assert batched.cwnd == pytest.approx(serial.cwnd, rel=1e-3)
 
     def test_bbr_macro_takes_one_delivery_sample(self):
-        # Replaying on_ack per segment would multiply delivered bytes by
-        # the segment count; the batch hook must sample exactly once.
+        # Sampling once per segment would multiply delivered bytes by
+        # the segment count; a macro-packet must sample exactly once.
         sender, _ = make_sender(BBRSender, batch_segments=8, initial_cwnd=100.0)
         sender.start()
         macro = Packet(
             flow_id=0, sequence=0, size_bytes=1500 * 4, send_time=0.0, segments=4
         )
         delivered_before = sender._delivered_bytes_total
-        sender.on_ack_batch(macro, 0.02, segments=4)
+        sender.on_ack(macro, 0.02, segments=4)
         assert sender._delivered_bytes_total == delivered_before + 1500 * 4
 
 

@@ -3,8 +3,13 @@
 import pytest
 
 from repro.netsim.packet.engine import EventScheduler
+from repro.netsim.packet.network import Network
 from repro.netsim.packet.packets import Packet
 from repro.netsim.packet.queue import DropTailQueue
+from repro.netsim.packet.simulation import FlowConfig, simulate
+from repro.netsim.packet.sweep import run_packet_sweep
+from repro.runner import ParallelExecutor
+from repro.runner.spec import ScenarioSpec
 
 
 class TestEventScheduler:
@@ -137,6 +142,42 @@ class TestEventScheduler:
         assert len(sched) == len(keep)
         sched.run(until=1000.0)
         assert fired == [0, 1, 2, 3, 4]
+
+
+class TestOneScheduler:
+    """Every network runs the heap, and no caller can ask for another engine.
+
+    An explicit scheduler must fail loudly rather than re-key a spec.
+    """
+
+    SHORT = dict(capacity_mbps=10.0, duration_s=1.0, warmup_s=0.5)
+
+    def test_network_builds_the_heap(self):
+        network = Network(capacity_mbps=24.0, base_rtt_ms=20.0)
+        assert isinstance(network.scheduler, EventScheduler)
+
+    def test_simulate_rejects_a_scheduler(self):
+        with pytest.raises(TypeError, match="scheduler"):
+            simulate([FlowConfig(0)], scheduler="heap", **self.SHORT)
+
+    def test_sweep_rejects_a_scheduler(self):
+        with pytest.raises(TypeError, match="scheduler"):
+            run_packet_sweep(
+                2,
+                treatment_factory=FlowConfig,
+                control_factory=FlowConfig,
+                allocations=(1,),
+                scheduler="calendar",
+                **self.SHORT,
+            )
+
+    def test_packet_arm_spec_carrying_a_scheduler_fails(self):
+        spec = ScenarioSpec(
+            task="netsim.packet_arm",
+            params={"flows": (FlowConfig(0),), "scheduler": "calendar", **self.SHORT},
+        )
+        with pytest.raises(TypeError, match="scheduler"):
+            ParallelExecutor(jobs=1).run(spec)
 
 
 def make_packet(flow_id=0, seq=0, size=1000, time=0.0):

@@ -56,6 +56,16 @@ class TestPacketSweep:
         curve = connection_sweep.curve("retransmit_fraction")
         assert curve.mu_control(0.0) >= 0.0
 
+    def test_empty_rtt_profile_is_rejected(self):
+        with pytest.raises(ValueError, match="rtt_ms"):
+            run_packet_sweep(
+                2,
+                treatment_factory=FlowConfig,
+                control_factory=FlowConfig,
+                rtt_ms=(),
+                executor=SpecRecorder(),
+            )
+
     def test_unknown_metric_raises(self, connection_sweep):
         with pytest.raises(KeyError):
             connection_sweep.curve("nope")

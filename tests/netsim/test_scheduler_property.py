@@ -1,36 +1,18 @@
 """Property tests: the calendar scheduler is order-identical to the heap.
 
-The network builder treats the scheduler as a pure speed knob, which is
-only sound if both implementations fire the same callbacks in the same
-order for any call sequence — including ties (scheduling order wins),
-cancellation, re-arming from inside callbacks, and events beyond the
-calendar's ring horizon.  These tests drive both schedulers through
-identical scripts (deterministic ones plus a seeded fuzz) and require
-identical traces, then do the same end to end with full simulations.
+Every network runs the heap; :class:`CalendarScheduler` remains only
+for the benchmark harness, which patches it.  These tests drive both
+schedulers through identical scripts — ties (scheduling order wins),
+cancellation, re-arming from inside callbacks, events beyond the
+calendar's ring horizon, plus a seeded fuzz — and require identical
+traces, so the class stays correct for as long as it exists.
 """
 
 import random
-from dataclasses import replace
 
 import pytest
 
-from repro.netsim.packet.engine import (
-    CalendarScheduler,
-    EventScheduler,
-    SCHEDULERS,
-    make_scheduler,
-)
-from repro.netsim.packet.simulation import FlowConfig, simulate
-
-
-def normalized(result):
-    """A result with its engine's scheduler label blanked.
-
-    ``EngineCounters.scheduler`` records *which implementation ran* —
-    the one field that legitimately differs across order-identical
-    schedulers.  Every counter must still match exactly.
-    """
-    return replace(result, engine=replace(result.engine, scheduler=""))
+from repro.netsim.packet.engine import CalendarScheduler, EventScheduler
 
 
 def both():
@@ -170,66 +152,6 @@ class TestOrderParity:
             assert traces[0] == traces[1], f"trace divergence for fuzz seed {seed}"
 
 
-class TestFullSimulationParity:
-    def test_mixed_cc_sim_identical_across_schedulers(self):
-        flows = [
-            FlowConfig(0, cc="reno", connections=2, treated=True),
-            FlowConfig(1, cc="cubic", paced=True),
-            FlowConfig(2, cc="bbr"),
-        ]
-        kwargs = dict(capacity_mbps=30.0, duration_s=5.0, warmup_s=2.0)
-        runs = {
-            kind: simulate(flows, scheduler=kind, **kwargs)
-            for kind in ("heap", "calendar", "auto")
-        }
-        assert runs["heap"].engine.scheduler == "heap"
-        assert runs["calendar"].engine.scheduler == "calendar"
-        assert (
-            normalized(runs["heap"])
-            == normalized(runs["calendar"])
-            == normalized(runs["auto"])
-        )
-
-    def test_fuzzed_sims_identical_across_schedulers(self):
-        # Seeded random lab configs, exercising AQMs, ECN, random loss
-        # and churn-free finite transfers: full results must be equal.
-        for seed in range(6):
-            rng = random.Random(1000 + seed)
-            disciplines = ["droptail", "red", "codel", "fq_codel", "dualpi2"]
-            discipline = rng.choice(disciplines)
-            flows = []
-            for i in range(rng.randint(1, 3)):
-                cc = rng.choice(["reno", "cubic", "bbr"])
-                ecn = rng.choice(
-                    ["l4s"] if discipline == "dualpi2" else [False, "classic"]
-                )
-                flows.append(
-                    FlowConfig(
-                        i,
-                        cc=cc,
-                        connections=rng.randint(1, 2),
-                        paced=rng.random() < 0.5,
-                        ecn=ecn,
-                        transfer_bytes=(
-                            None if rng.random() < 0.7 else rng.uniform(1e5, 1e6)
-                        ),
-                    )
-                )
-            kwargs = dict(
-                capacity_mbps=rng.choice([8.0, 20.0]),
-                base_rtt_ms=rng.choice([10.0, 30.0]),
-                duration_s=3.0,
-                warmup_s=1.0,
-                queue_discipline=discipline,
-                seed=seed,
-            )
-            heap_run = simulate(flows, scheduler="heap", **kwargs)
-            calendar_run = simulate(flows, scheduler="calendar", **kwargs)
-            assert normalized(heap_run) == normalized(calendar_run), (
-                f"sim divergence for fuzz seed {seed} ({discipline})"
-            )
-
-
 class TestCalendarScheduler:
     """Calendar-specific behaviour the shared parity tests don't cover."""
 
@@ -265,31 +187,3 @@ class TestCalendarScheduler:
         assert sched.events_processed == 2  # the 2.5 s event is still pending
         assert sched.step()
         assert sched.events_processed == 3
-
-    def test_suits_accepts_short_horizons_only(self):
-        assert CalendarScheduler.suits(horizon_s=0.02, bucket_s=6e-5)
-        assert not CalendarScheduler.suits(horizon_s=100.0, bucket_s=6e-5)
-        assert not CalendarScheduler.suits(horizon_s=0.02, bucket_s=0.0)
-
-
-class TestMakeScheduler:
-    def test_registry_and_kinds(self):
-        assert set(SCHEDULERS) == {"heap", "calendar"}
-        assert isinstance(make_scheduler("heap"), EventScheduler)
-        assert isinstance(make_scheduler("calendar", bucket_s=0.1), CalendarScheduler)
-
-    def test_auto_picks_calendar_when_geometry_fits(self):
-        sched = make_scheduler("auto", horizon_s=0.02, bucket_s=6e-5)
-        assert sched.kind == "calendar"
-
-    def test_auto_falls_back_to_heap(self):
-        assert make_scheduler("auto", horizon_s=100.0, bucket_s=6e-5).kind == "heap"
-        assert make_scheduler("auto").kind == "heap"  # no geometry hints
-
-    def test_unknown_kind_raises(self):
-        with pytest.raises(ValueError):
-            make_scheduler("splay-tree")
-
-    def test_calendar_requires_bucket_width(self):
-        with pytest.raises(ValueError):
-            make_scheduler("calendar")

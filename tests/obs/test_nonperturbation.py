@@ -4,7 +4,7 @@ These tests pin the observability layer's two core contracts:
 
 * **Non-perturbation** — running with a probe produces byte-identical
   flow results, drop counters and engine counters to running without
-  one, for both scheduler kinds and for fleet shards.
+  one, for lab simulations and for fleet shards.
 * **Content-key inertness** — every new telemetry knob defaults off and
   stays out of spec parameters when unset, so enabling observability on
   one run can never split another run's result cache.
@@ -23,13 +23,12 @@ from repro.runner.spec import content_key, get_task
 PROBE = ProbeConfig(interval_s=0.5)
 
 
-def _run(scheduler="auto", probe=None):
+def _run(probe=None):
     return simulate(
         [FlowConfig(0, cc="reno", connections=2), FlowConfig(1, cc="cubic")],
         capacity_mbps=20.0,
         duration_s=4.0,
         warmup_s=1.0,
-        scheduler=scheduler,
         probe=probe,
     )
 
@@ -38,24 +37,12 @@ class TestProbeNonPerturbation:
     def test_probed_run_is_bit_identical(self):
         plain = _run()
         probed = _run(probe=PROBE)
-        assert [(f.flow_id, f.throughput_mbps, f.packets_sent, f.packets_lost)
-                for f in plain.flows] == [
-            (f.flow_id, f.throughput_mbps, f.packets_sent, f.packets_lost)
-            for f in probed.flows
-        ]
+        assert plain.flows == probed.flows
         assert plain.total_drops == probed.total_drops
         assert plain.queue_drops == probed.queue_drops
         # Same events popped, same events scheduled: the probe barriers
         # did not add, remove or reorder a single scheduler event.
         assert plain.engine == probed.engine
-
-    @pytest.mark.parametrize("scheduler", ["heap", "calendar"])
-    def test_both_scheduler_kinds_unperturbed(self, scheduler):
-        plain = _run(scheduler=scheduler)
-        probed = _run(scheduler=scheduler, probe=PROBE)
-        assert plain.flows == probed.flows
-        assert plain.engine == probed.engine
-        assert plain.engine.scheduler == scheduler
 
     def test_probe_log_populated(self):
         probed = _run(probe=PROBE)
@@ -74,11 +61,9 @@ class TestProbeNonPerturbation:
 
 
 class TestEngineCounters:
-    @pytest.mark.parametrize("scheduler", ["heap", "calendar"])
-    def test_uniform_schema_across_scheduler_kinds(self, scheduler):
-        engine = _run(scheduler=scheduler).engine
+    def test_counter_schema(self):
+        engine = _run().engine
         assert isinstance(engine, EngineCounters)
-        assert engine.scheduler == scheduler
         assert engine.events_processed > 0
         assert engine.events_scheduled > 0
         assert engine.pool_acquired > 0

@@ -65,6 +65,9 @@ class TestChurnExperiment:
         assert "mean FCT" in text
         assert "bias" in text.lower()
 
+    def test_matches_golden(self, churn_comparison, assert_lab_golden):
+        assert_lab_golden("topo_churn", churn_comparison)
+
     def test_seeded_run_reproducible(self):
         a = run_churn_experiment(churn_rates=(3.0,), quick=True, seed=5)
         b = run_churn_experiment(churn_rates=(3.0,), quick=True, seed=5)

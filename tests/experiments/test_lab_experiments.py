@@ -146,3 +146,22 @@ class TestLabFigureHelpers:
         assert isinstance(figure, LabFigure)
         assert len(figure.rows) == 5
         assert figure.name == "custom"
+
+
+class TestLabGoldens:
+    """Each lab figure's output, pinned exactly (``tests/golden/lab/``)."""
+
+    def test_fig2a(self, connections_figure, assert_lab_golden):
+        assert_lab_golden("fig2a", connections_figure)
+
+    def test_fig2a_noisy_arms_are_seeded_per_allocation(self, assert_lab_golden):
+        # The arm with k treated units draws its noise from seed + k.
+        assert_lab_golden(
+            "fig2a-noise0.05-seed3", run_connections_experiment(noise=0.05, seed=3)
+        )
+
+    def test_fig2b(self, pacing_figure, assert_lab_golden):
+        assert_lab_golden("fig2b", pacing_figure)
+
+    def test_fig3(self, cc_figure, assert_lab_golden):
+        assert_lab_golden("fig3", cc_figure)

@@ -77,6 +77,9 @@ class TestL4sExperiment:
         assert "coexistence" in text
         assert "ratio" in text
 
+    def test_matches_golden(self, l4s_comparison, assert_lab_golden):
+        assert_lab_golden("topo_l4s", l4s_comparison)
+
     def test_invalid_connection_counts_rejected(self):
         with pytest.raises(ValueError):
             run_l4s_experiment(treatment_connections=0)

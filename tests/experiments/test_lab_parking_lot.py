@@ -64,6 +64,10 @@ class TestFqExperiment:
         assert "bias" in text.lower()
 
 
+    def test_matches_golden(self, fq_comparison, assert_lab_golden):
+        assert_lab_golden("topo_fq", fq_comparison)
+
+
 class TestParkingLotExperiment:
     def test_compares_single_against_parking(self, parking_comparison):
         assert set(parking_comparison.figures) == {"single", "parking"}
@@ -85,6 +89,9 @@ class TestParkingLotExperiment:
         assert "single" in text
         assert "parking" in text
         assert "cross-segment spillover" in text
+
+    def test_matches_golden(self, parking_comparison, assert_lab_golden):
+        assert_lab_golden("topo_parking", parking_comparison)
 
     def test_comparison_is_plain_dataclass(self, parking_comparison):
         rebuilt = ParkingLotComparison(

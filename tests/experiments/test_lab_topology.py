@@ -41,6 +41,9 @@ class TestRttExperiment:
     def test_spillover_negative(self, rtt_figure):
         assert rtt_figure.spillover("throughput_mbps", 0.5) < 0.0
 
+    def test_matches_golden(self, rtt_figure, assert_lab_golden):
+        assert_lab_golden("topo_rtt", rtt_figure)
+
     def test_empty_rtt_spread_raises(self):
         with pytest.raises(ValueError):
             run_rtt_experiment(rtt_spread_ms=())
@@ -70,6 +73,9 @@ class TestAqmExperiment:
         assert "droptail" in text
         assert "codel" in text
         assert "bias" in text.lower()
+
+    def test_matches_golden(self, aqm_comparison, assert_lab_golden):
+        assert_lab_golden("topo_aqm", aqm_comparison)
 
     def test_no_disciplines_raises(self):
         with pytest.raises(ValueError):

@@ -8,11 +8,11 @@ conclusions — treated applications roughly double their throughput in an
 A/B test, a full switch leaves aggregate throughput unchanged but raises
 losses — emerge from first-principles window dynamics as well.
 
-Known fidelity limits (documented in DESIGN.md): the simplified packet
-model does not reproduce the paced-vs-unpaced competition of Figure 2b or
-BBRv1's aggregate-share behaviour of Figure 3 quantitatively; those
-require finer-grained burst and inflight modelling than this substrate
-implements.
+Known fidelity limits (see "Model fidelity limits" in
+docs/architecture.md): the simplified packet model does not reproduce the
+paced-vs-unpaced competition of Figure 2b or BBRv1's aggregate-share
+behaviour of Figure 3 quantitatively; those require finer-grained burst
+and inflight modelling than this substrate implements.
 """
 
 import pytest

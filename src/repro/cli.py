@@ -24,6 +24,9 @@ benchmark asserts on; ``--quick`` shrinks the synthetic workload for
 faster runs.  ``--jobs N`` fans independent simulation arms out over N
 worker processes (results are bit-identical to ``--jobs 1``), and
 ``--cache`` reuses results of unchanged runs from an on-disk cache.
+The fluid lab figures (``fig2a``, ``fig2b``, ``fig3``) run their arms
+in-process, so there ``--jobs`` and ``--cache`` do nothing, as
+``--quick`` does nothing; every figure shares one flag set.
 
 ``repro sweep FIGURE`` runs ``--replications`` seeds of one figure
 through the parallel runner and reports each scalar cell's mean with a

@@ -19,7 +19,7 @@ from repro.core.assignment import (
     bernoulli_assignment,
     fixed_fraction_assignment,
 )
-from repro.core.estimands import EstimandSet, PotentialOutcomeCurve
+from repro.core.estimands import AllocationSweep, EstimandSet, PotentialOutcomeCurve
 from repro.core.estimators import (
     DifferenceInMeans,
     EstimateWithCI,
@@ -34,6 +34,7 @@ __all__ = [
     "Assignment",
     "bernoulli_assignment",
     "fixed_fraction_assignment",
+    "AllocationSweep",
     "EstimandSet",
     "PotentialOutcomeCurve",
     "DifferenceInMeans",

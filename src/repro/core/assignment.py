@@ -20,7 +20,6 @@ know which ``tau(p)`` they estimate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Sequence
 
 import numpy as np
 
@@ -29,7 +28,6 @@ __all__ = [
     "bernoulli_assignment",
     "fixed_fraction_assignment",
     "interval_assignment",
-    "cluster_assignment",
 ]
 
 
@@ -187,35 +185,3 @@ def interval_assignment(
             return assignment
         if assignment.any() and not assignment.all():
             return assignment
-
-
-def cluster_assignment(
-    cluster_ids: Sequence[int] | np.ndarray,
-    allocation: float,
-    seed: int | None = None,
-) -> Assignment:
-    """Assign whole clusters of units to treatment together.
-
-    All units sharing a cluster id receive the same treatment.  Cluster
-    randomization is the standard mitigation for interference when the
-    interference structure is known (e.g. randomize per network or per ISP
-    rather than per session).  The paired-link experiment is an extreme
-    form: the two links are two clusters receiving different allocations.
-
-    Parameters
-    ----------
-    cluster_ids:
-        Cluster id for each unit (length = number of units).
-    allocation:
-        Probability that a cluster is assigned to treatment.
-    seed:
-        Optional randomization seed.
-    """
-    ids = np.asarray(cluster_ids)
-    if ids.ndim != 1:
-        raise ValueError("cluster_ids must be one-dimensional")
-    unique = np.unique(ids)
-    rng = np.random.default_rng(seed)
-    cluster_treated = {c: bool(rng.random() < allocation) for c in unique}
-    treated = np.array([cluster_treated[c] for c in ids], dtype=bool)
-    return Assignment(treated, allocation, seed)

@@ -24,18 +24,21 @@ spillovers are identically zero.  Congestion interference breaks SUTVA.
 
 :class:`PotentialOutcomeCurve` stores ``mu_T(p)`` and ``mu_C(p)`` sampled on
 a grid of allocations — exactly what the lab experiments of Section 3
-measure — and computes every estimand from it.  :class:`EstimandSet` is the
-scalar summary used in figures.
+measure — and computes every estimand from it.  :class:`AllocationSweep`
+holds the lab runs such a grid comes from, on either simulator, and builds
+the curve.  :class:`EstimandSet` is the scalar summary used in figures.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from collections.abc import Mapping
+from typing import Any
 
 import numpy as np
 
 __all__ = [
+    "AllocationSweep",
     "EstimandSet",
     "PotentialOutcomeCurve",
     "sutva_holds",
@@ -213,6 +216,65 @@ class PotentialOutcomeCurve:
             f"PotentialOutcomeCurve(metric={self.metric!r}, "
             f"allocations={self.allocations})"
         )
+
+
+@dataclass
+class AllocationSweep:
+    """One lab run at each number of treated units: an allocation sweep.
+
+    Every lab figure, fluid or packet-level, is one of these: run the lab
+    with ``k`` of ``n_units`` units treated for each ``k``, then read
+    ``mu_T(p)`` and ``mu_C(p)`` at ``p = k / n_units`` off the runs.
+
+    Attributes
+    ----------
+    n_units:
+        Number of units in every run.
+    results:
+        ``results[k]`` is the run with ``k`` treated units.  A run is any
+        result with ``group_mean(metric, treated)``, the mean of a metric
+        over its treated or control units.
+    """
+
+    n_units: int
+    results: dict[int, Any] = field(default_factory=dict)
+
+    @property
+    def allocations(self) -> list[float]:
+        """Treatment allocations covered by the sweep."""
+        return [k / self.n_units for k in sorted(self.results)]
+
+    def curve(self, metric: str) -> PotentialOutcomeCurve:
+        """Potential-outcome curve ``mu_T(p)``, ``mu_C(p)`` for a metric."""
+        mu_t: dict[float, float] = {}
+        mu_c: dict[float, float] = {}
+        for k, result in self.results.items():
+            p = k / self.n_units
+            if k > 0:
+                mu_t[p] = result.group_mean(metric, True)
+            if k < self.n_units:
+                mu_c[p] = result.group_mean(metric, False)
+        return PotentialOutcomeCurve(metric, mu_t, mu_c)
+
+    def tte(self, metric: str) -> float:
+        """Total treatment effect measured by the sweep's endpoints."""
+        return self.curve(metric).tte()
+
+    def ab_estimate(self, metric: str, allocation: float) -> float:
+        """Naive A/B estimate ``tau(p)`` at one allocation."""
+        return self.curve(metric).ate(allocation)
+
+    def ab_estimates(self, metric: str) -> dict[float, float]:
+        """Naive A/B estimates at every interior allocation of the sweep."""
+        return {
+            k / self.n_units: result.group_mean(metric, True) - result.group_mean(metric, False)
+            for k, result in self.results.items()
+            if 0 < k < self.n_units
+        }
+
+    def spillover(self, metric: str, allocation: float) -> float:
+        """Spillover on control units at the given allocation."""
+        return self.curve(metric).spillover(allocation)
 
 
 def sutva_holds(

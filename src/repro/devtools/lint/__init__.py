@@ -25,7 +25,7 @@ See ``docs/invariants.md`` for the full rule table and rationale.
 
 from repro.devtools.lint.base import RULES, Diagnostic, Rule, register_rule, rule_table
 from repro.devtools.lint.config import DEFAULT_CONFIG, LintConfig
-from repro.devtools.lint.engine import lint_paths, main
+from repro.devtools.lint.engine import lint_paths
 
 __all__ = [
     "Diagnostic",
@@ -36,5 +36,4 @@ __all__ = [
     "LintConfig",
     "DEFAULT_CONFIG",
     "lint_paths",
-    "main",
 ]

@@ -108,7 +108,6 @@ TASK_PARAM_BASELINE: dict[str, frozenset[str]] = {
             "warmup_s",
         }
     ),
-    "netsim.fluid_arm": frozenset({"applications"}),
     "workload.baseline_table": frozenset({"config", "days"}),
     "workload.experiment_table": frozenset({"config", "design", "days"}),
     "workload.aa_table": frozenset({"config", "days"}),

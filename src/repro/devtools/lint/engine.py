@@ -2,8 +2,9 @@
 
 :func:`lint_paths` is the library entry point: expand paths, parse each
 file, run every selected rule that is in scope, drop suppressed
-findings, and return the sorted diagnostics.  :func:`main` wraps it as
-the ``repro lint`` subcommand (exit 0 clean / 1 violations / 2 usage).
+findings, and return the sorted diagnostics.  The ``repro lint``
+subcommand declares its flags with :func:`configure_parser` and runs
+:func:`run_lint` (exit 0 clean / 1 violations / 2 usage).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from repro.devtools.lint.reporter import (
 )
 from repro.devtools.lint.walker import collect_files, load_file
 
-__all__ = ["configure_parser", "lint_paths", "main", "run_lint"]
+__all__ = ["configure_parser", "lint_paths", "run_lint"]
 
 
 def _build_rules(config: LintConfig, select: Sequence[str] | None) -> list[Rule]:
@@ -96,12 +97,7 @@ def count_files(paths: Sequence[str | Path]) -> int:
 
 
 def configure_parser(parser: argparse.ArgumentParser) -> argparse.ArgumentParser:
-    """Declare the ``repro lint`` option surface on ``parser``.
-
-    Shared between the standalone parser below and the ``lint``
-    subcommand of the main CLI, so both spellings accept exactly the
-    same flags.
-    """
+    """Declare the ``repro lint`` flags on the CLI's ``lint`` subcommand parser."""
     parser.add_argument(
         "paths",
         nargs="*",
@@ -119,21 +115,6 @@ def configure_parser(parser: argparse.ArgumentParser) -> argparse.ArgumentParser
         help="print the registered rules and exit",
     )
     return parser
-
-
-def build_parser() -> argparse.ArgumentParser:
-    """Argument parser for ``repro lint``."""
-    return configure_parser(
-        argparse.ArgumentParser(
-            prog="repro lint",
-            description=(
-                "AST-based invariant linter: determinism (DET*), content-key "
-                "hygiene (KEY*), API hygiene (API*) and layering (LAY*) "
-                "contracts.  See docs/invariants.md for the rule table and "
-                "rationale."
-            ),
-        )
-    )
 
 
 def run_lint(args: argparse.Namespace) -> int:
@@ -157,8 +138,3 @@ def run_lint(args: argparse.Namespace) -> int:
         print(render_diagnostics(diagnostics))
     print(render_summary(diagnostics, files_checked))
     return 1 if diagnostics else 0
-
-
-def main(argv: Sequence[str] | None = None) -> int:
-    """``repro lint`` entry point; returns the process exit code."""
-    return run_lint(build_parser().parse_args(argv))

@@ -37,7 +37,7 @@ The imports below run in registry order, the order ``repro list`` shows.
 """
 
 from repro.experiments.figures import FIGURES, Figure, figure_spec
-from repro.experiments.lab_common import LabFigure, sweep_to_figure
+from repro.experiments.lab_common import BiasComparison, LabFigure, sweep_to_figure
 from repro.experiments.lab_connections import run_connections_experiment
 from repro.experiments.lab_pacing import run_pacing_experiment
 from repro.experiments.lab_cc import run_cc_experiment
@@ -81,6 +81,7 @@ __all__ = [
     "Figure",
     "FIGURES",
     "figure_spec",
+    "BiasComparison",
     "LabFigure",
     "sweep_to_figure",
     "run_connections_experiment",

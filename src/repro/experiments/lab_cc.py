@@ -29,8 +29,6 @@ def run_cc_experiment(
     model: CompetitionModel | None = None,
     noise: float = 0.0,
     seed: int | None = 0,
-    jobs: int = 1,
-    cache=None,
 ) -> LabFigure:
     """Run the congestion-control lab sweep and return the figure data.
 
@@ -50,8 +48,6 @@ def run_cc_experiment(
         model=model,
         noise=noise,
         seed=seed,
-        jobs=jobs,
-        cache=cache,
     )
     return sweep_to_figure(
         sweep,
@@ -71,8 +67,6 @@ register(
         knob="noise",
         seeded=True,
         cells=lambda noise, seed: run_cc_experiment(noise=noise, seed=seed).cells(),
-        render=lambda args, parser, cache, tracer: run_cc_experiment(
-            jobs=args.jobs, cache=cache
-        ).summary_lines(),
+        render=lambda args, parser, cache, tracer: run_cc_experiment().summary_lines(),
     )
 )

@@ -43,7 +43,7 @@ from collections.abc import Sequence
 
 from repro.core.designs.switchback import SwitchbackDesign
 from repro.experiments.figures import Figure, register
-from repro.experiments.lab_common import LabFigure, sweep_to_figure
+from repro.experiments.lab_common import BiasComparison, LabFigure, sweep_to_figure
 from repro.experiments.lab_topology import sweep_scale
 from repro.netsim.packet.simulation import FlowConfig
 from repro.netsim.packet.sweep import run_packet_sweep
@@ -110,7 +110,7 @@ class ChurnStats:
 
 
 @dataclass
-class ChurnBiasComparison:
+class ChurnBiasComparison(BiasComparison):
     """The connection-count sweep at several churn intensities.
 
     ``figures[rate]`` is the :class:`LabFigure` with churn arriving at
@@ -119,32 +119,23 @@ class ChurnBiasComparison:
     summarizes the dynamic flows themselves (counts and mean FCT).
     """
 
-    figures: dict[float, LabFigure]
     churn: dict[float, ChurnStats]
-    allocation: float = 0.5
 
     def rates(self) -> tuple[float, ...]:
         """Churn intensities in sweep order."""
         return tuple(self.figures)
 
-    def bias(self, rate: float, metric: str = "throughput_mbps") -> float:
-        """Naive A/B estimate minus the TTE at :attr:`allocation` (per unit)."""
-        figure = self.figures[rate]
-        return figure.ab_estimate(metric, self.allocation) - figure.tte(metric)
+    def heading(self, rate: float) -> str:
+        """The line above one intensity's figure summary."""
+        return f"=== churn intensity: {rate:g} flows/s ==="
 
-    def summary_lines(self) -> list[str]:
-        """Per-intensity figure summaries plus the bias/FCT comparison."""
-        lines: list[str] = []
-        for rate, figure in self.figures.items():
-            lines.append(f"=== churn intensity: {rate:g} flows/s ===")
-            lines.extend(figure.summary_lines())
-        lines.append("")
-        lines.append(
-            f"A/B-vs-TTE bias at {self.allocation:.0%} allocation (throughput, Mb/s per unit):"
-        )
-        for rate in self.figures:
-            lines.append(f"  churn {rate:>5g}/s: {self.bias(rate):+.2f}")
-        lines.append("churning flows at the 50% allocation arm:")
+    def label(self, rate: float) -> str:
+        """One intensity's label in the bias table."""
+        return f"churn {rate:>5g}/s"
+
+    def notes(self) -> list[str]:
+        """Counts and FCTs of the churning flows at each intensity."""
+        lines = ["churning flows at the 50% allocation arm:"]
         for rate, stats in self.churn.items():
             fct = "-" if stats.mean_fct_s is None else f"{stats.mean_fct_s:.3f}s"
             tail = "-"

@@ -1,29 +1,37 @@
-"""Shared machinery for the lab-experiment figures (Figures 2 and 3).
+"""Shared machinery for the lab-experiment figures.
 
-The paper's lab figures all have the same structure: the x-axis sweeps the
-A/B-test allocation (how many of the ten units are treated), and for every
-allocation the figure shows the treated and control groups' mean throughput
-and retransmission rate.  :class:`LabFigure` packages those rows together
-with the derived estimands (naive A/B estimates at each allocation, TTE,
-spillover) so benchmarks and examples can print them directly.
+The paper's lab figures (Figures 2 and 3) all have the same structure: the
+x-axis sweeps the A/B-test allocation (how many of the ten units are
+treated), and for every allocation the figure shows the treated and
+control groups' mean throughput and retransmission rate.
+:class:`LabFigure` packages those rows together with the derived estimands
+(naive A/B estimates at each allocation, TTE, spillover) so benchmarks and
+examples can print them directly.
+
+The topology labs run that sweep once per arm (a queue discipline, a
+topology, a churn intensity, an L4S stack) and compare the arms' naive
+A/B bias: :class:`BiasComparison` is that report.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import Any, ClassVar
 
-from repro.core.estimands import PotentialOutcomeCurve
-from repro.netsim.fluid.lab import LAB_METRICS, LabSweepResult
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.netsim.packet.sweep import PacketSweepResult
+from repro.core.estimands import AllocationSweep, PotentialOutcomeCurve
+from repro.netsim.fluid.lab import LAB_METRICS
 
 __all__ = [
+    "BIAS_ALLOCATION",
+    "BiasComparison",
     "LabFigureRow",
     "LabFigure",
     "sweep_to_figure",
 ]
+
+#: The allocation at which a :class:`BiasComparison` reads each arm's
+#: naive A/B estimate.
+BIAS_ALLOCATION = 0.5
 
 
 @dataclass(frozen=True)
@@ -44,13 +52,6 @@ class LabFigureRow:
         if self.treatment_throughput_mbps is None or self.control_throughput_mbps is None:
             return None
         return self.treatment_throughput_mbps - self.control_throughput_mbps
-
-    @property
-    def ab_retransmit_effect(self) -> float | None:
-        """Naive A/B retransmission estimate at this allocation."""
-        if self.treatment_retransmit is None or self.control_retransmit is None:
-            return None
-        return self.treatment_retransmit - self.control_retransmit
 
 
 @dataclass
@@ -116,14 +117,12 @@ class LabFigure:
         return lines
 
 
-def sweep_to_figure(
-    sweep: LabSweepResult | PacketSweepResult, name: str, description: str
-) -> LabFigure:
+def sweep_to_figure(sweep: AllocationSweep, name: str, description: str) -> LabFigure:
     """Convert a fluid or packet allocation sweep into the figure representation.
 
-    Both sweeps expose the same potential-outcome curves, so each row reads
-    the treated and control means at ``k/n`` off them (``None`` at the
-    endpoint with no units in that arm).
+    Each row reads the treated and control means at ``k/n`` off the
+    sweep's potential-outcome curves (``None`` at the endpoint with no
+    units in that arm).
     """
     throughput = sweep.curve("throughput_mbps")
     retransmit = sweep.curve("retransmit_fraction")
@@ -147,3 +146,58 @@ def sweep_to_figure(
         throughput_curve=throughput,
         retransmit_curve=retransmit,
     )
+
+
+@dataclass
+class BiasComparison:
+    """The same allocation sweep under several arms, and each arm's A/B bias.
+
+    ``figures[arm]`` is the :class:`LabFigure` of one arm; :meth:`bias`
+    reduces each to how far the naive A/B estimate at
+    :data:`BIAS_ALLOCATION` sits from the true total treatment effect.
+    Each topology lab subclasses this with its own arms and extra fields,
+    and overrides only what its report adds.
+    """
+
+    figures: dict[Any, LabFigure]
+
+    #: What the per-arm headings of :meth:`summary_lines` call an arm.
+    arm_noun: ClassVar[str] = "arm"
+    #: Width the bias table right-aligns arm labels to.
+    label_width: ClassVar[int] = 9
+
+    def bias(self, arm: Any, metric: str = "throughput_mbps") -> float:
+        """Naive A/B estimate minus the TTE at :data:`BIAS_ALLOCATION` (per unit)."""
+        figure = self.figures[arm]
+        return figure.ab_estimate(metric, BIAS_ALLOCATION) - figure.tte(metric)
+
+    def heading(self, arm: Any) -> str:
+        """The line above one arm's figure summary."""
+        return f"=== {self.arm_noun}: {arm} ==="
+
+    def label(self, arm: Any) -> str:
+        """One arm's label in the bias table."""
+        return f"{arm:>{self.label_width}}"
+
+    def notes(self) -> list[str]:
+        """Lines the report prints after the bias table (none by default)."""
+        return []
+
+    def summary_lines(self) -> list[str]:
+        """Per-arm figure summaries, the bias table, then :meth:`notes`."""
+        lines: list[str] = []
+        for arm, figure in self.figures.items():
+            lines.append(self.heading(arm))
+            lines.extend(figure.summary_lines())
+        lines.append("")
+        lines.append(
+            f"A/B-vs-TTE bias at {BIAS_ALLOCATION:.0%} allocation (throughput, Mb/s per unit):"
+        )
+        for arm in self.figures:
+            lines.append(f"  {self.label(arm)}: {self.bias(arm):+.2f}")
+        lines.extend(self.notes())
+        return lines
+
+    def cells(self) -> dict[str, float]:
+        """Scalar cells: each arm's bias."""
+        return {f"bias_throughput@0.5:{arm}": self.bias(arm) for arm in self.figures}

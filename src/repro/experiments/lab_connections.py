@@ -34,8 +34,6 @@ def run_connections_experiment(
     model: CompetitionModel | None = None,
     noise: float = 0.0,
     seed: int | None = 0,
-    jobs: int = 1,
-    cache=None,
 ) -> LabFigure:
     """Run the parallel-connections lab sweep and return the figure data.
 
@@ -49,8 +47,6 @@ def run_connections_experiment(
         Bottleneck and fluid-model parameters.
     noise, seed:
         Measurement noise level and seed.
-    jobs, cache:
-        Worker processes and optional result cache for the sweep arms.
     """
     if treatment_connections < 1 or control_connections < 1:
         raise ValueError("connection counts must be at least 1")
@@ -66,8 +62,6 @@ def run_connections_experiment(
         model=model,
         noise=noise,
         seed=seed,
-        jobs=jobs,
-        cache=cache,
     )
     return sweep_to_figure(
         sweep,
@@ -87,8 +81,6 @@ register(
         knob="noise",
         seeded=True,
         cells=lambda noise, seed: run_connections_experiment(noise=noise, seed=seed).cells(),
-        render=lambda args, parser, cache, tracer: run_connections_experiment(
-            jobs=args.jobs, cache=cache
-        ).summary_lines(),
+        render=lambda args, parser, cache, tracer: run_connections_experiment().summary_lines(),
     )
 )

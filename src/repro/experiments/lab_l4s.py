@@ -44,9 +44,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.experiments.figures import Figure, register
-from repro.experiments.lab_common import LabFigure, sweep_to_figure
+from repro.experiments.lab_common import BiasComparison, LabFigure, sweep_to_figure
 from repro.experiments.lab_topology import sweep_scale
-from repro.netsim.packet.queue import QUEUE_DISCIPLINES
 from repro.netsim.packet.simulation import FlowConfig
 from repro.netsim.packet.sweep import run_packet_sweep
 
@@ -65,7 +64,7 @@ L4S_ARMS: tuple[tuple[str, str, bool | str, bool], ...] = (
 
 
 @dataclass
-class L4sBiasComparison:
+class L4sBiasComparison(BiasComparison):
     """The connection-count sweep under the four L4S-lab arms.
 
     ``figures[arm]`` is the :class:`LabFigure` obtained under that arm;
@@ -76,54 +75,32 @@ class L4sBiasComparison:
     designed to keep near one.
     """
 
-    figures: dict[str, LabFigure]
     coexistence_l4s_mbps: float
     coexistence_classic_mbps: float
-    allocation: float = 0.5
+
+    label_width = 14
 
     def arms(self) -> tuple[str, ...]:
         """Arm names in sweep order."""
         return tuple(self.figures)
-
-    def bias(self, arm: str, metric: str = "throughput_mbps") -> float:
-        """Naive A/B estimate minus the TTE at :attr:`allocation` (per unit)."""
-        figure = self.figures[arm]
-        return figure.ab_estimate(metric, self.allocation) - figure.tte(metric)
 
     @property
     def coexistence_ratio(self) -> float:
         """Mean L4S-unit throughput over mean classic-unit throughput."""
         return self.coexistence_l4s_mbps / self.coexistence_classic_mbps
 
-    def summary_lines(self) -> list[str]:
-        """Per-arm figure summaries plus the bias and coexistence report."""
-        lines: list[str] = []
-        for arm, figure in self.figures.items():
-            lines.append(f"=== arm: {arm} ===")
-            lines.extend(figure.summary_lines())
-        lines.append("")
-        lines.append(
-            f"A/B-vs-TTE bias at {self.allocation:.0%} allocation "
-            f"(throughput, Mb/s per unit):"
-        )
-        for arm in self.figures:
-            lines.append(f"  {arm:>14}: {self.bias(arm):+.2f}")
-        lines.append(
-            "classic/L4S coexistence on one DualPI2 bottleneck "
-            "(mean per-unit throughput):"
-        )
-        lines.append(
+    def notes(self) -> list[str]:
+        """The classic/L4S coexistence report."""
+        return [
+            "classic/L4S coexistence on one DualPI2 bottleneck (mean per-unit throughput):",
             f"  l4s {self.coexistence_l4s_mbps:.2f} Mb/s vs classic "
             f"{self.coexistence_classic_mbps:.2f} Mb/s "
-            f"(ratio {self.coexistence_ratio:.2f})"
-        )
-        return lines
+            f"(ratio {self.coexistence_ratio:.2f})",
+        ]
 
     def cells(self) -> dict[str, float]:
         """Scalar cells: per-arm bias plus the coexistence ratio."""
-        cells = {f"bias_throughput@0.5:{arm}": self.bias(arm) for arm in self.figures}
-        cells["coexistence_ratio"] = self.coexistence_ratio
-        return cells
+        return {**super().cells(), "coexistence_ratio": self.coexistence_ratio}
 
 
 def run_l4s_experiment(
@@ -172,7 +149,7 @@ def run_l4s_experiment(
                 i, cc="reno", connections=control_connections, ecn=e, paced=p
             ),
             queue_discipline=discipline,
-            seed=seed if QUEUE_DISCIPLINES[discipline].uses_seed else None,
+            seed=seed,
             jobs=jobs,
             cache=cache,
             **scale,

@@ -32,8 +32,6 @@ def run_pacing_experiment(
     model: CompetitionModel | None = None,
     noise: float = 0.0,
     seed: int | None = 0,
-    jobs: int = 1,
-    cache=None,
 ) -> LabFigure:
     """Run the pacing lab sweep and return the figure data."""
     sweep = run_lab_sweep(
@@ -44,8 +42,6 @@ def run_pacing_experiment(
         model=model,
         noise=noise,
         seed=seed,
-        jobs=jobs,
-        cache=cache,
     )
     return sweep_to_figure(
         sweep,
@@ -65,8 +61,6 @@ register(
         knob="noise",
         seeded=True,
         cells=lambda noise, seed: run_pacing_experiment(noise=noise, seed=seed).cells(),
-        render=lambda args, parser, cache, tracer: run_pacing_experiment(
-            jobs=args.jobs, cache=cache
-        ).summary_lines(),
+        render=lambda args, parser, cache, tracer: run_pacing_experiment().summary_lines(),
     )
 )

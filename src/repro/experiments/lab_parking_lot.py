@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from collections.abc import Sequence
 
 from repro.experiments.figures import Figure, register
-from repro.experiments.lab_common import LabFigure, sweep_to_figure
+from repro.experiments.lab_common import BiasComparison, sweep_to_figure
 from repro.experiments.lab_topology import (
     AqmBiasComparison,
     parse_disciplines,
@@ -94,7 +94,7 @@ def _unit_start_segment(unit: int, n_segments: int) -> int:
 
 
 @dataclass
-class ParkingLotComparison:
+class ParkingLotComparison(BiasComparison):
     """The connection-count sweep on a single bottleneck vs a parking lot.
 
     ``figures`` holds one :class:`LabFigure` per topology (``"single"``,
@@ -113,41 +113,21 @@ class ParkingLotComparison:
         crosses — interference a per-queue audit cannot localize.
     """
 
-    figures: dict[str, LabFigure]
     n_segments: int
     remote_spillover_mbps: float
-    allocation: float = 0.5
 
-    def bias(self, topology: str, metric: str = "throughput_mbps") -> float:
-        """Naive A/B estimate minus the TTE at :attr:`allocation` (per unit)."""
-        figure = self.figures[topology]
-        return figure.ab_estimate(metric, self.allocation) - figure.tte(metric)
+    arm_noun = "topology"
 
-    def summary_lines(self) -> list[str]:
-        """Per-topology figure summaries plus the bias comparison."""
-        lines: list[str] = []
-        for topology, figure in self.figures.items():
-            lines.append(f"=== topology: {topology} ===")
-            lines.extend(figure.summary_lines())
-        lines.append("")
-        lines.append(
-            f"A/B-vs-TTE bias at {self.allocation:.0%} allocation (throughput, Mb/s per unit):"
-        )
-        for topology in self.figures:
-            lines.append(f"  {topology:>9}: {self.bias(topology):+.2f}")
-        lines.append(
+    def notes(self) -> list[str]:
+        """The cross-segment spillover line."""
+        return [
             f"cross-segment spillover (1 treated unit, controls sharing no queue "
             f"with it): {self.remote_spillover_mbps:+.2f} Mb/s"
-        )
-        return lines
+        ]
 
     def cells(self) -> dict[str, float]:
         """Scalar cells: per-topology bias plus the cross-segment spillover."""
-        cells = {
-            f"bias_throughput@0.5:{topology}": self.bias(topology) for topology in self.figures
-        }
-        cells["remote_spillover_mbps"] = self.remote_spillover_mbps
-        return cells
+        return {**super().cells(), "remote_spillover_mbps": self.remote_spillover_mbps}
 
 
 def run_parking_lot_experiment(

@@ -25,11 +25,15 @@ so results are deterministic and bit-identical for any worker count.
 from __future__ import annotations
 
 import argparse
-from dataclasses import dataclass
 from collections.abc import Sequence
 
 from repro.experiments.figures import Figure, register
-from repro.experiments.lab_common import LabFigure, sweep_to_figure
+from repro.experiments.lab_common import (
+    BIAS_ALLOCATION,
+    BiasComparison,
+    LabFigure,
+    sweep_to_figure,
+)
 from repro.netsim.packet.queue import QUEUE_DISCIPLINES
 from repro.netsim.packet.simulation import FlowConfig
 from repro.netsim.packet.sweep import run_packet_sweep
@@ -123,8 +127,7 @@ def run_rtt_experiment(
     )
 
 
-@dataclass
-class AqmBiasComparison:
+class AqmBiasComparison(BiasComparison):
     """The same allocation sweep under two or more queue disciplines.
 
     ``figures[d]`` is the :class:`LabFigure` obtained under discipline
@@ -132,27 +135,7 @@ class AqmBiasComparison:
     the naive A/B estimate sits from the true total treatment effect.
     """
 
-    figures: dict[str, LabFigure]
-    allocation: float = 0.5
-
-    def bias(self, discipline: str, metric: str = "throughput_mbps") -> float:
-        """Naive A/B estimate minus the TTE at :attr:`allocation` (per unit)."""
-        figure = self.figures[discipline]
-        return figure.ab_estimate(metric, self.allocation) - figure.tte(metric)
-
-    def summary_lines(self) -> list[str]:
-        """Per-discipline figure summaries plus the bias comparison."""
-        lines: list[str] = []
-        for discipline, figure in self.figures.items():
-            lines.append(f"=== queue discipline: {discipline} ===")
-            lines.extend(figure.summary_lines())
-        lines.append("")
-        lines.append(
-            f"A/B-vs-TTE bias at {self.allocation:.0%} allocation (throughput, Mb/s per unit):"
-        )
-        for discipline in self.figures:
-            lines.append(f"  {discipline:>9}: {self.bias(discipline):+.2f}")
-        return lines
+    arm_noun = "queue discipline"
 
     def cells(self) -> dict[str, float]:
         """Scalar cells per discipline: bias, TTE and the 50 % A/B estimate."""
@@ -161,7 +144,7 @@ class AqmBiasComparison:
             cells[f"bias_throughput@0.5:{discipline}"] = self.bias(discipline)
             cells[f"tte_throughput_mbps:{discipline}"] = figure.tte("throughput_mbps")
             cells[f"ab_throughput_mbps@0.5:{discipline}"] = figure.ab_estimate(
-                "throughput_mbps", 0.5
+                "throughput_mbps", BIAS_ALLOCATION
             )
         return cells
 
@@ -195,6 +178,8 @@ def run_aqm_experiment(
     """
     if not disciplines:
         raise ValueError("at least one queue discipline is required")
+    if len(set(disciplines)) != len(disciplines):
+        raise ValueError(f"queue disciplines must be distinct, got {list(disciplines)}")
     unknown = [d for d in disciplines if d not in QUEUE_DISCIPLINES]
     if unknown:
         raise ValueError(
@@ -214,9 +199,8 @@ def run_aqm_experiment(
                 i, cc="reno", connections=control_connections
             ),
             queue_discipline=discipline,
-            # A seed only enters the content key when the discipline
-            # draws randomness; for drop-tail/CoDel it stays inert.
-            seed=0 if QUEUE_DISCIPLINES[discipline].uses_seed else None,
+            # The sweep keys the seed only for a discipline that draws from it.
+            seed=0,
             jobs=jobs,
             cache=cache,
             **scale,
@@ -234,12 +218,12 @@ def run_aqm_experiment(
 
 
 def parse_disciplines(text: str, parser: argparse.ArgumentParser) -> tuple[str, ...]:
-    """The ``--disciplines`` flag: comma-separated queue discipline names."""
+    """The ``--disciplines`` flag: distinct comma-separated queue discipline names."""
     names = tuple(part.strip() for part in text.split(",") if part.strip())
     unknown = [name for name in names if name not in QUEUE_DISCIPLINES]
-    if not names or unknown:
+    if not names or unknown or len(set(names)) != len(names):
         parser.error(
-            f"--disciplines needs comma-separated names from "
+            f"--disciplines needs distinct comma-separated names from "
             f"{', '.join(sorted(QUEUE_DISCIPLINES))}; got {text!r}"
         )
     return names

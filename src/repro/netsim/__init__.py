@@ -26,7 +26,6 @@ Two simulators back the lab experiments of Section 3:
 from repro.netsim.fluid import (
     Application,
     BottleneckLink,
-    LabSweepResult,
     run_lab_experiment,
     run_lab_sweep,
 )
@@ -34,7 +33,6 @@ from repro.netsim.fluid import (
 __all__ = [
     "Application",
     "BottleneckLink",
-    "LabSweepResult",
     "run_lab_experiment",
     "run_lab_sweep",
 ]

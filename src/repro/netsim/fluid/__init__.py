@@ -27,7 +27,6 @@ from repro.netsim.fluid.competition import (
 )
 from repro.netsim.fluid.lab import (
     LabExperimentResult,
-    LabSweepResult,
     run_lab_experiment,
     run_lab_sweep,
 )
@@ -44,7 +43,6 @@ __all__ = [
     "weighted_water_fill",
     "weighted_water_fill_reference",
     "LabExperimentResult",
-    "LabSweepResult",
     "run_lab_experiment",
     "run_lab_sweep",
 ]

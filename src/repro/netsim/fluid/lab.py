@@ -7,19 +7,21 @@ and retransmission rate.  Every point of the sweep is one possible A/B
 test; the endpoints give the total treatment effect; the control group's
 drift gives the spillover.
 
-The harness produces :class:`~repro.core.estimands.PotentialOutcomeCurve`
-objects so the causal machinery of :mod:`repro.core` can be applied
-directly to the lab data — the same workflow an experimenter would follow.
+The sweeps return :class:`~repro.core.estimands.AllocationSweep`, the same
+result the packet-level sweep returns, so the causal machinery of
+:mod:`repro.core` applies directly to the lab data — the same workflow an
+experimenter would follow.  Each arm is a closed-form allocation, so the
+sweeps run their arms in this process rather than through the runner.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from collections.abc import Callable, Mapping, Sequence
 
 import numpy as np
 
-from repro.core.estimands import PotentialOutcomeCurve
+from repro.core.estimands import AllocationSweep
 from repro.netsim.fluid.application import Application
 from repro.netsim.fluid.competition import (
     CompetitionModel,
@@ -27,13 +29,9 @@ from repro.netsim.fluid.competition import (
     link_loss_rate,
 )
 from repro.netsim.fluid.link import BottleneckLink
-from repro.runner.cache import ResultCache
-from repro.runner.executor import ParallelExecutor
-from repro.runner.spec import ScenarioSpec, register_task
 
 __all__ = [
     "LabExperimentResult",
-    "LabSweepResult",
     "run_lab_experiment",
     "run_lab_sweep",
     "run_isolated_sweep",
@@ -81,12 +79,7 @@ class LabExperimentResult:
             float(source[a.app_id]) for a in self.applications if a.treated == treated
         ]
 
-    def ab_estimate(self, metric: str) -> float:
-        """The naive A/B estimate: treated mean minus control mean."""
-        return self.group_mean(metric, True) - self.group_mean(metric, False)
 
-
-@register_task("netsim.fluid_arm")
 def run_lab_experiment(
     applications: Sequence[Application],
     link: BottleneckLink | None = None,
@@ -95,9 +88,6 @@ def run_lab_experiment(
     seed: int | None = None,
 ) -> LabExperimentResult:
     """Run one lab test: all applications share the bottleneck.
-
-    Also the ``netsim.fluid_arm`` runner task: each arm of
-    :func:`run_lab_sweep` is one call.
 
     Parameters
     ----------
@@ -134,54 +124,17 @@ def run_lab_experiment(
     )
 
 
-@dataclass
-class LabSweepResult:
-    """Results of sweeping the number of treated units from 0 to n.
-
-    Attributes
-    ----------
-    n_units:
-        Total number of applications in every run.
-    results:
-        ``results[k]`` is the :class:`LabExperimentResult` with ``k`` treated
-        applications.
-    """
-
-    n_units: int
-    results: dict[int, LabExperimentResult] = field(default_factory=dict)
-
-    @property
-    def allocations(self) -> list[float]:
-        """Treatment allocations covered by the sweep."""
-        return [k / self.n_units for k in sorted(self.results)]
-
-    def curve(self, metric: str) -> PotentialOutcomeCurve:
-        """Potential-outcome curve ``mu_T(p)``, ``mu_C(p)`` for a metric."""
-        mu_t: dict[float, float] = {}
-        mu_c: dict[float, float] = {}
-        for k, result in self.results.items():
-            p = k / self.n_units
-            if k > 0:
-                mu_t[p] = result.group_mean(metric, treated=True)
-            if k < self.n_units:
-                mu_c[p] = result.group_mean(metric, treated=False)
-        return PotentialOutcomeCurve(metric, mu_t, mu_c)
-
-    def ab_estimates(self, metric: str) -> dict[float, float]:
-        """Naive A/B estimates at every interior allocation of the sweep."""
-        estimates: dict[float, float] = {}
-        for k, result in self.results.items():
-            if 0 < k < self.n_units:
-                estimates[k / self.n_units] = result.ab_estimate(metric)
-        return estimates
-
-    def tte(self, metric: str) -> float:
-        """Total treatment effect measured by the sweep's endpoints."""
-        return self.curve(metric).tte()
-
-    def spillover(self, metric: str, allocation: float) -> float:
-        """Spillover on control units at the given allocation."""
-        return self.curve(metric).spillover(allocation)
+def _arm_applications(
+    n_units: int,
+    n_treated: int,
+    treatment_factory: Callable[[int], Application],
+    control_factory: Callable[[int], Application],
+) -> list[Application]:
+    """The applications of one sweep arm: the first ``n_treated`` ids treated."""
+    return [
+        treatment_factory(i).as_treated() if i < n_treated else control_factory(i).as_control()
+        for i in range(n_units)
+    ]
 
 
 def run_lab_sweep(
@@ -192,10 +145,7 @@ def run_lab_sweep(
     model: CompetitionModel | None = None,
     noise: float = 0.0,
     seed: int | None = None,
-    jobs: int = 1,
-    cache: ResultCache | None = None,
-    executor: ParallelExecutor | None = None,
-) -> LabSweepResult:
+) -> AllocationSweep:
     """Sweep the number of treated applications from 0 to ``n_units``.
 
     Parameters
@@ -206,46 +156,22 @@ def run_lab_sweep(
         Callables mapping an application id to a treated / control
         :class:`Application`.  The first ``k`` ids are treated in the run
         with ``k`` treated units.
-    link, model, noise, seed:
+    link, model, noise:
         Passed through to :func:`run_lab_experiment`.
-    jobs, cache, executor:
-        Each allocation is one independent arm; arms run through a
-        :class:`~repro.runner.executor.ParallelExecutor` with ``jobs``
-        worker processes and an optional result cache.  Every arm derives
-        its noise from ``seed + k``, so results are bit-identical for any
-        ``jobs``.
+    seed:
+        The run with ``k`` treated units draws its noise from ``seed + k``.
     """
     if n_units < 1:
         raise ValueError("n_units must be at least 1")
-    # Resolve defaults before building specs so the cache key records the
-    # actual simulation inputs rather than None placeholders.
-    link = link or BottleneckLink()
-    model = model or CompetitionModel()
-    specs: list[ScenarioSpec] = []
+    sweep = AllocationSweep(n_units)
     for k in range(n_units + 1):
-        apps: list[Application] = []
-        for i in range(n_units):
-            if i < k:
-                apps.append(treatment_factory(i).as_treated())
-            else:
-                apps.append(control_factory(i).as_control())
-        specs.append(
-            ScenarioSpec(
-                task="netsim.fluid_arm",
-                params={
-                    "applications": tuple(apps),
-                    "link": link,
-                    "model": model,
-                    "noise": noise,
-                },
-                seed=None if seed is None else seed + k,
-                label=f"fluid_arm[k={k}/{n_units}]",
-            )
+        sweep.results[k] = run_lab_experiment(
+            _arm_applications(n_units, k, treatment_factory, control_factory),
+            link=link,
+            model=model,
+            noise=noise,
+            seed=None if seed is None else seed + k,
         )
-    executor = executor or ParallelExecutor(jobs=jobs, cache=cache)
-    sweep = LabSweepResult(n_units=n_units)
-    for k, result in enumerate(executor.map(specs)):
-        sweep.results[k] = result
     return sweep
 
 
@@ -255,7 +181,7 @@ def run_isolated_sweep(
     control_factory: Callable[[int], Application],
     link: BottleneckLink | None = None,
     model: CompetitionModel | None = None,
-) -> LabSweepResult:
+) -> AllocationSweep:
     """Sweep in which every application has a dedicated (non-shared) link.
 
     This realizes the "no interference" world of the paper's Figure 1a:
@@ -272,18 +198,12 @@ def run_isolated_sweep(
         buffer_bdp=link.buffer_bdp,
         mtu_bytes=link.mtu_bytes,
     )
-    sweep = LabSweepResult(n_units=n_units)
+    sweep = AllocationSweep(n_units)
     for k in range(n_units + 1):
         throughput: dict[int, float] = {}
         retrans: dict[int, float] = {}
-        apps: list[Application] = []
-        for i in range(n_units):
-            app = (
-                treatment_factory(i).as_treated()
-                if i < k
-                else control_factory(i).as_control()
-            )
-            apps.append(app)
+        apps = _arm_applications(n_units, k, treatment_factory, control_factory)
+        for app in apps:
             solo = run_lab_experiment([app], link=slice_link, model=model)
             throughput[app.app_id] = solo.throughput_mbps[app.app_id]
             retrans[app.app_id] = solo.retransmit_fraction[app.app_id]

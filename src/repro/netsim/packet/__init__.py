@@ -47,7 +47,7 @@ from repro.netsim.packet.queue import (
     make_queue,
 )
 from repro.netsim.packet.simulation import FlowConfig, PacketSimResult, simulate
-from repro.netsim.packet.sweep import PacketSweepResult, run_packet_sweep
+from repro.netsim.packet.sweep import run_packet_sweep
 from repro.netsim.packet.tcp import BBRSender, CubicSender, RenoSender, TcpSender
 
 __all__ = [
@@ -67,7 +67,6 @@ __all__ = [
     "FlowConfig",
     "PacketSimResult",
     "simulate",
-    "PacketSweepResult",
     "run_packet_sweep",
     "BBRSender",
     "CubicSender",

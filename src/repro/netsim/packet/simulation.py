@@ -34,6 +34,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["FlowConfig", "FlowResult", "PacketSimResult", "simulate"]
 
+#: The per-application metrics :meth:`PacketSimResult.group_mean` averages.
+_GROUP_METRICS: tuple[str, ...] = ("throughput_mbps", "retransmit_fraction")
+
 
 @dataclass(frozen=True)
 class FlowConfig:
@@ -171,19 +174,18 @@ class PacketSimResult:
                 return f
         raise KeyError(f"no flow with id {flow_id}")
 
-    def group_mean_throughput(self, treated: bool) -> float:
-        """Mean application throughput (Mb/s) of one arm."""
-        values = [f.throughput_mbps for f in self.flows if f.treated == treated]
+    def group_mean(self, metric: str, treated: bool) -> float:
+        """Mean ``throughput_mbps`` or ``retransmit_fraction`` of one arm."""
+        if metric not in _GROUP_METRICS:
+            raise KeyError(f"unknown metric {metric!r}; expected one of {_GROUP_METRICS}")
+        values = [getattr(f, metric) for f in self.flows if f.treated == treated]
         if not values:
             raise ValueError("no flows in the requested arm")
         return sum(values) / len(values)
 
-    def group_mean_retransmit(self, treated: bool) -> float:
-        """Mean retransmit fraction of one arm."""
-        values = [f.retransmit_fraction for f in self.flows if f.treated == treated]
-        if not values:
-            raise ValueError("no flows in the requested arm")
-        return sum(values) / len(values)
+    def group_mean_throughput(self, treated: bool) -> float:
+        """Mean application throughput (Mb/s) of one arm."""
+        return self.group_mean("throughput_mbps", treated)
 
     def total_throughput_mbps(self) -> float:
         """Aggregate throughput of all applications."""

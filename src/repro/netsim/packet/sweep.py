@@ -1,76 +1,32 @@
 """Allocation sweeps on the packet-level simulator.
 
-Mirrors :func:`repro.netsim.fluid.lab.run_lab_sweep` but drives the
-discrete-event simulator instead of the fluid model: for every number of
-treated applications from 0 to ``n_units``, run a packet-level simulation
-and record each arm's mean throughput and retransmission fraction.  The
-result exposes the same :class:`~repro.core.estimands.PotentialOutcomeCurve`
-interface, so the causal machinery (TTE, spillover, SUTVA checks) applies
+For every number of treated applications from 0 to ``n_units``, run a
+packet-level simulation and record each arm's mean throughput and
+retransmission fraction.  The result is the
+:class:`~repro.core.estimands.AllocationSweep` the fluid lab sweep also
+returns, so the causal machinery (TTE, spillover, SUTVA checks) applies
 unchanged — this is what the packet-vs-fluid ablation builds on.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from collections.abc import Callable, Mapping, Sequence
 from typing import Any
 
-from repro.core.estimands import PotentialOutcomeCurve
+from repro.core.estimands import AllocationSweep
 from repro.netsim.packet.network import PathConfig, QueueConfig
 from repro.netsim.packet.queue import QUEUE_DISCIPLINES
-from repro.netsim.packet.simulation import FlowConfig, PacketSimResult
+from repro.netsim.packet.simulation import FlowConfig
 from repro.runner.cache import ResultCache
 from repro.runner.executor import ParallelExecutor
 from repro.runner.spec import ScenarioSpec
 
-__all__ = ["PacketSweepResult", "run_packet_sweep"]
+__all__ = ["run_packet_sweep"]
 
-
-@dataclass
-class PacketSweepResult:
-    """Results of a packet-level allocation sweep.
-
-    Attributes
-    ----------
-    n_units:
-        Number of applications in every run.
-    results:
-        ``results[k]`` is the :class:`PacketSimResult` with ``k`` treated
-        applications.
-    """
-
-    n_units: int
-    results: dict[int, PacketSimResult] = field(default_factory=dict)
-
-    def curve(self, metric: str) -> PotentialOutcomeCurve:
-        """Potential-outcome curve for ``throughput_mbps`` or ``retransmit_fraction``."""
-        if metric not in ("throughput_mbps", "retransmit_fraction"):
-            raise KeyError(
-                f"unknown metric {metric!r}; expected 'throughput_mbps' or 'retransmit_fraction'"
-            )
-        mu_t: dict[float, float] = {}
-        mu_c: dict[float, float] = {}
-        for k, result in self.results.items():
-            p = k / self.n_units
-            if metric == "throughput_mbps":
-                if k > 0:
-                    mu_t[p] = result.group_mean_throughput(True)
-                if k < self.n_units:
-                    mu_c[p] = result.group_mean_throughput(False)
-            else:
-                if k > 0:
-                    mu_t[p] = result.group_mean_retransmit(True)
-                if k < self.n_units:
-                    mu_c[p] = result.group_mean_retransmit(False)
-        return PotentialOutcomeCurve(metric, mu_t, mu_c)
-
-    def tte(self, metric: str) -> float:
-        """Total treatment effect measured by the sweep's endpoints."""
-        return self.curve(metric).tte()
-
-    def ab_estimate(self, metric: str, allocation: float) -> float:
-        """Naive A/B estimate at an interior allocation."""
-        return self.curve(metric).ate(allocation)
+# The benchmark harness (perfbench/workloads.py) imports and builds
+# sweep results under this older name.
+PacketSweepResult = AllocationSweep
 
 
 def _discipline_consumes_seed(
@@ -132,7 +88,7 @@ def run_packet_sweep(
     jobs: int = 1,
     cache: ResultCache | None = None,
     executor: ParallelExecutor | None = None,
-) -> PacketSweepResult:
+) -> AllocationSweep:
     """Sweep the number of treated applications on the packet simulator.
 
     Parameters
@@ -279,7 +235,7 @@ def run_packet_sweep(
         )
 
     executor = executor or ParallelExecutor(jobs=jobs, cache=cache)
-    sweep = PacketSweepResult(n_units=n_units)
+    sweep = AllocationSweep(n_units)
     for k, result in zip(allocations, executor.map(specs)):
         sweep.results[int(k)] = result
     return sweep

@@ -20,10 +20,10 @@ Three tiers, each usable on its own (see ``docs/observability.md``):
 
 :mod:`repro.obs.metrics` holds the engine-counter schema
 (:class:`~repro.obs.metrics.EngineCounters`) every packet simulation
-reports, and a small mergeable :class:`~repro.obs.metrics.MetricsRegistry`.
+reports.
 """
 
-from repro.obs.metrics import EngineCounters, MetricsRegistry
+from repro.obs.metrics import EngineCounters
 from repro.obs.probe import Probe, ProbeConfig, ProbeLog, ProbeRecord, TraceRecorder
 from repro.obs.profile import format_hotspots, merge_profile_rows
 from repro.obs.report import render_report
@@ -31,7 +31,6 @@ from repro.obs.trace import ProgressPrinter, RunTracer, TaskRun, walltime
 
 __all__ = [
     "EngineCounters",
-    "MetricsRegistry",
     "Probe",
     "ProbeConfig",
     "ProbeLog",

@@ -1,22 +1,16 @@
-"""Engine counters and a small mergeable metrics registry.
+"""Engine counters: what every packet simulation reports about its run.
 
-:class:`EngineCounters` is the counter schema every packet simulation
-reports (satellite of the observability layer): one record per run, the
-same fields batched or not, so dashboards and reports never branch on
-the engine configuration.
-
-:class:`MetricsRegistry` is the accumulation side: a flat name → number
-mapping with ``inc``/``set_gauge``/``merge``, used by the CLI to total
-engine counters across fleets and by the run report to render them.
-Deterministic by construction — it holds only what callers put in and
-renders in sorted name order.
+:class:`EngineCounters` is one record per run, the same fields batched or
+not, so reports never branch on the engine configuration.  ``repro fleet``
+totals them across shards into its trace metadata, and ``repro report``
+renders them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["EngineCounters", "MetricsRegistry"]
+__all__ = ["EngineCounters"]
 
 
 @dataclass(frozen=True)
@@ -54,36 +48,3 @@ class EngineCounters:
             "pool_reused": float(self.pool_reused),
             "random_losses": float(self.random_losses),
         }
-
-
-class MetricsRegistry:
-    """A flat, mergeable name → value store for run-level counters."""
-
-    def __init__(self) -> None:
-        self._values: dict[str, float] = {}
-
-    def inc(self, name: str, amount: float = 1.0) -> None:
-        """Add ``amount`` to a counter (creating it at 0)."""
-        self._values[name] = self._values.get(name, 0.0) + float(amount)
-
-    def set_gauge(self, name: str, value: float) -> None:
-        """Set a gauge to an absolute value (last write wins)."""
-        self._values[name] = float(value)
-
-    def get(self, name: str, default: float = 0.0) -> float:
-        """Current value of a counter/gauge."""
-        return self._values.get(name, default)
-
-    def merge(self, other: MetricsRegistry | dict[str, float]) -> None:
-        """Fold another registry (or mapping) in by summation."""
-        values = other._values if isinstance(other, MetricsRegistry) else other
-        for name in sorted(values):
-            self.inc(name, values[name])
-
-    def as_dict(self) -> dict[str, float]:
-        """All values, sorted by name."""
-        return {name: self._values[name] for name in sorted(self._values)}
-
-    def __len__(self) -> int:
-        """Number of distinct metric names."""
-        return len(self._values)

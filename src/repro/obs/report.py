@@ -17,7 +17,7 @@ from typing import Any
 
 from repro.obs.profile import format_hotspots
 
-__all__ = ["configure_parser", "main", "render_report", "run_report"]
+__all__ = ["configure_parser", "render_report", "run_report"]
 
 
 def _load_json(path: Path) -> dict[str, Any] | None:
@@ -117,12 +117,7 @@ def render_report(rundir: str | Path, top: int = 15) -> str:
 
 
 def configure_parser(parser: argparse.ArgumentParser) -> argparse.ArgumentParser:
-    """Declare the ``repro report`` option surface on ``parser``.
-
-    Shared between the standalone parser below and the ``report``
-    subcommand of the main CLI, so both spellings accept exactly the
-    same flags.
-    """
+    """Declare the ``repro report`` flags on the CLI's ``report`` subcommand parser."""
     parser.add_argument("rundir", help="Run directory written by --trace")
     parser.add_argument("--top", type=int, default=15, help="Hotspot rows to show (default 15)")
     return parser
@@ -136,14 +131,3 @@ def run_report(options: argparse.Namespace) -> int:
         return 2
     print(render_report(rundir, top=options.top))
     return 0
-
-
-def main(argv: list[str] | None = None) -> int:
-    """Entry point for ``repro report``."""
-    parser = configure_parser(
-        argparse.ArgumentParser(
-            prog="repro report",
-            description="Render a report for a traced run directory.",
-        )
-    )
-    return run_report(parser.parse_args(argv))

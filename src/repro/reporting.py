@@ -12,7 +12,6 @@ from collections.abc import Mapping, Sequence
 __all__ = [
     "format_table",
     "format_percent",
-    "format_estimate_row",
     "format_series",
 ]
 
@@ -42,16 +41,6 @@ def format_table(
     for row in rows:
         lines.append("  ".join(str(cell).rjust(w) for cell, w in zip(row, widths)))
     return "\n".join(lines)
-
-
-def format_estimate_row(
-    metric: str, estimates: Mapping[str, float], decimals: int = 1
-) -> str:
-    """Render one metric's estimates, e.g. for a Figure 5 style row."""
-    parts = [f"{metric}:"]
-    for name, value in estimates.items():
-        parts.append(f"{name}={100.0 * value:+.{decimals}f}%")
-    return " ".join(parts)
 
 
 def format_series(series: Mapping[int, float], decimals: int = 3) -> str:

@@ -1,9 +1,10 @@
 """Process-parallel scenario runner with deterministic result caching.
 
-Every sweep and replication in the repository — packet-level allocation
-sweeps, fluid lab sweeps, paired-link workload weeks, multi-seed figure
-replications — is a flat list of independent simulation arms.  This
-package gives those arms a common shape and a common execution engine:
+Every sweep and replication in the repository that pays for dispatch —
+packet-level allocation sweeps, fleet shards, paired-link workload weeks,
+design emulations, multi-seed figure replications — is a flat list of
+independent simulation arms.  This package gives those arms a common
+shape and a common execution engine:
 
 :class:`~repro.runner.spec.ScenarioSpec`
     A declarative, picklable description of one arm: a registered task
@@ -21,12 +22,15 @@ package gives those arms a common shape and a common execution engine:
 
 The runner imports nothing from the layers above it.  Each task
 registers on the function it runs, in the module that defines it: the
-packet, fluid and fleet arms in :mod:`repro.netsim`, the paired-link
-workload tables and ``figure.cells`` in :mod:`repro.experiments`.
+packet and fleet arms in :mod:`repro.netsim`, the paired-link workload
+tables, the design emulations and ``figure.cells`` in
+:mod:`repro.experiments`.  A fluid lab arm is a closed-form allocation
+that costs less than its dispatch, so the fluid sweeps run their arms
+in-process and register no task.
 """
 
 from repro.runner.cache import ResultCache, default_cache_dir
-from repro.runner.executor import ParallelExecutor, run_specs
+from repro.runner.executor import ParallelExecutor
 from repro.runner.spec import (
     ScenarioSpec,
     canonical,
@@ -46,5 +50,4 @@ __all__ = [
     "get_task",
     "register_task",
     "run_spec",
-    "run_specs",
 ]

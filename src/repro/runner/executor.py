@@ -30,7 +30,7 @@ from repro.obs.trace import RunTracer, TaskRun, observe_spec
 from repro.runner.cache import ResultCache
 from repro.runner.spec import ScenarioSpec, content_key, get_task
 
-__all__ = ["ParallelExecutor", "run_specs"]
+__all__ = ["ParallelExecutor"]
 
 
 class ParallelExecutor:
@@ -122,12 +122,3 @@ class ParallelExecutor:
             }
             for future in as_completed(futures):
                 yield futures[future], future.result()
-
-
-def run_specs(
-    specs: Iterable[ScenarioSpec],
-    jobs: int | None = 1,
-    cache: ResultCache | None = None,
-) -> list[Any]:
-    """Convenience wrapper: build an executor and map the specs."""
-    return ParallelExecutor(jobs=jobs, cache=cache).map(specs)

@@ -6,7 +6,6 @@ import pytest
 from repro.core.assignment import (
     Assignment,
     bernoulli_assignment,
-    cluster_assignment,
     fixed_fraction_assignment,
     interval_assignment,
 )
@@ -122,27 +121,3 @@ class TestIntervalAssignment:
     def test_zero_intervals_raise(self):
         with pytest.raises(ValueError):
             interval_assignment(0)
-
-
-class TestClusterAssignment:
-    def test_units_in_same_cluster_share_assignment(self):
-        ids = [0, 0, 1, 1, 2, 2]
-        a = cluster_assignment(ids, 0.5, seed=0)
-        treated = a.treated
-        assert treated[0] == treated[1]
-        assert treated[2] == treated[3]
-        assert treated[4] == treated[5]
-
-    def test_two_dimensional_ids_raise(self):
-        with pytest.raises(ValueError):
-            cluster_assignment(np.zeros((2, 2)), 0.5)
-
-    def test_reproducible(self):
-        ids = list(range(10)) * 3
-        a = cluster_assignment(ids, 0.5, seed=4)
-        b = cluster_assignment(ids, 0.5, seed=4)
-        assert np.array_equal(a.treated, b.treated)
-
-    def test_allocation_zero_treats_nothing(self):
-        a = cluster_assignment([1, 2, 3], 0.0, seed=0)
-        assert a.n_treated == 0

@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.core.estimands import EstimandSet, PotentialOutcomeCurve, sutva_holds
+from repro.core.estimands import (
+    AllocationSweep,
+    EstimandSet,
+    PotentialOutcomeCurve,
+    sutva_holds,
+)
 
 
 def interference_curve():
@@ -133,3 +138,40 @@ class TestSutvaCheck:
         curve = PotentialOutcomeCurve("m", mu_t, mu_c)
         assert not sutva_holds(curve, tolerance=1e-9)
         assert sutva_holds(curve, tolerance=0.01, relative=True)
+
+
+class _Run:
+    """A lab run reduced to each arm's mean outcome."""
+
+    def __init__(self, treated=None, control=None):
+        self.means = {True: treated, False: control}
+
+    def group_mean(self, metric, treated):
+        return self.means[treated]
+
+
+class TestAllocationSweep:
+    """A sweep reads every estimand off its runs' group means."""
+
+    def sweep(self):
+        return AllocationSweep(
+            2,
+            {0: _Run(control=1.0), 1: _Run(treated=1.6, control=0.8), 2: _Run(treated=1.0)},
+        )
+
+    def test_allocations(self):
+        assert self.sweep().allocations == [0.0, 0.5, 1.0]
+
+    def test_curve_reads_group_means(self):
+        curve = self.sweep().curve("throughput")
+        assert curve.metric == "throughput"
+        assert curve.mu_treatment(0.5) == 1.6
+        assert curve.mu_control(0.5) == 0.8
+        assert curve.mu_control(0.0) == 1.0
+
+    def test_estimands(self):
+        sweep = self.sweep()
+        assert sweep.tte("throughput") == 0.0
+        assert sweep.ab_estimate("throughput", 0.5) == pytest.approx(0.8)
+        assert sweep.ab_estimates("throughput") == {0.5: pytest.approx(0.8)}
+        assert sweep.spillover("throughput", 0.5) == pytest.approx(-0.2)

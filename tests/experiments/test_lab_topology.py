@@ -2,6 +2,13 @@
 
 import pytest
 
+from repro.cli import main
+from repro.experiments import (
+    BiasComparison,
+    ChurnBiasComparison,
+    L4sBiasComparison,
+    ParkingLotComparison,
+)
 from repro.experiments.lab_topology import (
     AqmBiasComparison,
     run_aqm_experiment,
@@ -81,6 +88,28 @@ class TestAqmExperiment:
         with pytest.raises(ValueError):
             run_aqm_experiment(disciplines=())
 
+    def test_repeated_discipline_raises(self):
+        with pytest.raises(ValueError, match="distinct"):
+            run_aqm_experiment(disciplines=("droptail", "droptail"), quick=True)
+
+    @pytest.mark.parametrize("figure", ["topo_aqm", "topo_fq"])
+    def test_cli_rejects_repeated_discipline(self, figure, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([figure, "--quick", "--disciplines", "droptail,codel,droptail"])
+        assert exc.value.code == 2
+        assert "distinct" in capsys.readouterr().err
+
     def test_comparison_is_plain_dataclass(self, aqm_comparison):
         rebuilt = AqmBiasComparison(figures=dict(aqm_comparison.figures))
         assert rebuilt.bias("droptail") == aqm_comparison.bias("droptail")
+
+
+class TestBiasComparison:
+    def test_topology_labs_share_one_bias_report(self):
+        for comparison in (
+            AqmBiasComparison,
+            ParkingLotComparison,
+            ChurnBiasComparison,
+            L4sBiasComparison,
+        ):
+            assert issubclass(comparison, BiasComparison)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.estimands import sutva_holds
+from repro.core.estimands import AllocationSweep, sutva_holds
 from repro.netsim.fluid import (
     Application,
     BottleneckLink,
@@ -13,6 +13,7 @@ from repro.netsim.fluid import (
 )
 from repro.netsim.fluid.competition import CompetitionModel
 from repro.netsim.fluid.lab import run_isolated_sweep
+from repro.runner.spec import get_task
 
 
 class TestBottleneckLink:
@@ -249,6 +250,30 @@ class TestLabSweep:
     def test_invalid_n_units_raises(self):
         with pytest.raises(ValueError):
             run_lab_sweep(0, lambda i: Application(i), lambda i: Application(i))
+
+    def test_returns_an_allocation_sweep(self):
+        for sweep_fn in (run_lab_sweep, run_isolated_sweep):
+            sweep = sweep_fn(2, lambda i: Application(i, connections=2), Application)
+            assert isinstance(sweep, AllocationSweep)
+            assert sorted(sweep.results) == [0, 1, 2]
+
+    def test_takes_no_runner_arguments(self):
+        # A fluid arm is a closed-form allocation: it runs in-process, with
+        # no worker fan-out and no result cache.
+        with pytest.raises(TypeError):
+            run_lab_sweep(2, Application, Application, jobs=2)
+
+    @pytest.mark.parametrize("substrate, is_task", [("packet", True), ("fluid", False)])
+    def test_only_packet_arms_are_runner_tasks(self, substrate, is_task):
+        import repro.netsim.fluid.lab  # noqa: F401
+        import repro.netsim.packet.simulation  # noqa: F401
+
+        name = f"netsim.{substrate}_arm"
+        if is_task:
+            assert callable(get_task(name))
+        else:
+            with pytest.raises(KeyError):
+                get_task(name)
 
 
 class TestIsolatedSweep:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.estimands import AllocationSweep
 from repro.netsim.packet.network import PathConfig, parking_lot_path, parking_lot_queues
 from repro.netsim.packet.simulation import FlowConfig
 from repro.netsim.packet.sweep import run_packet_sweep
@@ -69,6 +70,17 @@ class TestPacketSweep:
     def test_unknown_metric_raises(self, connection_sweep):
         with pytest.raises(KeyError):
             connection_sweep.curve("nope")
+
+    def test_returns_an_allocation_sweep(self):
+        sweep = run_packet_sweep(
+            2,
+            treatment_factory=lambda i: FlowConfig(i),
+            control_factory=lambda i: FlowConfig(i),
+            allocations=(0, 2),
+            executor=SpecRecorder(),
+        )
+        assert isinstance(sweep, AllocationSweep)
+        assert sorted(sweep.results) == [0, 2]
 
     def test_invalid_allocation_raises(self):
         with pytest.raises(ValueError):

@@ -268,3 +268,9 @@ class TestPacketSimulation:
         result = simulate([FlowConfig(0)], capacity_mbps=10, duration_s=5, warmup_s=1)
         with pytest.raises(ValueError):
             result.group_mean_throughput(True)
+
+    def test_group_mean_rejects_unknown_metric(self):
+        result = simulate([FlowConfig(0)], capacity_mbps=10, duration_s=2, warmup_s=1)
+        assert result.group_mean("throughput_mbps", False) == result.flows[0].throughput_mbps
+        with pytest.raises(KeyError):
+            result.group_mean("nope", False)

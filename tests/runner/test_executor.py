@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from repro.runner import ParallelExecutor, ResultCache, ScenarioSpec, register_task, run_specs
+from repro.runner import ParallelExecutor, ResultCache, ScenarioSpec, register_task
 
 _EXECUTIONS = []
 
@@ -56,9 +56,6 @@ class TestParallelExecutor:
     def test_task_error_propagates(self):
         with pytest.raises(RuntimeError, match="task exploded"):
             ParallelExecutor(jobs=1).map([ScenarioSpec(task="test.fail")])
-
-    def test_run_specs_convenience(self):
-        assert run_specs(_echo_specs(2))[1]["index"] == 1
 
 
 class TestExecutorCaching:
@@ -128,7 +125,6 @@ class TestSpawnWorkers:
 
         import repro.experiments.paired_link  # noqa: F401  (workload tables)
         from repro.netsim.fleet import FleetSpec, shard_specs
-        from repro.netsim.fluid.application import Application
         from repro.netsim.packet.simulation import FlowConfig
         from repro.runner import executor as executor_module
         from repro.workload.netflix import WorkloadConfig
@@ -152,10 +148,6 @@ class TestSpawnWorkers:
             ),
             fleet_specs[0],
             ScenarioSpec(
-                task="netsim.fluid_arm",
-                params={"applications": (Application(0), Application(1, connections=2))},
-            ),
-            ScenarioSpec(
                 task="workload.aa_table",
                 params={
                     "config": WorkloadConfig(sessions_at_peak=20, n_accounts=100),
@@ -167,7 +159,6 @@ class TestSpawnWorkers:
         assert [s.task for s in specs] == [
             "netsim.packet_arm",
             "fleet.shard_arm",
-            "netsim.fluid_arm",
             "workload.aa_table",
             "debug.echo",
         ]

@@ -3,15 +3,13 @@
 Every sweep derives its randomness from per-arm seeds, so fanning arms
 out over worker processes cannot change any result.  These tests assert
 exact equality (not approximate) between ``jobs=1`` and ``jobs>1`` for
-the packet sweep, the fluid lab sweep and the paired-link experiment.
+the packet sweep and the paired-link experiment.
 """
 
 import numpy as np
 import pytest
 
 from repro.experiments import PairedLinkExperiment
-from repro.netsim.fluid.application import Application
-from repro.netsim.fluid.lab import run_lab_sweep
 from repro.netsim.packet.simulation import FlowConfig
 from repro.netsim.packet.sweep import run_packet_sweep
 from repro.workload import WorkloadConfig
@@ -138,25 +136,6 @@ class TestChurnSweepParallel:
             assert serial.results[k].traffic == parallel.results[k].traffic
 
 
-class TestFluidSweepParallel:
-    def _sweep(self, jobs):
-        return run_lab_sweep(
-            6,
-            treatment_factory=lambda i: Application(i, cc="reno", connections=2),
-            control_factory=lambda i: Application(i, cc="reno", connections=1),
-            noise=0.05,
-            seed=11,
-            jobs=jobs,
-        )
-
-    def test_jobs3_equals_serial_with_noise(self):
-        serial = self._sweep(jobs=1)
-        parallel = self._sweep(jobs=3)
-        assert sorted(serial.results) == sorted(parallel.results)
-        for k in serial.results:
-            assert serial.results[k] == parallel.results[k]
-
-
 class TestPairedLinkParallel:
     @pytest.fixture(scope="class")
     def outcomes(self):
@@ -181,22 +160,3 @@ class TestPairedLinkParallel:
                     estimate.relative_percent
                     == parallel.estimates[estimand][metric].relative_percent
                 )
-
-
-class TestSweepCaching:
-    def test_cached_rerun_matches_fresh_run(self, tmp_path):
-        from repro.runner import ResultCache
-
-        cache = ResultCache(tmp_path)
-        kwargs = dict(
-            treatment_factory=lambda i: Application(i, cc="reno", paced=True),
-            control_factory=lambda i: Application(i, cc="reno", paced=False),
-            noise=0.02,
-            seed=3,
-        )
-        fresh = run_lab_sweep(4, cache=cache, **kwargs)
-        assert cache.hits == 0
-        cached = run_lab_sweep(4, cache=cache, **kwargs)
-        assert cache.hits == 5  # one per allocation 0..4
-        for k in fresh.results:
-            assert fresh.results[k] == cached.results[k]

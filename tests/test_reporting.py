@@ -3,7 +3,6 @@
 import pytest
 
 from repro.reporting import (
-    format_estimate_row,
     format_percent,
     format_series,
     format_table,
@@ -40,14 +39,6 @@ class TestFormatTable:
     def test_wide_cells_extend_columns(self):
         text = format_table(["h"], [["a-very-long-cell-value"]])
         assert "a-very-long-cell-value" in text
-
-
-class TestFormatEstimateRow:
-    def test_contains_metric_and_values(self):
-        row = format_estimate_row("throughput", {"tte": 0.12, "ab": -0.05})
-        assert row.startswith("throughput:")
-        assert "tte=+12.0%" in row
-        assert "ab=-5.0%" in row
 
 
 class TestFormatSeries:

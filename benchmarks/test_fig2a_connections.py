@@ -13,7 +13,7 @@ from repro.experiments import run_connections_experiment
 
 
 def test_fig2a_parallel_connections(benchmark):
-    figure = run_once(benchmark, run_connections_experiment, 10)
+    figure = run_once(benchmark, run_connections_experiment)
 
     print("\n" + "\n".join(figure.summary_lines()))
 

@@ -14,7 +14,7 @@ from repro.experiments import run_pacing_experiment
 
 
 def test_fig2b_pacing(benchmark):
-    figure = run_once(benchmark, run_pacing_experiment, 10)
+    figure = run_once(benchmark, run_pacing_experiment)
 
     print("\n" + "\n".join(figure.summary_lines()))
 

@@ -13,7 +13,7 @@ from repro.experiments import run_cc_experiment
 
 
 def test_fig3_bbr_vs_cubic(benchmark):
-    figure = run_once(benchmark, run_cc_experiment, 10, "bbr", "cubic")
+    figure = run_once(benchmark, run_cc_experiment, treatment_cc="bbr", control_cc="cubic")
 
     print("\n" + "\n".join(figure.summary_lines()))
 
@@ -28,7 +28,7 @@ def test_fig3_bbr_vs_cubic(benchmark):
 
 
 def test_fig3_cubic_into_bbr_world(benchmark):
-    figure = run_once(benchmark, run_cc_experiment, 10, "cubic", "bbr")
+    figure = run_once(benchmark, run_cc_experiment, treatment_cc="cubic", control_cc="bbr")
     throughput = figure.throughput_curve
     # Minority Cubic also wins big, and the TTE is still zero.
     assert throughput.ate(0.1) / throughput.mu_control(0.1) > 1.0

@@ -16,6 +16,7 @@ from _helpers import run_once
 
 from repro.netsim.packet.simulation import FlowConfig
 from repro.netsim.packet.sweep import run_packet_sweep
+from repro.runner.executor import ParallelExecutor
 
 #: Sweep sized so each arm is heavy enough to dwarf pool start-up.
 SWEEP_KWARGS = dict(
@@ -33,7 +34,7 @@ def _sweep(jobs):
         4,
         treatment_factory=lambda i: FlowConfig(i, cc="reno", connections=2),
         control_factory=lambda i: FlowConfig(i, cc="reno", connections=1),
-        jobs=jobs,
+        executor=ParallelExecutor(jobs=jobs),
         **SWEEP_KWARGS,
     )
 

@@ -17,7 +17,7 @@ from repro.reporting import format_percent, format_table
 
 
 def main() -> None:
-    figure = run_connections_experiment(n_units=10)
+    figure = run_connections_experiment()
 
     print("Lab sweep: 10 applications, treatment = 2 TCP connections, control = 1")
     print()

@@ -92,6 +92,18 @@ def _make_tracer(args: argparse.Namespace) -> RunTracer | None:
     return RunTracer(args.trace, command=_command_line(args))
 
 
+def _make_executor(args: argparse.Namespace) -> ParallelExecutor:
+    """The one executor a command runs on, built from ``--jobs``, ``--cache``,
+    ``--cache-dir`` and, where the subcommand has them, ``--trace`` and
+    ``--profile``."""
+    return ParallelExecutor(
+        jobs=args.jobs,
+        cache=_make_cache(args),
+        tracer=_make_tracer(args),
+        profile=getattr(args, "profile", False),
+    )
+
+
 def _run_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     figure = FIGURES.get(args.target) if args.target else None
     if figure is None:
@@ -100,8 +112,6 @@ def _run_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         )
     if args.replications < 1:
         parser.error("--replications must be at least 1")
-    if args.profile and args.trace is None:
-        parser.error("--profile requires --trace DIR (hotspots land in the trace)")
 
     # The spec carries only the knob the figure consumes, so an inert flag
     # (--noise on a paired figure, --quick on a lab one) cannot split the
@@ -118,16 +128,10 @@ def _run_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         )
         for r in range(replication_count)
     ]
-    tracer = _make_tracer(args)
-    executor = ParallelExecutor(
-        jobs=args.jobs,
-        cache=_make_cache(args),
-        tracer=tracer,
-        profile=args.profile,
-    )
+    executor = _make_executor(args)
     replications = executor.map(specs)
-    if tracer is not None:
-        tracer.finish({"figure": target, "replications": replication_count})
+    if executor.tracer is not None:
+        executor.tracer.finish({"figure": target, "replications": replication_count})
         print(f"trace written to {args.trace}", file=sys.stderr)
 
     from repro.campaign.run import confidence_half_width
@@ -155,8 +159,6 @@ def _run_campaign_command(
     """``repro run CAMPAIGN``: execute a declarative campaign file."""
     from repro.campaign import CampaignError, load_campaign, run_campaign
 
-    if args.profile and args.trace is None:
-        parser.error("--profile requires --trace DIR (hotspots land in the trace)")
     try:
         campaign = load_campaign(args.campaign_file)
     except CampaignError as exc:
@@ -384,10 +386,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     subparser = getattr(args, "_subparser", parser)
     if args.figure == "list":
         return _run_list_command()
-    if args.figure == "sweep":
-        return _run_sweep(args, subparser)
-    if args.figure == "run":
-        return _run_campaign_command(args, subparser)
     if args.figure == "validate":
         return _run_validate_command(args, subparser)
     if args.figure == "lint":
@@ -400,12 +398,15 @@ def main(argv: Sequence[str] | None = None) -> int:
         return run_report(args)
     if getattr(args, "profile", False) and args.trace is None:
         subparser.error("--profile requires --trace DIR (hotspots land in the trace)")
+    if args.figure == "sweep":
+        return _run_sweep(args, subparser)
+    if args.figure == "run":
+        return _run_campaign_command(args, subparser)
     if getattr(args, "probe", None) is not None and args.probe <= 0:
         subparser.error("--probe needs a positive sampling interval in seconds")
-    tracer = _make_tracer(args)
-    lines = FIGURES[args.figure].render(args, subparser, _make_cache(args), tracer)
-    print("\n".join(lines))
-    if tracer is not None:
+    executor = _make_executor(args)
+    print("\n".join(FIGURES[args.figure].render(args, subparser, executor)))
+    if executor.tracer is not None:
         print(f"trace written to {args.trace}", file=sys.stderr)
     return 0
 

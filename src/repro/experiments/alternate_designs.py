@@ -28,7 +28,6 @@ from collections.abc import Mapping, Sequence
 from repro.core.analysis.pipeline import AnalysisConfig, MetricEstimate, analyze_metric
 from repro.core.designs import EventStudyDesign, SwitchbackDesign
 from repro.core.units import SESSION_METRICS, OutcomeTable
-from repro.runner.cache import ResultCache
 from repro.runner.executor import ParallelExecutor
 from repro.runner.spec import ScenarioSpec, register_task
 
@@ -259,15 +258,13 @@ def compare_designs(
     baselines: dict[str, float] | None = None,
     metrics: Sequence[str] = SESSION_METRICS,
     config: AnalysisConfig | None = None,
-    jobs: int = 1,
-    cache: ResultCache | None = None,
     executor: ParallelExecutor | None = None,
 ) -> AlternateDesignComparison:
     """Build the Figure 10 comparison from one paired-link run.
 
     The switchback and event-study emulations are independent analyses of
-    the same table, so they run as two parallel scenario specs when
-    ``jobs > 1``.
+    the same table, so they run as two scenario specs on ``executor``
+    (default: a serial, uncached one), in parallel when it has workers.
     """
     common = {
         "table": experiment_table,
@@ -288,8 +285,7 @@ def compare_designs(
             label="compare_designs[event_study]",
         ),
     )
-    executor = executor or ParallelExecutor(jobs=jobs, cache=cache)
-    switchback, event_study = executor.map(specs)
+    switchback, event_study = (executor or ParallelExecutor()).map(specs)
     return AlternateDesignComparison(
         paired_link=paired_link_estimates,
         switchback=switchback,

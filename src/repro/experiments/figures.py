@@ -27,8 +27,7 @@ from typing import TYPE_CHECKING, Any
 from repro.runner.spec import ScenarioSpec, register_task
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.trace import RunTracer
-    from repro.runner.cache import ResultCache
+    from repro.runner.executor import ParallelExecutor
 
 __all__ = [
     "KNOBS",
@@ -71,9 +70,11 @@ class Figure:
         as ``cells(<knob>=value, seed=seed)``, ``seed`` only if seeded.
     render:
         Runs the figure for ``repro <name>`` and returns the lines it
-        prints; called as ``render(args, parser, cache, tracer)`` with
-        the parsed flags, the subcommand parser (for usage errors), the
-        ``--cache`` result cache and the ``--trace`` tracer (or ``None``).
+        prints; called as ``render(args, parser, executor)`` with the
+        parsed flags, the subcommand parser (for usage errors) and the
+        command's one :class:`~repro.runner.executor.ParallelExecutor`,
+        which the CLI builds from ``--jobs``, ``--cache`` and, where the
+        subcommand has them, ``--trace`` and ``--profile``.
     add_arguments:
         Optional hook adding the figure's own flags to its subcommand.
     """
@@ -84,10 +85,7 @@ class Figure:
     knob: str
     seeded: bool
     cells: Callable[..., dict[str, float]]
-    render: Callable[
-        [argparse.Namespace, argparse.ArgumentParser, ResultCache | None, RunTracer | None],
-        Sequence[str],
-    ]
+    render: Callable[[argparse.Namespace, argparse.ArgumentParser, ParallelExecutor], Sequence[str]]
     add_arguments: Callable[[argparse.ArgumentParser], object] | None = None
 
     def __post_init__(self) -> None:

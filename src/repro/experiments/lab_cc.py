@@ -12,21 +12,17 @@ is in the minority look good.
 from __future__ import annotations
 
 from repro.experiments.figures import Figure, register
-from repro.experiments.lab_common import LabFigure, sweep_to_figure
+from repro.experiments.lab_common import LAB_UNITS, LabFigure, sweep_to_figure
 from repro.netsim.fluid.application import Application
-from repro.netsim.fluid.competition import CompetitionModel
 from repro.netsim.fluid.lab import run_lab_sweep
-from repro.netsim.fluid.link import BottleneckLink
 
 __all__ = ["run_cc_experiment"]
 
 
 def run_cc_experiment(
-    n_units: int = 10,
+    *,
     treatment_cc: str = "bbr",
     control_cc: str = "cubic",
-    link: BottleneckLink | None = None,
-    model: CompetitionModel | None = None,
     noise: float = 0.0,
     seed: int | None = 0,
 ) -> LabFigure:
@@ -41,11 +37,9 @@ def run_cc_experiment(
         improvement.
     """
     sweep = run_lab_sweep(
-        n_units,
+        LAB_UNITS,
         treatment_factory=lambda i: Application(i, cc=treatment_cc),
         control_factory=lambda i: Application(i, cc=control_cc),
-        link=link,
-        model=model,
         noise=noise,
         seed=seed,
     )
@@ -53,7 +47,7 @@ def run_cc_experiment(
         sweep,
         name="fig3_congestion_control",
         description=(
-            f"{n_units} long-lived connections, {treatment_cc} (treatment) vs "
+            f"{LAB_UNITS} long-lived connections, {treatment_cc} (treatment) vs "
             f"{control_cc} (control), sharing a bottleneck"
         ),
     )
@@ -67,6 +61,6 @@ register(
         knob="noise",
         seeded=True,
         cells=lambda noise, seed: run_cc_experiment(noise=noise, seed=seed).cells(),
-        render=lambda args, parser, cache, tracer: run_cc_experiment().summary_lines(),
+        render=lambda args, parser, executor: run_cc_experiment().summary_lines(),
     )
 )

@@ -27,9 +27,9 @@ questions:
   randomized intervals do not — Section 5's argument, reproduced on the
   packet simulator.
 
-Both run every simulation arm through the
-:class:`~repro.runner.executor.ParallelExecutor` (``jobs``/``cache``),
-so results are deterministic for a fixed seed and bit-identical for any
+Both run every simulation arm through the one
+:class:`~repro.runner.executor.ParallelExecutor` they are passed, so
+results are deterministic for a fixed seed and bit-identical for any
 worker count.
 """
 
@@ -43,14 +43,23 @@ from collections.abc import Sequence
 
 from repro.core.designs.switchback import SwitchbackDesign
 from repro.experiments.figures import Figure, register
-from repro.experiments.lab_common import BiasComparison, LabFigure, sweep_to_figure
+from repro.experiments.lab_common import (
+    CONTROL_CONNECTIONS,
+    TREATMENT_CONNECTIONS,
+    BiasComparison,
+    LabFigure,
+    sweep_to_figure,
+)
 from repro.experiments.lab_topology import sweep_scale
 from repro.netsim.packet.simulation import FlowConfig
 from repro.netsim.packet.sweep import run_packet_sweep
 from repro.netsim.traffic import ParetoSizes, PoissonArrivals, RampDemand, TrafficSource
+from repro.runner.executor import ParallelExecutor
 
 __all__ = [
     "DEFAULT_CHURN_RATES",
+    "RAMP_BASE_CHURN_PER_S",
+    "RAMP_FACTOR",
     "ChurnStats",
     "ChurnBiasComparison",
     "run_churn_experiment",
@@ -72,6 +81,12 @@ CHURN_SIZES = ParetoSizes(min_bytes=60_000.0, alpha=1.5)
 #: flow can dominate one short interval's mean and drown the trend in
 #: sampling noise at lab scale.
 RAMP_SIZES = ParetoSizes(min_bytes=60_000.0, alpha=2.5)
+
+#: Churn arrival rate (flows/s) at the start of the switchback ramp.
+RAMP_BASE_CHURN_PER_S = 4.0
+
+#: Demand multiplier the switchback ramp reaches by its final interval.
+RAMP_FACTOR = 4.0
 
 
 def _churn_sources(rate_per_s: float) -> tuple[TrafficSource, ...] | None:
@@ -170,12 +185,10 @@ class ChurnBiasComparison(BiasComparison):
 
 
 def run_churn_experiment(
+    *,
     churn_rates: Sequence[float] = DEFAULT_CHURN_RATES,
-    treatment_connections: int = 2,
-    control_connections: int = 1,
     quick: bool = False,
-    jobs: int = 1,
-    cache=None,
+    executor: ParallelExecutor | None = None,
     seed: int = 0,
 ) -> ChurnBiasComparison:
     """The parallel-connections bias as a function of churn intensity.
@@ -193,12 +206,10 @@ def run_churn_experiment(
         Flow arrival rates (per second) to sweep; include 0.0 to anchor
         the comparison at today's static result (the zero-churn specs
         are identical to the static sweep's, cache entries included).
-    treatment_connections, control_connections:
-        Connections opened by treated / control applications (paper: 2 / 1).
     quick:
         Shrink the sweep (fewer units, shorter runs) for smoke tests.
-    jobs, cache:
-        Worker processes and optional result cache for the sweep arms.
+    executor:
+        Runs the arms of every intensity (default: a serial, uncached one).
     seed:
         Seed for the churn arrivals and flow sizes (inert at rate 0.0).
     """
@@ -208,8 +219,6 @@ def run_churn_experiment(
         raise ValueError("churn rates must be non-negative")
     if len(set(churn_rates)) != len(churn_rates):
         raise ValueError("churn rates must be distinct")
-    if treatment_connections < 1 or control_connections < 1:
-        raise ValueError("connection counts must be at least 1")
 
     figures: dict[float, LabFigure] = {}
     churn_stats: dict[float, ChurnStats] = {}
@@ -219,24 +228,19 @@ def run_churn_experiment(
         n_units = scale.pop("n_units")
         sweep = run_packet_sweep(
             n_units,
-            treatment_factory=lambda i: FlowConfig(
-                i, cc="reno", connections=treatment_connections
-            ),
-            control_factory=lambda i: FlowConfig(
-                i, cc="reno", connections=control_connections
-            ),
+            treatment_factory=lambda i: FlowConfig(i, cc="reno", connections=TREATMENT_CONNECTIONS),
+            control_factory=lambda i: FlowConfig(i, cc="reno", connections=CONTROL_CONNECTIONS),
             traffic_sources=_churn_sources(rate),
             seed=seed,
-            jobs=jobs,
-            cache=cache,
+            executor=executor,
             **scale,
         )
         figures[rate] = sweep_to_figure(
             sweep,
             name=f"topo_churn[{rate:g}/s]",
             description=(
-                f"{n_units} applications using {treatment_connections} (treatment) "
-                f"or {control_connections} (control) TCP Reno connections on a "
+                f"{n_units} applications using {TREATMENT_CONNECTIONS} (treatment) "
+                f"or {CONTROL_CONNECTIONS} (control) TCP Reno connections on a "
                 f"shared drop-tail bottleneck with Pareto-sized flows churning "
                 f"at {rate:g}/s"
             ),
@@ -371,14 +375,10 @@ def _ramp_scale(quick: bool) -> dict[str, object]:
 
 
 def run_switchback_ramp_experiment(
-    base_churn_per_s: float = 4.0,
-    ramp_factor: float = 4.0,
-    treatment_connections: int = 2,
-    control_connections: int = 1,
+    *,
     traffic_split: float = 1.0,
     quick: bool = False,
-    jobs: int = 1,
-    cache=None,
+    executor: ParallelExecutor | None = None,
     seed: int = 0,
 ) -> SwitchbackRampOutcome:
     """Estimate a TTE by switchback while background churn ramps up.
@@ -392,8 +392,8 @@ def run_switchback_ramp_experiment(
     ``1 - traffic_split`` during control intervals), which re-admits
     within-interval interference and additionally reports the naive
     within-interval A/B estimate such a deployment invites.  Unmeasured
-    churn arrives at a rate that ramps from ``base_churn_per_s`` to
-    ``ramp_factor`` times that across the experiment (and linearly
+    churn arrives at a rate that ramps from :data:`RAMP_BASE_CHURN_PER_S`
+    to :data:`RAMP_FACTOR` times that across the experiment (and linearly
     *within* each interval, via
     :class:`~repro.netsim.traffic.demand.RampDemand`, so interval
     boundaries genuinely straddle demand shifts).  Counterfactual
@@ -406,12 +406,6 @@ def run_switchback_ramp_experiment(
 
     Parameters
     ----------
-    base_churn_per_s:
-        Churn arrival rate at the start of the experiment.
-    ramp_factor:
-        Demand multiplier reached by the final interval (>= 0).
-    treatment_connections, control_connections:
-        The connection-count treatment (paper: 2 / 1).
     traffic_split:
         Within-interval allocation, in (0.5, 1.0].  1.0 (default) keeps
         the pure switchback; e.g. 0.95 runs the production 95/5 variant.
@@ -420,19 +414,12 @@ def run_switchback_ramp_experiment(
         splits markedly more expensive than the pure default.
     quick:
         Fewer, shorter intervals for smoke tests.
-    jobs, cache:
-        Worker processes and optional result cache; all intervals' arms
-        fan out through the same executor settings.
+    executor:
+        Runs the arms of all intervals (default: a serial, uncached one).
     seed:
         Seeds both the interval randomization (via
         :class:`SwitchbackDesign`) and the churn arrivals.
     """
-    if base_churn_per_s <= 0:
-        raise ValueError("base_churn_per_s must be positive")
-    if ramp_factor < 0:
-        raise ValueError("ramp_factor must be non-negative")
-    if treatment_connections < 1 or control_connections < 1:
-        raise ValueError("connection counts must be at least 1")
     if not 0.5 < traffic_split <= 1.0:
         raise ValueError("traffic_split must be in (0.5, 1.0]")
 
@@ -481,9 +468,8 @@ def run_switchback_ramp_experiment(
     def multiplier_at(boundary: int) -> float:
         # Demand at interval boundary ``boundary`` (0 .. n_intervals):
         # interval i ramps from boundary i to boundary i+1, so the final
-        # interval ends exactly at ``ramp_factor`` — no extrapolation,
-        # and never negative for any ramp_factor >= 0.
-        return 1.0 + (ramp_factor - 1.0) * boundary / n_intervals
+        # interval ends exactly at ``RAMP_FACTOR`` — no extrapolation.
+        return 1.0 + (RAMP_FACTOR - 1.0) * boundary / n_intervals
 
     multipliers = tuple(multiplier_at(i) for i in range(n_intervals + 1))
 
@@ -501,7 +487,7 @@ def run_switchback_ramp_experiment(
             t1=duration_s,
         )
         source = TrafficSource(
-            arrivals=PoissonArrivals(base_churn_per_s),
+            arrivals=PoissonArrivals(RAMP_BASE_CHURN_PER_S),
             sizes=RAMP_SIZES,
             demand=demand,
             label="ramp-churn",
@@ -510,16 +496,13 @@ def run_switchback_ramp_experiment(
             run_packet_sweep(
                 n_units,
                 treatment_factory=lambda u: FlowConfig(
-                    u, cc="reno", connections=treatment_connections
+                    u, cc="reno", connections=TREATMENT_CONNECTIONS
                 ),
-                control_factory=lambda u: FlowConfig(
-                    u, cc="reno", connections=control_connections
-                ),
+                control_factory=lambda u: FlowConfig(u, cc="reno", connections=CONTROL_CONNECTIONS),
                 allocations=allocations,
                 traffic_sources=(source,),
                 seed=seed * 1009 + i,
-                jobs=jobs,
-                cache=cache,
+                executor=executor,
                 **scale,
             )
         )
@@ -624,7 +607,7 @@ def _add_churn_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _render_churn(
-    args: argparse.Namespace, parser: argparse.ArgumentParser, cache, tracer
+    args: argparse.Namespace, parser: argparse.ArgumentParser, executor: ParallelExecutor
 ) -> list[str]:
     """The churn sweep, then the switchback-vs-event-study ramp."""
     if not 0.5 < args.traffic_split <= 1.0:
@@ -632,16 +615,11 @@ def _render_churn(
     comparison = run_churn_experiment(
         churn_rates=_parse_churn_rates(args.churn_rates, parser),
         quick=args.quick,
-        jobs=args.jobs,
-        cache=cache,
+        executor=executor,
         seed=args.seed,
     )
     ramp = run_switchback_ramp_experiment(
-        traffic_split=args.traffic_split,
-        quick=args.quick,
-        jobs=args.jobs,
-        cache=cache,
-        seed=args.seed,
+        traffic_split=args.traffic_split, quick=args.quick, executor=executor, seed=args.seed
     )
     return [*comparison.summary_lines(), "", *ramp.summary_lines()]
 

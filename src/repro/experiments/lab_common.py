@@ -23,6 +23,9 @@ from repro.netsim.fluid.lab import LAB_METRICS
 
 __all__ = [
     "BIAS_ALLOCATION",
+    "CONTROL_CONNECTIONS",
+    "LAB_UNITS",
+    "TREATMENT_CONNECTIONS",
     "BiasComparison",
     "LabFigureRow",
     "LabFigure",
@@ -32,6 +35,15 @@ __all__ = [
 #: The allocation at which a :class:`BiasComparison` reads each arm's
 #: naive A/B estimate.
 BIAS_ALLOCATION = 0.5
+
+#: The paper's connection-count treatment (Section 3.1, Figure 2a), which
+#: every connection-count lab reuses: treated applications open two TCP
+#: connections, control applications one.
+TREATMENT_CONNECTIONS = 2
+CONTROL_CONNECTIONS = 1
+
+#: Applications sharing the bottleneck in the fluid lab figures (paper: 10).
+LAB_UNITS = 10
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ effect of "open more connections" is approximately zero when everyone
 does it.
 
 Every shard fans out through the parallel runner, so results are
-bit-identical for any ``jobs`` value and honest about their cost: each
+bit-identical for any worker count and honest about their cost: each
 :class:`FleetOutcome` reports how many distinct simulations its fleet
 actually needed after content-key dedupe.
 """
@@ -140,13 +140,12 @@ class FleetBiasComparison:
 
 
 def run_fleet_experiment(
+    *,
     units: int | None = None,
     edges: int | None = None,
     granularities: Sequence[str] = GRANULARITIES,
     quick: bool = False,
-    jobs: int = 1,
-    cache=None,
-    executor=None,
+    executor: ParallelExecutor | None = None,
     probe_interval_s: float = 0.0,
     seed: int = 0,
 ) -> FleetBiasComparison:
@@ -167,13 +166,10 @@ def run_fleet_experiment(
         :data:`~repro.netsim.fleet.GRANULARITIES`).
     quick:
         Use the smaller quick-scale fleet for smoke tests.
-    jobs, cache:
-        Worker processes and optional result cache; every fleet's shards
-        fan out through the same executor settings.
     executor:
-        Optional pre-built :class:`~repro.runner.executor.ParallelExecutor`
-        (overrides ``jobs``/``cache``); the CLI passes a traced one so
-        shard spans and live progress flow out of every fleet.
+        Runs every fleet's shards (default: a serial, uncached one); the
+        CLI passes a traced one so shard spans and live progress flow out
+        of every fleet.
     probe_interval_s:
         Sim-time cadence of in-shard queue-depth probing; 0 (default)
         disables it.  Probing never changes the estimates.
@@ -211,12 +207,8 @@ def run_fleet_experiment(
     # degenerate (every cluster lands in the same arm no matter how
     # clusters are drawn), so the truth is granularity-independent and
     # computed once.
-    treated_fleet = run_fleet(
-        replace(base, allocation=1.0), jobs=jobs, cache=cache, executor=executor
-    )
-    control_fleet = run_fleet(
-        replace(base, allocation=0.0), jobs=jobs, cache=cache, executor=executor
-    )
+    treated_fleet = run_fleet(replace(base, allocation=1.0), executor=executor)
+    control_fleet = run_fleet(replace(base, allocation=0.0), executor=executor)
     truth_tte = treated_fleet.mean("treated", "throughput_mbps") - control_fleet.mean(
         "control", "throughput_mbps"
     )
@@ -227,7 +219,7 @@ def run_fleet_experiment(
     unique = treated_fleet.unique_sims + control_fleet.unique_sims
     for granularity in granularities:
         spec = replace(base, granularity=granularity)
-        result = run_fleet(spec, jobs=jobs, cache=cache, executor=executor)
+        result = run_fleet(spec, executor=executor)
         outcomes[granularity] = FleetOutcome(
             granularity=granularity,
             cluster_size=spec.cluster_size(),
@@ -278,19 +270,16 @@ def _add_fleet_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _render_fleet(
-    args: argparse.Namespace, parser: argparse.ArgumentParser, cache, tracer
+    args: argparse.Namespace, parser: argparse.ArgumentParser, executor: ParallelExecutor
 ) -> list[str]:
     if args.units is not None and args.units < 1:
         parser.error("--units must be positive")
     if args.edges is not None and args.edges < 1:
         parser.error("--edges must be positive")
+    tracer = executor.tracer
     # A live shard progress line on a terminal, or whenever a trace is on.
-    progress = None
     if tracer is not None or sys.stderr.isatty():
-        progress = ProgressPrinter("shards")
-    executor = ParallelExecutor(
-        jobs=args.jobs, cache=cache, tracer=tracer, profile=args.profile, on_task_done=progress
-    )
+        executor.on_task_done = ProgressPrinter("shards")
     started = walltime()
     comparison = run_fleet_experiment(
         units=args.units,

@@ -33,9 +33,9 @@ incentive.  A coexistence arm (classic and L4S units mixed on one
 DualPI2 bottleneck) additionally reports the classic-vs-L4S throughput
 ratio the coupling law is designed to keep near one.
 
-Everything runs through the
-:class:`~repro.runner.executor.ParallelExecutor` (``jobs``/``cache``),
-so results are deterministic for a fixed seed and bit-identical for any
+Everything runs through the one
+:class:`~repro.runner.executor.ParallelExecutor` it is passed, so
+results are deterministic for a fixed seed and bit-identical for any
 worker count.
 """
 
@@ -44,10 +44,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.experiments.figures import Figure, register
-from repro.experiments.lab_common import BiasComparison, LabFigure, sweep_to_figure
+from repro.experiments.lab_common import (
+    CONTROL_CONNECTIONS,
+    TREATMENT_CONNECTIONS,
+    BiasComparison,
+    LabFigure,
+    sweep_to_figure,
+)
 from repro.experiments.lab_topology import sweep_scale
 from repro.netsim.packet.simulation import FlowConfig
 from repro.netsim.packet.sweep import run_packet_sweep
+from repro.runner.executor import ParallelExecutor
 
 __all__ = ["L4S_ARMS", "L4sBiasComparison", "run_l4s_experiment"]
 
@@ -104,12 +111,7 @@ class L4sBiasComparison(BiasComparison):
 
 
 def run_l4s_experiment(
-    treatment_connections: int = 2,
-    control_connections: int = 1,
-    quick: bool = False,
-    jobs: int = 1,
-    cache=None,
-    seed: int = 0,
+    *, quick: bool = False, executor: ParallelExecutor | None = None, seed: int = 0
 ) -> L4sBiasComparison:
     """The parallel-connections bias under the four L4S-lab arms.
 
@@ -121,21 +123,16 @@ def run_l4s_experiment(
 
     Parameters
     ----------
-    treatment_connections, control_connections:
-        Connections opened by treated / control applications (paper: 2 / 1).
     quick:
         Shrink the sweep (fewer units, shorter runs) for smoke tests.
-    jobs, cache:
-        Worker processes and optional result cache; arms of *all*
-        disciplines fan out over the same executor settings.
+    executor:
+        Runs the arms of *all* disciplines (default: a serial, uncached
+        one).
     seed:
         Seed of the DualPI2 drop/mark lotteries (inert for the
         deterministic drop-tail/CoDel/FQ-CoDel arms, mirroring the
         inert-knob rule).
     """
-    if treatment_connections < 1 or control_connections < 1:
-        raise ValueError("connection counts must be at least 1")
-
     figures: dict[str, LabFigure] = {}
     for arm, discipline, ecn, paced in L4S_ARMS:
         scale = sweep_scale(quick)
@@ -143,15 +140,14 @@ def run_l4s_experiment(
         sweep = run_packet_sweep(
             n_units,
             treatment_factory=lambda i, e=ecn, p=paced: FlowConfig(
-                i, cc="reno", connections=treatment_connections, ecn=e, paced=p
+                i, cc="reno", connections=TREATMENT_CONNECTIONS, ecn=e, paced=p
             ),
             control_factory=lambda i, e=ecn, p=paced: FlowConfig(
-                i, cc="reno", connections=control_connections, ecn=e, paced=p
+                i, cc="reno", connections=CONTROL_CONNECTIONS, ecn=e, paced=p
             ),
             queue_discipline=discipline,
             seed=seed,
-            jobs=jobs,
-            cache=cache,
+            executor=executor,
             **scale,
         )
         ecn_label = "no ECN" if ecn is False else f"ecn={ecn}"
@@ -159,8 +155,8 @@ def run_l4s_experiment(
             sweep,
             name=f"topo_l4s[{arm}]",
             description=(
-                f"{n_units} applications using {treatment_connections} "
-                f"(treatment) or {control_connections} (control) TCP Reno "
+                f"{n_units} applications using {TREATMENT_CONNECTIONS} "
+                f"(treatment) or {CONTROL_CONNECTIONS} (control) TCP Reno "
                 f"connections ({ecn_label}{', paced' if paced else ''}) on a "
                 f"shared {discipline} bottleneck"
             ),
@@ -180,8 +176,7 @@ def run_l4s_experiment(
         control_factory=lambda i: FlowConfig(i, cc="reno", ecn="classic"),
         queue_discipline="dualpi2",
         seed=seed,
-        jobs=jobs,
-        cache=cache,
+        executor=executor,
         **scale,
     )
     mixed = coexistence.results[half]
@@ -201,8 +196,8 @@ register(
         # DualPI2's lotteries draw from the experiment's fixed default seed.
         seeded=False,
         cells=lambda quick: run_l4s_experiment(quick=quick).cells(),
-        render=lambda args, parser, cache, tracer: run_l4s_experiment(
-            quick=args.quick, jobs=args.jobs, cache=cache
+        render=lambda args, parser, executor: run_l4s_experiment(
+            quick=args.quick, executor=executor
         ).summary_lines(),
     )
 )

@@ -17,29 +17,19 @@ here:
 from __future__ import annotations
 
 from repro.experiments.figures import Figure, register
-from repro.experiments.lab_common import LabFigure, sweep_to_figure
+from repro.experiments.lab_common import LAB_UNITS, LabFigure, sweep_to_figure
 from repro.netsim.fluid.application import Application
-from repro.netsim.fluid.competition import CompetitionModel
 from repro.netsim.fluid.lab import run_lab_sweep
-from repro.netsim.fluid.link import BottleneckLink
 
 __all__ = ["run_pacing_experiment"]
 
 
-def run_pacing_experiment(
-    n_units: int = 10,
-    link: BottleneckLink | None = None,
-    model: CompetitionModel | None = None,
-    noise: float = 0.0,
-    seed: int | None = 0,
-) -> LabFigure:
+def run_pacing_experiment(*, noise: float = 0.0, seed: int | None = 0) -> LabFigure:
     """Run the pacing lab sweep and return the figure data."""
     sweep = run_lab_sweep(
-        n_units,
+        LAB_UNITS,
         treatment_factory=lambda i: Application(i, cc="reno", paced=True),
         control_factory=lambda i: Application(i, cc="reno", paced=False),
-        link=link,
-        model=model,
         noise=noise,
         seed=seed,
     )
@@ -47,7 +37,7 @@ def run_pacing_experiment(
         sweep,
         name="fig2b_pacing",
         description=(
-            f"{n_units} TCP Reno connections, paced (treatment) vs unpaced (control), "
+            f"{LAB_UNITS} TCP Reno connections, paced (treatment) vs unpaced (control), "
             "sharing a bottleneck"
         ),
     )
@@ -61,6 +51,6 @@ register(
         knob="noise",
         seeded=True,
         cells=lambda noise, seed: run_pacing_experiment(noise=noise, seed=seed).cells(),
-        render=lambda args, parser, cache, tracer: run_pacing_experiment().summary_lines(),
+        render=lambda args, parser, executor: run_pacing_experiment().summary_lines(),
     )
 )

@@ -23,9 +23,9 @@ testbed could not build:
   and the bias vanishes.  Drop-tail on the identical workload reproduces
   the familiar, clearly nonzero bias.
 
-Both run every simulation arm through the
-:class:`~repro.runner.executor.ParallelExecutor` (``jobs``/``cache``),
-so results are deterministic and bit-identical for any worker count.
+Both run every simulation arm through the one
+:class:`~repro.runner.executor.ParallelExecutor` they are passed, so
+results are deterministic and bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -35,7 +35,12 @@ from dataclasses import dataclass
 from collections.abc import Sequence
 
 from repro.experiments.figures import Figure, register
-from repro.experiments.lab_common import BiasComparison, sweep_to_figure
+from repro.experiments.lab_common import (
+    CONTROL_CONNECTIONS,
+    TREATMENT_CONNECTIONS,
+    BiasComparison,
+    sweep_to_figure,
+)
 from repro.experiments.lab_topology import (
     AqmBiasComparison,
     parse_disciplines,
@@ -44,8 +49,10 @@ from repro.experiments.lab_topology import (
 from repro.netsim.packet.network import parking_lot_path, parking_lot_queues
 from repro.netsim.packet.simulation import FlowConfig
 from repro.netsim.packet.sweep import run_packet_sweep
+from repro.runner.executor import ParallelExecutor
 
 __all__ = [
+    "CROSS_TRAFFIC_PER_SEGMENT",
     "DEFAULT_SEGMENTS",
     "MIN_SEGMENTS",
     "SEGMENT_SPAN",
@@ -66,6 +73,9 @@ MIN_SEGMENTS = SEGMENT_SPAN + 2
 
 #: Flow-id offset of unmeasured cross-traffic applications (clear of units).
 CROSS_TRAFFIC_ID_BASE = 1000
+
+#: Unmeasured single-connection background flows pinned to each segment.
+CROSS_TRAFFIC_PER_SEGMENT = 1
 
 
 def _parking_scale(quick: bool) -> dict[str, object]:
@@ -131,20 +141,17 @@ class ParkingLotComparison(BiasComparison):
 
 
 def run_parking_lot_experiment(
+    *,
     n_segments: int = DEFAULT_SEGMENTS,
-    treatment_connections: int = 2,
-    control_connections: int = 1,
-    cross_traffic_per_segment: int = 1,
     quick: bool = False,
-    jobs: int = 1,
-    cache=None,
+    executor: ParallelExecutor | None = None,
 ) -> ParkingLotComparison:
     """The parallel-connections bias on a parking lot vs a single bottleneck.
 
     Unit ``i`` crosses segments ``s .. s+1`` with ``s = i mod
     (n_segments - 1)``, so neighbouring spans overlap and every interior
     segment carries two span populations.  Each segment additionally
-    carries ``cross_traffic_per_segment`` unmeasured single-connection
+    carries :data:`CROSS_TRAFFIC_PER_SEGMENT` unmeasured single-connection
     flows.  The reference sweep runs the identical unit population *and*
     the identical cross-traffic population on one drop-tail bottleneck of
     the same per-queue capacity — only the topology differs, so the bias
@@ -159,14 +166,10 @@ def run_parking_lot_experiment(
         the per-segment load: stretching the same unit population over
         many more segments dilutes the contention and with it the
         amplification (the defaults keep every segment congested).
-    treatment_connections, control_connections:
-        Connections opened by treated / control applications (paper: 2 / 1).
-    cross_traffic_per_segment:
-        Unmeasured background flows pinned to each single segment.
     quick:
         Shrink the sweep (fewer arms, shorter runs) for smoke tests.
-    jobs, cache:
-        Worker processes and optional result cache for the sweep arms.
+    executor:
+        Runs the sweep arms (default: a serial, uncached one).
     """
     if n_segments < MIN_SEGMENTS:
         raise ValueError(
@@ -174,10 +177,6 @@ def run_parking_lot_experiment(
             "(otherwise every pair of units shares a queue and cross-segment "
             "spillover is unmeasurable)"
         )
-    if treatment_connections < 1 or control_connections < 1:
-        raise ValueError("connection counts must be at least 1")
-    if cross_traffic_per_segment < 0:
-        raise ValueError("cross_traffic_per_segment must be non-negative")
 
     scale = _parking_scale(quick)
     n_units = scale.pop("n_units")
@@ -195,41 +194,35 @@ def run_parking_lot_experiment(
 
     parking_cross = tuple(
         FlowConfig(
-            CROSS_TRAFFIC_ID_BASE + segment * cross_traffic_per_segment + j,
+            CROSS_TRAFFIC_ID_BASE + segment * CROSS_TRAFFIC_PER_SEGMENT + j,
             cc="reno",
             connections=1,
             path=parking_lot_path(segment, n_segments, span=1),
         )
         for segment in range(n_segments)
-        for j in range(cross_traffic_per_segment)
+        for j in range(CROSS_TRAFFIC_PER_SEGMENT)
     )
     # The same background population, all sharing the single bottleneck.
     single_cross = tuple(
         FlowConfig(CROSS_TRAFFIC_ID_BASE + j, cc="reno", connections=1)
-        for j in range(n_segments * cross_traffic_per_segment)
+        for j in range(n_segments * CROSS_TRAFFIC_PER_SEGMENT)
     )
 
     parking_sweep = run_packet_sweep(
         n_units,
-        treatment_factory=lambda i: flow(i, treatment_connections),
-        control_factory=lambda i: flow(i, control_connections),
+        treatment_factory=lambda i: flow(i, TREATMENT_CONNECTIONS),
+        control_factory=lambda i: flow(i, CONTROL_CONNECTIONS),
         extra_queues=parking_lot_queues(n_segments, capacity),
         cross_traffic=parking_cross,
-        jobs=jobs,
-        cache=cache,
+        executor=executor,
         **scale,
     )
     single_sweep = run_packet_sweep(
         n_units,
-        treatment_factory=lambda i: FlowConfig(
-            i, cc="reno", connections=treatment_connections
-        ),
-        control_factory=lambda i: FlowConfig(
-            i, cc="reno", connections=control_connections
-        ),
+        treatment_factory=lambda i: FlowConfig(i, cc="reno", connections=TREATMENT_CONNECTIONS),
+        control_factory=lambda i: FlowConfig(i, cc="reno", connections=CONTROL_CONNECTIONS),
         cross_traffic=single_cross,
-        jobs=jobs,
-        cache=cache,
+        executor=executor,
         **scale,
     )
 
@@ -238,8 +231,8 @@ def run_parking_lot_experiment(
             single_sweep,
             name="topo_parking[single]",
             description=(
-                f"{n_units} applications using {treatment_connections} (treatment) "
-                f"or {control_connections} (control) TCP Reno connections plus "
+                f"{n_units} applications using {TREATMENT_CONNECTIONS} (treatment) "
+                f"or {CONTROL_CONNECTIONS} (control) TCP Reno connections plus "
                 f"{len(single_cross)} unmeasured cross-traffic flow(s) on one "
                 f"shared drop-tail bottleneck"
             ),
@@ -250,7 +243,7 @@ def run_parking_lot_experiment(
             description=(
                 f"the same applications crossing {SEGMENT_SPAN}-segment spans of a "
                 f"{n_segments}-segment drop-tail parking lot with "
-                f"{cross_traffic_per_segment} unmeasured cross-traffic flow(s) "
+                f"{CROSS_TRAFFIC_PER_SEGMENT} unmeasured cross-traffic flow(s) "
                 f"per segment"
             ),
         ),
@@ -295,12 +288,10 @@ def _span_segments(unit: int, n_segments: int) -> set[int]:
 
 
 def run_fq_experiment(
+    *,
     disciplines: Sequence[str] = ("droptail", "fq_codel"),
-    treatment_connections: int = 2,
-    control_connections: int = 1,
     quick: bool = False,
-    jobs: int = 1,
-    cache=None,
+    executor: ParallelExecutor | None = None,
 ) -> AqmBiasComparison:
     """The parallel-connections bias under drop-tail vs per-flow FQ-CoDel.
 
@@ -315,26 +306,18 @@ def run_fq_experiment(
     disciplines:
         Queue disciplines to compare; defaults to drop-tail against
         FQ-CoDel.
-    treatment_connections, control_connections:
-        Connections opened by treated / control applications (paper: 2 / 1).
     quick:
         Shrink the sweep (fewer units, shorter runs) for smoke tests.
-    jobs, cache:
-        Worker processes and optional result cache for the sweep arms.
+    executor:
+        Runs the sweep arms (default: a serial, uncached one).
     """
     return run_aqm_experiment(
-        disciplines=disciplines,
-        treatment_connections=treatment_connections,
-        control_connections=control_connections,
-        quick=quick,
-        jobs=jobs,
-        cache=cache,
-        name="topo_fq",
+        disciplines=disciplines, quick=quick, executor=executor, name="topo_fq"
     )
 
 
 def _render_parking_lot(
-    args: argparse.Namespace, parser: argparse.ArgumentParser, cache, tracer
+    args: argparse.Namespace, parser: argparse.ArgumentParser, executor: ParallelExecutor
 ) -> list[str]:
     if args.segments < MIN_SEGMENTS:
         parser.error(
@@ -342,7 +325,7 @@ def _render_parking_lot(
             "spillover needs two disjoint unit spans)"
         )
     return run_parking_lot_experiment(
-        n_segments=args.segments, quick=args.quick, jobs=args.jobs, cache=cache
+        n_segments=args.segments, quick=args.quick, executor=executor
     ).summary_lines()
 
 
@@ -371,11 +354,10 @@ register(
         knob="quick",
         seeded=False,
         cells=lambda quick: run_fq_experiment(quick=quick).cells(),
-        render=lambda args, parser, cache, tracer: run_fq_experiment(
+        render=lambda args, parser, executor: run_fq_experiment(
             disciplines=parse_disciplines(args.disciplines, parser),
             quick=args.quick,
-            jobs=args.jobs,
-            cache=cache,
+            executor=executor,
         ).summary_lines(),
         add_arguments=lambda parser: parser.add_argument(
             "--disciplines",

@@ -17,9 +17,9 @@ along two axes the testbed could not:
   naive A/B estimate across disciplines answers: does AQM shrink the A/B
   bias?
 
-Both run every simulation arm through the
-:class:`~repro.runner.executor.ParallelExecutor` (``jobs``/``cache``),
-so results are deterministic and bit-identical for any worker count.
+Both run every simulation arm through the one
+:class:`~repro.runner.executor.ParallelExecutor` they are passed, so
+results are deterministic and bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -30,6 +30,8 @@ from collections.abc import Sequence
 from repro.experiments.figures import Figure, register
 from repro.experiments.lab_common import (
     BIAS_ALLOCATION,
+    CONTROL_CONNECTIONS,
+    TREATMENT_CONNECTIONS,
     BiasComparison,
     LabFigure,
     sweep_to_figure,
@@ -37,6 +39,7 @@ from repro.experiments.lab_common import (
 from repro.netsim.packet.queue import QUEUE_DISCIPLINES
 from repro.netsim.packet.simulation import FlowConfig
 from repro.netsim.packet.sweep import run_packet_sweep
+from repro.runner.executor import ParallelExecutor
 
 __all__ = [
     "DEFAULT_RTT_SPREAD_MS",
@@ -72,12 +75,10 @@ def sweep_scale(quick: bool) -> dict[str, object]:
 
 
 def run_rtt_experiment(
+    *,
     rtt_spread_ms: Sequence[float] = DEFAULT_RTT_SPREAD_MS,
-    treatment_connections: int = 2,
-    control_connections: int = 1,
     quick: bool = False,
-    jobs: int = 1,
-    cache=None,
+    executor: ParallelExecutor | None = None,
 ) -> LabFigure:
     """A/B bias of the parallel-connections treatment under RTT heterogeneity.
 
@@ -89,30 +90,21 @@ def run_rtt_experiment(
     ----------
     rtt_spread_ms:
         Per-unit RTT profile in milliseconds, cycled across units.
-    treatment_connections, control_connections:
-        Connections opened by treated / control applications (paper: 2 / 1).
     quick:
         Shrink the sweep (fewer units, shorter runs) for smoke tests.
-    jobs, cache:
-        Worker processes and optional result cache for the sweep arms.
+    executor:
+        Runs the sweep arms (default: a serial, uncached one).
     """
     if not rtt_spread_ms:
         raise ValueError("rtt_spread_ms must not be empty")
-    if treatment_connections < 1 or control_connections < 1:
-        raise ValueError("connection counts must be at least 1")
     scale = sweep_scale(quick)
     n_units = scale.pop("n_units")
     sweep = run_packet_sweep(
         n_units,
-        treatment_factory=lambda i: FlowConfig(
-            i, cc="reno", connections=treatment_connections
-        ),
-        control_factory=lambda i: FlowConfig(
-            i, cc="reno", connections=control_connections
-        ),
+        treatment_factory=lambda i: FlowConfig(i, cc="reno", connections=TREATMENT_CONNECTIONS),
+        control_factory=lambda i: FlowConfig(i, cc="reno", connections=CONTROL_CONNECTIONS),
         rtt_ms=tuple(float(r) for r in rtt_spread_ms),
-        jobs=jobs,
-        cache=cache,
+        executor=executor,
         **scale,
     )
     spread = "/".join(f"{r:g}" for r in rtt_spread_ms)
@@ -121,7 +113,7 @@ def run_rtt_experiment(
         name="topo_rtt",
         description=(
             f"{n_units} applications at heterogeneous RTTs ({spread} ms) using "
-            f"{treatment_connections} (treatment) or {control_connections} "
+            f"{TREATMENT_CONNECTIONS} (treatment) or {CONTROL_CONNECTIONS} "
             f"(control) TCP Reno connections on a shared drop-tail bottleneck"
         ),
     )
@@ -150,12 +142,10 @@ class AqmBiasComparison(BiasComparison):
 
 
 def run_aqm_experiment(
+    *,
     disciplines: Sequence[str] = ("droptail", "codel"),
-    treatment_connections: int = 2,
-    control_connections: int = 1,
     quick: bool = False,
-    jobs: int = 1,
-    cache=None,
+    executor: ParallelExecutor | None = None,
     name: str = "topo_aqm",
 ) -> AqmBiasComparison:
     """The parallel-connections bias sweep under each queue discipline.
@@ -165,13 +155,11 @@ def run_aqm_experiment(
     disciplines:
         Queue disciplines to compare (names from
         :data:`repro.netsim.packet.queue.QUEUE_DISCIPLINES`).
-    treatment_connections, control_connections:
-        Connections opened by treated / control applications (paper: 2 / 1).
     quick:
         Shrink the sweep (fewer units, shorter runs) for smoke tests.
-    jobs, cache:
-        Worker processes and optional result cache; arms of *all*
-        disciplines fan out over the same executor settings.
+    executor:
+        Runs the arms of *all* disciplines (default: a serial, uncached
+        one).
     name:
         Figure-name prefix (``run_fq_experiment`` reuses this harness
         under the name ``topo_fq``).
@@ -192,25 +180,20 @@ def run_aqm_experiment(
         n_units = scale.pop("n_units")
         sweep = run_packet_sweep(
             n_units,
-            treatment_factory=lambda i: FlowConfig(
-                i, cc="reno", connections=treatment_connections
-            ),
-            control_factory=lambda i: FlowConfig(
-                i, cc="reno", connections=control_connections
-            ),
+            treatment_factory=lambda i: FlowConfig(i, cc="reno", connections=TREATMENT_CONNECTIONS),
+            control_factory=lambda i: FlowConfig(i, cc="reno", connections=CONTROL_CONNECTIONS),
             queue_discipline=discipline,
             # The sweep keys the seed only for a discipline that draws from it.
             seed=0,
-            jobs=jobs,
-            cache=cache,
+            executor=executor,
             **scale,
         )
         figures[discipline] = sweep_to_figure(
             sweep,
             name=f"{name}[{discipline}]",
             description=(
-                f"{n_units} applications using {treatment_connections} (treatment) or "
-                f"{control_connections} (control) TCP Reno connections on a shared "
+                f"{n_units} applications using {TREATMENT_CONNECTIONS} (treatment) or "
+                f"{CONTROL_CONNECTIONS} (control) TCP Reno connections on a shared "
                 f"{discipline} bottleneck"
             ),
         )
@@ -247,11 +230,10 @@ register(
         knob="quick",
         seeded=False,
         cells=lambda quick: run_rtt_experiment(quick=quick).cells(),
-        render=lambda args, parser, cache, tracer: run_rtt_experiment(
+        render=lambda args, parser, executor: run_rtt_experiment(
             rtt_spread_ms=_parse_rtt_spread(args.rtt_spread, parser),
             quick=args.quick,
-            jobs=args.jobs,
-            cache=cache,
+            executor=executor,
         ).summary_lines(),
         add_arguments=lambda parser: parser.add_argument(
             "--rtt-spread",
@@ -268,11 +250,10 @@ register(
         knob="quick",
         seeded=False,
         cells=lambda quick: run_aqm_experiment(quick=quick).cells(),
-        render=lambda args, parser, cache, tracer: run_aqm_experiment(
+        render=lambda args, parser, executor: run_aqm_experiment(
             disciplines=parse_disciplines(args.disciplines, parser),
             quick=args.quick,
-            jobs=args.jobs,
-            cache=cache,
+            executor=executor,
         ).summary_lines(),
         add_arguments=lambda parser: parser.add_argument(
             "--disciplines",

@@ -31,7 +31,6 @@ from repro.experiments.alternate_designs import AlternateDesignComparison, compa
 from repro.experiments.baseline_validation import compare_links_at_baseline
 from repro.experiments.figures import Figure, register
 from repro.reporting import format_table
-from repro.runner.cache import ResultCache
 from repro.runner.executor import ParallelExecutor
 from repro.runner.spec import ScenarioSpec, register_task
 from repro.workload.netflix import PairedLinkWorkload, WorkloadConfig
@@ -315,18 +314,13 @@ class PairedLinkExperiment:
     aa_days: tuple[int, ...] = (0, 1, 2, 3, 4)
     analysis: AnalysisConfig = field(default_factory=AnalysisConfig)
 
-    def run(
-        self,
-        jobs: int = 1,
-        cache: ResultCache | None = None,
-        executor: ParallelExecutor | None = None,
-    ) -> PairedLinkOutcome:
+    def run(self, executor: ParallelExecutor | None = None) -> PairedLinkOutcome:
         """Run baseline, main experiment and A/A weeks, then analyze.
 
         The three workload weeks are independently seeded (each table
         draws from ``config.seed`` plus its own offset), so they run as
-        three parallel scenario specs when ``jobs > 1`` with results
-        bit-identical to the serial path.
+        three scenario specs on ``executor`` (default: a serial, uncached
+        one), with results bit-identical for any worker count.
         """
         links = self.config.links
         specs = (
@@ -350,8 +344,7 @@ class PairedLinkExperiment:
                 label="paired_link[aa]",
             ),
         )
-        executor = executor or ParallelExecutor(jobs=jobs, cache=cache)
-        baseline_table, experiment_table, aa_table = executor.map(specs)
+        baseline_table, experiment_table, aa_table = (executor or ParallelExecutor()).map(specs)
 
         # Normalize everything by the global control condition: the control
         # sessions on the mostly-uncapped link (Appendix B.1).
@@ -385,20 +378,20 @@ class PairedLinkExperiment:
 
 
 def _run_workload(
-    quick: bool, seed: int, jobs: int = 1, cache: ResultCache | None = None
+    quick: bool, seed: int, executor: ParallelExecutor | None = None
 ) -> PairedLinkOutcome:
     config = WorkloadConfig(sessions_at_peak=150 if quick else 300, seed=seed)
-    return PairedLinkExperiment(config=config).run(jobs=jobs, cache=cache)
+    return PairedLinkExperiment(config=config).run(executor)
 
 
 def _paired_figure(
     name: str,
     help: str,
     cells: Callable[[PairedLinkOutcome], dict[str, float]],
-    table: Callable[[PairedLinkOutcome, int, ResultCache | None], str],
+    table: Callable[[PairedLinkOutcome, ParallelExecutor | None], str],
 ) -> Figure:
     """A figure reduced from one paired-link run: ``cells`` for sweeps and
-    campaigns, ``table(outcome, jobs, cache)`` for ``repro <name>``."""
+    campaigns, ``table(outcome, executor)`` for ``repro <name>``."""
     return Figure(
         name=name,
         help=help,
@@ -406,8 +399,8 @@ def _paired_figure(
         knob="quick",
         seeded=True,
         cells=lambda quick, seed: cells(_run_workload(quick, 0 if seed is None else seed)),
-        render=lambda args, parser, cache, tracer: [
-            table(_run_workload(args.quick, args.seed, args.jobs, cache), args.jobs, cache)
+        render=lambda args, parser, executor: [
+            table(_run_workload(args.quick, args.seed, executor), executor)
         ],
     )
 
@@ -446,15 +439,14 @@ def _retransmit_table(outcome: PairedLinkOutcome) -> str:
 
 
 def _design_comparison(
-    outcome: PairedLinkOutcome, jobs: int = 1, cache: ResultCache | None = None
+    outcome: PairedLinkOutcome, executor: ParallelExecutor | None = None
 ) -> AlternateDesignComparison:
     return compare_designs(
         outcome.experiment_table,
         outcome.days,
         outcome.estimates["tte"],
         baselines=outcome.baselines,
-        jobs=jobs,
-        cache=cache,
+        executor=executor,
     )
 
 
@@ -467,8 +459,8 @@ def _design_cells(outcome: PairedLinkOutcome) -> dict[str, float]:
     }
 
 
-def _design_table(outcome: PairedLinkOutcome, jobs: int, cache: ResultCache | None) -> str:
-    comparison = _design_comparison(outcome, jobs, cache)
+def _design_table(outcome: PairedLinkOutcome, executor: ParallelExecutor | None) -> str:
+    comparison = _design_comparison(outcome, executor)
     return format_table(
         ["metric", "paired link", "switchback", "event study"],
         [
@@ -486,7 +478,7 @@ register(
             f"rel_diff_pct:{row.metric}": row.relative_percent
             for row in compare_links_at_baseline(outcome.baseline_table)
         },
-        table=lambda outcome, jobs, cache: format_table(
+        table=lambda outcome, executor: format_table(
             ["metric", "link1 vs link2", "significant"],
             [
                 [r.metric, f"{r.relative_percent:+.1f}%", "yes" if r.significant else "no"]
@@ -504,7 +496,7 @@ register(
             for estimand in FIGURE5_ESTIMANDS
             for metric in SESSION_METRICS
         },
-        table=lambda outcome, jobs, cache: format_table(
+        table=lambda outcome, executor: format_table(
             ["metric", "A/B 5%", "A/B 95%", "TTE", "spillover"],
             [
                 [row["metric"], *(f"{row[e]:+.1f}%" for e in FIGURE5_ESTIMANDS)]
@@ -518,7 +510,7 @@ register(
         "fig7",
         "paired-link throughput cells (Figure 7)",
         cells=lambda outcome: _cell_means(outcome.figure7_cells()),
-        table=lambda outcome, jobs, cache: _cell_means_table(
+        table=lambda outcome, executor: _cell_means_table(
             "throughput (Mb/s)", outcome.figure7_cells(), ".2f"
         ),
     )
@@ -528,7 +520,7 @@ register(
         "fig8",
         "paired-link min-RTT cells (Figure 8)",
         cells=lambda outcome: _cell_means(outcome.figure8_cells()),
-        table=lambda outcome, jobs, cache: _cell_means_table(
+        table=lambda outcome, executor: _cell_means_table(
             "min RTT (normalized)", outcome.figure8_cells(), ".3f"
         ),
     )
@@ -540,7 +532,7 @@ register(
         cells=lambda outcome: {
             name: 100.0 * value for name, value in outcome.figure9_retransmit_split().items()
         },
-        table=lambda outcome, jobs, cache: _retransmit_table(outcome),
+        table=lambda outcome, executor: _retransmit_table(outcome),
     )
 )
 register(

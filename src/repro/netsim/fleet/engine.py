@@ -17,7 +17,7 @@ Two properties the tests pin:
   handful, which is what makes counterfactual truth affordable at fleet
   scale.  Results are reused per key, never re-run.
 * **Deterministic merge.**  Shard statistics are folded in edge order,
-  so the merged result is bit-identical for any ``jobs`` value; each
+  so the merged result is bit-identical for any worker count; each
   shard's seed derives from the master seed and its edge index (and is
   ``None`` when the shard consumes no randomness, maximizing cache
   hits — the packet sweep's seed-normalization idiom).
@@ -33,7 +33,7 @@ import numpy as np
 from repro.netsim.fleet.aggregate import ShardStats, cell_key
 from repro.netsim.fleet.hybrid import FleetCoupling, couple_fleet
 from repro.netsim.fleet.spec import FleetSpec, fleet_assignment
-from repro.runner import ParallelExecutor, ResultCache, ScenarioSpec, content_key
+from repro.runner import ParallelExecutor, ScenarioSpec, content_key
 
 __all__ = ["FleetResult", "run_fleet", "shard_specs"]
 
@@ -151,20 +151,15 @@ def shard_specs(spec: FleetSpec) -> tuple[list[ScenarioSpec], FleetCoupling]:
     return specs, coupling
 
 
-def run_fleet(
-    spec: FleetSpec,
-    jobs: int = 1,
-    cache: ResultCache | None = None,
-    executor: ParallelExecutor | None = None,
-) -> FleetResult:
+def run_fleet(spec: FleetSpec, executor: ParallelExecutor | None = None) -> FleetResult:
     """Run a whole fleet and return its merged statistics.
 
     Identical shards (by content key) are simulated once and their
-    result reused; distinct shards fan out through the executor.  The
-    merged result is bit-identical for any ``jobs`` value.
+    result reused; distinct shards fan out through ``executor``
+    (default: a serial, uncached one).  The merged result is
+    bit-identical for any worker count.
     """
     specs, coupling = shard_specs(spec)
-    executor = executor or ParallelExecutor(jobs=jobs, cache=cache)
 
     unique_specs: list[ScenarioSpec] = []
     key_to_index: dict[str, int] = {}
@@ -176,7 +171,7 @@ def run_fleet(
             unique_specs.append(shard)
         edge_keys.append(key)
 
-    results = executor.map(unique_specs)
+    results = (executor or ParallelExecutor()).map(unique_specs)
 
     merged: ShardStats | None = None
     for key in edge_keys:

@@ -18,7 +18,6 @@ from repro.core.estimands import AllocationSweep
 from repro.netsim.packet.network import PathConfig, QueueConfig
 from repro.netsim.packet.queue import QUEUE_DISCIPLINES
 from repro.netsim.packet.simulation import FlowConfig
-from repro.runner.cache import ResultCache
 from repro.runner.executor import ParallelExecutor
 from repro.runner.spec import ScenarioSpec
 
@@ -85,8 +84,6 @@ def run_packet_sweep(
     seed: int | None = None,
     event_batching: bool = False,
     probe: Any = None,
-    jobs: int = 1,
-    cache: ResultCache | None = None,
     executor: ParallelExecutor | None = None,
 ) -> AllocationSweep:
     """Sweep the number of treated applications on the packet simulator.
@@ -153,12 +150,11 @@ def run_packet_sweep(
         knob it enters the content key only when set — but note that a
         probed arm *does* cache separately from an unprobed one, because
         the cached result carries the probe log.
-    jobs, cache, executor:
-        Arms are independent, so they fan out over a
-        :class:`~repro.runner.executor.ParallelExecutor` with ``jobs``
-        worker processes (results are identical for any ``jobs``) and an
-        optional on-disk result cache.  Passing an ``executor`` overrides
-        both.
+    executor:
+        Arms are independent, so they fan out over this
+        :class:`~repro.runner.executor.ParallelExecutor` (default: a
+        serial, uncached one); results are identical for any worker
+        count.  Any object with the executor's ``map`` will do.
     """
     if n_units < 1:
         raise ValueError("n_units must be at least 1")
@@ -234,8 +230,7 @@ def run_packet_sweep(
             )
         )
 
-    executor = executor or ParallelExecutor(jobs=jobs, cache=cache)
     sweep = AllocationSweep(n_units)
-    for k, result in zip(allocations, executor.map(specs)):
+    for k, result in zip(allocations, (executor or ParallelExecutor()).map(specs)):
         sweep.results[int(k)] = result
     return sweep

@@ -58,19 +58,27 @@ class ResultCache:
         except FileNotFoundError:
             self.misses += 1
             return False, None
-        except (pickle.UnpicklingError, EOFError, AttributeError, OSError):
+        except (pickle.UnpicklingError, EOFError, AttributeError, ImportError, OSError):
             self.misses += 1
             return False, None
         self.hits += 1
         return True, value
 
     def put(self, key: str, value: Any) -> None:
-        """Store a result atomically under ``key``."""
+        """Store a result atomically under ``key``.
+
+        A failed write (say, an unpicklable value) removes its temporary
+        file before the error propagates.
+        """
         path = self.path_for(key)
         tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-        with tmp.open("wb") as fh:
-            pickle.dump(value, fh, protocol=pickle.HIGHEST_PROTOCOL)
-        os.replace(tmp, path)
+        try:
+            with tmp.open("wb") as fh:
+                pickle.dump(value, fh, protocol=pickle.HIGHEST_PROTOCOL)
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
 
     def __contains__(self, key: str) -> bool:
         return self.path_for(key).exists()

@@ -63,10 +63,6 @@ class TestConnectionsFigure:
         curve = connections_figure.throughput_curve
         assert curve.mu_treatment(0.1) > curve.mu_treatment(0.5) > curve.mu_treatment(1.0)
 
-    def test_invalid_connection_counts_raise(self):
-        with pytest.raises(ValueError):
-            run_connections_experiment(treatment_connections=0)
-
 
 class TestPacingFigure:
     """Shape checks against the paper's Section 3.2 findings."""

@@ -108,9 +108,3 @@ class TestParkingLotExperiment:
         # cross-segment spillover would be unmeasurable.
         with pytest.raises(ValueError):
             run_parking_lot_experiment(n_segments=3, quick=True)
-
-    def test_invalid_connection_counts_raise(self):
-        with pytest.raises(ValueError):
-            run_parking_lot_experiment(treatment_connections=0, quick=True)
-        with pytest.raises(ValueError):
-            run_parking_lot_experiment(cross_traffic_per_segment=-1, quick=True)

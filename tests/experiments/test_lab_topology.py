@@ -14,6 +14,7 @@ from repro.experiments.lab_topology import (
     run_aqm_experiment,
     run_rtt_experiment,
 )
+from repro.runner.executor import ParallelExecutor
 
 
 @pytest.fixture(scope="module")
@@ -55,9 +56,12 @@ class TestRttExperiment:
         with pytest.raises(ValueError):
             run_rtt_experiment(rtt_spread_ms=())
 
-    def test_invalid_connection_counts_raise(self):
-        with pytest.raises(ValueError):
-            run_rtt_experiment(treatment_connections=0)
+    def test_passed_executor_runs_every_arm(self, rtt_figure):
+        arms = []
+        executor = ParallelExecutor(on_task_done=lambda done, total, run: arms.append(run))
+        figure = run_rtt_experiment(quick=True, executor=executor)
+        assert len(arms) == 3
+        assert figure.rows == rtt_figure.rows
 
 
 class TestAqmExperiment:

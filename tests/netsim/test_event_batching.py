@@ -19,6 +19,7 @@ from repro.netsim.packet.packets import Packet, PacketPool
 from repro.netsim.packet.simulation import FlowConfig, simulate
 from repro.netsim.packet.sweep import run_packet_sweep
 from repro.netsim.packet.tcp import BBRSender, CubicSender, RenoSender
+from repro.runner.executor import ParallelExecutor
 
 #: Large-BDP bottleneck (~333 packet BDP): windows are big enough for
 #: full-size macros, so this is the regime the fidelity bounds cover.
@@ -167,7 +168,7 @@ class TestBatchedSweepDeterminism:
             duration_s=4.0,
             warmup_s=1.0,
             event_batching=True,
-            jobs=jobs,
+            executor=ParallelExecutor(jobs=jobs),
         )
 
     def test_jobs4_equals_serial_with_batching(self):

@@ -23,7 +23,7 @@ from repro.netsim.fleet import (
     shard_simulation,
     shard_specs,
 )
-from repro.runner import content_key
+from repro.runner import ParallelExecutor, content_key
 
 #: A congested fleet small enough for unit tests: 6 edges in 2 regions,
 #: 10 units each, region links oversubscribed (the default 0.7).
@@ -252,8 +252,8 @@ class TestAggregation:
 
 class TestRunFleet:
     def test_merged_statistics_bit_identical_across_jobs(self):
-        serial = run_fleet(SMALL, jobs=1)
-        parallel = run_fleet(SMALL, jobs=4)
+        serial = run_fleet(SMALL)
+        parallel = run_fleet(SMALL, ParallelExecutor(jobs=4))
         assert serial.stats == parallel.stats
         assert serial.unique_sims == parallel.unique_sims
 
@@ -263,8 +263,8 @@ class TestRunFleet:
         # At a compression the small fleet already saturates, 10x the
         # units must not grow the merged result: its size is bounded by
         # cells x sketch size (the compression factor), not the fleet.
-        small = run_fleet(replace(SMALL, units=60, sketch_compression=16), jobs=1)
-        big = run_fleet(replace(SMALL, units=600, sketch_compression=16), jobs=1)
+        small = run_fleet(replace(SMALL, units=60, sketch_compression=16))
+        big = run_fleet(replace(SMALL, units=600, sketch_compression=16))
         assert big.stats.units == 10 * small.stats.units
         small_size = len(pickle.dumps(small.stats))
         big_size = len(pickle.dumps(big.stats))
@@ -283,7 +283,7 @@ class TestRunFleet:
         specs, _ = shard_specs(spec)
         assert all(s.seed is None for s in specs)
         assert len({content_key(s) for s in specs}) == 2
-        result = run_fleet(spec, jobs=1)
+        result = run_fleet(spec)
         assert result.unique_sims == 2
         assert result.stats.shards == spec.edges
         assert result.stats.units == spec.units
@@ -299,7 +299,7 @@ class TestRunFleet:
         assert [s.seed for s in again] == seeds
 
     def test_fleet_result_accessors(self):
-        result = run_fleet(SMALL, jobs=1)
+        result = run_fleet(SMALL)
         treated = result.mean("treated", "throughput_mbps")
         control = result.mean("control", "throughput_mbps")
         assert result.ab_estimate("throughput_mbps") == pytest.approx(
@@ -317,7 +317,7 @@ class TestRunFleet:
         from repro.netsim.fleet import FCT_CELL
 
         spec = replace(SMALL, edges=3, units=30, churn_per_s=6.0)
-        result = run_fleet(spec, jobs=1)
+        result = run_fleet(spec)
         assert result.stats.dynamic_flows_started > 0
         assert FCT_CELL in result.stats.cells
         fct = result.stats.cells[FCT_CELL]
@@ -335,7 +335,7 @@ class TestSketchAccuracyOnReferenceFleet:
         # docs/architecture.md).  100 units per edge keeps per-arm samples
         # large enough that interpolation conventions cannot dominate.
         reference = replace(SMALL, units=600)
-        result = run_fleet(reference, jobs=1)
+        result = run_fleet(reference)
         specs, _ = shard_specs(reference)
         exact = {"treated": [], "control": []}
         for spec in specs:

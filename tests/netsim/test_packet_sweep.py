@@ -7,6 +7,7 @@ from repro.netsim.packet.network import PathConfig, parking_lot_path, parking_lo
 from repro.netsim.packet.simulation import FlowConfig
 from repro.netsim.packet.sweep import run_packet_sweep
 from repro.runner.cache import ResultCache
+from repro.runner.executor import ParallelExecutor
 
 
 class SpecRecorder:
@@ -211,7 +212,7 @@ class TestInertSeedNormalization:
                 duration_s=4.0,
                 warmup_s=1.0,
                 seed=seed,
-                cache=cache,
+                executor=ParallelExecutor(cache=cache),
             )
 
         first = run(1)

@@ -12,6 +12,7 @@ import pytest
 from repro.experiments import PairedLinkExperiment
 from repro.netsim.packet.simulation import FlowConfig
 from repro.netsim.packet.sweep import run_packet_sweep
+from repro.runner import ParallelExecutor
 from repro.workload import WorkloadConfig
 
 PACKET_KWARGS = dict(
@@ -27,7 +28,7 @@ def _packet_sweep(jobs):
         4,
         treatment_factory=lambda i: FlowConfig(i, cc="reno", connections=2),
         control_factory=lambda i: FlowConfig(i, cc="reno", connections=1),
-        jobs=jobs,
+        executor=ParallelExecutor(jobs=jobs),
         **PACKET_KWARGS,
     )
 
@@ -61,7 +62,7 @@ class TestTopologySweepParallel:
             rtt_ms=(10.0, 30.0),
             loss_rate=0.005,
             seed=5,
-            jobs=jobs,
+            executor=ParallelExecutor(jobs=jobs),
             **PACKET_KWARGS,
         )
 
@@ -81,7 +82,7 @@ class TestTopologySweepParallel:
                 queue_discipline="red",
                 queue_params={"weight": 0.05},
                 seed=11,
-                jobs=jobs,
+                executor=ParallelExecutor(jobs=jobs),
                 **PACKET_KWARGS,
             )
 
@@ -90,7 +91,7 @@ class TestTopologySweepParallel:
             assert serial.results[k] == parallel.results[k]
 
     def test_topology_figure_cells_jobs4_equals_serial(self):
-        from repro.runner import ParallelExecutor, ScenarioSpec
+        from repro.runner import ScenarioSpec
 
         specs = [
             ScenarioSpec(
@@ -123,7 +124,7 @@ class TestChurnSweepParallel:
             control_factory=lambda i: FlowConfig(i, cc="reno", connections=1),
             traffic_sources=(source,),
             seed=13,
-            jobs=jobs,
+            executor=ParallelExecutor(jobs=jobs),
             **PACKET_KWARGS,
         )
 
@@ -140,8 +141,8 @@ class TestPairedLinkParallel:
     @pytest.fixture(scope="class")
     def outcomes(self):
         config = WorkloadConfig(sessions_at_peak=100, n_accounts=1500, seed=5)
-        serial = PairedLinkExperiment(config=config).run(jobs=1)
-        parallel = PairedLinkExperiment(config=config).run(jobs=3)
+        serial = PairedLinkExperiment(config=config).run()
+        parallel = PairedLinkExperiment(config=config).run(ParallelExecutor(jobs=3))
         return serial, parallel
 
     def test_tables_identical(self, outcomes):

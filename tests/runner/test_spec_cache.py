@@ -1,6 +1,9 @@
 """Tests for scenario specs, the task registry and the result cache."""
 
 import dataclasses
+import pickle
+import sys
+import types
 
 import numpy as np
 import pytest
@@ -163,6 +166,24 @@ class TestResultCache:
         cache.path_for(key).write_bytes(b"not a pickle")
         hit, value = cache.get(key)
         assert not hit and value is None
+
+    def test_entry_of_a_vanished_module_is_a_miss(self, tmp_path, monkeypatch):
+        module = types.ModuleType("repro_test_vanishing_module")
+        exec("class Gone:\n    pass\n", module.__dict__)
+        monkeypatch.setitem(sys.modules, module.__name__, module)
+        cache = ResultCache(tmp_path)
+        key = "f" * 64
+        cache.put(key, module.Gone())
+        monkeypatch.delitem(sys.modules, module.__name__)
+        assert cache.get(key) == (False, None)
+        cache.put(key, 5)
+        assert cache.get(key) == (True, 5)
+
+    def test_failed_put_leaves_no_temp_file(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        with pytest.raises((pickle.PicklingError, AttributeError)):
+            cache.put("e" * 64, lambda: 1)
+        assert list(tmp_path.iterdir()) == []
 
     def test_clear(self, tmp_path):
         cache = ResultCache(tmp_path)

@@ -44,34 +44,6 @@ the layers below it (``repro lint`` rule LAY001 checks the order; see
     The stable programmatic facade and the ``repro`` command line.
 """
 
-from repro.core.assignment import (
-    Assignment,
-    bernoulli_assignment,
-    fixed_fraction_assignment,
-)
-from repro.core.estimands import EstimandSet, PotentialOutcomeCurve
-from repro.core.estimators import (
-    DifferenceInMeans,
-    EstimateWithCI,
-    difference_in_means,
-    quantile_treatment_effect,
-)
-from repro.core.units import OutcomeTable, Session, Unit
-
 __version__ = "2.0.0"
 
-__all__ = [
-    "Assignment",
-    "bernoulli_assignment",
-    "fixed_fraction_assignment",
-    "EstimandSet",
-    "PotentialOutcomeCurve",
-    "DifferenceInMeans",
-    "EstimateWithCI",
-    "difference_in_means",
-    "quantile_treatment_effect",
-    "OutcomeTable",
-    "Session",
-    "Unit",
-    "__version__",
-]
+__all__ = ["__version__"]

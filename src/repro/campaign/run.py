@@ -29,6 +29,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
+from scipy import special
 
 from repro.campaign.spec import CampaignArm, CampaignSpec
 from repro.runner.cache import ResultCache
@@ -57,14 +58,17 @@ MANIFEST_SCHEMA = 1
 
 
 def confidence_half_width(values: np.ndarray, confidence: float = 0.95) -> float:
-    """Half-width of the t-based CI on the mean of ``values``."""
+    """Half-width of the t-based CI on the mean of ``values``.
+
+    Raises :class:`ValueError` for a ``confidence`` outside (0, 1).
+    """
+    if not 0.0 < confidence < 1.0:
+        raise ValueError(f"confidence must be in (0, 1), got {confidence!r}")
     n = len(values)
     if n < 2:
         return 0.0
-    from scipy import stats
-
     std = float(np.std(values, ddof=1))
-    return float(stats.t.ppf(0.5 + confidence / 2.0, n - 1) * std / np.sqrt(n))
+    return float(special.stdtrit(n - 1, 0.5 + confidence / 2.0) * std / np.sqrt(n))
 
 
 @dataclass(frozen=True)

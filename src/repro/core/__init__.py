@@ -12,33 +12,3 @@ Appendix B of the paper:
 * experiment designs (:mod:`repro.core.designs`)
 * the regression-based analysis pipeline (:mod:`repro.core.analysis`)
 """
-
-from repro.core.units import OutcomeTable, Session, Unit
-from repro.core.assignment import (
-    Assignment,
-    bernoulli_assignment,
-    fixed_fraction_assignment,
-)
-from repro.core.estimands import AllocationSweep, EstimandSet, PotentialOutcomeCurve
-from repro.core.estimators import (
-    DifferenceInMeans,
-    EstimateWithCI,
-    difference_in_means,
-    quantile_treatment_effect,
-)
-
-__all__ = [
-    "OutcomeTable",
-    "Session",
-    "Unit",
-    "Assignment",
-    "bernoulli_assignment",
-    "fixed_fraction_assignment",
-    "AllocationSweep",
-    "EstimandSet",
-    "PotentialOutcomeCurve",
-    "DifferenceInMeans",
-    "EstimateWithCI",
-    "difference_in_means",
-    "quantile_treatment_effect",
-]

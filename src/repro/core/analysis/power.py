@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 
-from scipy import stats
+from scipy import special
 
 __all__ = [
     "required_sample_size",
@@ -28,8 +28,14 @@ __all__ = [
 ]
 
 
-def _z(alpha_or_power: float) -> float:
-    return float(stats.norm.ppf(alpha_or_power))
+def _z_sum(power: float, significance: float, two_sided: bool) -> float:
+    """``z_{1-alpha} + z_{power}``, with ``alpha`` halved when two-sided."""
+    if not 0.0 < power < 1.0:
+        raise ValueError("power must be in (0, 1)")
+    if not 0.0 < significance < 1.0:
+        raise ValueError("significance must be in (0, 1)")
+    alpha = significance / 2.0 if two_sided else significance
+    return float(special.ndtri(1.0 - alpha)) + float(special.ndtri(power))
 
 
 def required_sample_size(
@@ -49,14 +55,8 @@ def required_sample_size(
         raise ValueError("effect_size must be non-zero")
     if std_dev <= 0:
         raise ValueError("std_dev must be positive")
-    if not 0.0 < power < 1.0:
-        raise ValueError("power must be in (0, 1)")
-    if not 0.0 < significance < 1.0:
-        raise ValueError("significance must be in (0, 1)")
-    alpha = significance / 2.0 if two_sided else significance
-    z_alpha = _z(1.0 - alpha)
-    z_beta = _z(power)
-    n = 2.0 * (z_alpha + z_beta) ** 2 * (std_dev / effect_size) ** 2
+    z_sum = _z_sum(power, significance, two_sided)
+    n = 2.0 * z_sum**2 * (std_dev / effect_size) ** 2
     return int(math.ceil(n))
 
 
@@ -72,10 +72,8 @@ def minimum_detectable_effect(
         raise ValueError("n_per_arm must be positive")
     if std_dev <= 0:
         raise ValueError("std_dev must be positive")
-    alpha = significance / 2.0 if two_sided else significance
-    z_alpha = _z(1.0 - alpha)
-    z_beta = _z(power)
-    return float((z_alpha + z_beta) * std_dev * math.sqrt(2.0 / n_per_arm))
+    z_sum = _z_sum(power, significance, two_sided)
+    return float(z_sum * std_dev * math.sqrt(2.0 / n_per_arm))
 
 
 def switchback_intervals_needed(

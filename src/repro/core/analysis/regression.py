@@ -20,11 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from repro.core.analysis.aggregation import HourlyAggregate
 from repro.core.analysis.newey_west import newey_west_covariance
-from repro.core.estimators import EstimateWithCI
+from repro.core.estimators import EstimateWithCI, normal_ci
 
 __all__ = ["OLSResult", "ols", "treatment_effect_regression"]
 
@@ -69,16 +68,11 @@ class OLSResult:
         self, name: str, confidence: float = 0.95
     ) -> EstimateWithCI:
         """Normal-theory confidence interval for the named coefficient."""
-        est = self.coefficient(name)
-        se = self.std_error(name)
-        z = float(stats.norm.ppf(0.5 + confidence / 2.0))
-        return EstimateWithCI(
-            estimate=est,
-            std_error=se,
-            ci_low=est - z * se,
-            ci_high=est + z * se,
-            confidence=confidence,
-            n=self.n_observations,
+        return normal_ci(
+            self.coefficient(name),
+            self.std_error(name),
+            confidence,
+            self.n_observations,
         )
 
     def r_squared(self, outcomes: np.ndarray) -> float:

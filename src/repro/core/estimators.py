@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 __all__ = [
     "EstimateWithCI",
@@ -31,6 +31,7 @@ __all__ = [
     "quantile_treatment_effect",
     "relative_effect",
     "cluster_robust_variance",
+    "normal_ci",
 ]
 
 
@@ -107,13 +108,15 @@ class DifferenceInMeans:
         return self.effect.estimate / self.control_mean
 
 
-def _normal_ci(
-    estimate: float, std_error: float, confidence: float, n: int
-) -> EstimateWithCI:
-    """Build an :class:`EstimateWithCI` from a normal approximation."""
+def normal_ci(estimate: float, std_error: float, confidence: float, n: int) -> EstimateWithCI:
+    """Build an :class:`EstimateWithCI` from a normal approximation.
+
+    Raises :class:`ValueError` unless ``confidence`` is strictly between
+    0 and 1.
+    """
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must be strictly between 0 and 1")
-    z = float(stats.norm.ppf(0.5 + confidence / 2.0))
+    z = float(special.ndtri(0.5 + confidence / 2.0))
     return EstimateWithCI(
         estimate=float(estimate),
         std_error=float(std_error),
@@ -190,7 +193,7 @@ def difference_in_means(
 
     effect = t_mean - c_mean
     std_error = float(np.sqrt(t_var + c_var))
-    ci = _normal_ci(effect, std_error, confidence, t_n + c_n)
+    ci = normal_ci(effect, std_error, confidence, t_n + c_n)
     return DifferenceInMeans(
         effect=ci,
         treatment_mean=t_mean,

@@ -25,6 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections.abc import Mapping, Sequence
 
+import numpy as np
+
 from repro.core.analysis.pipeline import AnalysisConfig, MetricEstimate, analyze_metric
 from repro.core.designs import EventStudyDesign, SwitchbackDesign
 from repro.core.units import SESSION_METRICS, OutcomeTable
@@ -68,8 +70,6 @@ def emulate_day_split(
     overlap = set(treatment_days) & set(control_days)
     if overlap:
         raise ValueError(f"days {sorted(overlap)} appear in both arms")
-
-    import numpy as np
 
     days = table["day"].astype(int)
     links = table["link"].astype(int)

@@ -23,7 +23,7 @@ from collections.abc import Callable, Sequence
 
 import numpy as np
 
-from repro.core.analysis.pipeline import AnalysisConfig, MetricEstimate
+from repro.core.analysis.pipeline import AnalysisConfig, MetricEstimate, analyze_metric
 from repro.core.designs import ExperimentDesign, PairedLinkDesign
 from repro.core.experiment import ExperimentResult, evaluate_design
 from repro.core.units import SESSION_METRICS, OutcomeTable
@@ -232,8 +232,6 @@ class PairedLinkOutcome:
         table = self.experiment_table.where(link=link1)
         treated = table.where(treated=1)
         control = table.where(treated=0)
-        from repro.core.analysis.pipeline import analyze_metric
-
         out: dict[str, dict[str, MetricEstimate]] = {"hourly": {}, "account": {}}
         for metric in metrics:
             baseline = self.baselines[metric]

@@ -26,6 +26,10 @@ from repro.netsim.fleet.aggregate import (
     ShardStats,
     cell_key,
 )
+from repro.netsim.packet.network import PathConfig
+from repro.netsim.packet.simulation import FlowConfig, simulate
+from repro.netsim.traffic import ParetoSizes, PoissonArrivals, TrafficSource
+from repro.obs.probe import ProbeConfig
 from repro.runner.spec import register_task
 
 __all__ = ["run_shard", "shard_simulation", "reduce_result"]
@@ -54,10 +58,6 @@ def shard_simulation(
     cadence (queues only — per-flow series on a fleet shard would break
     the O(cells) contract); probing never perturbs the simulation.
     """
-    from repro.netsim.packet.network import PathConfig
-    from repro.netsim.packet.simulation import FlowConfig, simulate
-    from repro.obs.probe import ProbeConfig
-
     path = PathConfig(loss_rate=loss_rate) if loss_rate > 0.0 else None
     flows = [
         FlowConfig(
@@ -72,8 +72,6 @@ def shard_simulation(
 
     traffic_sources = None
     if churn_per_s > 0.0:
-        from repro.netsim.traffic import ParetoSizes, PoissonArrivals, TrafficSource
-
         traffic_sources = [
             TrafficSource(
                 arrivals=PoissonArrivals(rate_per_s=churn_per_s),

@@ -173,6 +173,13 @@ class TestOLS:
         with pytest.raises(ValueError):
             ols(np.ones((5, 2)), np.ones(5), ("only_one",))
 
+    @pytest.mark.parametrize("confidence", [1.0, 1.5])
+    def test_confidence_outside_unit_interval_raises(self, confidence):
+        X = np.column_stack([np.ones(20), np.arange(20.0)])
+        fit = ols(X, np.arange(20.0) ** 1.5, ("intercept", "slope"))
+        with pytest.raises(ValueError):
+            fit.confidence_interval("slope", confidence=confidence)
+
 
 class TestTreatmentEffectRegression:
     def test_recovers_known_effect(self):
@@ -284,6 +291,11 @@ class TestPower:
             required_sample_size(1.0, -1.0)
         with pytest.raises(ValueError):
             minimum_detectable_effect(0, 1.0)
+
+    @pytest.mark.parametrize("levels", [{"power": 1.5}, {"power": 1.0}, {"significance": 0.0}])
+    def test_mde_level_outside_unit_interval_raises(self, levels):
+        with pytest.raises(ValueError):
+            minimum_detectable_effect(100, 1.0, **levels)
 
 
 class TestInterferenceDiagnostics:

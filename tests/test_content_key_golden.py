@@ -11,6 +11,8 @@ from pathlib import Path
 import pytest
 
 from repro import __version__, api
+from repro.experiments.paired_link import PairedLinkExperiment
+from repro.workload import WorkloadConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -59,6 +61,14 @@ DEFAULT_ARMS = {
 #: Campaign content key of ``examples/campaign_quick.yaml``.
 CAMPAIGN_QUICK_KEY = "c95609d0a5b93a4f80552e0608261db9f63abff541c95044d27d51a86f2f1262"
 
+#: label -> content key of the three workload weeks a quick seed-7
+#: paired-link run submits to its executor.
+PAIRED_LINK_TABLE_KEYS = {
+    "paired_link[baseline]": "b3ab712fe9cf12e267a39c2547b0713bd25dc89c4165f1fbeb3c341bf7bfa556",
+    "paired_link[experiment]": "39f89e2d2acd89538e20aaac0f65883f0927dffaeed218884001713932e82c6d",
+    "paired_link[aa]": "a64d1ca51c227c8f512295dce2a654fa1128dbf7b41bee58a463da777f5121fb",
+}
+
 
 def test_keys_were_captured_at_this_version():
     assert __version__ == "2.0.0"
@@ -78,3 +88,27 @@ def test_default_arm_key(figure):
 def test_campaign_quick_key():
     campaign = api.load_campaign(ROOT / "examples" / "campaign_quick.yaml")
     assert campaign.content_key() == CAMPAIGN_QUICK_KEY
+
+
+class _Submitted(Exception):
+    """Raised by :class:`_RecordingExecutor` once it has the specs."""
+
+
+class _RecordingExecutor:
+    """Records the specs it is asked to map, then stops the run."""
+
+    def __init__(self):
+        self.specs = []
+
+    def map(self, specs):
+        self.specs = list(specs)
+        raise _Submitted
+
+
+def test_paired_link_table_keys():
+    executor = _RecordingExecutor()
+    experiment = PairedLinkExperiment(config=WorkloadConfig(sessions_at_peak=150, seed=7))
+    with pytest.raises(_Submitted):
+        experiment.run(executor=executor)
+    keys = {spec.label: api.content_key(spec) for spec in executor.specs}
+    assert keys == PAIRED_LINK_TABLE_KEYS

@@ -16,6 +16,7 @@ import argparse
 
 from repro.core.units import SESSION_METRICS
 from repro.experiments import PairedLinkExperiment, compare_links_at_baseline
+from repro.experiments.paired_link import DESIGN
 from repro.reporting import format_table
 from repro.workload import WorkloadConfig
 
@@ -31,7 +32,7 @@ def main() -> None:
     sessions_at_peak = 150 if args.quick else 400
     config = WorkloadConfig(sessions_at_peak=sessions_at_peak, seed=args.seed)
     experiment = PairedLinkExperiment(config=config)
-    print(f"Running paired-link experiment ({experiment.design.describe()}) ...")
+    print(f"Running paired-link experiment ({DESIGN.describe()}) ...")
     outcome = experiment.run()
     print(f"Generated {len(outcome.experiment_table)} experiment sessions.\n")
 

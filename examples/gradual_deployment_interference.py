@@ -11,7 +11,7 @@ Run with:  python examples/gradual_deployment_interference.py
 
 from repro.core.analysis import detect_interference
 from repro.core.designs import GradualDeploymentDesign
-from repro.core.experiment import ExperimentResult, evaluate_design
+from repro.core.experiment import evaluate_comparisons
 from repro.reporting import format_table
 from repro.workload import PairedLinkWorkload, WorkloadConfig
 
@@ -27,8 +27,9 @@ def main() -> None:
     print(f"Deployment ramp: {design.describe()}")
     plan = design.allocation_plan(config.links, days)
     table = workload.generate(plan, days)
-    result = ExperimentResult(design, table, config.links, days)
-    estimates = evaluate_design(result, metrics=(METRIC,))
+    estimates = evaluate_comparisons(
+        table, design.comparisons(config.links, days), metrics=(METRIC,)
+    )
 
     rows = []
     ate_by_allocation = {}

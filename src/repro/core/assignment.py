@@ -164,7 +164,8 @@ def interval_assignment(
     force_both_arms:
         When True (the default), re-randomize until at least one interval is
         in each arm, mirroring the paper's requirement that "at least one day
-        was in treatment and at least one day was in control".
+        was in treatment and at least one day was in control".  This needs
+        ``treatment_probability`` strictly between 0 and 1.
 
     Returns
     -------
@@ -178,6 +179,8 @@ def interval_assignment(
         raise ValueError("treatment_probability must be in [0, 1]")
     if force_both_arms and n_intervals < 2:
         raise ValueError("force_both_arms requires at least two intervals")
+    if force_both_arms and treatment_probability in (0.0, 1.0):
+        raise ValueError("force_both_arms requires treatment_probability strictly in (0, 1)")
     rng = np.random.default_rng(seed)
     while True:
         assignment = rng.random(n_intervals) < treatment_probability

@@ -7,8 +7,6 @@ the resulting data estimate which causal quantity* (a list of
 
 Available designs:
 
-* :class:`~repro.core.designs.ab_test.ABTestDesign` — the naive A/B test.
-* :class:`~repro.core.designs.aa_test.AATestDesign` — an A/A calibration test.
 * :class:`~repro.core.designs.paired_link.PairedLinkDesign` — the paper's
   Section 4 design: simultaneous 95 % / 5 % A/B tests on two parallel links.
 * :class:`~repro.core.designs.switchback.SwitchbackDesign` — randomized
@@ -17,11 +15,14 @@ Available designs:
   deployment comparison (Section 5.1).
 * :class:`~repro.core.designs.gradual_deployment.GradualDeploymentDesign` —
   a staged ramp of allocations usable to detect interference.
+
+A design's comparisons become estimates through
+:func:`repro.core.experiment.evaluate_comparisons`.  A naive A/B effect is
+a comparison within one of these designs (``ab_<allocation>``), not a
+design of its own.
 """
 
 from repro.core.designs.base import AllocationPlan, ComparisonSpec, ExperimentDesign
-from repro.core.designs.ab_test import ABTestDesign
-from repro.core.designs.aa_test import AATestDesign
 from repro.core.designs.paired_link import PairedLinkDesign
 from repro.core.designs.switchback import SwitchbackDesign
 from repro.core.designs.event_study import EventStudyDesign
@@ -31,8 +32,6 @@ __all__ = [
     "AllocationPlan",
     "ComparisonSpec",
     "ExperimentDesign",
-    "ABTestDesign",
-    "AATestDesign",
     "PairedLinkDesign",
     "SwitchbackDesign",
     "EventStudyDesign",

@@ -1,24 +1,26 @@
 """Glue between experiment designs, observed data and the analysis pipeline.
 
-An :class:`ExperimentResult` holds the session-level outcomes of a run
-together with the design that produced them.  :func:`evaluate_design`
-applies every comparison declared by the design to every requested metric,
-producing a table of :class:`~repro.core.analysis.pipeline.MetricEstimate`
-objects — the rows of the paper's Figures 5 and 10.
+:func:`evaluate_comparisons` applies each
+:class:`~repro.core.designs.base.ComparisonSpec` — an estimand and the two
+groups of sessions that estimate it — to every requested metric, producing
+a table of :class:`~repro.core.analysis.pipeline.MetricEstimate` objects.
+A design's estimands are ``evaluate_comparisons(table,
+design.comparisons(links, days))``.  Every paired-link estimate takes this
+path: the design's four estimands (Figure 5), the emulated switchback and
+event study (Figure 10) and the baseline link comparison (Section 4.1).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from collections.abc import Iterable, Sequence
 
 import numpy as np
 
 from repro.core.analysis.pipeline import AnalysisConfig, MetricEstimate, analyze_metric
-from repro.core.designs.base import CellSelector, ComparisonSpec, ExperimentDesign
+from repro.core.designs.base import CellSelector, ComparisonSpec
 from repro.core.units import SESSION_METRICS, OutcomeTable
 
-__all__ = ["ExperimentResult", "select_cells", "evaluate_design", "evaluate_comparisons"]
+__all__ = ["select_cells", "evaluate_comparisons"]
 
 
 def select_cells(table: OutcomeTable, selector: CellSelector) -> OutcomeTable:
@@ -31,31 +33,6 @@ def select_cells(table: OutcomeTable, selector: CellSelector) -> OutcomeTable:
     if selector.treated is not None:
         mask &= table["treated"].astype(bool) == selector.treated
     return table.select(mask)
-
-
-@dataclass
-class ExperimentResult:
-    """Observed outcomes of one experiment run.
-
-    Attributes
-    ----------
-    design:
-        The design that generated the allocation.
-    table:
-        Session-level outcomes (must contain ``link``, ``day``, ``hour``,
-        ``treated`` and the outcome metrics).
-    links, days:
-        The links and days covered by the run.
-    """
-
-    design: ExperimentDesign
-    table: OutcomeTable
-    links: tuple[int, ...]
-    days: tuple[int, ...]
-
-    def comparisons(self) -> list[ComparisonSpec]:
-        """Comparisons declared by the design over this run's links and days."""
-        return self.design.comparisons(self.links, self.days)
 
 
 def evaluate_comparisons(
@@ -106,14 +83,3 @@ def evaluate_comparisons(
         results[spec.estimand] = per_metric
     return results
 
-
-def evaluate_design(
-    result: ExperimentResult,
-    metrics: Sequence[str] = SESSION_METRICS,
-    baselines: dict[str, float] | None = None,
-    config: AnalysisConfig | None = None,
-) -> dict[str, dict[str, MetricEstimate]]:
-    """Evaluate every comparison a design declares on the observed data."""
-    return evaluate_comparisons(
-        result.table, result.comparisons(), metrics=metrics, baselines=baselines, config=config
-    )

@@ -111,8 +111,6 @@ TASK_PARAM_BASELINE: dict[str, frozenset[str]] = {
     "workload.baseline_table": frozenset({"config", "days"}),
     "workload.experiment_table": frozenset({"config", "design", "days"}),
     "workload.aa_table": frozenset({"config", "days"}),
-    "experiments.switchback_emulation": frozenset({"table", "days", "metrics"}),
-    "experiments.event_study_emulation": frozenset({"table", "days", "metrics"}),
     "figure.cells": frozenset({"figure"}),
 }
 

@@ -23,15 +23,14 @@ no traffic was capped anywhere, and counting false positives.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
+from typing import ClassVar
 
-import numpy as np
-
-from repro.core.analysis.pipeline import AnalysisConfig, MetricEstimate, analyze_metric
+from repro.core.analysis.pipeline import AnalysisConfig, MetricEstimate
 from repro.core.designs import EventStudyDesign, SwitchbackDesign
+from repro.core.designs.base import CellSelector, ComparisonSpec
+from repro.core.experiment import evaluate_comparisons
 from repro.core.units import SESSION_METRICS, OutcomeTable
-from repro.runner.executor import ParallelExecutor
-from repro.runner.spec import ScenarioSpec, register_task
 
 __all__ = [
     "AlternateDesignComparison",
@@ -40,8 +39,6 @@ __all__ = [
     "emulate_day_split",
     "run_aa_calibration",
     "compare_designs",
-    "switchback_emulation",
-    "event_study_emulation",
 ]
 
 
@@ -54,8 +51,6 @@ def emulate_day_split(
     metrics: Sequence[str] = SESSION_METRICS,
     baselines: dict[str, float] | None = None,
     config: AnalysisConfig | None = None,
-    treated_arm: int = 1,
-    control_arm: int = 0,
 ) -> dict[str, MetricEstimate]:
     """Estimate TTE from a day split of the paired-link data.
 
@@ -63,39 +58,19 @@ def emulate_day_split(
     treated sessions of the mostly-treated link; for control intervals, the
     control sessions of the mostly-control link (Appendix B.2).
     """
-    treatment_days = [int(d) for d in treatment_days]
-    control_days = [int(d) for d in control_days]
+    treatment_days = tuple(int(d) for d in treatment_days)
+    control_days = tuple(int(d) for d in control_days)
     if not treatment_days or not control_days:
         raise ValueError("both treatment and control day sets must be non-empty")
     overlap = set(treatment_days) & set(control_days)
     if overlap:
         raise ValueError(f"days {sorted(overlap)} appear in both arms")
-
-    days = table["day"].astype(int)
-    links = table["link"].astype(int)
-    arms = table["treated"].astype(int)
-    treated_table = table.select(
-        np.isin(days, treatment_days) & (links == treated_link) & (arms == treated_arm)
+    spec = ComparisonSpec(
+        "tte_emulated",
+        CellSelector((treated_link,), treatment_days, treated=True),
+        CellSelector((control_link,), control_days, treated=False),
     )
-    control_table = table.select(
-        np.isin(days, control_days) & (links == control_link) & (arms == control_arm)
-    )
-    if len(treated_table) == 0 or len(control_table) == 0:
-        raise ValueError("the emulated day split selected an empty group")
-
-    config = config or AnalysisConfig()
-    estimates: dict[str, MetricEstimate] = {}
-    for metric in metrics:
-        baseline = (baselines or {}).get(metric)
-        estimates[metric] = analyze_metric(
-            treated_table,
-            control_table,
-            metric,
-            estimand="tte_emulated",
-            baseline=baseline,
-            config=config,
-        )
-    return estimates
+    return evaluate_comparisons(table, [spec], metrics, baselines, config)["tte_emulated"]
 
 
 def emulate_switchback(
@@ -152,44 +127,6 @@ def emulate_event_study(
     )
 
 
-@register_task("experiments.switchback_emulation")
-def switchback_emulation(
-    table: OutcomeTable,
-    days: Sequence[int],
-    metrics: Sequence[str],
-    baselines: Mapping[str, float] | None = None,
-    analysis: AnalysisConfig | None = None,
-    seed: int | None = None,
-) -> dict[str, MetricEstimate]:
-    """Runner task: :func:`emulate_switchback` with its default design."""
-    return emulate_switchback(
-        table,
-        days,
-        metrics=tuple(metrics),
-        baselines=dict(baselines) if baselines else None,
-        config=analysis,
-    )
-
-
-@register_task("experiments.event_study_emulation")
-def event_study_emulation(
-    table: OutcomeTable,
-    days: Sequence[int],
-    metrics: Sequence[str],
-    baselines: Mapping[str, float] | None = None,
-    analysis: AnalysisConfig | None = None,
-    seed: int | None = None,
-) -> dict[str, MetricEstimate]:
-    """Runner task: :func:`emulate_event_study` with its default design."""
-    return emulate_event_study(
-        table,
-        days,
-        metrics=tuple(metrics),
-        baselines=dict(baselines) if baselines else None,
-        config=analysis,
-    )
-
-
 def run_aa_calibration(
     aa_table: OutcomeTable,
     days: Sequence[int],
@@ -213,8 +150,6 @@ def run_aa_calibration(
         control_days,
         metrics=metrics,
         config=config,
-        treated_arm=1,
-        control_arm=0,
     )
 
 
@@ -227,7 +162,7 @@ class AlternateDesignComparison:
     event_study: dict[str, MetricEstimate]
 
     #: Display order of the designs.
-    DESIGNS: tuple[str, ...] = ("paired_link", "switchback", "event_study")
+    DESIGNS: ClassVar[tuple[str, ...]] = ("paired_link", "switchback", "event_study")
 
     def rows(self, metrics: Sequence[str] = SESSION_METRICS) -> list[dict[str, object]]:
         """One row per metric with each design's relative TTE (percent)."""
@@ -258,36 +193,19 @@ def compare_designs(
     baselines: dict[str, float] | None = None,
     metrics: Sequence[str] = SESSION_METRICS,
     config: AnalysisConfig | None = None,
-    executor: ParallelExecutor | None = None,
 ) -> AlternateDesignComparison:
     """Build the Figure 10 comparison from one paired-link run.
 
-    The switchback and event-study emulations are independent analyses of
-    the same table, so they run as two scenario specs on ``executor``
-    (default: a serial, uncached one), in parallel when it has workers.
+    The switchback and the event study are emulated in-process, each one
+    day split of ``experiment_table`` analyzed by
+    :func:`~repro.core.experiment.evaluate_comparisons`.
     """
-    common = {
-        "table": experiment_table,
-        "days": tuple(int(d) for d in days),
-        "metrics": tuple(metrics),
-        "baselines": baselines,
-        "analysis": config,
-    }
-    specs = (
-        ScenarioSpec(
-            task="experiments.switchback_emulation",
-            params=common,
-            label="compare_designs[switchback]",
-        ),
-        ScenarioSpec(
-            task="experiments.event_study_emulation",
-            params=common,
-            label="compare_designs[event_study]",
-        ),
-    )
-    switchback, event_study = (executor or ParallelExecutor()).map(specs)
     return AlternateDesignComparison(
         paired_link=paired_link_estimates,
-        switchback=switchback,
-        event_study=event_study,
+        switchback=emulate_switchback(
+            experiment_table, days, metrics=metrics, baselines=baselines, config=config
+        ),
+        event_study=emulate_event_study(
+            experiment_table, days, metrics=metrics, baselines=baselines, config=config
+        ),
     )

@@ -17,7 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections.abc import Sequence
 
-from repro.core.analysis.pipeline import AnalysisConfig, MetricEstimate, analyze_metric
+from repro.core.analysis.pipeline import AnalysisConfig, MetricEstimate
+from repro.core.designs.base import CellSelector, ComparisonSpec
+from repro.core.experiment import evaluate_comparisons
 from repro.core.units import SESSION_METRICS, OutcomeTable
 
 __all__ = ["LinkComparisonRow", "compare_links_at_baseline"]
@@ -63,19 +65,7 @@ def compare_links_at_baseline(
     config:
         Analysis configuration (hourly aggregation by default).
     """
-    config = config or AnalysisConfig()
-    table_a = baseline_table.where(link=link_a)
-    table_b = baseline_table.where(link=link_b)
-    if len(table_a) == 0 or len(table_b) == 0:
-        raise ValueError("baseline data must include sessions on both links")
-    rows: list[LinkComparisonRow] = []
-    for metric in metrics:
-        estimate = analyze_metric(
-            table_a,
-            table_b,
-            metric,
-            estimand=f"baseline_link{link_a}_vs_link{link_b}",
-            config=config,
-        )
-        rows.append(LinkComparisonRow(metric=metric, estimate=estimate))
-    return rows
+    estimand = f"baseline_link{link_a}_vs_link{link_b}"
+    spec = ComparisonSpec(estimand, CellSelector(links=(link_a,)), CellSelector(links=(link_b,)))
+    estimates = evaluate_comparisons(baseline_table, [spec], metrics, config=config)[estimand]
+    return [LinkComparisonRow(metric, estimate) for metric, estimate in estimates.items()]

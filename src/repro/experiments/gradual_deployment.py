@@ -17,7 +17,7 @@ from collections.abc import Sequence
 from repro.core.analysis.interference import InterferenceDiagnostics, detect_interference
 from repro.core.analysis.pipeline import AnalysisConfig, MetricEstimate
 from repro.core.designs import GradualDeploymentDesign
-from repro.core.experiment import ExperimentResult, evaluate_design
+from repro.core.experiment import evaluate_comparisons
 from repro.core.units import SESSION_METRICS, OutcomeTable
 from repro.workload.netflix import PairedLinkWorkload, WorkloadConfig
 
@@ -100,8 +100,9 @@ def run_gradual_deployment(
 
     plan = design.allocation_plan(config.links, days)
     table = workload.generate(plan, days)
-    result = ExperimentResult(design, table, tuple(config.links), tuple(days))
-    estimates = evaluate_design(result, metrics=(metric,), config=analysis)
+    estimates = evaluate_comparisons(
+        table, design.comparisons(config.links, days), metrics=(metric,), config=analysis
+    )
 
     flattened = {estimand: per_metric[metric] for estimand, per_metric in estimates.items()}
     return GradualDeploymentOutcome(

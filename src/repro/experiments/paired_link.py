@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.core.analysis.pipeline import AnalysisConfig, MetricEstimate, analyze_metric
 from repro.core.designs import ExperimentDesign, PairedLinkDesign
-from repro.core.experiment import ExperimentResult, evaluate_design
+from repro.core.experiment import evaluate_comparisons
 from repro.core.units import SESSION_METRICS, OutcomeTable
 from repro.experiments.alternate_designs import AlternateDesignComparison, compare_designs
 from repro.experiments.baseline_validation import compare_links_at_baseline
@@ -36,6 +36,18 @@ from repro.runner.spec import ScenarioSpec, register_task
 from repro.workload.netflix import PairedLinkWorkload, WorkloadConfig
 
 __all__ = ["PairedLinkExperiment", "PairedLinkOutcome", "CellMeans"]
+
+#: The paper's design: link 1 at 95 % capping, link 2 at 5 %.
+DESIGN = PairedLinkDesign()
+
+#: Days of the main experiment (paper: Wednesday-Sunday, five days).
+EXPERIMENT_DAYS: tuple[int, ...] = (0, 1, 2, 3, 4)
+
+#: Days of the pre-experiment baseline week.
+BASELINE_DAYS: tuple[int, ...] = (0, 1, 2, 3, 4, 5, 6)
+
+#: Days of the post-experiment A/A week.
+AA_DAYS: tuple[int, ...] = (0, 1, 2, 3, 4)
 
 #: Estimand labels reported in Figure 5, in display order.
 FIGURE5_ESTIMANDS: tuple[str, ...] = ("ab_0.05", "ab_0.95", "tte", "spillover")
@@ -94,9 +106,6 @@ class PairedLinkOutcome:
     """Everything produced by one run of the paired-link experiment."""
 
     config: WorkloadConfig
-    design: PairedLinkDesign
-    days: tuple[int, ...]
-    baseline_days: tuple[int, ...]
     baseline_table: OutcomeTable
     experiment_table: OutcomeTable
     aa_table: OutcomeTable
@@ -137,7 +146,7 @@ class PairedLinkOutcome:
         day_table = table.where(day=day)
         raw: dict[int, dict[int, float]] = {}
         largest = 0.0
-        for link in (self.design.treated_link, self.design.control_link):
+        for link in (DESIGN.treated_link, DESIGN.control_link):
             link_table = day_table.where(link=link)
             per_hour = link_table.groupby_mean("hour", "throughput_mbps")
             raw[link] = {int(h): v for h, v in per_hour.items()}
@@ -154,8 +163,8 @@ class PairedLinkOutcome:
     ) -> dict[str, dict[int, dict[int, float]]]:
         """Baseline vs experiment Saturday throughput time series (Figure 6)."""
         if saturday_day is None:
-            saturday_day = self._first_weekend_day(self.days)
-        baseline_saturday = self._first_weekend_day(self.baseline_days)
+            saturday_day = self._first_weekend_day(EXPERIMENT_DAYS)
+        baseline_saturday = self._first_weekend_day(BASELINE_DAYS)
         return {
             "baseline": self.hourly_throughput_series(self.baseline_table, baseline_saturday),
             "experiment": self.hourly_throughput_series(self.experiment_table, saturday_day),
@@ -172,7 +181,7 @@ class PairedLinkOutcome:
     def cell_means(self, metric: str) -> CellMeans:
         """Mean of a metric in the four (link, arm) cells."""
         t = self.experiment_table
-        link1, link2 = self.design.treated_link, self.design.control_link
+        link1, link2 = DESIGN.treated_link, DESIGN.control_link
         return CellMeans(
             metric=metric,
             link1_treated=t.where(link=link1, treated=1).mean(metric),
@@ -201,7 +210,7 @@ class PairedLinkOutcome:
         """
         peak_set = {int(h) for h in peak_hours}
         t = self.experiment_table
-        link1, link2 = self.design.treated_link, self.design.control_link
+        link1, link2 = DESIGN.treated_link, DESIGN.control_link
         hours = t["hour"].astype(int)
         in_peak = np.isin(hours, np.array(sorted(peak_set)))
 
@@ -228,7 +237,7 @@ class PairedLinkOutcome:
         self, metrics: Sequence[str] = SESSION_METRICS
     ) -> dict[str, dict[str, MetricEstimate]]:
         """Naive 95 % A/B effects under hourly vs account-level aggregation."""
-        link1 = self.design.treated_link
+        link1 = DESIGN.treated_link
         table = self.experiment_table.where(link=link1)
         treated = table.where(treated=1)
         control = table.where(treated=0)
@@ -289,28 +298,17 @@ def generate_aa_table(
 class PairedLinkExperiment:
     """Configuration and runner for the full paired-link protocol.
 
+    The protocol itself is fixed: the paper's :data:`DESIGN` over
+    :data:`BASELINE_DAYS`, :data:`EXPERIMENT_DAYS` and :data:`AA_DAYS`,
+    analyzed with the default :class:`AnalysisConfig`.
+
     Parameters
     ----------
     config:
         Workload configuration (session volumes, congestion model, seeds).
-    design:
-        The paired-link design (allocations and which link is which).
-    days:
-        Days of the main experiment (paper: Wednesday-Sunday, five days).
-    baseline_days:
-        Days of the pre-experiment baseline week.
-    aa_days:
-        Days of the post-experiment A/A week.
-    analysis:
-        Statistical analysis configuration.
     """
 
     config: WorkloadConfig = field(default_factory=WorkloadConfig)
-    design: PairedLinkDesign = field(default_factory=PairedLinkDesign)
-    days: tuple[int, ...] = (0, 1, 2, 3, 4)
-    baseline_days: tuple[int, ...] = (0, 1, 2, 3, 4, 5, 6)
-    aa_days: tuple[int, ...] = (0, 1, 2, 3, 4)
-    analysis: AnalysisConfig = field(default_factory=AnalysisConfig)
 
     def run(self, executor: ParallelExecutor | None = None) -> PairedLinkOutcome:
         """Run baseline, main experiment and A/A weeks, then analyze.
@@ -320,25 +318,20 @@ class PairedLinkExperiment:
         three scenario specs on ``executor`` (default: a serial, uncached
         one), with results bit-identical for any worker count.
         """
-        links = self.config.links
         specs = (
             ScenarioSpec(
                 task="workload.baseline_table",
-                params={"config": self.config, "days": tuple(self.baseline_days)},
+                params={"config": self.config, "days": BASELINE_DAYS},
                 label="paired_link[baseline]",
             ),
             ScenarioSpec(
                 task="workload.experiment_table",
-                params={
-                    "config": self.config,
-                    "design": self.design,
-                    "days": tuple(self.days),
-                },
+                params={"config": self.config, "design": DESIGN, "days": EXPERIMENT_DAYS},
                 label="paired_link[experiment]",
             ),
             ScenarioSpec(
                 task="workload.aa_table",
-                params={"config": self.config, "days": tuple(self.aa_days)},
+                params={"config": self.config, "days": AA_DAYS},
                 label="paired_link[aa]",
             ),
         )
@@ -346,21 +339,16 @@ class PairedLinkExperiment:
 
         # Normalize everything by the global control condition: the control
         # sessions on the mostly-uncapped link (Appendix B.1).
-        global_control = experiment_table.where(
-            link=self.design.control_link, treated=0
-        )
+        global_control = experiment_table.where(link=DESIGN.control_link, treated=0)
         baselines = {metric: global_control.mean(metric) for metric in SESSION_METRICS}
-
-        result = ExperimentResult(self.design, experiment_table, tuple(links), self.days)
-        estimates = evaluate_design(
-            result, metrics=SESSION_METRICS, baselines=baselines, config=self.analysis
+        estimates = evaluate_comparisons(
+            experiment_table,
+            DESIGN.comparisons(self.config.links, EXPERIMENT_DAYS),
+            baselines=baselines,
         )
 
         return PairedLinkOutcome(
             config=self.config,
-            design=self.design,
-            days=self.days,
-            baseline_days=self.baseline_days,
             baseline_table=baseline_table,
             experiment_table=experiment_table,
             aa_table=aa_table,
@@ -386,10 +374,11 @@ def _paired_figure(
     name: str,
     help: str,
     cells: Callable[[PairedLinkOutcome], dict[str, float]],
-    table: Callable[[PairedLinkOutcome, ParallelExecutor | None], str],
+    table: Callable[[PairedLinkOutcome], str],
 ) -> Figure:
     """A figure reduced from one paired-link run: ``cells`` for sweeps and
-    campaigns, ``table(outcome, executor)`` for ``repro <name>``."""
+    campaigns, ``table(outcome)`` for ``repro <name>``.  The run's three
+    workload weeks go to the command's executor."""
     return Figure(
         name=name,
         help=help,
@@ -398,7 +387,7 @@ def _paired_figure(
         seeded=True,
         cells=lambda quick, seed: cells(_run_workload(quick, 0 if seed is None else seed)),
         render=lambda args, parser, executor: [
-            table(_run_workload(args.quick, args.seed, executor), executor)
+            table(_run_workload(args.quick, args.seed, executor))
         ],
     )
 
@@ -436,15 +425,12 @@ def _retransmit_table(outcome: PairedLinkOutcome) -> str:
     )
 
 
-def _design_comparison(
-    outcome: PairedLinkOutcome, executor: ParallelExecutor | None = None
-) -> AlternateDesignComparison:
+def _design_comparison(outcome: PairedLinkOutcome) -> AlternateDesignComparison:
     return compare_designs(
         outcome.experiment_table,
-        outcome.days,
+        EXPERIMENT_DAYS,
         outcome.estimates["tte"],
         baselines=outcome.baselines,
-        executor=executor,
     )
 
 
@@ -457,8 +443,8 @@ def _design_cells(outcome: PairedLinkOutcome) -> dict[str, float]:
     }
 
 
-def _design_table(outcome: PairedLinkOutcome, executor: ParallelExecutor | None) -> str:
-    comparison = _design_comparison(outcome, executor)
+def _design_table(outcome: PairedLinkOutcome) -> str:
+    comparison = _design_comparison(outcome)
     return format_table(
         ["metric", "paired link", "switchback", "event study"],
         [
@@ -476,7 +462,7 @@ register(
             f"rel_diff_pct:{row.metric}": row.relative_percent
             for row in compare_links_at_baseline(outcome.baseline_table)
         },
-        table=lambda outcome, executor: format_table(
+        table=lambda outcome: format_table(
             ["metric", "link1 vs link2", "significant"],
             [
                 [r.metric, f"{r.relative_percent:+.1f}%", "yes" if r.significant else "no"]
@@ -494,7 +480,7 @@ register(
             for estimand in FIGURE5_ESTIMANDS
             for metric in SESSION_METRICS
         },
-        table=lambda outcome, executor: format_table(
+        table=lambda outcome: format_table(
             ["metric", "A/B 5%", "A/B 95%", "TTE", "spillover"],
             [
                 [row["metric"], *(f"{row[e]:+.1f}%" for e in FIGURE5_ESTIMANDS)]
@@ -508,7 +494,7 @@ register(
         "fig7",
         "paired-link throughput cells (Figure 7)",
         cells=lambda outcome: _cell_means(outcome.figure7_cells()),
-        table=lambda outcome, executor: _cell_means_table(
+        table=lambda outcome: _cell_means_table(
             "throughput (Mb/s)", outcome.figure7_cells(), ".2f"
         ),
     )
@@ -518,7 +504,7 @@ register(
         "fig8",
         "paired-link min-RTT cells (Figure 8)",
         cells=lambda outcome: _cell_means(outcome.figure8_cells()),
-        table=lambda outcome, executor: _cell_means_table(
+        table=lambda outcome: _cell_means_table(
             "min RTT (normalized)", outcome.figure8_cells(), ".3f"
         ),
     )
@@ -530,7 +516,7 @@ register(
         cells=lambda outcome: {
             name: 100.0 * value for name, value in outcome.figure9_retransmit_split().items()
         },
-        table=lambda outcome, executor: _retransmit_table(outcome),
+        table=_retransmit_table,
     )
 )
 register(

@@ -110,6 +110,13 @@ class TestIntervalAssignment:
         with pytest.raises(ValueError):
             interval_assignment(1, force_both_arms=True)
 
+    @pytest.mark.parametrize("probability", [0.0, 1.0])
+    def test_force_both_arms_rejects_a_certain_arm(self, probability):
+        # Every draw would put all intervals in one arm, so redrawing
+        # until both arms appear would never return.
+        with pytest.raises(ValueError):
+            interval_assignment(5, treatment_probability=probability, seed=0)
+
     def test_no_force_allows_single_interval(self):
         assignment = interval_assignment(1, force_both_arms=False, seed=0)
         assert assignment.shape == (1,)

@@ -3,8 +3,6 @@
 import pytest
 
 from repro.core.designs import (
-    AATestDesign,
-    ABTestDesign,
     AllocationPlan,
     EventStudyDesign,
     GradualDeploymentDesign,
@@ -57,40 +55,6 @@ class TestAllocationPlan:
         plan = AllocationPlan({(1, 0): 0.5, (2, 3): 0.5})
         assert plan.links == [1, 2]
         assert plan.days == [0, 3]
-
-
-class TestABTestDesign:
-    def test_plan_uses_single_allocation(self):
-        design = ABTestDesign(0.05)
-        plan = design.allocation_plan(LINKS, DAYS)
-        for link in LINKS:
-            for day in DAYS:
-                assert plan.allocation(link, day) == pytest.approx(0.05)
-
-    def test_single_comparison(self):
-        comparisons = ABTestDesign(0.05).comparisons(LINKS, DAYS)
-        assert len(comparisons) == 1
-        assert comparisons[0].estimand == "ab_0.05"
-
-    def test_invalid_allocation_raises(self):
-        with pytest.raises(ValueError):
-            ABTestDesign(1.2)
-
-    def test_describe_mentions_allocation(self):
-        assert "0.05" in ABTestDesign(0.05).describe()
-
-
-class TestAATestDesign:
-    def test_no_treatment_flag(self):
-        assert AATestDesign().applies_treatment is False
-
-    def test_comparison_is_null(self):
-        comparisons = AATestDesign(0.5).comparisons(LINKS, DAYS)
-        assert comparisons[0].estimand == "aa_null"
-
-    def test_plan_allocation(self):
-        plan = AATestDesign(0.5).allocation_plan(LINKS, DAYS)
-        assert plan.allocation(1, 0) == pytest.approx(0.5)
 
 
 class TestPairedLinkDesign:

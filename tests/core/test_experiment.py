@@ -3,14 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.core.designs import ABTestDesign, PairedLinkDesign
+from repro.core.designs import PairedLinkDesign
 from repro.core.designs.base import CellSelector, ComparisonSpec
-from repro.core.experiment import (
-    ExperimentResult,
-    evaluate_comparisons,
-    evaluate_design,
-    select_cells,
-)
+from repro.core.experiment import evaluate_comparisons, select_cells
 from repro.core.units import OutcomeTable
 
 
@@ -87,26 +82,17 @@ class TestEvaluateComparisons:
 
 
 class TestEvaluateDesign:
-    def test_ab_design_end_to_end(self):
-        table = make_table(effect_on_link1=3.0)
-        design = ABTestDesign(0.5)
-        result = ExperimentResult(design, table, (1, 2), (0, 1))
-        estimates = evaluate_design(result, metrics=("value",))
-        # The pooled A/B effect over both links is about half the link-1 effect.
-        assert estimates["ab_0.5"]["value"].absolute.estimate == pytest.approx(
-            1.5, abs=0.5
-        )
-
     def test_paired_link_design_estimands_present(self):
         table = make_table(effect_on_link1=3.0)
-        design = PairedLinkDesign()
-        result = ExperimentResult(design, table, (1, 2), (0, 1))
-        estimates = evaluate_design(result, metrics=("value",))
+        comparisons = PairedLinkDesign().comparisons((1, 2), (0, 1))
+        estimates = evaluate_comparisons(table, comparisons, metrics=("value",))
         assert set(estimates) == {"tte", "spillover", "ab_0.95", "ab_0.05"}
 
     def test_comparisons_use_run_days(self):
         table = make_table()
         design = PairedLinkDesign()
-        result = ExperimentResult(design, table, (1, 2), (0,))
-        for spec in result.comparisons():
-            assert spec.treatment_selector.days == (0,)
+        day0 = evaluate_comparisons(table, design.comparisons((1, 2), (0,)), metrics=("value",))
+        only_day0 = evaluate_comparisons(
+            table.where(day=0), design.comparisons((1, 2), (0, 1)), metrics=("value",)
+        )
+        assert day0 == only_day0

@@ -1,8 +1,11 @@
 """Tests for the emulated switchback / event-study designs (Section 5)."""
 
+import dataclasses
+
 import pytest
 
 from repro.experiments import (
+    AlternateDesignComparison,
     PairedLinkExperiment,
     compare_designs,
     emulate_event_study,
@@ -10,6 +13,7 @@ from repro.experiments import (
     run_aa_calibration,
 )
 from repro.experiments.alternate_designs import emulate_day_split
+from repro.runner.spec import get_task
 from repro.workload import WorkloadConfig
 
 
@@ -59,6 +63,23 @@ class TestEmulationMechanics:
             baselines=outcome.baselines,
         )
         assert "throughput_mbps" in estimates
+
+
+class TestInProcess:
+    @pytest.mark.parametrize(
+        "task", ["experiments.switchback_emulation", "experiments.event_study_emulation"]
+    )
+    def test_emulations_are_not_runner_tasks(self, task):
+        with pytest.raises(KeyError):
+            get_task(task)
+
+
+class TestDesignOrder:
+    def test_designs_is_a_class_constant(self):
+        fields = {field.name for field in dataclasses.fields(AlternateDesignComparison)}
+        assert fields == {"paired_link", "switchback", "event_study"}
+        with pytest.raises(TypeError):
+            AlternateDesignComparison({}, {}, {}, ("x",))
 
 
 class TestFigure10Shape:

@@ -1,10 +1,11 @@
 """Experiment functions take only what their callers vary.
 
 Each function that fans arms out takes one ``executor`` as its only
-execution setting, and the paper's fixed treatment and lab sizes are
-module constants, so the keywords that used to carry them are gone.
-Every ``run_*_experiment`` is keyword-only, so a stale positional call
-fails instead of binding to the wrong parameter.
+execution setting, and the paper's fixed treatment, lab sizes and
+paired-link protocol are module constants, so the keywords that used to
+carry them are gone.  ``compare_designs`` runs in-process and takes no
+executor at all.  Every ``run_*_experiment`` is keyword-only, so a stale
+positional call fails instead of binding to the wrong parameter.
 """
 
 import inspect
@@ -60,6 +61,11 @@ DELETED_KEYWORDS = [
     (run_parking_lot_experiment, "cross_traffic_per_segment"),
     (run_switchback_ramp_experiment, "base_churn_per_s"),
     (run_switchback_ramp_experiment, "ramp_factor"),
+    (compare_designs, "executor"),
+    *(
+        (PairedLinkExperiment, keyword)
+        for keyword in ("design", "days", "baseline_days", "aa_days", "analysis")
+    ),
 ]
 
 

@@ -11,7 +11,7 @@ import pytest
 
 from repro.core.analysis import detect_interference
 from repro.core.designs import GradualDeploymentDesign, PairedLinkDesign
-from repro.core.experiment import ExperimentResult, evaluate_design
+from repro.core.experiment import evaluate_comparisons
 from repro.core.units import SESSION_METRICS
 from repro.experiments import (
     PairedLinkExperiment,
@@ -62,8 +62,9 @@ class TestEndToEnd:
         days = (0, 1, 2)
         plan = design.allocation_plan(config.links, days)
         table = workload.generate(plan, days)
-        result = ExperimentResult(design, table, config.links, days)
-        estimates = evaluate_design(result, metrics=("video_bitrate_kbps",))
+        estimates = evaluate_comparisons(
+            table, design.comparisons(config.links, days), metrics=("video_bitrate_kbps",)
+        )
         assert "tte" in estimates
         assert estimates["tte"]["video_bitrate_kbps"].relative_percent < -20.0
 
@@ -73,6 +74,7 @@ class TestEndToEnd:
         design = PairedLinkDesign(high_allocation=0.9, low_allocation=0.1)
         days = (0, 1)
         table = workload.generate(design.allocation_plan(config.links, days), days)
-        result = ExperimentResult(design, table, config.links, days)
-        estimates = evaluate_design(result, metrics=("video_bitrate_kbps",))
+        estimates = evaluate_comparisons(
+            table, design.comparisons(config.links, days), metrics=("video_bitrate_kbps",)
+        )
         assert set(estimates) == {"tte", "spillover", "ab_0.9", "ab_0.1"}

@@ -1,4 +1,4 @@
-"""Shared fixtures for the experiment tests: the lab-figure goldens.
+"""Shared fixtures for the experiment tests: the lab and paired-link goldens.
 
 Each file under ``tests/golden/lab/`` pins one lab figure's output
 exactly: its ``summary_lines()``, then one ``name repr(value)`` line per
@@ -6,13 +6,22 @@ cell of ``cells()``, in order.  The tests compare the module-scoped
 results the experiment tests already compute, so the goldens add no
 simulations.  When a change is meant to move a figure, regenerate its
 file from :func:`lab_golden_text` of the new result.
+
+Each file under ``tests/golden/paired/`` pins paired-link output in the
+same ``name repr(value)`` form; a file of estimates holds every number
+of each estimate, written by :func:`estimates_golden_text`.
 """
 
+from collections.abc import Mapping
 from pathlib import Path
 
 import pytest
 
-LAB_GOLDEN_DIR = Path(__file__).resolve().parents[1] / "golden" / "lab"
+from repro.core.analysis.pipeline import MetricEstimate
+
+GOLDEN_DIR = Path(__file__).resolve().parents[1] / "golden"
+LAB_GOLDEN_DIR = GOLDEN_DIR / "lab"
+PAIRED_GOLDEN_DIR = GOLDEN_DIR / "paired"
 
 
 def lab_golden_text(result) -> str:
@@ -29,5 +38,42 @@ def assert_lab_golden():
     def check(name: str, result) -> None:
         expected = (LAB_GOLDEN_DIR / f"{name}.txt").read_text(encoding="utf-8")
         assert lab_golden_text(result) == expected
+
+    return check
+
+
+def estimates_golden_text(estimates: Mapping[str, MetricEstimate]) -> str:
+    """Every number of each estimate: baseline, then both scales' point
+    estimate, standard error, CI bounds and n."""
+    lines: list[str] = []
+    for name, estimate in estimates.items():
+        lines.append(f"{name}:baseline {float(estimate.baseline)!r}")
+        for scale in ("absolute", "relative"):
+            ci = getattr(estimate, scale)
+            lines.extend(
+                f"{name}:{scale}.{field} {float(getattr(ci, field))!r}"
+                for field in ("estimate", "std_error", "ci_low", "ci_high")
+            )
+            lines.append(f"{name}:{scale}.n {int(ci.n)!r}")
+    return "".join(f"{line}\n" for line in lines)
+
+
+@pytest.fixture
+def assert_paired_golden():
+    """Check text against ``tests/golden/paired/<name>.txt``, byte for byte."""
+
+    def check(name: str, text: str) -> None:
+        expected = (PAIRED_GOLDEN_DIR / f"{name}.txt").read_text(encoding="utf-8")
+        assert text == expected
+
+    return check
+
+
+@pytest.fixture
+def assert_estimates_golden(assert_paired_golden):
+    """Check a ``{name: MetricEstimate}`` mapping against its paired golden."""
+
+    def check(name: str, estimates: Mapping[str, MetricEstimate]) -> None:
+        assert_paired_golden(name, estimates_golden_text(estimates))
 
     return check

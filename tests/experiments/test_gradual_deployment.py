@@ -40,6 +40,9 @@ class TestGradualDeployment:
         assert diagnostics.interference_detected
         assert diagnostics.nonzero_spillovers  # capping empties the queue for everyone
 
+    def test_estimates_match_golden(self, outcome, assert_estimates_golden):
+        assert_estimates_golden("gradual_deployment", outcome.estimates)
+
     def test_unknown_metric_raises(self):
         with pytest.raises(KeyError):
             run_gradual_deployment(metric="nope")

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.units import OutcomeTable
+from repro.core.units import OutcomeTable, group_means, group_rows
 
 __all__ = [
     "HourlyAggregate",
@@ -66,7 +66,9 @@ def aggregate_hourly(table: OutcomeTable, metric: str) -> HourlyAggregate:
 
     Each (day, hour, arm) cell with at least one session produces one
     aggregated observation.  Cells are ordered by time and then by arm so
-    that the Newey-West lag structure is meaningful.
+    that the Newey-West lag structure is meaningful.  Rows whose
+    ``treated`` (cast to int) is neither 0 nor 1 are dropped.  One stable
+    sort groups the rows (:func:`~repro.core.units.group_rows`).
 
     Parameters
     ----------
@@ -81,33 +83,18 @@ def aggregate_hourly(table: OutcomeTable, metric: str) -> HourlyAggregate:
     day = table["day"].astype(int)
     hour = table["hour"].astype(int)
     treated = table["treated"].astype(int)
-    values = table[metric]
-
     time_index = day * 24 + hour
-    hours_out: list[int] = []
-    times_out: list[int] = []
-    treated_out: list[int] = []
-    values_out: list[float] = []
-    counts_out: list[int] = []
-    for t in np.unique(time_index):
-        in_cell = time_index == t
-        for arm in (0, 1):
-            mask = in_cell & (treated == arm)
-            n = int(mask.sum())
-            if n == 0:
-                continue
-            hours_out.append(int(hour[mask][0]))
-            times_out.append(int(t))
-            treated_out.append(arm)
-            values_out.append(float(values[mask].mean()))
-            counts_out.append(n)
 
+    order, starts = group_rows(treated, time_index)
+    first = order[starts]
+    arm = treated[first]
+    in_arms = (arm == 0) | (arm == 1)
     return HourlyAggregate(
-        hour=np.array(hours_out, dtype=int),
-        time_index=np.array(times_out, dtype=int),
-        treated=np.array(treated_out, dtype=int),
-        value=np.array(values_out, dtype=float),
-        count=np.array(counts_out, dtype=int),
+        hour=hour[first][in_arms],
+        time_index=time_index[first][in_arms],
+        treated=arm[in_arms],
+        value=group_means(table[metric], order, starts)[in_arms],
+        count=np.diff(starts, append=order.size)[in_arms],
     )
 
 
@@ -127,30 +114,10 @@ def aggregate_by_account(
     for required in ("account_id", "treated"):
         if required not in table:
             raise KeyError(f"table is missing required column {required!r}")
-    accounts = table["account_id"].astype(int)
     treated = table["treated"].astype(int)
-    values = table[metric]
-
-    out_values: list[float] = []
-    out_treated: list[int] = []
-    out_counts: list[int] = []
-    # Group rows by (account, arm) with a sort-based pass: O(n log n).
-    order = np.lexsort((treated, accounts))
-    acc_sorted = accounts[order]
-    arm_sorted = treated[order]
-    val_sorted = values[order]
-    boundaries = np.flatnonzero(
-        np.diff(acc_sorted) | np.diff(arm_sorted)
-    )
-    starts = np.concatenate([[0], boundaries + 1])
-    ends = np.concatenate([boundaries + 1, [acc_sorted.size]])
-    for start, end in zip(starts, ends):
-        out_values.append(float(val_sorted[start:end].mean()))
-        out_treated.append(int(arm_sorted[start]))
-        out_counts.append(int(end - start))
-
+    order, starts = group_rows(treated, table["account_id"].astype(int))
     return (
-        np.array(out_values, dtype=float),
-        np.array(out_treated, dtype=int),
-        np.array(out_counts, dtype=int),
+        group_means(table[metric], order, starts),
+        treated[order[starts]],
+        np.diff(starts, append=order.size),
     )

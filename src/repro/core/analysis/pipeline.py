@@ -102,6 +102,10 @@ def analyze_metric(
 ) -> MetricEstimate:
     """Estimate the effect of treatment on one metric.
 
+    The two tables are stacked into one, of only the columns the
+    aggregation reads (``day``, ``hour`` or ``account_id``, and
+    ``metric``), so any other columns they carry do not matter.
+
     Parameters
     ----------
     treated_table:
@@ -122,14 +126,13 @@ def analyze_metric(
         Analysis configuration (aggregation scheme, HAC lag, confidence).
     """
     config = config or AnalysisConfig()
-
-    treated = treated_table.with_column(
-        "treated", np.ones(len(treated_table))
-    )
-    control = control_table.with_column(
-        "treated", np.zeros(len(control_table))
-    )
-    combined = treated.concat(control)
+    keys = ("day", "hour") if config.aggregation == "hourly" else ("account_id",)
+    stacked = {
+        name: np.concatenate([treated_table[name], control_table[name]])
+        for name in (*keys, metric)
+    }
+    stacked["treated"] = np.concatenate([np.ones(len(treated_table)), np.zeros(len(control_table))])
+    combined = OutcomeTable(stacked)
 
     if config.aggregation == "hourly":
         aggregate = aggregate_hourly(combined, metric)

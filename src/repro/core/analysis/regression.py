@@ -165,7 +165,10 @@ def treatment_effect_regression(
     ----------
     aggregate:
         Hourly aggregated outcomes from
-        :func:`repro.core.analysis.aggregation.aggregate_hourly`.
+        :func:`repro.core.analysis.aggregation.aggregate_hourly`, with
+        cells of both arms.  With one arm the treatment column equals the
+        intercept and the effect is not identified, so that raises
+        ``ValueError``.
     hac_max_lag:
         Newey-West maximum lag, default two hours as in the paper.
     weight_by_count:
@@ -173,8 +176,12 @@ def treatment_effect_regression(
         behind each cell (a precision weight).  The paper's analysis uses
         unweighted rows, which is the default.
     """
-    if len(aggregate) == 0:
-        raise ValueError("cannot run a regression on an empty aggregate")
+    n_treated = int(np.count_nonzero(aggregate.treated))
+    if n_treated in (0, len(aggregate)):
+        raise ValueError(
+            "the regression needs both treated and control cells; "
+            f"the aggregate has {n_treated} treated of {len(aggregate)}"
+        )
     order = np.lexsort((aggregate.treated, aggregate.time_index))
     hour = aggregate.hour[order]
     treated = aggregate.treated[order].astype(float)

@@ -25,7 +25,7 @@ from repro.core.designs.base import (
     ExperimentDesign,
 )
 
-__all__ = ["PairedLinkDesign"]
+__all__ = ["DESIGN", "PairedLinkDesign"]
 
 
 class PairedLinkDesign(ExperimentDesign):
@@ -124,3 +124,7 @@ class PairedLinkDesign(ExperimentDesign):
             f"p={self.high_allocation:g}, link {self.control_link} at "
             f"p={self.low_allocation:g}"
         )
+
+
+#: The paper's design: link 1 at 95 % capping, link 2 at 5 %.
+DESIGN = PairedLinkDesign()

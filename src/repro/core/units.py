@@ -13,6 +13,8 @@ This module provides:
   network metrics used throughout Sections 4 and 5.
 * :class:`OutcomeTable` — a column-oriented container of per-unit outcomes
   that the estimators and the regression analysis operate on.
+* :func:`group_rows` and :func:`group_means` — the one grouping rule that
+  every grouped mean in :mod:`repro.core` uses.
 """
 
 from __future__ import annotations
@@ -28,6 +30,8 @@ __all__ = [
     "Session",
     "SESSION_METRICS",
     "OutcomeTable",
+    "group_rows",
+    "group_means",
 ]
 
 
@@ -263,23 +267,6 @@ class OutcomeTable:
             mask &= self.column(name) == float(value)
         return self.select(mask)
 
-    def with_column(self, name: str, values: Sequence[float] | np.ndarray) -> "OutcomeTable":
-        """Return a new table with an added or replaced column."""
-        arr = np.asarray(values, dtype=float)
-        if arr.shape[0] != self._length:
-            raise ValueError("new column length does not match table length")
-        cols = dict(self._columns)
-        cols[name] = arr
-        return OutcomeTable(cols)
-
-    def concat(self, other: "OutcomeTable") -> "OutcomeTable":
-        """Concatenate two tables that share the same columns."""
-        if set(self._columns) != set(other._columns):
-            raise ValueError("cannot concatenate tables with different columns")
-        return OutcomeTable(
-            {k: np.concatenate([v, other._columns[k]]) for k, v in self._columns.items()}
-        )
-
     # -- summaries ----------------------------------------------------------
 
     def mean(self, name: str) -> float:
@@ -290,13 +277,11 @@ class OutcomeTable:
         return float(np.mean(col))
 
     def groupby_mean(self, key: str, value: str) -> dict[float, float]:
-        """Mean of ``value`` for each distinct value of ``key``."""
+        """Mean of ``value`` for each distinct value of ``key``, in key order."""
         keys = self.column(key)
-        values = self.column(value)
-        out: dict[float, float] = {}
-        for k in np.unique(keys):
-            out[float(k)] = float(values[keys == k].mean())
-        return out
+        order, starts = group_rows(keys)
+        means = group_means(self.column(value), order, starts)
+        return dict(zip(keys[order[starts]].tolist(), means.tolist()))
 
     def to_records(self) -> list[dict[str, float]]:
         """Return the table as a list of row dictionaries."""
@@ -308,3 +293,37 @@ class OutcomeTable:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"OutcomeTable(rows={self._length}, columns={self.column_names})"
+
+
+def group_rows(*keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group rows by equal keys with one stable sort.
+
+    ``keys`` are equal-length arrays in :func:`numpy.lexsort` order: the
+    last key sorts first.  Returns ``(order, starts)``: ``order`` lists
+    the row indices sorted by key, and ``starts`` the position in ``order``
+    where each group begins.  The sort is stable, so each group's rows
+    keep their table order: a group is the rows a boolean mask on its key
+    would select, in the same order.
+    """
+    order = np.lexsort(keys)
+    starts = np.zeros(order.size, dtype=bool)
+    starts[:1] = True
+    for key in keys:
+        ranked = key[order]
+        starts[1:] |= ranked[1:] != ranked[:-1]
+    return order, np.flatnonzero(starts)
+
+
+def group_means(values: np.ndarray, order: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Mean of the float ``values`` over each group of :func:`group_rows`.
+
+    Each mean is ``np.add.reduce`` over the group's contiguous run of
+    sorted values, divided by its size.  That is how ``ndarray.mean`` adds,
+    so each mean is bit for bit the mean of a boolean-mask selection of
+    the group.  ``np.add.reduceat`` and ``np.bincount`` add in another
+    order and change the last bits.
+    """
+    ranked = values[order]
+    ends = np.append(starts[1:], ranked.size)
+    sums = [np.add.reduce(ranked[s:e]) for s, e in zip(starts.tolist(), ends.tolist())]
+    return np.array(sums, dtype=float) / (ends - starts)

@@ -29,6 +29,7 @@ from typing import ClassVar
 from repro.core.analysis.pipeline import AnalysisConfig, MetricEstimate
 from repro.core.designs import EventStudyDesign, SwitchbackDesign
 from repro.core.designs.base import CellSelector, ComparisonSpec
+from repro.core.designs.paired_link import DESIGN
 from repro.core.experiment import evaluate_comparisons
 from repro.core.units import SESSION_METRICS, OutcomeTable
 
@@ -46,8 +47,6 @@ def emulate_day_split(
     table: OutcomeTable,
     treatment_days: Sequence[int],
     control_days: Sequence[int],
-    treated_link: int = 1,
-    control_link: int = 2,
     metrics: Sequence[str] = SESSION_METRICS,
     baselines: dict[str, float] | None = None,
     config: AnalysisConfig | None = None,
@@ -56,7 +55,8 @@ def emulate_day_split(
 
     For the days assigned to treatment intervals, the emulation uses the
     treated sessions of the mostly-treated link; for control intervals, the
-    control sessions of the mostly-control link (Appendix B.2).
+    control sessions of the mostly-control link (Appendix B.2).  Both links
+    come from the paper's design, :data:`~repro.core.designs.paired_link.DESIGN`.
     """
     treatment_days = tuple(int(d) for d in treatment_days)
     control_days = tuple(int(d) for d in control_days)
@@ -67,8 +67,8 @@ def emulate_day_split(
         raise ValueError(f"days {sorted(overlap)} appear in both arms")
     spec = ComparisonSpec(
         "tte_emulated",
-        CellSelector((treated_link,), treatment_days, treated=True),
-        CellSelector((control_link,), control_days, treated=False),
+        CellSelector((DESIGN.treated_link,), treatment_days, treated=True),
+        CellSelector((DESIGN.control_link,), control_days, treated=False),
     )
     return evaluate_comparisons(table, [spec], metrics, baselines, config)["tte_emulated"]
 

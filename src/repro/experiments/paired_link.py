@@ -24,7 +24,8 @@ from collections.abc import Callable, Sequence
 import numpy as np
 
 from repro.core.analysis.pipeline import AnalysisConfig, MetricEstimate, analyze_metric
-from repro.core.designs import ExperimentDesign, PairedLinkDesign
+from repro.core.designs import ExperimentDesign
+from repro.core.designs.paired_link import DESIGN
 from repro.core.experiment import evaluate_comparisons
 from repro.core.units import SESSION_METRICS, OutcomeTable
 from repro.experiments.alternate_designs import AlternateDesignComparison, compare_designs
@@ -36,9 +37,6 @@ from repro.runner.spec import ScenarioSpec, register_task
 from repro.workload.netflix import PairedLinkWorkload, WorkloadConfig
 
 __all__ = ["PairedLinkExperiment", "PairedLinkOutcome", "CellMeans"]
-
-#: The paper's design: link 1 at 95 % capping, link 2 at 5 %.
-DESIGN = PairedLinkDesign()
 
 #: Days of the main experiment (paper: Wednesday-Sunday, five days).
 EXPERIMENT_DAYS: tuple[int, ...] = (0, 1, 2, 3, 4)

@@ -216,6 +216,14 @@ class TestTreatmentEffectRegression:
         with pytest.raises(ValueError):
             treatment_effect_regression(empty)
 
+    @pytest.mark.parametrize("arm", [0, 1])
+    def test_one_arm_aggregate_raises(self, arm):
+        table = make_table(days=(0,))
+        agg = aggregate_hourly(table.where(treated=arm), "value")
+        assert set(agg.treated.tolist()) == {arm}
+        with pytest.raises(ValueError, match="both treated and control"):
+            treatment_effect_regression(agg)
+
     def test_weighted_regression_runs(self):
         table = make_table(effect=2.0, seed=6)
         agg = aggregate_hourly(table, "value")
@@ -259,6 +267,41 @@ class TestAnalyzeMetric:
                 "value",
                 "test",
                 baseline=0.0,
+            )
+
+    @pytest.mark.parametrize("aggregation", ["hourly", "account"])
+    def test_extra_columns_do_not_matter(self, aggregation):
+        table = make_table(effect=2.0, seed=10)
+        treated, control = table.where(treated=1), table.where(treated=0)
+        rng = np.random.default_rng(10)
+        padded_treated = OutcomeTable(
+            {**{n: treated[n] for n in treated}, "link": rng.normal(size=len(treated))}
+        )
+        padded_control = OutcomeTable(
+            {**{n: control[n] for n in control}, "session_id": rng.normal(size=len(control))}
+        )
+        config = AnalysisConfig(aggregation)
+        bare = analyze_metric(treated, control, "value", "test", config=config)
+        padded = analyze_metric(padded_treated, padded_control, "value", "test", config=config)
+        assert padded == bare
+
+    @pytest.mark.parametrize("aggregation", ["hourly", "account"])
+    @pytest.mark.parametrize("empty_arm", ["treated", "control"])
+    def test_empty_arm_raises(self, aggregation, empty_arm):
+        # With one arm the treatment column equals the intercept; an hourly
+        # fit used to split the mean between them and report a confident,
+        # meaningless effect (about half the mean, with a narrow interval).
+        table = make_table(n_per_cell=2, days=(0, 1), effect=0.0, seed=11)
+        arms = {"treated": table.where(treated=1), "control": table.where(treated=0)}
+        arms[empty_arm] = table.where(treated=5)
+        with pytest.raises(ValueError):
+            analyze_metric(
+                arms["treated"],
+                arms["control"],
+                "value",
+                "test",
+                baseline=10.0,
+                config=AnalysisConfig(aggregation),
             )
 
     def test_invalid_config_raises(self):

@@ -2,7 +2,8 @@
 
 Each function that fans arms out takes one ``executor`` as its only
 execution setting, and the paper's fixed treatment, lab sizes and
-paired-link protocol are module constants, so the keywords that used to
+paired-link protocol (its design, whose links ``emulate_day_split``
+reads, and its days) are module constants, so the keywords that used to
 carry them are gone.  ``compare_designs`` runs in-process and takes no
 executor at all.  Every ``run_*_experiment`` is keyword-only, so a stale
 positional call fails instead of binding to the wrong parameter.
@@ -27,6 +28,7 @@ from repro.experiments import (
     run_rtt_experiment,
     run_switchback_ramp_experiment,
 )
+from repro.experiments.alternate_designs import emulate_day_split
 from repro.netsim.fleet import run_fleet
 from repro.netsim.packet.sweep import run_packet_sweep
 
@@ -66,6 +68,8 @@ DELETED_KEYWORDS = [
         (PairedLinkExperiment, keyword)
         for keyword in ("design", "days", "baseline_days", "aa_days", "analysis")
     ),
+    (emulate_day_split, "treated_link"),
+    (emulate_day_split, "control_link"),
 ]
 
 

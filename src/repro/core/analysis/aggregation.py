@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.units import OutcomeTable, group_means, group_rows
+from repro.core.units import OutcomeTable, group_means
 
 __all__ = [
     "HourlyAggregate",
@@ -68,7 +68,7 @@ def aggregate_hourly(table: OutcomeTable, metric: str) -> HourlyAggregate:
     aggregated observation.  Cells are ordered by time and then by arm so
     that the Newey-West lag structure is meaningful.  Rows whose
     ``treated`` (cast to int) is neither 0 nor 1 are dropped.  One stable
-    sort groups the rows (:func:`~repro.core.units.group_rows`).
+    sort groups the rows (:func:`~repro.core.units.group_means`).
 
     Parameters
     ----------
@@ -85,16 +85,15 @@ def aggregate_hourly(table: OutcomeTable, metric: str) -> HourlyAggregate:
     treated = table["treated"].astype(int)
     time_index = day * 24 + hour
 
-    order, starts = group_rows(treated, time_index)
-    first = order[starts]
+    first, means, counts = group_means(table[metric], treated, time_index)
     arm = treated[first]
     in_arms = (arm == 0) | (arm == 1)
     return HourlyAggregate(
         hour=hour[first][in_arms],
         time_index=time_index[first][in_arms],
         treated=arm[in_arms],
-        value=group_means(table[metric], order, starts)[in_arms],
-        count=np.diff(starts, append=order.size)[in_arms],
+        value=means[in_arms],
+        count=counts[in_arms],
     )
 
 
@@ -115,9 +114,7 @@ def aggregate_by_account(
         if required not in table:
             raise KeyError(f"table is missing required column {required!r}")
     treated = table["treated"].astype(int)
-    order, starts = group_rows(treated, table["account_id"].astype(int))
-    return (
-        group_means(table[metric], order, starts),
-        treated[order[starts]],
-        np.diff(starts, append=order.size),
+    first, means, counts = group_means(
+        table[metric], treated, table["account_id"].astype(int)
     )
+    return means, treated[first], counts

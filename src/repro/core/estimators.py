@@ -24,6 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
+from repro.core.units import group_means
+
 __all__ = [
     "EstimateWithCI",
     "DifferenceInMeans",
@@ -143,10 +145,7 @@ def cluster_robust_variance(
         raise ValueError("outcomes and clusters must have the same shape")
     if outcomes.size == 0:
         raise ValueError("cannot compute variance of an empty group")
-    unique = np.unique(clusters)
-    cluster_means = np.array(
-        [outcomes[clusters == c].mean() for c in unique], dtype=float
-    )
+    _, cluster_means, _ = group_means(outcomes, clusters)
     n_clusters = cluster_means.size
     if n_clusters < 2:
         return 0.0, n_clusters

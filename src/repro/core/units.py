@@ -13,8 +13,8 @@ This module provides:
   network metrics used throughout Sections 4 and 5.
 * :class:`OutcomeTable` — a column-oriented container of per-unit outcomes
   that the estimators and the regression analysis operate on.
-* :func:`group_rows` and :func:`group_means` — the one grouping rule that
-  every grouped mean in :mod:`repro.core` uses.
+* :func:`group_means` — the one grouping rule that every grouped mean in
+  :mod:`repro.core` uses.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ __all__ = [
     "Session",
     "SESSION_METRICS",
     "OutcomeTable",
-    "group_rows",
     "group_means",
 ]
 
@@ -267,6 +266,23 @@ class OutcomeTable:
             mask &= self.column(name) == float(value)
         return self.select(mask)
 
+    def with_column(self, name: str, values: Sequence[float] | np.ndarray) -> "OutcomeTable":
+        """Return a new table with an added or replaced column."""
+        arr = np.asarray(values, dtype=float)
+        if arr.shape[0] != self._length:
+            raise ValueError("new column length does not match table length")
+        cols = dict(self._columns)
+        cols[name] = arr
+        return OutcomeTable(cols)
+
+    def concat(self, other: "OutcomeTable") -> "OutcomeTable":
+        """Concatenate two tables that share the same columns."""
+        if set(self._columns) != set(other._columns):
+            raise ValueError("cannot concatenate tables with different columns")
+        return OutcomeTable(
+            {k: np.concatenate([v, other._columns[k]]) for k, v in self._columns.items()}
+        )
+
     # -- summaries ----------------------------------------------------------
 
     def mean(self, name: str) -> float:
@@ -279,9 +295,8 @@ class OutcomeTable:
     def groupby_mean(self, key: str, value: str) -> dict[float, float]:
         """Mean of ``value`` for each distinct value of ``key``, in key order."""
         keys = self.column(key)
-        order, starts = group_rows(keys)
-        means = group_means(self.column(value), order, starts)
-        return dict(zip(keys[order[starts]].tolist(), means.tolist()))
+        first, means, _ = group_means(self.column(value), keys)
+        return dict(zip(keys[first].tolist(), means.tolist()))
 
     def to_records(self) -> list[dict[str, float]]:
         """Return the table as a list of row dictionaries."""
@@ -295,35 +310,31 @@ class OutcomeTable:
         return f"OutcomeTable(rows={self._length}, columns={self.column_names})"
 
 
-def group_rows(*keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Group rows by equal keys with one stable sort.
+def group_means(
+    values: np.ndarray, *keys: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mean of the float ``values`` over each group of rows with equal keys.
 
-    ``keys`` are equal-length arrays in :func:`numpy.lexsort` order: the
-    last key sorts first.  Returns ``(order, starts)``: ``order`` lists
-    the row indices sorted by key, and ``starts`` the position in ``order``
-    where each group begins.  The sort is stable, so each group's rows
-    keep their table order: a group is the rows a boolean mask on its key
-    would select, in the same order.
-    """
-    order = np.lexsort(keys)
-    starts = np.zeros(order.size, dtype=bool)
-    starts[:1] = True
-    for key in keys:
-        ranked = key[order]
-        starts[1:] |= ranked[1:] != ranked[:-1]
-    return order, np.flatnonzero(starts)
+    ``keys`` are arrays as long as ``values``, in :func:`numpy.lexsort`
+    order: the last key sorts first.  Returns ``(first_row, means,
+    counts)``, one entry per group in key order: the index of the group's
+    first row, the mean of its values and its number of rows.
 
-
-def group_means(values: np.ndarray, order: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Mean of the float ``values`` over each group of :func:`group_rows`.
-
-    Each mean is ``np.add.reduce`` over the group's contiguous run of
-    sorted values, divided by its size.  That is how ``ndarray.mean`` adds,
-    so each mean is bit for bit the mean of a boolean-mask selection of
-    the group.  ``np.add.reduceat`` and ``np.bincount`` add in another
+    One stable sort groups the rows, so each group's rows keep their table
+    order.  Each mean is ``np.add.reduce`` over the group's contiguous run
+    of sorted values, divided by its size.  That is how ``ndarray.mean``
+    adds, so each mean is bit for bit the mean of a boolean-mask selection
+    of the group.  ``np.add.reduceat`` and ``np.bincount`` add in another
     order and change the last bits.
     """
+    order = np.lexsort(keys)
+    is_start = np.zeros(order.size, dtype=bool)
+    is_start[:1] = True
+    for key in keys:
+        ranked = key[order]
+        is_start[1:] |= ranked[1:] != ranked[:-1]
+    starts = np.flatnonzero(is_start)
+    counts = np.diff(starts, append=order.size)
     ranked = values[order]
-    ends = np.append(starts[1:], ranked.size)
-    sums = [np.add.reduce(ranked[s:e]) for s, e in zip(starts.tolist(), ends.tolist())]
-    return np.array(sums, dtype=float) / (ends - starts)
+    sums = [np.add.reduce(ranked[s:s + n]) for s, n in zip(starts.tolist(), counts.tolist())]
+    return order[starts], np.array(sums, dtype=float) / counts, counts

@@ -1,17 +1,17 @@
 """The grouped means equal boolean-mask loops, bit for bit.
 
-``aggregate_hourly``, ``aggregate_by_account`` and
-``OutcomeTable.groupby_mean`` group rows with one stable sort
-(``repro.core.units.group_rows``).  The references below are the loops
-they replaced: one boolean mask per group, then ``.mean()`` of the masked
-values.  Every field must be equal with ``np.array_equal`` (dtype too),
+``aggregate_hourly``, ``aggregate_by_account``,
+``OutcomeTable.groupby_mean`` and ``cluster_robust_variance`` group rows
+with one stable sort (``repro.core.units.group_means``).  The references
+below are the loops they replaced: one boolean mask per group, then
+``.mean()`` of the masked values.  Every field must be equal with ``np.array_equal`` (dtype too),
 never approximately: a stable sort keeps each group's rows in table
 order, and ``np.add.reduce(x) / n`` is how ``ndarray.mean`` adds.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core.analysis.aggregation import (
@@ -19,7 +19,8 @@ from repro.core.analysis.aggregation import (
     aggregate_by_account,
     aggregate_hourly,
 )
-from repro.core.units import OutcomeTable, group_means, group_rows
+from repro.core.estimators import cluster_robust_variance
+from repro.core.units import OutcomeTable, group_means
 
 
 def masked_hourly(table: OutcomeTable, metric: str) -> HourlyAggregate:
@@ -74,6 +75,16 @@ def masked_groupby_mean(table: OutcomeTable, key: str, value: str) -> dict[float
     keys = table[key]
     values = table[value]
     return {float(k): float(values[keys == k].mean()) for k in np.unique(keys)}
+
+
+def masked_cluster_variance(outcomes: np.ndarray, clusters: np.ndarray) -> tuple[float, int]:
+    """One mask per distinct cluster, then the variance of the cluster means."""
+    cluster_means = np.array(
+        [outcomes[clusters == c].mean() for c in np.unique(clusters)], dtype=float
+    )
+    if cluster_means.size < 2:
+        return 0.0, cluster_means.size
+    return float(cluster_means.var(ddof=1) / cluster_means.size), cluster_means.size
 
 
 def assert_identical(actual: np.ndarray, expected: np.ndarray) -> None:
@@ -145,6 +156,15 @@ class TestGroupedMeansMatchMasks:
         assert list(actual) == list(expected)
         assert np.array_equal(list(actual.values()), list(expected.values()))
 
+    @given(table=session_tables())
+    @settings(max_examples=400, deadline=None)
+    def test_cluster_robust_variance(self, table):
+        assume(len(table) > 0)
+        outcomes, clusters = table["value"], table["account_id"]
+        assert cluster_robust_variance(outcomes, clusters) == masked_cluster_variance(
+            outcomes, clusters
+        )
+
 
 class TestEmptyTable:
     @pytest.fixture
@@ -170,21 +190,24 @@ class TestEmptyTable:
         assert empty.groupby_mean("hour", "value") == {}
 
 
-class TestGroupRows:
-    def test_groups_keep_table_order(self):
-        keys = np.array([2, 1, 2, 1, 3, 1])
-        order, starts = group_rows(keys)
-        assert order.tolist() == [1, 3, 5, 0, 2, 4]
-        assert starts.tolist() == [0, 3, 5]
+class TestGroupMeans:
+    def test_groups_keep_key_order_and_first_rows(self):
+        values = np.array([1.0, 10.0, 3.0, 20.0, 5.0, 30.0])
+        first, means, counts = group_means(values, np.array([2, 1, 2, 1, 3, 1]))
+        assert first.tolist() == [1, 0, 4]
+        assert means.tolist() == [20.0, 2.0, 5.0]
+        assert counts.tolist() == [3, 2, 1]
 
     def test_last_key_sorts_first(self):
+        values = np.array([1.0, 2.0, 3.0, 4.0])
         minor = np.array([1, 0, 0, 1])
         major = np.array([5, 5, 4, 4])
-        order, starts = group_rows(minor, major)
-        assert order.tolist() == [2, 3, 1, 0]
-        assert starts.tolist() == [0, 1, 2, 3]
+        first, means, counts = group_means(values, minor, major)
+        assert first.tolist() == [2, 3, 1, 0]
+        assert means.tolist() == [3.0, 4.0, 2.0, 1.0]
+        assert counts.tolist() == [1, 1, 1, 1]
 
-    def test_means_divide_the_group_sum_by_its_size(self):
-        values = np.array([1.0, 10.0, 3.0, 20.0])
-        order, starts = group_rows(np.array([0, 1, 0, 1]))
-        assert group_means(values, order, starts).tolist() == [2.0, 15.0]
+    def test_empty(self):
+        first, means, counts = group_means(np.array([]), np.array([]))
+        assert first.size == means.size == counts.size == 0
+        assert means.dtype == float

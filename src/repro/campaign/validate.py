@@ -1,6 +1,6 @@
 """Integrity checks for a campaign run directory.
 
-:func:`validate_run` replays a run's ``manifest.json`` against the
+:func:`validate_run` checks a run's ``manifest.json`` against the
 installed package and the ``results.json`` artifact next to it: every
 arm's content key must recompute to the pinned value, every arm must
 have results (and nothing else may), cells must be finite and agree in
@@ -11,8 +11,10 @@ the version) is skipped rather than producing one spurious mismatch per
 arm.
 
 The return value is a :class:`ValidationReport`; an empty ``problems``
-tuple means the run directory is internally consistent and reproducible
-by the installed package version.
+tuple means the run directory is internally consistent and its content
+keys recompute under the installed package version.  No arm is executed
+again, so a result altered after the run passes as long as its cells
+stay finite and keep their shape.
 """
 
 from __future__ import annotations

@@ -75,15 +75,6 @@ class OLSResult:
             self.n_observations,
         )
 
-    def r_squared(self, outcomes: np.ndarray) -> float:
-        """Coefficient of determination against the original outcomes."""
-        y = np.asarray(outcomes, dtype=float)
-        total = float(((y - y.mean()) ** 2).sum())
-        if total == 0.0:
-            return 1.0
-        residual = float((self.residuals**2).sum())
-        return 1.0 - residual / total
-
     def _index(self, name: str) -> int:
         try:
             return self.column_names.index(name)

@@ -26,7 +26,7 @@ spillovers are identically zero.  Congestion interference breaks SUTVA.
 a grid of allocations — exactly what the lab experiments of Section 3
 measure — and computes every estimand from it.  :class:`AllocationSweep`
 holds the lab runs such a grid comes from, on either simulator, and builds
-the curve.  :class:`EstimandSet` is the scalar summary used in figures.
+the curve.
 """
 
 from __future__ import annotations
@@ -39,55 +39,9 @@ import numpy as np
 
 __all__ = [
     "AllocationSweep",
-    "EstimandSet",
     "PotentialOutcomeCurve",
     "sutva_holds",
 ]
-
-
-@dataclass(frozen=True)
-class EstimandSet:
-    """Scalar estimands for one metric at one allocation.
-
-    Attributes
-    ----------
-    metric:
-        Name of the outcome metric.
-    allocation:
-        Treatment allocation ``p`` at which ``ate`` and ``spillover`` are
-        evaluated.
-    ate:
-        The average treatment effect ``tau(p)``.
-    tte:
-        The total treatment effect ``mu_T(1) - mu_C(0)``.
-    spillover:
-        The spillover ``s(p) = mu_C(p) - mu_C(0)``.
-    partial_effect:
-        The partial treatment effect ``rho(p) = mu_T(p) - mu_C(0)``.
-    """
-
-    metric: str
-    allocation: float
-    ate: float
-    tte: float
-    spillover: float
-    partial_effect: float
-
-    @property
-    def ab_test_bias(self) -> float:
-        """Bias of the naive A/B estimate: ``tau(p) - TTE``.
-
-        Zero when SUTVA holds; non-zero bias is the paper's headline
-        phenomenon.
-        """
-        return self.ate - self.tte
-
-    @property
-    def sign_flipped(self) -> bool:
-        """True when the A/B test gets the *direction* of the effect wrong."""
-        if self.ate == 0.0 or self.tte == 0.0:
-            return False
-        return (self.ate > 0) != (self.tte > 0)
 
 
 class PotentialOutcomeCurve:
@@ -190,23 +144,6 @@ class PotentialOutcomeCurve:
             raise ValueError("partial effect requires mu_C measured at allocation 0.0")
         return self.mu_treatment(allocation) - self._mu_c[0.0]
 
-    def estimands(self, allocation: float) -> EstimandSet:
-        """All scalar estimands for the curve at the given allocation.
-
-        At full deployment (``allocation == 1``) there is no concurrent
-        control group: the within-experiment effect equals the TTE and the
-        spillover is zero by convention.
-        """
-        full = allocation >= 1.0
-        return EstimandSet(
-            metric=self.metric,
-            allocation=float(allocation),
-            ate=self.tte() if full else self.ate(allocation),
-            tte=self.tte(),
-            spillover=0.0 if full else self.spillover(allocation),
-            partial_effect=self.partial_effect(allocation),
-        )
-
     def ab_test_bias(self, allocation: float) -> float:
         """Bias of a naive A/B test at ``allocation``: ``tau(p) - TTE``."""
         return self.ate(allocation) - self.tte()
@@ -263,14 +200,6 @@ class AllocationSweep:
     def ab_estimate(self, metric: str, allocation: float) -> float:
         """Naive A/B estimate ``tau(p)`` at one allocation."""
         return self.curve(metric).ate(allocation)
-
-    def ab_estimates(self, metric: str) -> dict[float, float]:
-        """Naive A/B estimates at every interior allocation of the sweep."""
-        return {
-            k / self.n_units: result.group_mean(metric, True) - result.group_mean(metric, False)
-            for k, result in self.results.items()
-            if 0 < k < self.n_units
-        }
 
     def spillover(self, metric: str, allocation: float) -> float:
         """Spillover on control units at the given allocation."""

@@ -7,8 +7,6 @@ This module provides the estimators the paper uses:
 * :func:`difference_in_means` — the naive A/B estimator ``tau_hat(p)``,
   with normal-theory confidence intervals using either independent-unit
   or cluster-robust (by account) standard errors.
-* :func:`quantile_treatment_effect` — difference in a quantile between
-  treatment and control, with a bootstrap confidence interval.
 * :func:`relative_effect` — converts absolute effects into the relative
   (percentage) effects the paper reports, normalized against a chosen
   control condition.
@@ -30,7 +28,6 @@ __all__ = [
     "EstimateWithCI",
     "DifferenceInMeans",
     "difference_in_means",
-    "quantile_treatment_effect",
     "relative_effect",
     "cluster_robust_variance",
     "normal_ci",
@@ -199,49 +196,6 @@ def difference_in_means(
         control_mean=c_mean,
         n_treatment=int(t.size),
         n_control=int(c.size),
-    )
-
-
-def quantile_treatment_effect(
-    treatment_outcomes: np.ndarray,
-    control_outcomes: np.ndarray,
-    quantile: float = 0.99,
-    confidence: float = 0.95,
-    n_bootstrap: int = 500,
-    seed: int | None = None,
-) -> EstimateWithCI:
-    """Difference in a quantile between treatment and control.
-
-    The paper notes (Section 2, "Note on averages") that practitioners often
-    study quantile treatment effects such as the change in 99th-percentile
-    latency.  The point estimate is the difference of empirical quantiles;
-    the confidence interval is a percentile bootstrap.
-    """
-    if not 0.0 < quantile < 1.0:
-        raise ValueError("quantile must be strictly between 0 and 1")
-    t = np.asarray(treatment_outcomes, dtype=float)
-    c = np.asarray(control_outcomes, dtype=float)
-    if t.size == 0 or c.size == 0:
-        raise ValueError("both treatment and control groups must be non-empty")
-
-    point = float(np.quantile(t, quantile) - np.quantile(c, quantile))
-    rng = np.random.default_rng(seed)
-    draws = np.empty(n_bootstrap, dtype=float)
-    for b in range(n_bootstrap):
-        tb = rng.choice(t, size=t.size, replace=True)
-        cb = rng.choice(c, size=c.size, replace=True)
-        draws[b] = np.quantile(tb, quantile) - np.quantile(cb, quantile)
-    alpha = 1.0 - confidence
-    ci_low = float(np.quantile(draws, alpha / 2.0))
-    ci_high = float(np.quantile(draws, 1.0 - alpha / 2.0))
-    std_error = float(draws.std(ddof=1)) if n_bootstrap > 1 else 0.0
-    return EstimateWithCI(
-        estimate=point,
-        std_error=std_error,
-        ci_low=ci_low,
-        ci_high=ci_high,
-        confidence=confidence,
-        n=int(t.size + c.size),
     )
 
 

@@ -58,13 +58,6 @@ class LabFigureRow:
     treatment_retransmit: float | None
     control_retransmit: float | None
 
-    @property
-    def ab_throughput_effect(self) -> float | None:
-        """Naive A/B throughput estimate at this allocation, Mb/s."""
-        if self.treatment_throughput_mbps is None or self.control_throughput_mbps is None:
-            return None
-        return self.treatment_throughput_mbps - self.control_throughput_mbps
-
 
 @dataclass
 class LabFigure:

@@ -152,12 +152,6 @@ class FleetSpec:
         """Region of the given edge (contiguous blocks of edges)."""
         return edge * self.regions // self.edges
 
-    def edges_in_region(self, region: int) -> range:
-        """Edges belonging to the given region."""
-        start = (region * self.edges + self.regions - 1) // self.regions
-        end = ((region + 1) * self.edges + self.regions - 1) // self.regions
-        return range(start, end)
-
     def edge_rtt_ms(self, edge: int) -> float:
         """Round-trip time of the given edge's bottleneck."""
         return self.rtt_profile_ms[edge % len(self.rtt_profile_ms)]

@@ -91,11 +91,6 @@ class BottleneckLink:
         return self.capacity_gbps * 1e9 / BITS_PER_BYTE * (self.base_rtt_ms / 1000.0)
 
     @property
-    def bdp_packets(self) -> float:
-        """Bandwidth-delay product expressed in MTU-sized packets."""
-        return self.bdp_bytes / self.mtu_bytes
-
-    @property
     def buffer_bytes(self) -> float:
         """Buffer size in bytes."""
         return self.buffer_bdp * self.bdp_bytes
@@ -106,12 +101,6 @@ class BottleneckLink:
         if self.capacity_gbps == 0:
             return 0.0
         return self.buffer_bytes * BITS_PER_BYTE / (self.capacity_gbps * 1e9) * 1000.0
-
-    def fair_share_mbps(self, n_flows: int) -> float:
-        """Equal-share throughput per flow for ``n_flows`` identical flows."""
-        if n_flows <= 0:
-            raise ValueError("n_flows must be positive")
-        return self.capacity_mbps / n_flows
 
     def loss_probability(self, per_connection_mbps: float) -> float:
         """Loss probability sustaining the given per-connection rate here.

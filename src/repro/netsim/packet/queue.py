@@ -22,17 +22,12 @@ packet (:meth:`QueueDiscipline._mark`) and lets it through instead; the
 sender reacts to the echoed mark with a window reduction but no
 retransmission.  Hard buffer-overflow drops are never converted to marks.
 
-Beyond the drop-replacement marks, the AQMs offer *shallow* L4S-style
-marking knobs that signal congestion well before the drop law would:
-RED's ``mark_threshold`` CE-marks ECN arrivals once the averaged queue
-crosses a (typically low) occupancy fraction, and CoDel/FQ-CoDel's
-``ce_threshold_s`` CE-marks ECN packets whose sojourn exceeds a shallow
-delay threshold (Linux's ``ce_threshold``), independent of the dropping
-state machine.  :class:`DualPI2Queue` is the full RFC 9332 treatment: a
-dual-queue coupled AQM whose low-latency queue step-marks L4S traffic at
-a sub-millisecond threshold while a PI2 controller drops (or
-classically marks) in the classic queue, the two coupled by the square
-law so both traffic classes converge on the same per-flow rate.
+Beyond the drop-replacement marks, :class:`DualPI2Queue` gives L4S
+traffic an early, shallow signal (RFC 9332).  It is a dual-queue coupled
+AQM whose low-latency queue step-marks L4S traffic at a sub-millisecond
+threshold while a PI2 controller drops (or classically marks) in the
+classic queue, the two coupled by the square law so both traffic classes
+converge on the same per-flow rate.
 
 Disciplines are registered by name in :data:`QUEUE_DISCIPLINES` so
 scenario specs can select them with a plain string; :func:`make_queue`
@@ -296,14 +291,6 @@ class REDQueue(QueueDiscipline):
     ECN-capable arrivals the early-drop logic selects are CE-marked and
     admitted instead of dropped; buffer-overflow drops are never marked.
 
-    An optional *shallow marking* threshold (``mark_threshold``) gives
-    ECN traffic an earlier, L4S-style signal: once the averaged queue
-    reaches that occupancy fraction — typically well below
-    ``min_threshold`` — every ECN-capable arrival is CE-marked and
-    admitted, and the drop lottery is reserved for non-ECN traffic.  The
-    signal is a step in the average, not a probability ramp, which is
-    what a fraction-based (DCTCP) sender response expects.
-
     Parameters
     ----------
     min_threshold, max_threshold:
@@ -312,10 +299,6 @@ class REDQueue(QueueDiscipline):
         Drop probability when the average reaches ``max_threshold``.
     weight:
         EWMA weight for each arrival's occupancy sample.
-    mark_threshold:
-        Shallow-marking threshold as a fraction of ``buffer_bytes``:
-        ECN-capable arrivals are CE-marked whenever the averaged queue is
-        at or above it.  ``None`` (default) disables shallow marking.
     seed:
         Seed of the private drop-decision RNG.
     """
@@ -334,7 +317,6 @@ class REDQueue(QueueDiscipline):
         max_threshold: float = 0.75,
         max_drop_probability: float = 0.1,
         weight: float = 0.02,
-        mark_threshold: float | None = None,
         seed: int = 0,
     ):
         super().__init__(scheduler, rate_bps, buffer_bytes, on_departure, on_drop)
@@ -344,13 +326,8 @@ class REDQueue(QueueDiscipline):
             raise ValueError("max_drop_probability must be in (0, 1]")
         if not 0.0 < weight <= 1.0:
             raise ValueError("weight must be in (0, 1]")
-        if mark_threshold is not None and not 0.0 < mark_threshold <= 1.0:
-            raise ValueError("mark_threshold must be in (0, 1]")
         self._min_bytes = min_threshold * self._buffer_bytes
         self._max_bytes = max_threshold * self._buffer_bytes
-        self._mark_bytes = (
-            None if mark_threshold is None else mark_threshold * self._buffer_bytes
-        )
         self._max_p = float(max_drop_probability)
         self._weight = float(weight)
         self._rng = random.Random(seed)
@@ -377,15 +354,6 @@ class REDQueue(QueueDiscipline):
         if self._queued_bytes + packet.size_bytes > self._buffer_bytes:
             self._count = 0
             return False
-        if (
-            self._mark_bytes is not None
-            and packet.ecn_capable
-            and self._avg_bytes >= self._mark_bytes
-        ):
-            # Shallow step marking: the early signal replaces the drop
-            # lottery for this packet (one punishment per arrival).
-            self._mark(packet, now)
-            return True
         if self._avg_bytes < self._min_bytes:
             self._count = -1
             return True
@@ -480,12 +448,6 @@ class CoDelQueue(QueueDiscipline):
     served instead of dropped.  Arrivals are only refused by the hard
     ``buffer_bytes`` limit.
 
-    An optional shallow marking threshold (``ce_threshold_s``, modelled
-    on Linux CoDel's ``ce_threshold``) CE-marks ECN-capable packets whose
-    sojourn exceeds it, independently of the dropping state machine — an
-    L4S-style early signal at a delay well below ``target_delay_s``'s
-    dropping point.
-
     Parameters
     ----------
     target_delay_s:
@@ -494,10 +456,6 @@ class CoDelQueue(QueueDiscipline):
         Sliding window over which the delay must persist (default 100 ms).
     min_backlog_bytes:
         Never drop while the backlog is at or below this (one MTU).
-    ce_threshold_s:
-        Shallow marking threshold: ECN-capable packets whose sojourn
-        exceeds this are CE-marked at dequeue even while the drop law is
-        quiet.  ``None`` (default) disables shallow marking.
     """
 
     name = "codel"
@@ -512,15 +470,11 @@ class CoDelQueue(QueueDiscipline):
         target_delay_s: float = 0.005,
         interval_s: float = 0.1,
         min_backlog_bytes: float = 1500.0,
-        ce_threshold_s: float | None = None,
     ):
         super().__init__(scheduler, rate_bps, buffer_bytes, on_departure, on_drop)
         if target_delay_s <= 0 or interval_s <= 0:
             raise ValueError("target_delay_s and interval_s must be positive")
-        if ce_threshold_s is not None and ce_threshold_s <= 0:
-            raise ValueError("ce_threshold_s must be positive")
         self._codel = _CoDelControl(target_delay_s, interval_s, min_backlog_bytes)
-        self._ce_threshold_s = ce_threshold_s
 
     def _admit(self, packet: Packet, now: float) -> bool:
         return self._queued_bytes + packet.size_bytes <= self._buffer_bytes
@@ -530,19 +484,12 @@ class CoDelQueue(QueueDiscipline):
         while self._queue:
             packet, arrival = self._queue.popleft()
             self._queued_bytes -= packet.size_bytes
-            sojourn = now - arrival
-            if self._codel.should_drop(sojourn, now, self._queued_bytes):
+            if self._codel.should_drop(now - arrival, now, self._queued_bytes):
                 if packet.ecn_capable:
                     self._mark(packet, now)
                     return packet
                 self._drop(packet, now)
                 continue
-            if (
-                self._ce_threshold_s is not None
-                and packet.ecn_capable
-                and sojourn > self._ce_threshold_s
-            ):
-                self._mark(packet, now)
             return packet
         return None
 
@@ -587,9 +534,6 @@ class FqCoDelQueue(QueueDiscipline):
         backlog floor applies to the packet's own sub-queue.
     quantum_bytes:
         Deficit round-robin credit granted per round (default one MTU).
-    ce_threshold_s:
-        Shallow marking threshold (see :class:`CoDelQueue`), applied to
-        every sub-queue's sojourn times.  ``None`` disables it.
     flow_key:
         Classifier mapping a packet to its sub-queue key; defaults to
         ``Packet.flow_id``.
@@ -609,7 +553,6 @@ class FqCoDelQueue(QueueDiscipline):
         interval_s: float = 0.1,
         min_backlog_bytes: float = 1500.0,
         quantum_bytes: float = 1500.0,
-        ce_threshold_s: float | None = None,
         flow_key: Callable[[Packet], int] | None = None,
     ):
         super().__init__(scheduler, rate_bps, buffer_bytes, on_departure, on_drop)
@@ -617,13 +560,10 @@ class FqCoDelQueue(QueueDiscipline):
             raise ValueError("target_delay_s and interval_s must be positive")
         if quantum_bytes <= 0:
             raise ValueError("quantum_bytes must be positive")
-        if ce_threshold_s is not None and ce_threshold_s <= 0:
-            raise ValueError("ce_threshold_s must be positive")
         self._target_s = float(target_delay_s)
         self._interval_s = float(interval_s)
         self._min_backlog_bytes = float(min_backlog_bytes)
         self._quantum = float(quantum_bytes)
-        self._ce_threshold_s = ce_threshold_s
         self._flow_key = flow_key if flow_key is not None else self._default_flow_key
         #: Waiting packets per sub-queue key, each with its arrival time.
         self._subqueues: dict[int, deque[tuple[Packet, float]]] = {}
@@ -735,19 +675,12 @@ class FqCoDelQueue(QueueDiscipline):
             self._sub_bytes[key] -= packet.size_bytes
             self._queued_bytes -= packet.size_bytes
             self._deficits[key] -= packet.size_bytes
-            sojourn = now - arrival
-            if self._codel[key].should_drop(sojourn, now, self._sub_bytes[key]):
+            if self._codel[key].should_drop(now - arrival, now, self._sub_bytes[key]):
                 if packet.ecn_capable:
                     self._mark(packet, now)
                     return packet
                 self._drop(packet, now)
                 continue
-            if (
-                self._ce_threshold_s is not None
-                and packet.ecn_capable
-                and sojourn > self._ce_threshold_s
-            ):
-                self._mark(packet, now)
             return packet
         return None
 

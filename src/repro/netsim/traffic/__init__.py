@@ -2,9 +2,9 @@
 
 Everything the static packet simulator assumed away: flows that start
 mid-simulation, transfer a finite (heavy-tailed) number of bytes, record
-a flow-completion time and retire; arrival processes (Poisson, on/off
-bursts, traces) whose intensity can follow a time-varying demand profile
-(steps, ramps, the workload layer's diurnal shape).
+a flow-completion time and retire; arrival processes (Poisson, traces)
+whose intensity can follow a time-varying demand profile (constant or a
+ramp).
 
 Attach a :class:`TrafficSource` to a simulation via
 ``simulate(..., traffic_sources=[...])`` or
@@ -14,41 +14,27 @@ lifecycle results come back in ``PacketSimResult.traffic``.
 
 from repro.netsim.traffic.arrivals import (
     ArrivalProcess,
-    OnOffSource,
     PoissonArrivals,
     TraceArrivals,
 )
 from repro.netsim.traffic.demand import (
     ConstantDemand,
     DemandProfile,
-    DiurnalDemand,
     RampDemand,
-    StepDemand,
 )
-from repro.netsim.traffic.sizes import (
-    EmpiricalSizes,
-    FixedSizes,
-    LogNormalSizes,
-    ParetoSizes,
-    SizeSampler,
-)
+from repro.netsim.traffic.sizes import FixedSizes, ParetoSizes, SizeSampler
 from repro.netsim.traffic.source import DynamicTrafficResult, TrafficSource
 
 __all__ = [
     "ArrivalProcess",
     "PoissonArrivals",
-    "OnOffSource",
     "TraceArrivals",
     "DemandProfile",
     "ConstantDemand",
-    "StepDemand",
     "RampDemand",
-    "DiurnalDemand",
     "SizeSampler",
     "FixedSizes",
     "ParetoSizes",
-    "LogNormalSizes",
-    "EmpiricalSizes",
     "TrafficSource",
     "DynamicTrafficResult",
 ]

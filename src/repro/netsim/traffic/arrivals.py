@@ -1,17 +1,13 @@
 """Flow arrival processes for dynamic traffic.
 
 An arrival process turns a seeded RNG and a simulation horizon into the
-times at which new finite flows enter the network.  All three processes
-accept an optional :class:`~repro.netsim.traffic.demand.DemandProfile`
-that modulates the instantaneous arrival rate over time (implemented by
-thinning, so the modulated process is still exact):
+times at which new finite flows enter the network, optionally under a
+:class:`~repro.netsim.traffic.demand.DemandProfile` that modulates the
+instantaneous arrival rate over time:
 
 * :class:`PoissonArrivals` — memoryless arrivals at ``rate_per_s``; the
-  canonical model for independent user sessions;
-* :class:`OnOffSource` — a Markov-modulated Poisson process: exponential
-  ON periods (arrivals at ``rate_per_s``) alternate with exponential OFF
-  periods (silence), producing the bursty churn of an on/off background
-  application;
+  canonical model for independent user sessions.  Demand modulation is
+  implemented by thinning, so the modulated process is still exact;
 * :class:`TraceArrivals` — replay an explicit list of arrival instants
   (a measured trace); demand modulation does not apply to traces.
 
@@ -31,7 +27,6 @@ from repro.netsim.traffic.demand import DemandProfile
 __all__ = [
     "ArrivalProcess",
     "PoissonArrivals",
-    "OnOffSource",
     "TraceArrivals",
 ]
 
@@ -99,51 +94,6 @@ class PoissonArrivals(ArrivalProcess):
         demand: DemandProfile | None = None,
     ) -> list[float]:
         return _thinned_poisson(rng, self.rate_per_s, 0.0, horizon_s, demand, horizon_s)
-
-
-@dataclass(frozen=True)
-class OnOffSource(ArrivalProcess):
-    """Bursty churn: Poisson arrivals gated by exponential ON/OFF periods.
-
-    The source alternates ON periods (mean ``mean_on_s``, arrivals at
-    ``rate_per_s``) with OFF periods (mean ``mean_off_s``, silence).
-    Whether it starts ON or OFF is itself random, weighted by the
-    stationary occupancy, so an ensemble of sources is in steady state
-    from t=0 instead of synchronising their first burst.
-    """
-
-    rate_per_s: float
-    mean_on_s: float = 2.0
-    mean_off_s: float = 2.0
-
-    def __post_init__(self) -> None:
-        if self.rate_per_s < 0:
-            raise ValueError("rate_per_s must be non-negative")
-        if self.mean_on_s <= 0 or self.mean_off_s <= 0:
-            raise ValueError("mean_on_s and mean_off_s must be positive")
-
-    def arrival_times(
-        self,
-        rng: random.Random,
-        horizon_s: float,
-        demand: DemandProfile | None = None,
-    ) -> list[float]:
-        times: list[float] = []
-        on = rng.random() < self.mean_on_s / (self.mean_on_s + self.mean_off_s)
-        t = 0.0
-        while t < horizon_s:
-            if on:
-                period_end = min(t + rng.expovariate(1.0 / self.mean_on_s), horizon_s)
-                times.extend(
-                    _thinned_poisson(
-                        rng, self.rate_per_s, t, period_end, demand, horizon_s
-                    )
-                )
-                t = period_end
-            else:
-                t += rng.expovariate(1.0 / self.mean_off_s)
-            on = not on
-        return times
 
 
 @dataclass(frozen=True)

@@ -9,13 +9,8 @@ windows only reveal their biases when demand actually shifts under them.
 Profiles:
 
 * :class:`ConstantDemand` — flat (the default when a source has none);
-* :class:`StepDemand` — piecewise-constant levels with step changes at
-  given times (a capacity upgrade, a flash crowd arriving);
 * :class:`RampDemand` — linear ramp between two levels (the evening
-  build-up compressed to simulation scale);
-* :class:`DiurnalDemand` — the full daily/weekly shape of
-  :class:`repro.workload.demand.DiurnalDemandModel`, time-compressed so
-  a day of demand fits in seconds of simulation.
+  build-up compressed to simulation scale).
 
 All profiles are frozen dataclasses, so they are picklable and
 content-keyable inside :class:`~repro.runner.spec.ScenarioSpec` params.
@@ -23,16 +18,12 @@ content-keyable inside :class:`~repro.runner.spec.ScenarioSpec` params.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from repro.workload.demand import DiurnalDemandModel
+from dataclasses import dataclass
 
 __all__ = [
     "DemandProfile",
     "ConstantDemand",
-    "StepDemand",
     "RampDemand",
-    "DiurnalDemand",
 ]
 
 
@@ -71,45 +62,6 @@ class ConstantDemand(DemandProfile):
 
 
 @dataclass(frozen=True)
-class StepDemand(DemandProfile):
-    """Piecewise-constant demand: ``levels[i]`` applies between steps.
-
-    ``times`` are the (strictly increasing) step instants; ``levels``
-    has one more entry than ``times``: ``levels[0]`` before the first
-    step, ``levels[i]`` from ``times[i-1]`` onward.
-    """
-
-    times: tuple[float, ...]
-    levels: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.levels) != len(self.times) + 1:
-            raise ValueError("need exactly len(times) + 1 levels")
-        if any(level < 0 for level in self.levels):
-            raise ValueError("levels must be non-negative")
-        if any(b <= a for a, b in zip(self.times, self.times[1:])):
-            raise ValueError("times must be strictly increasing")
-
-    def multiplier(self, t: float) -> float:
-        level = self.levels[0]
-        for step_time, next_level in zip(self.times, self.levels[1:]):
-            if t >= step_time:
-                level = next_level
-            else:
-                break
-        return level
-
-    def max_multiplier(self, horizon_s: float) -> float:
-        active = [self.levels[0]]
-        active += [
-            level
-            for step_time, level in zip(self.times, self.levels[1:])
-            if step_time <= horizon_s
-        ]
-        return max(active)
-
-
-@dataclass(frozen=True)
 class RampDemand(DemandProfile):
     """Linear ramp from ``start_level`` to ``end_level`` over [t0, t1]."""
 
@@ -134,41 +86,3 @@ class RampDemand(DemandProfile):
 
     def max_multiplier(self, horizon_s: float) -> float:
         return max(self.start_level, self.multiplier(horizon_s))
-
-
-@dataclass(frozen=True)
-class DiurnalDemand(DemandProfile):
-    """The workload layer's daily/weekly demand shape, time-compressed.
-
-    Bridges :class:`repro.workload.demand.DiurnalDemandModel` into the
-    packet simulator: one model *day* is compressed into
-    ``seconds_per_day`` of simulation time, and the multiplier at ``t``
-    is the model's relative demand for the corresponding (day, hour).
-    With the default shape the multiplier peaks at 1.0 (weekday evening
-    peak) and bottoms out below 0.1 overnight — a switchback interval
-    straddling the compressed evening sees demand several times that of
-    one straddling the night.
-    """
-
-    model: DiurnalDemandModel = field(default_factory=DiurnalDemandModel)
-    seconds_per_day: float = 24.0
-
-    def __post_init__(self) -> None:
-        if self.seconds_per_day <= 0:
-            raise ValueError("seconds_per_day must be positive")
-
-    def multiplier(self, t: float) -> float:
-        if t < 0:
-            t = 0.0
-        day = int(t // self.seconds_per_day)
-        hour = int((t - day * self.seconds_per_day) / (self.seconds_per_day / 24.0))
-        return self.model.relative_demand(day, min(hour, 23))
-
-    def max_multiplier(self, horizon_s: float) -> float:
-        # Weekend boosts can push the hourly level above the weekday
-        # peak of 1.0; bound them explicitly instead of scanning hours.
-        return (
-            self.model.peak_relative_demand()
-            * self.model.weekend_factor
-            * self.model.weekend_daytime_boost
-        )

@@ -8,10 +8,7 @@ dataclass drawing sizes (in bytes) from one family:
 * :class:`FixedSizes` — every flow the same size (degenerate, useful in
   tests and calibration);
 * :class:`ParetoSizes` — the classic heavy-tailed model; with shape
-  ``alpha <= 2`` the variance is infinite and elephants dominate;
-* :class:`LogNormalSizes` — a milder heavy tail, common in measured CDNs;
-* :class:`EmpiricalSizes` — inverse-CDF sampling from an observed list
-  of sizes (linear interpolation between order statistics).
+  ``alpha <= 2`` the variance is infinite and elephants dominate.
 
 Samplers draw all randomness from the ``random.Random`` instance they
 are handed, so a traffic source's flow sequence is a pure function of
@@ -20,7 +17,6 @@ the simulation seed.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 
@@ -28,8 +24,6 @@ __all__ = [
     "SizeSampler",
     "FixedSizes",
     "ParetoSizes",
-    "LogNormalSizes",
-    "EmpiricalSizes",
 ]
 
 
@@ -90,57 +84,3 @@ class ParetoSizes(SizeSampler):
         if self.alpha <= 1.0:
             return float("inf")
         return self.alpha * self.min_bytes / (self.alpha - 1.0)
-
-
-@dataclass(frozen=True)
-class LogNormalSizes(SizeSampler):
-    """Log-normal sizes around ``median_bytes`` with log-std ``sigma``."""
-
-    median_bytes: float = 100_000.0
-    sigma: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.median_bytes <= 0:
-            raise ValueError("median_bytes must be positive")
-        if self.sigma < 0:
-            raise ValueError("sigma must be non-negative")
-
-    def sample(self, rng: random.Random) -> float:
-        return self.median_bytes * math.exp(self.sigma * rng.gauss(0.0, 1.0))
-
-    def mean_bytes(self) -> float:
-        return self.median_bytes * math.exp(self.sigma**2 / 2.0)
-
-
-@dataclass(frozen=True)
-class EmpiricalSizes(SizeSampler):
-    """Inverse-CDF sampling from an observed size distribution.
-
-    Draws ``u ~ U[0, 1)`` and interpolates linearly between the order
-    statistics of ``sizes_bytes``, i.e. the piecewise-linear empirical
-    CDF fitted to the observations.
-    """
-
-    sizes_bytes: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if not self.sizes_bytes:
-            raise ValueError("sizes_bytes must not be empty")
-        if any(s < 0 for s in self.sizes_bytes):
-            raise ValueError("sizes must be non-negative")
-        # Store sorted so sampling never re-sorts (frozen dataclass).
-        object.__setattr__(
-            self, "sizes_bytes", tuple(sorted(float(s) for s in self.sizes_bytes))
-        )
-
-    def sample(self, rng: random.Random) -> float:
-        n = len(self.sizes_bytes)
-        if n == 1:
-            return self.sizes_bytes[0]
-        position = rng.random() * (n - 1)
-        low = int(position)
-        frac = position - low
-        return self.sizes_bytes[low] * (1.0 - frac) + self.sizes_bytes[low + 1] * frac
-
-    def mean_bytes(self) -> float:
-        return sum(self.sizes_bytes) / len(self.sizes_bytes)

@@ -36,7 +36,7 @@ class TrafficSource:
     Attributes
     ----------
     arrivals:
-        When new flows spawn (Poisson, on/off bursts, or a trace).
+        When new flows spawn (Poisson arrivals or a trace).
     sizes:
         Transfer size sampled per spawned flow, in bytes.
     demand:

@@ -5,6 +5,9 @@ Reads the artifacts :class:`~repro.obs.trace.RunTracer` wrote
 run report: command, wall time, task/cache totals, engine counters, the
 slowest tasks, and the merged cProfile hotspot table when profiling was
 on.  Every artifact is optional — the report renders whatever exists.
+``meta.json`` is written last, by :meth:`~repro.obs.trace.RunTracer.finish`,
+so a directory without it holds an incomplete run: the report says so and
+``repro report`` exits 1.
 """
 
 from __future__ import annotations
@@ -66,7 +69,9 @@ def render_report(rundir: str | Path, top: int = 15) -> str:
         lines.append("  (no trace artifacts found — run with --trace DIR)")
         return "\n".join(lines)
 
-    if meta is not None:
+    if meta is None:
+        lines.append("  incomplete: no meta.json (killed or still running)")
+    else:
         if meta.get("command"):
             lines.append(f"  command:  {meta['command']}")
         if "wall_s" in meta:
@@ -130,4 +135,4 @@ def run_report(options: argparse.Namespace) -> int:
         print(f"error: {rundir} is not a directory", file=sys.stderr)
         return 2
     print(render_report(rundir, top=options.top))
-    return 0
+    return 0 if _load_json(rundir / "meta.json") is not None else 1

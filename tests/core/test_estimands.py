@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.estimands import (
     AllocationSweep,
-    EstimandSet,
     PotentialOutcomeCurve,
     sutva_holds,
 )
@@ -94,36 +93,6 @@ class TestEstimands:
         curve = interference_curve()
         assert curve.ab_test_bias(0.5) == pytest.approx(0.7)
 
-    def test_estimand_set(self):
-        es = interference_curve().estimands(0.5)
-        assert isinstance(es, EstimandSet)
-        assert es.ate == pytest.approx(0.7)
-        assert es.tte == pytest.approx(0.0)
-        assert es.ab_test_bias == pytest.approx(0.7)
-
-    def test_estimands_at_full_allocation_have_zero_spillover(self):
-        es = interference_curve().estimands(1.0)
-        assert es.spillover == 0.0
-        assert es.ate == pytest.approx(es.tte)
-
-
-class TestEstimandSet:
-    def test_sign_flip_detection(self):
-        es = EstimandSet("m", 0.05, ate=-0.05, tte=0.12, spillover=0.1, partial_effect=0.1)
-        assert es.sign_flipped
-
-    def test_no_sign_flip_when_same_direction(self):
-        es = EstimandSet("m", 0.05, ate=0.05, tte=0.12, spillover=0.0, partial_effect=0.1)
-        assert not es.sign_flipped
-
-    def test_no_sign_flip_when_zero(self):
-        es = EstimandSet("m", 0.05, ate=0.0, tte=0.12, spillover=0.0, partial_effect=0.1)
-        assert not es.sign_flipped
-
-    def test_bias_zero_when_ab_equals_tte(self):
-        es = EstimandSet("m", 0.5, ate=0.2, tte=0.2, spillover=0.0, partial_effect=0.2)
-        assert es.ab_test_bias == pytest.approx(0.0)
-
 
 class TestSutvaCheck:
     def test_flat_curve_satisfies_sutva(self):
@@ -173,5 +142,4 @@ class TestAllocationSweep:
         sweep = self.sweep()
         assert sweep.tte("throughput") == 0.0
         assert sweep.ab_estimate("throughput", 0.5) == pytest.approx(0.8)
-        assert sweep.ab_estimates("throughput") == {0.5: pytest.approx(0.8)}
         assert sweep.spillover("throughput", 0.5) == pytest.approx(-0.2)

@@ -7,7 +7,6 @@ from repro.core.estimators import (
     EstimateWithCI,
     cluster_robust_variance,
     difference_in_means,
-    quantile_treatment_effect,
     relative_effect,
 )
 
@@ -118,30 +117,6 @@ class TestClusterRobustVariance:
     def test_empty_raises(self):
         with pytest.raises(ValueError):
             cluster_robust_variance(np.array([]), np.array([]))
-
-
-class TestQuantileTreatmentEffect:
-    def test_detects_tail_shift(self):
-        rng = np.random.default_rng(4)
-        c = rng.normal(0.0, 1.0, 2000)
-        t = np.concatenate([rng.normal(0.0, 1.0, 1900), rng.normal(5.0, 1.0, 100)])
-        qte = quantile_treatment_effect(t, c, quantile=0.99, seed=0, n_bootstrap=200)
-        assert qte.estimate > 1.0
-
-    def test_median_of_identical_distributions_near_zero(self):
-        rng = np.random.default_rng(5)
-        t = rng.normal(0.0, 1.0, 1000)
-        c = rng.normal(0.0, 1.0, 1000)
-        qte = quantile_treatment_effect(t, c, quantile=0.5, seed=0, n_bootstrap=200)
-        assert qte.covers(0.0)
-
-    def test_invalid_quantile_raises(self):
-        with pytest.raises(ValueError):
-            quantile_treatment_effect(np.array([1.0]), np.array([1.0]), quantile=1.5)
-
-    def test_empty_group_raises(self):
-        with pytest.raises(ValueError):
-            quantile_treatment_effect(np.array([]), np.array([1.0]))
 
 
 class TestRelativeEffect:

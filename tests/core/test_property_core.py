@@ -4,7 +4,6 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.assignment import bernoulli_assignment, fixed_fraction_assignment
 from repro.core.estimands import PotentialOutcomeCurve
 from repro.core.estimators import difference_in_means, relative_effect
 from repro.core.units import OutcomeTable
@@ -12,41 +11,6 @@ from repro.core.units import OutcomeTable
 finite_floats = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
 )
-
-
-class TestAssignmentProperties:
-    @given(
-        n=st.integers(min_value=0, max_value=500),
-        p=st.floats(min_value=0.0, max_value=1.0),
-        seed=st.integers(min_value=0, max_value=2**31 - 1),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_bernoulli_counts_partition_units(self, n, p, seed):
-        a = bernoulli_assignment(n, p, seed=seed)
-        assert a.n_treated + a.n_control == n
-        assert 0.0 <= a.realized_allocation <= 1.0
-
-    @given(
-        n=st.integers(min_value=1, max_value=500),
-        p=st.floats(min_value=0.0, max_value=1.0),
-        seed=st.integers(min_value=0, max_value=2**31 - 1),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_fixed_fraction_is_exact(self, n, p, seed):
-        a = fixed_fraction_assignment(n, p, seed=seed)
-        assert a.n_treated == int(round(p * n))
-
-    @given(
-        n=st.integers(min_value=1, max_value=200),
-        p=st.floats(min_value=0.0, max_value=1.0),
-        seed=st.integers(min_value=0, max_value=2**31 - 1),
-    )
-    @settings(max_examples=30, deadline=None)
-    def test_inversion_swaps_counts(self, n, p, seed):
-        a = bernoulli_assignment(n, p, seed=seed)
-        inv = a.inverted()
-        assert inv.n_treated == a.n_control
-        assert inv.n_control == a.n_treated
 
 
 class TestCurveProperties:
@@ -109,16 +73,15 @@ class TestOutcomeTableProperties:
         mask_seed=st.integers(min_value=0, max_value=1000),
     )
     @settings(max_examples=60, deadline=None)
-    def test_select_then_concat_preserves_rows(self, values, mask_seed):
+    def test_select_partitions_rows(self, values, mask_seed):
         table = OutcomeTable({"value": values})
         rng = np.random.default_rng(mask_seed)
         mask = rng.random(len(values)) < 0.5
         kept = table.select(mask)
         dropped = table.select(~mask)
         assert len(kept) + len(dropped) == len(table)
-        if len(kept) and len(dropped):
-            combined = kept.concat(dropped)
-            assert sorted(combined["value"]) == sorted(table["value"])
+        combined = np.concatenate([kept["value"], dropped["value"]])
+        assert sorted(combined) == sorted(table["value"])
 
     @given(values=st.lists(finite_floats, min_size=1, max_size=100))
     @settings(max_examples=60, deadline=None)

@@ -1,70 +1,12 @@
-"""Tests for repro.core.units: units, sessions and outcome tables."""
+"""Tests for repro.core.units: session metrics and outcome tables."""
 
 import numpy as np
 import pytest
 
-from repro.core.units import SESSION_METRICS, OutcomeTable, Session, Unit
-
-
-def make_session(i=0, **overrides):
-    defaults = dict(
-        session_id=i,
-        account_id=i % 3,
-        day=0,
-        hour=12,
-        link=1,
-        treated=bool(i % 2),
-        throughput_mbps=10.0 + i,
-        min_rtt_ms=20.0,
-        play_delay_s=2.0,
-        video_bitrate_kbps=3000.0,
-        retransmit_fraction=0.01,
-        rebuffer_rate=0.1,
-        cancelled_start=0.0,
-        perceptual_quality=95.0,
-        stability=98.0,
-        bytes_sent_gb=1.5,
-    )
-    defaults.update(overrides)
-    return Session(**defaults)
-
-
-class TestUnit:
-    def test_defaults(self):
-        unit = Unit(unit_id=7)
-        assert unit.unit_id == 7
-        assert unit.account_id == 0
-        assert unit.attributes == {}
-
-    def test_with_attributes_merges(self):
-        unit = Unit(1, 2, {"isp": "x"})
-        extended = unit.with_attributes(link=1)
-        assert extended.attributes == {"isp": "x", "link": 1}
-
-    def test_with_attributes_does_not_mutate_original(self):
-        unit = Unit(1, 2, {"isp": "x"})
-        unit.with_attributes(link=1)
-        assert "link" not in unit.attributes
-
-    def test_units_with_same_fields_are_equal(self):
-        assert Unit(1) == Unit(1)
-        assert Unit(1) != Unit(2)
+from repro.core.units import SESSION_METRICS, OutcomeTable
 
 
 class TestSession:
-    def test_metric_accessor(self):
-        s = make_session(throughput_mbps=42.0)
-        assert s.metric("throughput_mbps") == 42.0
-
-    def test_metric_unknown_raises(self):
-        with pytest.raises(KeyError):
-            make_session().metric("nope")
-
-    def test_as_dict_contains_all_metrics(self):
-        d = make_session().as_dict()
-        for name in SESSION_METRICS:
-            assert name in d
-
     def test_session_metrics_count(self):
         assert len(SESSION_METRICS) == 10
 
@@ -81,25 +23,6 @@ class TestOutcomeTableConstruction:
     def test_two_dimensional_column_raises(self):
         with pytest.raises(ValueError):
             OutcomeTable({"a": np.ones((2, 2))})
-
-    def test_from_sessions(self):
-        table = OutcomeTable.from_sessions([make_session(i) for i in range(5)])
-        assert len(table) == 5
-        assert "throughput_mbps" in table
-        assert "treated" in table
-
-    def test_from_sessions_empty_raises(self):
-        with pytest.raises(ValueError):
-            OutcomeTable.from_sessions([])
-
-    def test_from_records(self):
-        table = OutcomeTable.from_records([{"x": 1.0, "y": 2.0}, {"x": 3.0, "y": 4.0}])
-        assert len(table) == 2
-        assert list(table["x"]) == [1.0, 3.0]
-
-    def test_from_records_empty_raises(self):
-        with pytest.raises(ValueError):
-            OutcomeTable.from_records([])
 
 
 class TestOutcomeTableAccess:
@@ -162,24 +85,6 @@ class TestOutcomeTableTransforms:
         assert len(subset) == 1
         assert subset["value"][0] == 40.0
 
-    def test_with_column_adds(self, table):
-        extended = table.with_column("extra", [1.0, 2.0, 3.0, 4.0])
-        assert "extra" in extended
-        assert "extra" not in table
-
-    def test_with_column_wrong_length_raises(self, table):
-        with pytest.raises(ValueError):
-            table.with_column("extra", [1.0])
-
-    def test_concat(self, table):
-        combined = table.concat(table)
-        assert len(combined) == 8
-
-    def test_concat_mismatched_columns_raises(self, table):
-        other = OutcomeTable({"value": [1.0]})
-        with pytest.raises(ValueError):
-            table.concat(other)
-
 
 class TestOutcomeTableSummaries:
     @pytest.fixture
@@ -203,8 +108,3 @@ class TestOutcomeTableSummaries:
         means = table.groupby_mean("group", "value")
         assert means[0.0] == pytest.approx(2.0)
         assert means[1.0] == pytest.approx(6.0)
-
-    def test_to_records_roundtrip(self, table):
-        records = table.to_records()
-        rebuilt = OutcomeTable.from_records(records)
-        assert rebuilt.mean("value") == table.mean("value")

@@ -126,12 +126,6 @@ class TestLabFigureHelpers:
         with pytest.raises(KeyError):
             connections_figure.tte("nope")
 
-    def test_rows_expose_ab_effects(self, connections_figure):
-        interior = [r for r in connections_figure.rows if 0 < r.n_treated < 10]
-        assert all(r.ab_throughput_effect is not None for r in interior)
-        endpoints = [r for r in connections_figure.rows if r.n_treated in (0, 10)]
-        assert all(r.ab_throughput_effect is None for r in endpoints)
-
     def test_sweep_to_figure_builds_from_any_sweep(self):
         from repro.netsim.fluid import Application, run_lab_sweep
 

@@ -29,23 +29,17 @@ class TestBottleneckLink:
     def test_bdp(self):
         link = BottleneckLink(capacity_gbps=10, base_rtt_ms=1)
         assert link.bdp_bytes == pytest.approx(10e9 / 8 * 1e-3)
-        assert link.bdp_packets == pytest.approx(link.bdp_bytes / 9000)
 
     def test_buffer_and_queueing_delay(self):
         link = BottleneckLink(buffer_bdp=1.0)
         assert link.buffer_bytes == pytest.approx(link.bdp_bytes)
         assert link.max_queueing_delay_ms == pytest.approx(link.base_rtt_ms)
 
-    def test_fair_share(self):
-        assert BottleneckLink().fair_share_mbps(10) == pytest.approx(1000.0)
-
     def test_invalid_parameters_raise(self):
         with pytest.raises(ValueError):
             BottleneckLink(capacity_gbps=0)
         with pytest.raises(ValueError):
             BottleneckLink(base_rtt_ms=-1)
-        with pytest.raises(ValueError):
-            BottleneckLink().fair_share_mbps(0)
 
 
 class TestApplication:
@@ -229,13 +223,6 @@ class TestLabSweep:
             lambda i: Application(i, connections=1),
         )
         assert not sutva_holds(sweep.curve("throughput_mbps"), tolerance=0.01, relative=True)
-
-    def test_ab_estimates_only_interior_allocations(self):
-        sweep = run_lab_sweep(
-            4, lambda i: Application(i, connections=2), lambda i: Application(i)
-        )
-        estimates = sweep.ab_estimates("throughput_mbps")
-        assert set(estimates) == {0.25, 0.5, 0.75}
 
     def test_noise_is_reproducible(self):
         kwargs = dict(noise=0.02, seed=42)

@@ -8,19 +8,13 @@ import pytest
 from repro.netsim.packet.simulation import FlowConfig, simulate
 from repro.netsim.traffic import (
     ConstantDemand,
-    DiurnalDemand,
-    EmpiricalSizes,
     FixedSizes,
-    LogNormalSizes,
-    OnOffSource,
     ParetoSizes,
     PoissonArrivals,
     RampDemand,
-    StepDemand,
     TraceArrivals,
     TrafficSource,
 )
-from repro.workload.demand import DiurnalDemandModel
 
 
 class TestSizeSamplers:
@@ -41,23 +35,6 @@ class TestSizeSamplers:
     def test_pareto_heavy_tail_mean_infinite_at_alpha_1(self):
         assert ParetoSizes(min_bytes=1.0, alpha=0.9).mean_bytes() == float("inf")
 
-    def test_lognormal_mean(self):
-        sampler = LogNormalSizes(median_bytes=50_000.0, sigma=0.5)
-        rng = random.Random(2)
-        draws = [sampler.sample(rng) for _ in range(4000)]
-        assert sum(draws) / len(draws) == pytest.approx(sampler.mean_bytes(), rel=0.1)
-
-    def test_empirical_interpolates_between_order_statistics(self):
-        sampler = EmpiricalSizes((100.0, 200.0, 300.0))
-        rng = random.Random(3)
-        draws = [sampler.sample(rng) for _ in range(2000)]
-        assert all(100.0 <= d <= 300.0 for d in draws)
-        assert sum(draws) / len(draws) == pytest.approx(200.0, rel=0.1)
-
-    def test_empirical_single_observation(self):
-        sampler = EmpiricalSizes((42.0,))
-        assert sampler.sample(random.Random(0)) == 42.0
-
     def test_sampler_validation(self):
         with pytest.raises(ValueError):
             FixedSizes(-1.0)
@@ -65,20 +42,12 @@ class TestSizeSamplers:
             ParetoSizes(min_bytes=0.0)
         with pytest.raises(ValueError):
             ParetoSizes(alpha=0.0)
-        with pytest.raises(ValueError):
-            LogNormalSizes(median_bytes=-5.0)
-        with pytest.raises(ValueError):
-            EmpiricalSizes(())
 
     def test_samplers_deterministic_given_rng(self):
-        for sampler in (
-            ParetoSizes(10_000.0, 1.5),
-            LogNormalSizes(20_000.0, 1.0),
-            EmpiricalSizes((1.0, 5.0, 9.0)),
-        ):
-            a = [sampler.sample(random.Random(7)) for _ in range(10)]
-            b = [sampler.sample(random.Random(7)) for _ in range(10)]
-            assert a == b
+        sampler = ParetoSizes(10_000.0, 1.5)
+        a = [sampler.sample(random.Random(7)) for _ in range(10)]
+        b = [sampler.sample(random.Random(7)) for _ in range(10)]
+        assert a == b
 
 
 class TestArrivalProcesses:
@@ -93,26 +62,14 @@ class TestArrivalProcesses:
         assert PoissonArrivals(0.0).arrival_times(random.Random(0), 100.0) == []
 
     def test_poisson_demand_modulation_shifts_mass(self):
-        # Demand steps from 0.2x to 3x halfway: the second half must
-        # carry ~15x the arrivals of the first.
+        # Demand ramps from 0.2x to 3x around the halfway mark: the
+        # second half must carry ~15x the arrivals of the first.
         process = PoissonArrivals(rate_per_s=4.0)
-        demand = StepDemand(times=(100.0,), levels=(0.2, 3.0))
+        demand = RampDemand(start_level=0.2, end_level=3.0, t0=99.0, t1=101.0)
         times = process.arrival_times(random.Random(1), 200.0, demand)
         early = sum(1 for t in times if t < 100.0)
         late = len(times) - early
         assert late > 8 * early
-
-    def test_on_off_bursts_cluster_arrivals(self):
-        process = OnOffSource(rate_per_s=50.0, mean_on_s=1.0, mean_off_s=9.0)
-        times = process.arrival_times(random.Random(2), 500.0)
-        # Duty cycle 10%: the mean rate is ~5/s, far below the on-rate.
-        assert len(times) == pytest.approx(0.1 * 50.0 * 500.0, rel=0.25)
-        # Arrivals cluster: most consecutive gaps are short (within a
-        # burst), a few are long (the off periods).
-        gaps = [b - a for a, b in zip(times, times[1:])]
-        long_gaps = sum(1 for g in gaps if g > 1.0)
-        assert long_gaps < 0.2 * len(gaps)
-        assert max(gaps) > 3.0
 
     def test_trace_replayed_within_horizon(self):
         process = TraceArrivals((0.5, 2.0, 7.5, 11.0))
@@ -124,19 +81,14 @@ class TestArrivalProcesses:
             TraceArrivals((-1.0,))
 
     def test_arrivals_deterministic_given_rng(self):
-        for process in (
-            PoissonArrivals(3.0),
-            OnOffSource(rate_per_s=10.0, mean_on_s=1.0, mean_off_s=2.0),
-        ):
-            a = process.arrival_times(random.Random(5), 50.0)
-            b = process.arrival_times(random.Random(5), 50.0)
-            assert a == b
+        process = PoissonArrivals(3.0)
+        a = process.arrival_times(random.Random(5), 50.0)
+        b = process.arrival_times(random.Random(5), 50.0)
+        assert a == b
 
     def test_process_validation(self):
         with pytest.raises(ValueError):
             PoissonArrivals(-1.0)
-        with pytest.raises(ValueError):
-            OnOffSource(rate_per_s=1.0, mean_on_s=0.0)
 
 
 class TestDemandProfiles:
@@ -145,43 +97,12 @@ class TestDemandProfiles:
         assert profile.multiplier(0.0) == 1.5
         assert profile.max_multiplier(100.0) == 1.5
 
-    def test_step_levels_and_envelope(self):
-        profile = StepDemand(times=(10.0, 20.0), levels=(1.0, 4.0, 0.5))
-        assert profile.multiplier(5.0) == 1.0
-        assert profile.multiplier(10.0) == 4.0
-        assert profile.multiplier(25.0) == 0.5
-        assert profile.max_multiplier(5.0) == 1.0
-        assert profile.max_multiplier(15.0) == 4.0
-
-    def test_step_validation(self):
-        with pytest.raises(ValueError):
-            StepDemand(times=(1.0,), levels=(1.0,))
-        with pytest.raises(ValueError):
-            StepDemand(times=(2.0, 1.0), levels=(1.0, 1.0, 1.0))
-
     def test_ramp_interpolates(self):
         profile = RampDemand(start_level=1.0, end_level=3.0, t0=10.0, t1=20.0)
         assert profile.multiplier(0.0) == 1.0
         assert profile.multiplier(15.0) == pytest.approx(2.0)
         assert profile.multiplier(30.0) == 3.0
         assert profile.max_multiplier(12.0) >= profile.multiplier(12.0)
-
-    def test_diurnal_bridges_workload_model(self):
-        model = DiurnalDemandModel()
-        profile = DiurnalDemand(model=model, seconds_per_day=24.0)
-        # One simulated second per model hour: hour 20 is the evening
-        # peak of day 0 (a Wednesday by default).
-        assert profile.multiplier(20.5) == model.relative_demand(0, 20)
-        assert profile.multiplier(3.5) == model.relative_demand(0, 3)
-        # Day 4 of a Wednesday start is Sunday: the weekend boost applies.
-        assert profile.multiplier(4 * 24.0 + 12.5) == model.relative_demand(4, 12)
-        assert profile.multiplier(4 * 24.0 + 12.5) > model.hourly_shape[12]
-
-    def test_diurnal_envelope_dominates(self):
-        profile = DiurnalDemand(seconds_per_day=48.0)
-        horizon = 7 * 48.0
-        peak = max(profile.multiplier(t / 10.0) for t in range(int(horizon * 10)))
-        assert profile.max_multiplier(horizon) >= peak
 
 
 class TestTrafficSourceThroughSimulate:
@@ -296,7 +217,7 @@ class TestTrafficSourceThroughSimulate:
         from repro.runner.spec import ScenarioSpec, content_key
 
         source = TrafficSource(
-            arrivals=OnOffSource(rate_per_s=2.0, mean_on_s=1.0, mean_off_s=1.0),
+            arrivals=PoissonArrivals(2.0),
             sizes=ParetoSizes(40_000.0, 1.5),
             demand=RampDemand(1.0, 2.0, 0.0, 5.0),
         )

@@ -49,6 +49,7 @@ class TestRenderReport:
         (tmp_path / "run" / "meta.json").unlink(missing_ok=True)
         report = render_report(tmp_path / "run")
         assert "slow-one" in report
+        assert report.splitlines()[1] == "  incomplete: no meta.json (killed or still running)"
 
 
 class TestReportCommand:
@@ -58,6 +59,20 @@ class TestReportCommand:
         out = capsys.readouterr().out
         assert "run report:" in out
         assert "engine counters:" in out
+
+    def test_incomplete_run_exits_nonzero(self, tmp_path, capsys):
+        # A campaign killed before RunTracer.finish leaves only trace.jsonl.
+        rundir = _traced_rundir(tmp_path)
+        for path in rundir.iterdir():
+            if path.name != "trace.jsonl":
+                path.unlink()
+        assert main(["report", str(rundir)]) == 1
+        out = capsys.readouterr().out
+        assert "incomplete: no meta.json" in out
+        assert "slowest tasks" in out
+        (tmp_path / "empty").mkdir()
+        assert main(["report", str(tmp_path / "empty")]) == 1
+        assert "no trace artifacts found" in capsys.readouterr().out
 
     def test_report_rejects_missing_directory(self, tmp_path, capsys):
         assert main(["report", str(tmp_path / "nope")]) == 2

@@ -1,9 +1,12 @@
-"""Start-up cost: which scipy modules importing a ``repro`` module loads.
+"""Start-up cost: which modules importing or running ``repro`` code loads.
 
 ``scipy.stats`` takes most of a second to import, paid again by every
 CLI command and every worker started with ``spawn`` or ``forkserver``.
-Each case runs a fresh interpreter, because this test process has long
-since loaded scipy through other tests.
+A packet run's first call imports the dynamic-traffic package inside a
+worker's timed work, so that package must not pull in the workload
+layer.  Each case runs a fresh interpreter, because this test process
+has long since loaded scipy and every ``repro`` module through other
+tests.
 """
 
 import os
@@ -19,11 +22,11 @@ import repro
 PACKAGE_ROOT = str(Path(repro.__file__).resolve().parent.parent)
 
 
-def scipy_modules_after(module: str) -> set[str]:
-    """The scipy modules a fresh interpreter has loaded after ``import module``."""
+def modules_after(code: str, package: str) -> set[str]:
+    """The ``package`` modules a fresh interpreter has loaded after running ``code``."""
     code = (
-        f"import sys, {module}\n"
-        "print(' '.join(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        f"import sys\n{code}\n"
+        f"print(' '.join(m for m in sys.modules if m.split('.')[0] == {package!r}))"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -42,9 +45,20 @@ def scipy_modules_after(module: str) -> set[str]:
 
 @pytest.mark.parametrize("module", ["repro", "repro.runner", "repro.netsim.packet"])
 def test_loads_no_scipy(module):
-    assert scipy_modules_after(module) == set()
+    assert modules_after(f"import {module}", "scipy") == set()
 
 
 @pytest.mark.parametrize("module", ["repro.cli", "repro.api"])
 def test_loads_no_scipy_stats(module):
-    assert "scipy.stats" not in scipy_modules_after(module)
+    assert "scipy.stats" not in modules_after(f"import {module}", "scipy")
+
+
+def test_packet_run_loads_no_workload():
+    loaded = modules_after(
+        "from repro.netsim.packet.simulation import FlowConfig, simulate\n"
+        "simulate([FlowConfig(0)], capacity_mbps=10.0, duration_s=1.0, warmup_s=0.5)",
+        "repro",
+    )
+    assert "repro.netsim.traffic.source" in loaded  # the run really ran
+    upper = {m for m in loaded if m.startswith(("repro.workload", "repro.core.designs"))}
+    assert upper == set()

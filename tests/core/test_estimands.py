@@ -93,6 +93,22 @@ class TestEstimands:
         curve = interference_curve()
         assert curve.ab_test_bias(0.5) == pytest.approx(0.7)
 
+    def test_ab_test_bias_vanishes_under_sutva(self):
+        curve = flat_curve()
+        for p in (0.1, 0.5):
+            assert curve.ab_test_bias(p) == pytest.approx(0.0)
+
+    def test_partial_effect_at_full_allocation_is_tte(self):
+        curve = interference_curve()
+        assert curve.partial_effect(1.0) == pytest.approx(curve.tte())
+
+    def test_estimands_need_control_at_zero_allocation(self):
+        curve = PotentialOutcomeCurve("m", {0.5: 2.0, 1.0: 2.0}, {0.5: 1.0})
+        with pytest.raises(ValueError):
+            curve.spillover(0.5)
+        with pytest.raises(ValueError):
+            curve.partial_effect(0.5)
+
 
 class TestSutvaCheck:
     def test_flat_curve_satisfies_sutva(self):
@@ -143,3 +159,19 @@ class TestAllocationSweep:
         assert sweep.tte("throughput") == 0.0
         assert sweep.ab_estimate("throughput", 0.5) == pytest.approx(0.8)
         assert sweep.spillover("throughput", 0.5) == pytest.approx(-0.2)
+
+    def test_ab_estimate_defined_only_at_interior_allocations(self):
+        # An A/B test needs both arms: no treated units at p = 0, no
+        # control units at p = 1.
+        runs = {k: _Run(treated=2.0 - k / 4, control=1.0 - k / 8) for k in range(5)}
+        sweep = AllocationSweep(4, runs)
+        for k in (1, 2, 3):
+            assert sweep.ab_estimate("m", k / 4) == pytest.approx(1.0 - k / 8)
+        for p in (0.0, 1.0):
+            with pytest.raises(ValueError):
+                sweep.ab_estimate("m", p)
+
+    def test_tte_needs_both_endpoint_runs(self):
+        sweep = AllocationSweep(2, {0: _Run(control=1.0), 1: _Run(treated=1.6, control=0.8)})
+        with pytest.raises(ValueError):
+            sweep.tte("throughput")

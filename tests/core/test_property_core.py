@@ -4,6 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.assignment import interval_assignment
 from repro.core.estimands import PotentialOutcomeCurve
 from repro.core.estimators import difference_in_means, relative_effect
 from repro.core.units import OutcomeTable
@@ -11,6 +12,31 @@ from repro.core.units import OutcomeTable
 finite_floats = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
 )
+
+
+class TestIntervalAssignmentProperties:
+    @given(
+        n=st.integers(min_value=2, max_value=200),
+        p=st.floats(min_value=0.01, max_value=0.99),
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_every_draw_holds_both_arms(self, n, p, seed):
+        assignment = interval_assignment(n, treatment_probability=p, seed=seed)
+        assert assignment.shape == (n,)
+        assert assignment.any()
+        assert not assignment.all()
+
+    @given(
+        n=st.integers(min_value=2, max_value=200),
+        p=st.floats(min_value=0.01, max_value=0.99),
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_seed_fixes_the_draw(self, n, p, seed):
+        a = interval_assignment(n, treatment_probability=p, seed=seed)
+        b = interval_assignment(n, treatment_probability=p, seed=seed)
+        assert np.array_equal(a, b)
 
 
 class TestCurveProperties:

@@ -10,6 +10,9 @@ class TestSession:
     def test_session_metrics_count(self):
         assert len(SESSION_METRICS) == 10
 
+    def test_session_metrics_are_distinct(self):
+        assert len(set(SESSION_METRICS)) == len(SESSION_METRICS)
+
 
 class TestOutcomeTableConstruction:
     def test_empty_columns_raises(self):
@@ -23,6 +26,16 @@ class TestOutcomeTableConstruction:
     def test_two_dimensional_column_raises(self):
         with pytest.raises(ValueError):
             OutcomeTable({"a": np.ones((2, 2))})
+
+    def test_columns_are_stored_as_floats(self):
+        table = OutcomeTable({"treated": [True, False], "link": [1, 2]})
+        assert table["treated"].dtype == np.float64
+        assert list(table["link"]) == [1.0, 2.0]
+
+    def test_zero_row_table(self):
+        table = OutcomeTable({"a": [], "b": []})
+        assert len(table) == 0
+        assert table.column_names == ["a", "b"]
 
 
 class TestOutcomeTableAccess:
@@ -49,6 +62,10 @@ class TestOutcomeTableAccess:
     def test_missing_column_raises(self, table):
         with pytest.raises(KeyError):
             table.column("nope")
+
+    def test_missing_column_error_names_available_columns(self, table):
+        with pytest.raises(KeyError, match="link.*treated.*value"):
+            table["nope"]
 
     def test_getitem(self, table):
         assert list(table["value"]) == [10.0, 20.0, 30.0, 40.0]
@@ -85,6 +102,16 @@ class TestOutcomeTableTransforms:
         assert len(subset) == 1
         assert subset["value"][0] == 40.0
 
+    def test_where_without_match_keeps_columns(self, table):
+        subset = table.where(link=3)
+        assert len(subset) == 0
+        assert subset.column_names == table.column_names
+
+    def test_select_does_not_modify_source(self, table):
+        table.select(np.array([True, False, False, False]))
+        assert len(table) == 4
+        assert list(table["value"]) == [10.0, 20.0, 30.0, 40.0]
+
 
 class TestOutcomeTableSummaries:
     @pytest.fixture
@@ -108,3 +135,9 @@ class TestOutcomeTableSummaries:
         means = table.groupby_mean("group", "value")
         assert means[0.0] == pytest.approx(2.0)
         assert means[1.0] == pytest.approx(6.0)
+
+    def test_groupby_mean_returns_keys_in_ascending_order(self):
+        table = OutcomeTable({"hour": [5, 2, 5, 0, 2], "value": [1.0, 2.0, 3.0, 4.0, 6.0]})
+        means = table.groupby_mean("hour", "value")
+        assert list(means) == [0.0, 2.0, 5.0]
+        assert list(means.values()) == [4.0, 4.0, 2.0]

@@ -73,6 +73,19 @@ class TestFleetSpec:
         assert regions == sorted(regions)
         assert set(regions) == {0, 1, 2}
 
+    @pytest.mark.parametrize("edges, regions", [(10, 3), (7, 7), (9, 1), (16, 5)])
+    def test_region_blocks_differ_in_size_by_at_most_one(self, edges, regions):
+        spec = FleetSpec(units=edges, edges=edges, regions=regions)
+        sizes = [0] * regions
+        for e in range(edges):
+            sizes[spec.region_of(e)] += 1
+        assert sum(sizes) == edges
+        assert max(sizes) - min(sizes) <= 1
+
+    def test_edge_rtt_cycles_through_profile(self):
+        spec = FleetSpec(units=50, edges=5, rtt_profile_ms=(10.0, 30.0))
+        assert [spec.edge_rtt_ms(e) for e in range(5)] == [10.0, 30.0, 10.0, 30.0, 10.0]
+
     def test_cluster_size_by_granularity(self):
         base = dict(units=100, edges=10, regions=2)
         assert FleetSpec(granularity="unit", **base).cluster_size() == 1

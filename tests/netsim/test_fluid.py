@@ -41,6 +41,17 @@ class TestBottleneckLink:
         with pytest.raises(ValueError):
             BottleneckLink(base_rtt_ms=-1)
 
+    def test_buffer_scales_with_bdp_multiple(self):
+        link = BottleneckLink(capacity_gbps=1, base_rtt_ms=20, buffer_bdp=0.5)
+        assert link.buffer_bytes == pytest.approx(0.5 * link.bdp_bytes)
+        assert link.max_queueing_delay_ms == pytest.approx(10.0)
+
+    def test_invalid_buffer_and_mtu_raise(self):
+        with pytest.raises(ValueError):
+            BottleneckLink(buffer_bdp=-0.1)
+        with pytest.raises(ValueError):
+            BottleneckLink(mtu_bytes=0)
+
 
 class TestApplication:
     def test_unknown_cc_raises(self):

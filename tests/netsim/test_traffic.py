@@ -8,6 +8,7 @@ import pytest
 from repro.netsim.packet.simulation import FlowConfig, simulate
 from repro.netsim.traffic import (
     ConstantDemand,
+    DynamicTrafficResult,
     FixedSizes,
     ParetoSizes,
     PoissonArrivals,
@@ -49,6 +50,13 @@ class TestSizeSamplers:
         b = [sampler.sample(random.Random(7)) for _ in range(10)]
         assert a == b
 
+    def test_pareto_median(self):
+        # P(X > x) = (min / x)^alpha, so the median is min * 2^(1/alpha).
+        sampler = ParetoSizes(min_bytes=10_000.0, alpha=1.2)
+        rng = random.Random(4)
+        draws = sorted(sampler.sample(rng) for _ in range(4001))
+        assert draws[2000] == pytest.approx(10_000.0 * 2 ** (1 / 1.2), rel=0.05)
+
 
 class TestArrivalProcesses:
     def test_poisson_rate_approximately_respected(self):
@@ -60,6 +68,29 @@ class TestArrivalProcesses:
 
     def test_zero_rate_never_arrives(self):
         assert PoissonArrivals(0.0).arrival_times(random.Random(0), 100.0) == []
+
+    def test_zero_horizon_never_arrives(self):
+        assert PoissonArrivals(5.0).arrival_times(random.Random(0), 0.0) == []
+
+    def test_zero_demand_never_arrives(self):
+        process = PoissonArrivals(5.0)
+        assert process.arrival_times(random.Random(0), 100.0, ConstantDemand(0.0)) == []
+
+    def test_constant_demand_scales_rate(self):
+        process = PoissonArrivals(rate_per_s=5.0)
+        times = process.arrival_times(random.Random(2), 400.0, ConstantDemand(2.0))
+        assert len(times) == pytest.approx(4000, rel=0.1)
+
+    def test_thinning_follows_ramp_integral(self):
+        # Rate 10/s under a 1x -> 3x ramp over [0, 100]: the expected
+        # count is 10 * integral of the multiplier = 10 * 200.
+        process = PoissonArrivals(rate_per_s=10.0)
+        demand = RampDemand(start_level=1.0, end_level=3.0, t0=0.0, t1=100.0)
+        times = process.arrival_times(random.Random(3), 100.0, demand)
+        assert len(times) == pytest.approx(2000, rel=0.1)
+        first_half = sum(1 for t in times if t < 50.0)
+        # The multiplier rises from 1 to 2 over [0, 50]: 75 of the 200.
+        assert first_half / len(times) == pytest.approx(75.0 / 200.0, abs=0.04)
 
     def test_poisson_demand_modulation_shifts_mass(self):
         # Demand ramps from 0.2x to 3x around the halfway mark: the
@@ -79,6 +110,15 @@ class TestArrivalProcesses:
         assert TraceArrivals((3.0, 1.0)).times == (1.0, 3.0)
         with pytest.raises(ValueError):
             TraceArrivals((-1.0,))
+
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+    def test_trace_rejects_non_finite_times(self, bad):
+        with pytest.raises(ValueError):
+            TraceArrivals((1.0, bad))
+
+    def test_trace_ignores_demand(self):
+        process = TraceArrivals((0.5, 2.0))
+        assert process.arrival_times(random.Random(0), 10.0, ConstantDemand(0.0)) == [0.5, 2.0]
 
     def test_arrivals_deterministic_given_rng(self):
         process = PoissonArrivals(3.0)
@@ -103,6 +143,54 @@ class TestDemandProfiles:
         assert profile.multiplier(15.0) == pytest.approx(2.0)
         assert profile.multiplier(30.0) == 3.0
         assert profile.max_multiplier(12.0) >= profile.multiplier(12.0)
+
+    @pytest.mark.parametrize("levels", [(1.0, 3.0), (3.0, 1.0)])
+    def test_ramp_envelope_dominates_horizon(self, levels):
+        # Thinning is exact only if max_multiplier bounds the profile on
+        # the whole horizon, for rising and falling ramps alike.
+        profile = RampDemand(start_level=levels[0], end_level=levels[1], t0=10.0, t1=20.0)
+        for horizon in (5.0, 15.0, 30.0):
+            envelope = profile.max_multiplier(horizon)
+            grid = [horizon * i / 100 for i in range(101)]
+            assert envelope >= max(profile.multiplier(t) for t in grid)
+
+    def test_profile_validation(self):
+        with pytest.raises(ValueError):
+            ConstantDemand(-1.0)
+        with pytest.raises(ValueError):
+            RampDemand(start_level=-1.0)
+        with pytest.raises(ValueError):
+            RampDemand(end_level=-1.0)
+        with pytest.raises(ValueError):
+            RampDemand(t0=5.0, t1=5.0)
+
+
+class TestDynamicTrafficResult:
+    def test_no_completions_have_no_fct(self):
+        stats = DynamicTrafficResult("bg", flows_started=3)
+        assert stats.mean_fct_s() is None
+        assert stats.p95_fct_s() is None
+
+    def test_fct_summaries_nearest_rank(self):
+        stats = DynamicTrafficResult(
+            "bg", completion_times_s=tuple(float(t) for t in range(20, 0, -1))
+        )
+        assert stats.mean_fct_s() == pytest.approx(10.5)
+        assert stats.p95_fct_s() == 19.0
+
+    def test_single_completion_is_its_own_p95(self):
+        stats = DynamicTrafficResult("bg", completion_times_s=(0.25,))
+        assert stats.p95_fct_s() == 0.25
+
+
+class TestTrafficSourceValidation:
+    def test_non_positive_rtt_rejected(self):
+        with pytest.raises(ValueError):
+            TrafficSource(arrivals=PoissonArrivals(1.0), sizes=FixedSizes(1.0), rtt_ms=0.0)
+
+    def test_unknown_ecn_mode_rejected(self):
+        with pytest.raises(ValueError):
+            TrafficSource(arrivals=PoissonArrivals(1.0), sizes=FixedSizes(1.0), ecn="dctcp")
 
 
 class TestTrafficSourceThroughSimulate:

@@ -12,8 +12,7 @@ workload is measured twice:
 * with event batching (macro-packets), whose ≥2x speedup is the
   acceptance bar asserted by ``test_batching_speedup_is_at_least_2x``.
 
-The two ``test_scheduler_churn_*`` benchmarks time the bare heap and the
-calendar queue the benchmark harness still patches, with no network.
+``test_scheduler_churn_heap`` times the bare heap, with no network.
 
 The workload matches the cost model in ``docs/performance.md``: at
 saturation the unbatched engine spends ~2 scheduler events per segment
@@ -25,6 +24,7 @@ import time
 
 from _helpers import run_once
 
+from repro.netsim.packet.engine import EventScheduler
 from repro.netsim.packet.network import Network
 from repro.netsim.packet.simulation import FlowConfig
 
@@ -112,51 +112,37 @@ def test_batching_speedup_is_at_least_2x():
 
 # -- pure scheduler churn (no network) ----------------------------------------
 
-#: Events pushed through the bare schedulers in the churn benchmarks.
+#: Events pushed through the bare scheduler in the churn benchmark.
 CHURN_EVENTS = 100_000
 
 
-def _scheduler_churn(make_sched):
+def _scheduler_churn():
     """Steady-state churn: every event re-arms itself a short hop ahead.
 
     Mimics the engine's event population at saturation — a few hundred
     live events, all within one horizon — isolating raw scheduler
     overhead from the TCP/queue machinery.
     """
-    sched = make_sched()
+    sched = EventScheduler()
     remaining = [CHURN_EVENTS]
 
     def rearm():
         if remaining[0] > 0:
             remaining[0] -= 1
-            sched.schedule_in(1e-3, rearm)
+            sched.schedule(sched.now + 1e-3, rearm)
 
     for _ in range(500):
-        sched.schedule_in(1e-4, rearm)
+        sched.schedule(sched.now + 1e-4, rearm)
     sched.run(until=1e9)
     assert remaining[0] == 0
     return sched
 
 
 def test_scheduler_churn_heap(benchmark, throughput):
-    from repro.netsim.packet.engine import EventScheduler
-
     start = time.perf_counter()
-    sched = run_once(benchmark, _scheduler_churn, EventScheduler)
+    sched = run_once(benchmark, _scheduler_churn)
     wall = time.perf_counter() - start
     throughput.record(
         packets=0, events=sched.events_processed, seconds=wall
     )
 
-
-def test_scheduler_churn_calendar(benchmark, throughput):
-    from repro.netsim.packet.engine import CalendarScheduler
-
-    start = time.perf_counter()
-    sched = run_once(
-        benchmark, _scheduler_churn, lambda: CalendarScheduler(bucket_s=1e-3)
-    )
-    wall = time.perf_counter() - start
-    throughput.record(
-        packets=0, events=sched.events_processed, seconds=wall
-    )

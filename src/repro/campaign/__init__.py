@@ -11,7 +11,7 @@ package compiles it onto the existing runner stack:
 * :mod:`repro.campaign.run` — :func:`run_campaign`: dedupe, fan out via
   :class:`~repro.runner.executor.ParallelExecutor`, aggregate cells, and
   write the ``manifest.json`` / ``results.json`` run artifacts.
-* :mod:`repro.campaign.validate` — :func:`validate_run`: replay a run
+* :mod:`repro.campaign.validate` — :func:`validate_run`: check a run
   directory's manifest against the installed package and its results.
 
 The CLI surface is ``repro run campaign.yaml`` and ``repro validate

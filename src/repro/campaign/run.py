@@ -14,7 +14,7 @@ the tracer's ``trace.jsonl``/``meta.json``:
 ``manifest.json``
     Provenance: package version, campaign content key, the resolved
     stages, and one entry per arm pinning its task, parameters, seed and
-    content key.  ``repro validate`` replays this manifest.
+    content key.  ``repro validate`` checks this manifest.
 ``results.json``
     The scalar cells of every unique arm, keyed by content key.
 """

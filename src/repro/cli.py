@@ -33,7 +33,7 @@ through the parallel runner and reports each scalar cell's mean with a
 95 % confidence interval across seeds.  ``repro run CAMPAIGN`` scales
 that up to a declarative YAML/JSON campaign file — many figures, knob
 sweeps and seed grids in one command (see ``docs/campaigns.md``) — and
-``repro validate RUNDIR`` replays the resulting ``manifest.json``.
+``repro validate RUNDIR`` checks the resulting ``manifest.json``.
 
 ``--trace DIR`` (on ``sweep``, ``fleet`` and ``run``) records runner
 spans and cache events to a run directory, ``--profile`` adds per-task

@@ -304,12 +304,10 @@ class Network:
         #: Packets lost on impaired path segments (not queue drops).
         self.random_losses = 0
 
-        rate_bps = self.capacity_mbps * 1e6
-        bdp_bytes = rate_bps / 8.0 * self.base_rtt_ms / 1000.0
         self.add_queue(
             DEFAULT_QUEUE,
             capacity_mbps=capacity_mbps,
-            buffer_bytes=max(buffer_bdp * bdp_bytes, 2 * self.mss_bytes),
+            buffer_bdp=buffer_bdp,
             discipline=queue_discipline,
             **(queue_params or {}),
         )
@@ -386,40 +384,63 @@ class Network:
         """The experimental unit (application id) a packet belongs to."""
         return self._connection_owner.get(packet.flow_id, packet.flow_id)
 
+    def _route(self, owner: str, path: PathConfig | None) -> PathConfig:
+        """Resolve ``path`` (``None`` is the default one) and check its queues.
+
+        An unknown queue raises ``KeyError``, naming ``owner``.
+        """
+        path = path if path is not None else PathConfig()
+        for name in path.queues:
+            if name not in self._queues:
+                raise KeyError(
+                    f"{owner} routes through unknown queue {name!r}; "
+                    f"known queues: {sorted(self._queues)}"
+                )
+        return path
+
+    def _add_connection(
+        self,
+        config: FlowConfig | TrafficSource,
+        path: PathConfig,
+        owner: int | None,
+        transfer_bytes: float | None,
+    ) -> TcpSender:
+        """Build one sender with ``config``'s transport on ``path``.
+
+        The connection belongs to application ``owner``; ``None`` makes
+        it its own unit, ``DYNAMIC_UNIT_BASE`` plus its connection id.
+        """
+        rtt_ms = config.rtt_ms if config.rtt_ms is not None else path.rtt_ms
+        rtt_s = (rtt_ms if rtt_ms is not None else self.base_rtt_ms) / 1000.0
+        cid = self._next_connection
+        self._next_connection += 1
+        sender = make_sender(
+            config.cc,
+            cid,
+            self.scheduler,
+            self._ingress,
+            mss_bytes=self.mss_bytes,
+            base_rtt_s=rtt_s,
+            paced=config.paced,
+            ecn=config.ecn,
+            transfer_bytes=transfer_bytes,
+            batch_segments=self._batch_segments,
+            pool=self._pool,
+        )
+        self._senders[cid] = sender
+        self._connection_owner[cid] = DYNAMIC_UNIT_BASE + cid if owner is None else owner
+        self._routes[cid] = path.queues
+        self._rtt_s[cid] = rtt_s
+        self._loss_rate[cid] = path.loss_rate
+        return sender
+
     def add_flow(self, config: FlowConfig) -> None:
         """Attach one application: its connections, path and queues."""
         if any(config.flow_id == f.flow_id for f in self._flow_configs):
             raise ValueError(f"flow id {config.flow_id} already attached")
-        path = config.path if config.path is not None else PathConfig()
-        for name in path.queues:
-            if name not in self._queues:
-                raise KeyError(
-                    f"flow {config.flow_id} routes through unknown queue {name!r}; "
-                    f"known queues: {sorted(self._queues)}"
-                )
-        rtt_ms = config.rtt_ms if config.rtt_ms is not None else path.rtt_ms
-        rtt_s = (rtt_ms if rtt_ms is not None else self.base_rtt_ms) / 1000.0
+        path = self._route(f"flow {config.flow_id}", config.path)
         for _ in range(config.connections):
-            cid = self._next_connection
-            self._next_connection += 1
-            sender = make_sender(
-                config.cc,
-                cid,
-                self.scheduler,
-                self._ingress,
-                mss_bytes=self.mss_bytes,
-                base_rtt_s=rtt_s,
-                paced=config.paced,
-                ecn=config.ecn,
-                transfer_bytes=config.transfer_bytes,
-                batch_segments=self._batch_segments,
-                pool=self._pool,
-            )
-            self._senders[cid] = sender
-            self._connection_owner[cid] = config.flow_id
-            self._routes[cid] = path.queues
-            self._rtt_s[cid] = rtt_s
-            self._loss_rate[cid] = path.loss_rate
+            self._add_connection(config, path, config.flow_id, config.transfer_bytes)
         self._flow_configs.append(config)
 
     def add_cross_traffic(self, config: FlowConfig) -> None:
@@ -463,13 +484,7 @@ class Network:
         pure function of the spec, independent of event interleaving.
         """
         for index, source in enumerate(self._traffic_sources):
-            path = source.path if source.path is not None else PathConfig()
-            for name in path.queues:
-                if name not in self._queues:
-                    raise KeyError(
-                        f"traffic source {index} routes through unknown queue "
-                        f"{name!r}; known queues: {sorted(self._queues)}"
-                    )
+            path = self._route(f"traffic source {index}", source.path)
             # String seeding hashes with SHA-512 under the hood, so the
             # derived stream is stable across processes and platforms.
             rng = random.Random(f"traffic:{self._seed}:{index}")
@@ -479,35 +494,13 @@ class Network:
                 size = source.sizes.sample(rng)
                 self.scheduler.schedule(
                     arrival,
-                    lambda i=index, s=size: self._spawn_dynamic_flow(i, s),
+                    lambda i=index, p=path, s=size: self._spawn_dynamic_flow(i, p, s),
                 )
 
-    def _spawn_dynamic_flow(self, source_index: int, size_bytes: float) -> None:
+    def _spawn_dynamic_flow(self, source_index: int, path: PathConfig, size_bytes: float) -> None:
         """Spawn one finite transfer from a traffic source, starting now."""
         source = self._traffic_sources[source_index]
-        path = source.path if source.path is not None else PathConfig()
-        rtt_ms = source.rtt_ms if source.rtt_ms is not None else path.rtt_ms
-        rtt_s = (rtt_ms if rtt_ms is not None else self.base_rtt_ms) / 1000.0
-        cid = self._next_connection
-        self._next_connection += 1
-        sender = make_sender(
-            source.cc,
-            cid,
-            self.scheduler,
-            self._ingress,
-            mss_bytes=self.mss_bytes,
-            base_rtt_s=rtt_s,
-            paced=source.paced,
-            ecn=source.ecn,
-            transfer_bytes=size_bytes,
-            batch_segments=self._batch_segments,
-            pool=self._pool,
-        )
-        self._senders[cid] = sender
-        self._connection_owner[cid] = DYNAMIC_UNIT_BASE + cid
-        self._routes[cid] = path.queues
-        self._rtt_s[cid] = rtt_s
-        self._loss_rate[cid] = path.loss_rate
+        sender = self._add_connection(source, path, None, size_bytes)
         self._dynamic_senders[source_index].append(sender)
         sender.start()
 

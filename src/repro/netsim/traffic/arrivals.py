@@ -44,42 +44,15 @@ class ArrivalProcess:
         raise NotImplementedError
 
 
-def _thinned_poisson(
-    rng: random.Random,
-    rate_per_s: float,
-    start_s: float,
-    end_s: float,
-    demand: DemandProfile | None,
-    horizon_s: float,
-) -> list[float]:
-    """Exact non-homogeneous Poisson arrivals on ``[start_s, end_s)``.
-
-    Samples a homogeneous process at the envelope rate and keeps each
-    candidate with probability ``multiplier(t) / max_multiplier`` —
-    Lewis & Shedler thinning.
-    """
-    if rate_per_s <= 0.0 or end_s <= start_s:
-        return []
-    envelope = 1.0 if demand is None else demand.max_multiplier(horizon_s)
-    if envelope <= 0.0:
-        return []
-    max_rate = rate_per_s * envelope
-    times: list[float] = []
-    t = start_s
-    while True:
-        t += rng.expovariate(max_rate)
-        if t >= end_s:
-            return times
-        if demand is not None:
-            accept = rate_per_s * demand.multiplier(t) / max_rate
-            if rng.random() >= accept:
-                continue
-        times.append(t)
-
-
 @dataclass(frozen=True)
 class PoissonArrivals(ArrivalProcess):
-    """Memoryless arrivals at ``rate_per_s`` flows per second."""
+    """Memoryless arrivals at ``rate_per_s`` flows per second.
+
+    Under a demand profile the arrivals are an exact non-homogeneous
+    Poisson process: a homogeneous process at the envelope rate keeps
+    each candidate with probability ``multiplier(t) / max_multiplier``
+    (Lewis & Shedler thinning).
+    """
 
     rate_per_s: float
 
@@ -93,7 +66,23 @@ class PoissonArrivals(ArrivalProcess):
         horizon_s: float,
         demand: DemandProfile | None = None,
     ) -> list[float]:
-        return _thinned_poisson(rng, self.rate_per_s, 0.0, horizon_s, demand, horizon_s)
+        if self.rate_per_s <= 0.0 or horizon_s <= 0.0:
+            return []
+        envelope = 1.0 if demand is None else demand.max_multiplier(horizon_s)
+        if envelope <= 0.0:
+            return []
+        max_rate = self.rate_per_s * envelope
+        times: list[float] = []
+        t = 0.0
+        while True:
+            t += rng.expovariate(max_rate)
+            if t >= horizon_s:
+                return times
+            if demand is not None:
+                accept = self.rate_per_s * demand.multiplier(t) / max_rate
+                if rng.random() >= accept:
+                    continue
+            times.append(t)
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ delivered bytes), which is how churn itself becomes an observable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.netsim.packet.network import PathConfig
@@ -107,9 +108,12 @@ class DynamicTrafficResult:
         return sum(self.completion_times_s) / len(self.completion_times_s)
 
     def p95_fct_s(self) -> float | None:
-        """95th-percentile flow-completion time (nearest-rank)."""
+        """95th-percentile flow-completion time (nearest-rank).
+
+        The same rank, ``ceil(0.95 n)``, as
+        :meth:`~repro.netsim.packet.simulation.PacketSimResult.dynamic_fct_percentile`.
+        """
         if not self.completion_times_s:
             return None
         ordered = sorted(self.completion_times_s)
-        rank = max(int(0.95 * len(ordered) + 0.5) - 1, 0)
-        return ordered[min(rank, len(ordered) - 1)]
+        return ordered[math.ceil(0.95 * len(ordered)) - 1]

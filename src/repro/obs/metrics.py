@@ -23,8 +23,8 @@ class EngineCounters:
         Scheduler callbacks executed (the events/sec numerator of the
         performance model, see ``docs/performance.md``).
     events_scheduled:
-        Events ever inserted into the scheduler (processed + cancelled +
-        still pending at the horizon).
+        Events ever inserted into the scheduler (processed + still
+        pending at the horizon).
     pool_acquired:
         Packets handed out by the :class:`~repro.netsim.packet.packets.PacketPool`.
     pool_reused:

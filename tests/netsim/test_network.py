@@ -12,6 +12,7 @@ from repro.netsim.packet.network import (
     parking_lot_queues,
 )
 from repro.netsim.packet.simulation import FlowConfig, simulate
+from repro.netsim.traffic import FixedSizes, PoissonArrivals, TrafficSource
 
 
 class TestPathConfig:
@@ -125,6 +126,31 @@ class TestMultiQueuePaths:
         network = Network()
         with pytest.raises(KeyError, match="unknown queue"):
             network.add_flow(FlowConfig(0, path=PathConfig(queues=("nope",))))
+
+    def test_unknown_queue_error_names_the_flow_or_source(self):
+        message = "routes through unknown queue 'nope'; known queues: ['bottleneck']"
+        network = Network()
+        with pytest.raises(KeyError) as flow_error:
+            network.add_flow(FlowConfig(3, path=PathConfig(queues=("nope",))))
+        assert flow_error.value.args[0] == f"flow 3 {message}"
+        network.add_flow(FlowConfig(0))
+        network.add_traffic_source(
+            TrafficSource(
+                arrivals=PoissonArrivals(1.0),
+                sizes=FixedSizes(1500.0),
+                path=PathConfig(queues=("nope",)),
+            )
+        )
+        with pytest.raises(KeyError) as source_error:
+            network.run(duration_s=1.0, warmup_s=0.5)
+        assert source_error.value.args[0] == f"traffic source 0 {message}"
+
+    @pytest.mark.parametrize("buffer_bdp", [0.5, 1.0, 0.001])
+    def test_default_queue_buffer_is_bdp_sized_with_a_two_segment_floor(self, buffer_bdp):
+        network = Network(capacity_mbps=24.0, base_rtt_ms=20.0, buffer_bdp=buffer_bdp)
+        bdp_bytes = 24e6 / 8.0 * 20.0 / 1000.0
+        expected = max(buffer_bdp * bdp_bytes, 2 * network.mss_bytes)
+        assert network.queues[DEFAULT_QUEUE].buffer_bytes == expected
 
     def test_duplicate_queue_name_raises(self):
         network = Network()

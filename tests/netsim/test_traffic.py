@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from repro.netsim.packet.simulation import FlowConfig, simulate
+from repro.netsim.packet.simulation import FlowConfig, PacketSimResult, simulate
 from repro.netsim.traffic import (
     ConstantDemand,
     DynamicTrafficResult,
@@ -181,6 +181,23 @@ class TestDynamicTrafficResult:
     def test_single_completion_is_its_own_p95(self):
         stats = DynamicTrafficResult("bg", completion_times_s=(0.25,))
         assert stats.p95_fct_s() == 0.25
+
+    def test_p95_matches_the_pooled_percentile(self):
+        # Both are nearest rank, ceil(0.95 n); with completions 1..11 s a
+        # rounded rank, int(0.95 n + 0.5), would give 10.0 against 11.0.
+        for n in range(1, 61):
+            stats = DynamicTrafficResult(
+                "bg", completion_times_s=tuple(float(t) for t in range(n, 0, -1))
+            )
+            pooled = PacketSimResult(
+                flows=[],
+                duration_s=1.0,
+                capacity_mbps=1.0,
+                total_drops=0,
+                max_queue_occupancy_bytes=0.0,
+                traffic={"bg": stats},
+            )
+            assert stats.p95_fct_s() == pooled.dynamic_fct_percentile(95.0), n
 
 
 class TestTrafficSourceValidation:

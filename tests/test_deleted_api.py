@@ -39,6 +39,10 @@ DELETED = [
     ("repro.netsim.traffic.sizes", "LogNormalSizes"),
     ("repro.netsim.traffic.sizes", "EmpiricalSizes"),
     ("repro.experiments.lab_common", "LabFigureRow.ab_throughput_effect"),
+    ("repro.netsim.packet.engine", "EventScheduler.cancel"),
+    ("repro.netsim.packet.engine", "EventScheduler.step"),
+    ("repro.netsim.packet.engine", "EventScheduler.schedule_in"),
+    ("repro.netsim.packet.engine", "EventScheduler.__len__"),
 ]
 
 

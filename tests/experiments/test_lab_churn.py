@@ -21,13 +21,17 @@ from repro.runner.executor import ParallelExecutor
 
 
 @pytest.fixture(scope="module")
-def churn_comparison():
-    return run_churn_experiment(quick=True, seed=0)
+def churn_comparison(packet_arm_recorders):
+    return run_churn_experiment(
+        quick=True, seed=0, executor=packet_arm_recorders["topo_churn"]
+    )
 
 
 @pytest.fixture(scope="module")
-def ramp_outcome():
-    return run_switchback_ramp_experiment(quick=True, seed=0)
+def ramp_outcome(packet_arm_recorders):
+    return run_switchback_ramp_experiment(
+        quick=True, seed=0, executor=packet_arm_recorders["switchback_ramp"]
+    )
 
 
 class TestChurnExperiment:
@@ -68,6 +72,18 @@ class TestChurnExperiment:
 
     def test_matches_golden(self, churn_comparison, assert_lab_golden):
         assert_lab_golden("topo_churn", churn_comparison)
+
+    def test_packet_arm_keys_match_golden(
+        self, churn_comparison, ramp_outcome, packet_arm_recorders, assert_packet_arm_golden
+    ):
+        # ``repro topo_churn`` runs the churn sweep, then the ramp.
+        assert_packet_arm_golden(
+            "topo_churn",
+            [
+                *packet_arm_recorders["topo_churn"].specs,
+                *packet_arm_recorders["switchback_ramp"].specs,
+            ],
+        )
 
     def test_seeded_run_reproducible(self):
         a = run_churn_experiment(churn_rates=(3.0,), quick=True, seed=5)

@@ -19,8 +19,8 @@ from repro.runner.spec import ScenarioSpec, run_spec
 
 
 @pytest.fixture(scope="module")
-def l4s_comparison():
-    return run_l4s_experiment(quick=True, seed=0)
+def l4s_comparison(packet_arm_recorders):
+    return run_l4s_experiment(quick=True, seed=0, executor=packet_arm_recorders["topo_l4s"])
 
 
 class TestL4sExperiment:
@@ -80,6 +80,12 @@ class TestL4sExperiment:
 
     def test_matches_golden(self, l4s_comparison, assert_lab_golden):
         assert_lab_golden("topo_l4s", l4s_comparison)
+
+    def test_packet_arm_keys_match_golden(
+        self, l4s_comparison, packet_arm_recorders, assert_packet_arm_golden
+    ):
+        # The four arms' sweeps, then the coexistence run.
+        assert_packet_arm_golden("topo_l4s", packet_arm_recorders["topo_l4s"].specs)
 
 
 class TestDeterminism:

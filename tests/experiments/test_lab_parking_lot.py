@@ -19,13 +19,15 @@ from repro.experiments.lab_parking_lot import (
 
 
 @pytest.fixture(scope="module")
-def fq_comparison():
-    return run_fq_experiment(quick=True)
+def fq_comparison(packet_arm_recorders):
+    return run_fq_experiment(quick=True, executor=packet_arm_recorders["topo_fq"])
 
 
 @pytest.fixture(scope="module")
-def parking_comparison():
-    return run_parking_lot_experiment(quick=True)
+def parking_comparison(packet_arm_recorders):
+    return run_parking_lot_experiment(
+        quick=True, executor=packet_arm_recorders["topo_parking"]
+    )
 
 
 class TestFqExperiment:
@@ -63,9 +65,13 @@ class TestFqExperiment:
         assert "fq_codel" in text
         assert "bias" in text.lower()
 
-
     def test_matches_golden(self, fq_comparison, assert_lab_golden):
         assert_lab_golden("topo_fq", fq_comparison)
+
+    def test_packet_arm_keys_match_golden(
+        self, fq_comparison, packet_arm_recorders, assert_packet_arm_golden
+    ):
+        assert_packet_arm_golden("topo_fq", packet_arm_recorders["topo_fq"].specs)
 
 
 class TestParkingLotExperiment:
@@ -92,6 +98,13 @@ class TestParkingLotExperiment:
 
     def test_matches_golden(self, parking_comparison, assert_lab_golden):
         assert_lab_golden("topo_parking", parking_comparison)
+
+    def test_packet_arm_keys_match_golden(
+        self, parking_comparison, packet_arm_recorders, assert_packet_arm_golden
+    ):
+        assert_packet_arm_golden(
+            "topo_parking", packet_arm_recorders["topo_parking"].specs
+        )
 
     def test_comparison_is_plain_dataclass(self, parking_comparison):
         rebuilt = ParkingLotComparison(

@@ -18,13 +18,13 @@ from repro.runner.executor import ParallelExecutor
 
 
 @pytest.fixture(scope="module")
-def rtt_figure():
-    return run_rtt_experiment(quick=True)
+def rtt_figure(packet_arm_recorders):
+    return run_rtt_experiment(quick=True, executor=packet_arm_recorders["topo_rtt"])
 
 
 @pytest.fixture(scope="module")
-def aqm_comparison():
-    return run_aqm_experiment(quick=True)
+def aqm_comparison(packet_arm_recorders):
+    return run_aqm_experiment(quick=True, executor=packet_arm_recorders["topo_aqm"])
 
 
 class TestRttExperiment:
@@ -51,6 +51,11 @@ class TestRttExperiment:
 
     def test_matches_golden(self, rtt_figure, assert_lab_golden):
         assert_lab_golden("topo_rtt", rtt_figure)
+
+    def test_packet_arm_keys_match_golden(
+        self, rtt_figure, packet_arm_recorders, assert_packet_arm_golden
+    ):
+        assert_packet_arm_golden("topo_rtt", packet_arm_recorders["topo_rtt"].specs)
 
     def test_empty_rtt_spread_raises(self):
         with pytest.raises(ValueError):
@@ -87,6 +92,11 @@ class TestAqmExperiment:
 
     def test_matches_golden(self, aqm_comparison, assert_lab_golden):
         assert_lab_golden("topo_aqm", aqm_comparison)
+
+    def test_packet_arm_keys_match_golden(
+        self, aqm_comparison, packet_arm_recorders, assert_packet_arm_golden
+    ):
+        assert_packet_arm_golden("topo_aqm", packet_arm_recorders["topo_aqm"].specs)
 
     def test_no_disciplines_raises(self):
         with pytest.raises(ValueError):

@@ -46,13 +46,14 @@ applies to, so an inapplicable flag is a parse error, not a silent no-op.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from collections.abc import Sequence
 from pathlib import Path
 
 import numpy as np
 
-from repro.experiments.figures import FIGURES, figure_spec
+from repro.experiments.figures import FIGURES, figure_spec, parse_knob
 from repro.obs.trace import RunTracer, add_trace_arguments
 from repro.reporting import format_table
 from repro.runner import ParallelExecutor, ResultCache, default_cache_dir
@@ -112,6 +113,10 @@ def _run_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         )
     if args.replications < 1:
         parser.error("--replications must be at least 1")
+    try:
+        knob = parse_knob(figure.knob, getattr(args, figure.knob))
+    except ValueError as exc:
+        parser.error(f"--{figure.knob}: {exc}")
 
     # The spec carries only the knob the figure consumes, so an inert flag
     # (--noise on a paired figure, --quick on a lab one) cannot split the
@@ -124,7 +129,7 @@ def _run_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
             target,
             seed=args.seed + r,
             label=f"sweep[{target}, seed={args.seed + r}]",
-            **{figure.knob: getattr(args, figure.knob)},
+            **{figure.knob: knob},
         )
         for r in range(replication_count)
     ]
@@ -402,8 +407,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _run_sweep(args, subparser)
     if args.figure == "run":
         return _run_campaign_command(args, subparser)
-    if getattr(args, "probe", None) is not None and args.probe <= 0:
-        subparser.error("--probe needs a positive sampling interval in seconds")
+    if getattr(args, "probe", None) is not None and not 0 < args.probe < math.inf:
+        subparser.error("--probe needs a positive, finite sampling interval in seconds")
     executor = _make_executor(args)
     print("\n".join(FIGURES[args.figure].render(args, subparser, executor)))
     if executor.tracer is not None:

@@ -20,6 +20,7 @@ arms, and the ``figure.cells`` runner task itself.
 from __future__ import annotations
 
 import argparse
+import math
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
@@ -127,8 +128,8 @@ def get_figure(name: str) -> Figure:
 def parse_knob(knob: str, value: Any) -> Any:
     """Validate a knob value read from outside the program; return it normalised.
 
-    ``quick`` must be a bool and ``noise`` a non-negative number; raises
-    ``ValueError`` otherwise.
+    ``quick`` must be a bool and ``noise`` a finite, non-negative number;
+    raises ``ValueError`` otherwise.
     """
     if knob == "quick":
         if not isinstance(value, bool):
@@ -137,8 +138,8 @@ def parse_knob(knob: str, value: Any) -> Any:
     if knob == "noise":
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ValueError(f"expected a number, got {value!r}")
-        if value < 0:
-            raise ValueError(f"noise must be >= 0, got {value!r}")
+        if not 0 <= value < math.inf:
+            raise ValueError(f"noise must be finite and >= 0, got {value!r}")
         return float(value)
     raise ValueError(f"unknown knob {knob!r}")
 

@@ -44,15 +44,11 @@ from collections.abc import Sequence
 from repro.core.designs.switchback import SwitchbackDesign
 from repro.experiments.figures import Figure, register
 from repro.experiments.lab_common import (
-    CONTROL_CONNECTIONS,
-    TREATMENT_CONNECTIONS,
     BiasComparison,
     LabFigure,
+    sweep_connection_treatment,
     sweep_to_figure,
 )
-from repro.experiments.lab_topology import sweep_scale
-from repro.netsim.packet.simulation import FlowConfig
-from repro.netsim.packet.sweep import run_packet_sweep
 from repro.netsim.traffic import ParetoSizes, PoissonArrivals, RampDemand, TrafficSource
 from repro.runner.executor import ParallelExecutor
 
@@ -87,6 +83,10 @@ RAMP_BASE_CHURN_PER_S = 4.0
 
 #: Demand multiplier the switchback ramp reaches by its final interval.
 RAMP_FACTOR = 4.0
+
+#: Units in every switchback-ramp interval, before a production split
+#: scales them up.
+RAMP_UNITS = 4
 
 
 def _churn_sources(rate_per_s: float) -> tuple[TrafficSource, ...] | None:
@@ -224,28 +224,18 @@ def run_churn_experiment(
     churn_stats: dict[float, ChurnStats] = {}
     for rate in churn_rates:
         rate = float(rate)
-        scale = sweep_scale(quick)
-        n_units = scale.pop("n_units")
-        sweep = run_packet_sweep(
-            n_units,
-            treatment_factory=lambda i: FlowConfig(i, cc="reno", connections=TREATMENT_CONNECTIONS),
-            control_factory=lambda i: FlowConfig(i, cc="reno", connections=CONTROL_CONNECTIONS),
-            traffic_sources=_churn_sources(rate),
-            seed=seed,
-            executor=executor,
-            **scale,
+        sweep, units = sweep_connection_treatment(
+            quick, traffic_sources=_churn_sources(rate), seed=seed, executor=executor
         )
         figures[rate] = sweep_to_figure(
             sweep,
             name=f"topo_churn[{rate:g}/s]",
             description=(
-                f"{n_units} applications using {TREATMENT_CONNECTIONS} (treatment) "
-                f"or {CONTROL_CONNECTIONS} (control) TCP Reno connections on a "
-                f"shared drop-tail bottleneck with Pareto-sized flows churning "
-                f"at {rate:g}/s"
+                f"{units} on a shared drop-tail bottleneck with Pareto-sized "
+                f"flows churning at {rate:g}/s"
             ),
         )
-        midpoint = sweep.results[n_units // 2]
+        midpoint = sweep.results[sweep.n_units // 2]
         started, completed = midpoint.dynamic_flow_counts()
         churn_stats[rate] = ChurnStats(
             flows_started=started,
@@ -326,6 +316,7 @@ class SwitchbackRampOutcome:
         return abs(self.within_interval_ab_estimate - self.truth_tte)
 
     def summary_lines(self) -> list[str]:
+        """The three estimates against the ground truth, one line each."""
         split = (
             "pure 100/0 intervals"
             if self.traffic_split >= 1.0
@@ -356,22 +347,11 @@ class SwitchbackRampOutcome:
         return lines
 
 
-def _ramp_scale(quick: bool) -> dict[str, object]:
+def _ramp_scale(quick: bool) -> tuple[int, dict[str, float]]:
+    """Interval count and per-interval sweep sizing of the switchback ramp."""
     if quick:
-        return dict(
-            n_intervals=4,
-            n_units=4,
-            capacity_mbps=24.0,
-            duration_s=5.0,
-            warmup_s=1.5,
-        )
-    return dict(
-        n_intervals=6,
-        n_units=4,
-        capacity_mbps=24.0,
-        duration_s=8.0,
-        warmup_s=2.0,
-    )
+        return 4, dict(capacity_mbps=24.0, duration_s=5.0, warmup_s=1.5)
+    return 6, dict(capacity_mbps=24.0, duration_s=8.0, warmup_s=2.0)
 
 
 def run_switchback_ramp_experiment(
@@ -423,9 +403,8 @@ def run_switchback_ramp_experiment(
     if not 0.5 < traffic_split <= 1.0:
         raise ValueError("traffic_split must be in (0.5, 1.0]")
 
-    scale = _ramp_scale(quick)
-    n_intervals = scale.pop("n_intervals")
-    n_units = scale.pop("n_units")
+    n_intervals, scale = _ramp_scale(quick)
+    n_units = RAMP_UNITS
     duration_s = scale["duration_s"]
 
     if traffic_split < 1.0:
@@ -492,20 +471,16 @@ def run_switchback_ramp_experiment(
             demand=demand,
             label="ramp-churn",
         )
-        sweeps.append(
-            run_packet_sweep(
-                n_units,
-                treatment_factory=lambda u: FlowConfig(
-                    u, cc="reno", connections=TREATMENT_CONNECTIONS
-                ),
-                control_factory=lambda u: FlowConfig(u, cc="reno", connections=CONTROL_CONNECTIONS),
-                allocations=allocations,
-                traffic_sources=(source,),
-                seed=seed * 1009 + i,
-                executor=executor,
-                **scale,
-            )
+        sweep, _ = sweep_connection_treatment(
+            quick,
+            n_units=n_units,
+            allocations=allocations,
+            traffic_sources=(source,),
+            seed=seed * 1009 + i,
+            executor=executor,
+            **scale,
         )
+        sweeps.append(sweep)
 
     # The design's comparison: the treated arm of treatment intervals vs
     # the control arm of control intervals — at the realized (possibly
@@ -574,9 +549,13 @@ def _parse_churn_rates(text: str, parser: argparse.ArgumentParser) -> tuple[floa
         values = tuple(float(part) for part in text.split(",") if part.strip())
     except ValueError:
         values = ()
-    if not values or any(v < 0 for v in values) or len(set(values)) != len(values):
+    if (
+        not values
+        or not all(0 <= v < math.inf for v in values)
+        or len(set(values)) != len(values)
+    ):
         parser.error(
-            f"--churn-rates needs distinct non-negative comma-separated "
+            f"--churn-rates needs distinct, finite, non-negative comma-separated "
             f"flow-per-second values, got {text!r}"
         )
     return values

@@ -8,18 +8,25 @@ control groups' mean throughput and retransmission rate.
 (naive A/B estimates at each allocation, TTE, spillover) so benchmarks and
 examples can print them directly.
 
-The topology labs run that sweep once per arm (a queue discipline, a
-topology, a churn intensity, an L4S stack) and compare the arms' naive
-A/B bias: :class:`BiasComparison` is that report.
+The packet labs re-run the paper's Figure 2a treatment on the packet
+simulator, each on its own topology: :func:`sweep_connection_treatment`
+is that sweep, sized by :func:`sweep_scale`.  They run it once per arm
+(a queue discipline, a topology, a churn intensity, an L4S stack) and
+compare the arms' naive A/B bias: :class:`BiasComparison` is that
+report.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from typing import Any, ClassVar
 
 from repro.core.estimands import AllocationSweep, PotentialOutcomeCurve
 from repro.netsim.fluid.lab import LAB_METRICS
+from repro.netsim.packet.network import PathConfig
+from repro.netsim.packet.simulation import FlowConfig
+from repro.netsim.packet.sweep import run_packet_sweep
 
 __all__ = [
     "BIAS_ALLOCATION",
@@ -29,6 +36,8 @@ __all__ = [
     "BiasComparison",
     "LabFigureRow",
     "LabFigure",
+    "sweep_connection_treatment",
+    "sweep_scale",
     "sweep_to_figure",
 ]
 
@@ -44,6 +53,73 @@ CONTROL_CONNECTIONS = 1
 
 #: Applications sharing the bottleneck in the fluid lab figures (paper: 10).
 LAB_UNITS = 10
+
+
+def sweep_scale(quick: bool) -> dict[str, Any]:
+    """Packet-lab sweep sizing: full keeps 8 units and 3 interior points, quick shrinks."""
+    if quick:
+        return dict(
+            n_units=4,
+            allocations=(0, 2, 4),
+            capacity_mbps=24.0,
+            duration_s=6.0,
+            warmup_s=2.0,
+        )
+    return dict(
+        n_units=8,
+        allocations=(0, 2, 4, 6, 8),
+        capacity_mbps=48.0,
+        duration_s=10.0,
+        warmup_s=3.0,
+    )
+
+
+def sweep_connection_treatment(
+    quick: bool,
+    *,
+    ecn: bool | str = False,
+    paced: bool = False,
+    path: Callable[[int], PathConfig] | None = None,
+    units: str = "applications",
+    **sweep: Any,
+) -> tuple[AllocationSweep, str]:
+    """Sweep the paper's connection-count treatment on the packet simulator.
+
+    Treated applications open :data:`TREATMENT_CONNECTIONS` TCP Reno
+    connections, control ones :data:`CONTROL_CONNECTIONS`; every unit
+    shares the ECN mode ``ecn`` and the pacing ``paced``, and unit ``i``
+    takes ``path(i)`` (the default path without one).  ``sweep`` holds
+    the :func:`~repro.netsim.packet.sweep.run_packet_sweep` keywords
+    (topology, seed, executor), overriding :func:`sweep_scale` where it
+    names the same one.
+
+    Returns the sweep and the description its figures start with,
+    ``"<n> <units> using 2 (treatment) or 1 (control) TCP Reno
+    connections"``.
+    """
+    result = run_packet_sweep(
+        treatment_factory=lambda i: FlowConfig(
+            i,
+            cc="reno",
+            connections=TREATMENT_CONNECTIONS,
+            ecn=ecn,
+            paced=paced,
+            path=None if path is None else path(i),
+        ),
+        control_factory=lambda i: FlowConfig(
+            i,
+            cc="reno",
+            connections=CONTROL_CONNECTIONS,
+            ecn=ecn,
+            paced=paced,
+            path=None if path is None else path(i),
+        ),
+        **{**sweep_scale(quick), **sweep},
+    )
+    return result, (
+        f"{result.n_units} {units} using {TREATMENT_CONNECTIONS} (treatment) or "
+        f"{CONTROL_CONNECTIONS} (control) TCP Reno connections"
+    )
 
 
 @dataclass(frozen=True)

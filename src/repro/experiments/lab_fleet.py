@@ -272,10 +272,16 @@ def _add_fleet_arguments(parser: argparse.ArgumentParser) -> None:
 def _render_fleet(
     args: argparse.Namespace, parser: argparse.ArgumentParser, executor: ParallelExecutor
 ) -> list[str]:
-    if args.units is not None and args.units < 1:
+    base = QUICK_FLEET if args.quick else DEFAULT_FLEET
+    units = base.units if args.units is None else args.units
+    edges = base.edges if args.edges is None else args.edges
+    if units < 1:
         parser.error("--units must be positive")
-    if args.edges is not None and args.edges < 1:
-        parser.error("--edges must be positive")
+    if not base.regions <= edges <= units:
+        parser.error(
+            f"--edges must be in [{base.regions}, {units}]: at least one edge per "
+            f"region and at least one unit per edge (got {edges})"
+        )
     tracer = executor.tracer
     # A live shard progress line on a terminal, or whenever a trace is on.
     if tracer is not None or sys.stderr.isatty():

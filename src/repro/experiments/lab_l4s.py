@@ -45,13 +45,12 @@ from dataclasses import dataclass
 
 from repro.experiments.figures import Figure, register
 from repro.experiments.lab_common import (
-    CONTROL_CONNECTIONS,
-    TREATMENT_CONNECTIONS,
     BiasComparison,
     LabFigure,
+    sweep_connection_treatment,
+    sweep_scale,
     sweep_to_figure,
 )
-from repro.experiments.lab_topology import sweep_scale
 from repro.netsim.packet.simulation import FlowConfig
 from repro.netsim.packet.sweep import run_packet_sweep
 from repro.runner.executor import ParallelExecutor
@@ -135,29 +134,20 @@ def run_l4s_experiment(
     """
     figures: dict[str, LabFigure] = {}
     for arm, discipline, ecn, paced in L4S_ARMS:
-        scale = sweep_scale(quick)
-        n_units = scale.pop("n_units")
-        sweep = run_packet_sweep(
-            n_units,
-            treatment_factory=lambda i, e=ecn, p=paced: FlowConfig(
-                i, cc="reno", connections=TREATMENT_CONNECTIONS, ecn=e, paced=p
-            ),
-            control_factory=lambda i, e=ecn, p=paced: FlowConfig(
-                i, cc="reno", connections=CONTROL_CONNECTIONS, ecn=e, paced=p
-            ),
+        sweep, units = sweep_connection_treatment(
+            quick,
+            ecn=ecn,
+            paced=paced,
             queue_discipline=discipline,
             seed=seed,
             executor=executor,
-            **scale,
         )
         ecn_label = "no ECN" if ecn is False else f"ecn={ecn}"
         figures[arm] = sweep_to_figure(
             sweep,
             name=f"topo_l4s[{arm}]",
             description=(
-                f"{n_units} applications using {TREATMENT_CONNECTIONS} "
-                f"(treatment) or {CONTROL_CONNECTIONS} (control) TCP Reno "
-                f"connections ({ecn_label}{', paced' if paced else ''}) on a "
+                f"{units} ({ecn_label}{', paced' if paced else ''}) on a "
                 f"shared {discipline} bottleneck"
             ),
         )
@@ -167,11 +157,9 @@ def run_l4s_experiment(
     # "allocation" doubles as the classic/L4S split, reusing its
     # executor fan-out and cache keys.
     scale = sweep_scale(quick)
-    n_units = scale.pop("n_units")
-    half = n_units // 2
+    half = scale["n_units"] // 2
     scale["allocations"] = (half,)  # one mixed run, not a sweep
     coexistence = run_packet_sweep(
-        n_units,
         treatment_factory=lambda i: FlowConfig(i, cc="reno", ecn="l4s", paced=True),
         control_factory=lambda i: FlowConfig(i, cc="reno", ecn="classic"),
         queue_discipline="dualpi2",

@@ -34,11 +34,12 @@ import argparse
 from dataclasses import dataclass
 from collections.abc import Sequence
 
+from repro.core.estimands import AllocationSweep
 from repro.experiments.figures import Figure, register
 from repro.experiments.lab_common import (
-    CONTROL_CONNECTIONS,
-    TREATMENT_CONNECTIONS,
     BiasComparison,
+    sweep_connection_treatment,
+    sweep_scale,
     sweep_to_figure,
 )
 from repro.experiments.lab_topology import (
@@ -48,7 +49,6 @@ from repro.experiments.lab_topology import (
 )
 from repro.netsim.packet.network import parking_lot_path, parking_lot_queues
 from repro.netsim.packet.simulation import FlowConfig
-from repro.netsim.packet.sweep import run_packet_sweep
 from repro.runner.executor import ParallelExecutor
 
 __all__ = [
@@ -78,24 +78,14 @@ CROSS_TRAFFIC_ID_BASE = 1000
 CROSS_TRAFFIC_PER_SEGMENT = 1
 
 
-def _parking_scale(quick: bool) -> dict[str, object]:
-    """Sweep sizing; allocations include 0 and 1 for the remote-spillover
-    measurement and the midpoint for the 50 % A/B comparison."""
-    if quick:
-        return dict(
-            n_units=6,
-            allocations=(0, 1, 3, 6),
-            capacity_mbps=24.0,
-            duration_s=6.0,
-            warmup_s=2.0,
-        )
-    return dict(
-        n_units=6,
-        allocations=(0, 1, 2, 3, 4, 6),
-        capacity_mbps=48.0,
-        duration_s=10.0,
-        warmup_s=3.0,
-    )
+#: Units on the lot: every span start carries two of them.
+PARKING_UNITS = 6
+
+
+def _parking_allocations(quick: bool) -> tuple[int, ...]:
+    """Treated counts: 0 and 1 for the remote-spillover measurement and
+    the midpoint for the 50 % A/B comparison."""
+    return (0, 1, 3, 6) if quick else (0, 1, 2, 3, 4, 6)
 
 
 def _unit_start_segment(unit: int, n_segments: int) -> int:
@@ -178,20 +168,6 @@ def run_parking_lot_experiment(
             "spillover is unmeasurable)"
         )
 
-    scale = _parking_scale(quick)
-    n_units = scale.pop("n_units")
-    capacity = scale["capacity_mbps"]
-
-    def flow(i: int, connections: int) -> FlowConfig:
-        return FlowConfig(
-            i,
-            cc="reno",
-            connections=connections,
-            path=parking_lot_path(
-                _unit_start_segment(i, n_segments), n_segments, span=SEGMENT_SPAN
-            ),
-        )
-
     parking_cross = tuple(
         FlowConfig(
             CROSS_TRAFFIC_ID_BASE + segment * CROSS_TRAFFIC_PER_SEGMENT + j,
@@ -208,22 +184,19 @@ def run_parking_lot_experiment(
         for j in range(n_segments * CROSS_TRAFFIC_PER_SEGMENT)
     )
 
-    parking_sweep = run_packet_sweep(
-        n_units,
-        treatment_factory=lambda i: flow(i, TREATMENT_CONNECTIONS),
-        control_factory=lambda i: flow(i, CONTROL_CONNECTIONS),
-        extra_queues=parking_lot_queues(n_segments, capacity),
+    lot = dict(n_units=PARKING_UNITS, allocations=_parking_allocations(quick))
+    parking_sweep, _ = sweep_connection_treatment(
+        quick,
+        path=lambda i: parking_lot_path(
+            _unit_start_segment(i, n_segments), n_segments, span=SEGMENT_SPAN
+        ),
+        extra_queues=parking_lot_queues(n_segments, sweep_scale(quick)["capacity_mbps"]),
         cross_traffic=parking_cross,
         executor=executor,
-        **scale,
+        **lot,
     )
-    single_sweep = run_packet_sweep(
-        n_units,
-        treatment_factory=lambda i: FlowConfig(i, cc="reno", connections=TREATMENT_CONNECTIONS),
-        control_factory=lambda i: FlowConfig(i, cc="reno", connections=CONTROL_CONNECTIONS),
-        cross_traffic=single_cross,
-        executor=executor,
-        **scale,
+    single_sweep, units = sweep_connection_treatment(
+        quick, cross_traffic=single_cross, executor=executor, **lot
     )
 
     figures = {
@@ -231,10 +204,8 @@ def run_parking_lot_experiment(
             single_sweep,
             name="topo_parking[single]",
             description=(
-                f"{n_units} applications using {TREATMENT_CONNECTIONS} (treatment) "
-                f"or {CONTROL_CONNECTIONS} (control) TCP Reno connections plus "
-                f"{len(single_cross)} unmeasured cross-traffic flow(s) on one "
-                f"shared drop-tail bottleneck"
+                f"{units} plus {len(single_cross)} unmeasured cross-traffic "
+                f"flow(s) on one shared drop-tail bottleneck"
             ),
         ),
         "parking": sweep_to_figure(
@@ -251,11 +222,11 @@ def run_parking_lot_experiment(
     return ParkingLotComparison(
         figures=figures,
         n_segments=n_segments,
-        remote_spillover_mbps=_remote_spillover(parking_sweep, n_units, n_segments),
+        remote_spillover_mbps=_remote_spillover(parking_sweep, n_segments),
     )
 
 
-def _remote_spillover(sweep, n_units: int, n_segments: int) -> float:
+def _remote_spillover(sweep: AllocationSweep, n_segments: int) -> float:
     """Throughput shift of controls that share no segment with unit 0.
 
     Compares the all-control arm (k=0) with the one-treated arm (k=1,
@@ -270,7 +241,7 @@ def _remote_spillover(sweep, n_units: int, n_segments: int) -> float:
     treated_span = _span_segments(0, n_segments)
     remote_units = [
         i
-        for i in range(1, n_units)
+        for i in range(1, sweep.n_units)
         if not (_span_segments(i, n_segments) & treated_span)
     ]
     if not remote_units:

@@ -25,20 +25,18 @@ results are deterministic and bit-identical for any worker count.
 from __future__ import annotations
 
 import argparse
+import math
 from collections.abc import Sequence
 
 from repro.experiments.figures import Figure, register
 from repro.experiments.lab_common import (
     BIAS_ALLOCATION,
-    CONTROL_CONNECTIONS,
-    TREATMENT_CONNECTIONS,
     BiasComparison,
     LabFigure,
+    sweep_connection_treatment,
     sweep_to_figure,
 )
 from repro.netsim.packet.queue import QUEUE_DISCIPLINES
-from repro.netsim.packet.simulation import FlowConfig
-from repro.netsim.packet.sweep import run_packet_sweep
 from repro.runner.executor import ParallelExecutor
 
 __all__ = [
@@ -46,32 +44,12 @@ __all__ = [
     "AqmBiasComparison",
     "run_rtt_experiment",
     "run_aqm_experiment",
-    "sweep_scale",
     "parse_disciplines",
 ]
 
 #: Default per-unit RTT profile (ms): a 8x spread, cycled across units so
 #: treated and control arms see the same RTT mix at every allocation.
 DEFAULT_RTT_SPREAD_MS: tuple[float, ...] = (10.0, 20.0, 40.0, 80.0)
-
-
-def sweep_scale(quick: bool) -> dict[str, object]:
-    """Sweep sizing: full keeps 8 units and 3 interior points, quick shrinks."""
-    if quick:
-        return dict(
-            n_units=4,
-            allocations=(0, 2, 4),
-            capacity_mbps=24.0,
-            duration_s=6.0,
-            warmup_s=2.0,
-        )
-    return dict(
-        n_units=8,
-        allocations=(0, 2, 4, 6, 8),
-        capacity_mbps=48.0,
-        duration_s=10.0,
-        warmup_s=3.0,
-    )
 
 
 def run_rtt_experiment(
@@ -97,25 +75,15 @@ def run_rtt_experiment(
     """
     if not rtt_spread_ms:
         raise ValueError("rtt_spread_ms must not be empty")
-    scale = sweep_scale(quick)
-    n_units = scale.pop("n_units")
-    sweep = run_packet_sweep(
-        n_units,
-        treatment_factory=lambda i: FlowConfig(i, cc="reno", connections=TREATMENT_CONNECTIONS),
-        control_factory=lambda i: FlowConfig(i, cc="reno", connections=CONTROL_CONNECTIONS),
+    spread = "/".join(f"{r:g}" for r in rtt_spread_ms)
+    sweep, units = sweep_connection_treatment(
+        quick,
+        units=f"applications at heterogeneous RTTs ({spread} ms)",
         rtt_ms=tuple(float(r) for r in rtt_spread_ms),
         executor=executor,
-        **scale,
     )
-    spread = "/".join(f"{r:g}" for r in rtt_spread_ms)
     return sweep_to_figure(
-        sweep,
-        name="topo_rtt",
-        description=(
-            f"{n_units} applications at heterogeneous RTTs ({spread} ms) using "
-            f"{TREATMENT_CONNECTIONS} (treatment) or {CONTROL_CONNECTIONS} "
-            f"(control) TCP Reno connections on a shared drop-tail bottleneck"
-        ),
+        sweep, name="topo_rtt", description=f"{units} on a shared drop-tail bottleneck"
     )
 
 
@@ -176,26 +144,17 @@ def run_aqm_experiment(
         )
     figures: dict[str, LabFigure] = {}
     for discipline in disciplines:
-        scale = sweep_scale(quick)
-        n_units = scale.pop("n_units")
-        sweep = run_packet_sweep(
-            n_units,
-            treatment_factory=lambda i: FlowConfig(i, cc="reno", connections=TREATMENT_CONNECTIONS),
-            control_factory=lambda i: FlowConfig(i, cc="reno", connections=CONTROL_CONNECTIONS),
+        sweep, units = sweep_connection_treatment(
+            quick,
             queue_discipline=discipline,
             # The sweep keys the seed only for a discipline that draws from it.
             seed=0,
             executor=executor,
-            **scale,
         )
         figures[discipline] = sweep_to_figure(
             sweep,
             name=f"{name}[{discipline}]",
-            description=(
-                f"{n_units} applications using {TREATMENT_CONNECTIONS} (treatment) or "
-                f"{CONTROL_CONNECTIONS} (control) TCP Reno connections on a shared "
-                f"{discipline} bottleneck"
-            ),
+            description=f"{units} on a shared {discipline} bottleneck",
         )
     return AqmBiasComparison(figures=figures)
 
@@ -217,8 +176,10 @@ def _parse_rtt_spread(text: str, parser: argparse.ArgumentParser) -> tuple[float
         values = tuple(float(part) for part in text.split(",") if part.strip())
     except ValueError:
         values = ()
-    if not values or any(v <= 0 for v in values):
-        parser.error(f"--rtt-spread needs positive comma-separated ms values, got {text!r}")
+    if not values or not all(0 < v < math.inf for v in values):
+        parser.error(
+            f"--rtt-spread needs positive, finite comma-separated ms values, got {text!r}"
+        )
     return values
 
 

@@ -29,9 +29,10 @@ byte-for-byte reproducible (asserted by the golden-output test).
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 from typing import TYPE_CHECKING, Any
 
 from repro.netsim.packet.engine import EventScheduler
@@ -93,8 +94,8 @@ class PathConfig:
     queues: tuple[str, ...] = (DEFAULT_QUEUE,)
 
     def __post_init__(self) -> None:
-        if self.rtt_ms is not None and self.rtt_ms <= 0:
-            raise ValueError("rtt_ms must be positive")
+        if self.rtt_ms is not None and not 0 < self.rtt_ms < math.inf:
+            raise ValueError("rtt_ms must be positive and finite")
         if not 0.0 <= self.loss_rate < 1.0:
             raise ValueError("loss_rate must be in [0, 1)")
         if not self.queues:
@@ -149,63 +150,28 @@ class QueueConfig:
 SEGMENT_PREFIX = "seg"
 
 
-def parking_lot_queues(
-    n_segments: int,
-    capacity_mbps: float | None = None,
-    *,
-    capacities: Sequence[float] | None = None,
-    buffer_bdp: float = 1.0,
-    discipline: str = "droptail",
-    params: Mapping[str, Any] | None = None,
-) -> tuple[QueueConfig, ...]:
-    """Queue configs for a parking-lot topology: ``n_segments`` bottlenecks
-    in series, named ``seg0 .. seg{n-1}``.
+def parking_lot_queues(n_segments: int, capacity_mbps: float) -> tuple[QueueConfig, ...]:
+    """Queue configs for a parking-lot topology: ``n_segments`` drop-tail
+    bottlenecks of ``capacity_mbps`` and a one-BDP buffer each, in series,
+    named ``seg0 .. seg{n-1}``.
 
     Flows cross a contiguous span of segments (:func:`parking_lot_path`);
     flows on overlapping spans contend directly, and spillover propagates
-    along the chain between flows that share no segment at all.
-
-    Segment capacities come either from the scalar ``capacity_mbps``
-    (every segment identical, the classic symmetric lot) or from
-    ``capacities`` — one value per segment, so the chain can carry a
-    single binding bottleneck that *migrates* when the allocation of
-    traffic across spans shifts.  Exactly one of the two must be given.
+    along the chain between flows that share no segment at all.  A chain
+    of unequal or AQM segments is a tuple of :class:`QueueConfig` built
+    directly.
     """
     if n_segments < 2:
         raise ValueError("a parking lot needs at least 2 segments")
-    if (capacity_mbps is None) == (capacities is None):
-        raise ValueError("specify exactly one of capacity_mbps / capacities")
-    if capacities is None:
-        capacities = [float(capacity_mbps)] * n_segments
-    else:
-        capacities = [float(c) for c in capacities]
-        if len(capacities) != n_segments:
-            raise ValueError(
-                f"capacities must list one value per segment: expected "
-                f"{n_segments}, got {len(capacities)}"
-            )
-        if any(c <= 0 for c in capacities):
-            raise ValueError("segment capacities must be positive")
     return tuple(
         QueueConfig(
-            name=f"{SEGMENT_PREFIX}{i}",
-            capacity_mbps=capacities[i],
-            buffer_bdp=buffer_bdp,
-            discipline=discipline,
-            params=dict(params or {}),
+            name=f"{SEGMENT_PREFIX}{i}", capacity_mbps=float(capacity_mbps), buffer_bdp=1.0
         )
         for i in range(n_segments)
     )
 
 
-def parking_lot_path(
-    start_segment: int,
-    n_segments: int,
-    span: int = 2,
-    *,
-    rtt_ms: float | None = None,
-    loss_rate: float = 0.0,
-) -> PathConfig:
+def parking_lot_path(start_segment: int, n_segments: int, span: int = 2) -> PathConfig:
     """Path crossing ``span`` consecutive parking-lot segments.
 
     The span starts at ``start_segment``, clamped so it stays on the
@@ -219,11 +185,7 @@ def parking_lot_path(
     if start_segment < 0:
         raise ValueError("start_segment must be non-negative")
     start = min(start_segment, n_segments - span)
-    return PathConfig(
-        rtt_ms=rtt_ms,
-        loss_rate=loss_rate,
-        queues=tuple(f"{SEGMENT_PREFIX}{j}" for j in range(start, start + span)),
-    )
+    return PathConfig(queues=tuple(f"{SEGMENT_PREFIX}{j}" for j in range(start, start + span)))
 
 
 class Network:
@@ -243,14 +205,13 @@ class Network:
         Segment size used by every sender.
     queue_discipline:
         Discipline of the default queue (``"droptail"``, ``"red"``,
-        ``"codel"``, ``"fq_codel"`` or ``"dualpi2"``).
-    queue_params:
-        Extra constructor parameters for the default queue's discipline.
+        ``"codel"``, ``"fq_codel"`` or ``"dualpi2"``) at its default
+        parameters; :meth:`add_queue` takes a discipline's own ones.
     seed:
         Seed of the random-loss RNG (``None`` means 0), also forwarded to
-        queue disciplines with an internal RNG (RED) unless
-        ``queue_params`` pins its own ``seed``.  Inert when no path has a
-        loss segment and the discipline draws no randomness.
+        queue disciplines with an internal RNG (RED, DualPI2) unless an
+        added queue's parameters pin their own ``seed``.  Inert when no
+        path has a loss segment and no discipline draws randomness.
     event_batching:
         Default-off fast path: when True, senders coalesce up to
         :data:`BATCH_SEGMENTS` MSS segments into one macro-packet, so a
@@ -268,7 +229,6 @@ class Network:
         buffer_bdp: float = 1.0,
         mss_bytes: int = 1500,
         queue_discipline: str = "droptail",
-        queue_params: dict[str, Any] | None = None,
         seed: int | None = None,
         event_batching: bool = False,
     ):
@@ -309,7 +269,6 @@ class Network:
             capacity_mbps=capacity_mbps,
             buffer_bdp=buffer_bdp,
             discipline=queue_discipline,
-            **(queue_params or {}),
         )
 
     # -- topology -------------------------------------------------------------

@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from collections.abc import Mapping, Sequence
-from typing import TYPE_CHECKING, Any
+from collections.abc import Sequence
+from typing import TYPE_CHECKING
 
 from repro.netsim.packet.network import Network, PathConfig, QueueConfig
 from repro.netsim.packet.tcp.base import normalize_ecn
@@ -100,8 +100,8 @@ class FlowConfig:
         if self.connections < 1:
             raise ValueError("connections must be at least 1")
         normalize_ecn(self.ecn)  # reject invalid modes at config time
-        if self.rtt_ms is not None and self.rtt_ms <= 0:
-            raise ValueError("rtt_ms must be positive")
+        if self.rtt_ms is not None and not 0 < self.rtt_ms < math.inf:
+            raise ValueError("rtt_ms must be positive and finite")
         if self.transfer_bytes is not None and self.transfer_bytes < 0:
             raise ValueError("transfer_bytes must be non-negative")
 
@@ -241,7 +241,6 @@ def simulate(
     duration_s: float = 10.0,
     warmup_s: float = 2.0,
     queue_discipline: str = "droptail",
-    queue_params: Mapping[str, Any] | None = None,
     extra_queues: Sequence[QueueConfig] | None = None,
     cross_traffic: Sequence[FlowConfig] | None = None,
     traffic_sources: Sequence[TrafficSource] | None = None,
@@ -279,15 +278,16 @@ def simulate(
         Time excluded from measurements while flows ramp up.
     queue_discipline:
         Bottleneck queue discipline: ``"droptail"`` (default), ``"red"``,
-        ``"codel"``, ``"fq_codel"`` or ``"dualpi2"``.
-    queue_params:
-        Extra parameters for the queue discipline (RED thresholds, CoDel
-        target delay, ...).
+        ``"codel"``, ``"fq_codel"`` or ``"dualpi2"``, at its default
+        parameters.
     extra_queues:
         Additional named queues beyond the default bottleneck (e.g. the
         chain built by
         :func:`~repro.netsim.packet.network.parking_lot_queues`); paths
-        may then route through them by name.
+        may then route through them by name.  A queue with its own
+        discipline parameters (RED thresholds, CoDel target delay, a
+        pinned seed) is a :class:`~repro.netsim.packet.network.QueueConfig`
+        here.
     cross_traffic:
         Unmeasured background applications: they compete in the queues
         like any flow but are excluded from the result's ``flows``.
@@ -328,7 +328,6 @@ def simulate(
         buffer_bdp=buffer_bdp,
         mss_bytes=mss_bytes,
         queue_discipline=queue_discipline,
-        queue_params=dict(queue_params) if queue_params else None,
         seed=seed,
         event_batching=event_batching,
     )

@@ -15,7 +15,7 @@ from collections.abc import Callable, Mapping, Sequence
 from typing import Any
 
 from repro.core.estimands import AllocationSweep
-from repro.netsim.packet.network import PathConfig, QueueConfig
+from repro.netsim.packet.network import QueueConfig
 from repro.netsim.packet.queue import QUEUE_DISCIPLINES
 from repro.netsim.packet.simulation import FlowConfig
 from repro.runner.executor import ParallelExecutor
@@ -27,9 +27,15 @@ __all__ = ["run_packet_sweep"]
 # sweep results under this older name.
 PacketSweepResult = AllocationSweep
 
+#: The paper's bottleneck geometry, carried by every arm's spec: a 20 ms
+#: round trip, a one-BDP buffer and 1500-byte segments.
+BASE_RTT_MS = 20.0
+BUFFER_BDP = 1.0
+MSS_BYTES = 1500
+
 
 def _discipline_consumes_seed(
-    discipline: str, params: Mapping[str, Any] | None
+    discipline: str, params: Mapping[str, Any] | None = None
 ) -> bool:
     """Whether the network-level seed reaches this discipline's RNG.
 
@@ -44,9 +50,8 @@ def _consumes_seed(
     flows: Sequence[FlowConfig],
     cross_traffic: Sequence[FlowConfig] | None,
     queue_discipline: str,
-    queue_params: Mapping[str, Any] | None,
     extra_queues: Sequence[QueueConfig] | None,
-    traffic_sources: Sequence[Any] | None = None,
+    traffic_sources: Sequence[Any] | None,
 ) -> bool:
     """Whether anything in one sweep arm draws from the seeded RNGs."""
     if traffic_sources:
@@ -55,7 +60,7 @@ def _consumes_seed(
     for flow in [*flows, *(cross_traffic or ())]:
         if flow.path is not None and flow.path.loss_rate > 0.0:
             return True
-    if _discipline_consumes_seed(queue_discipline, queue_params):
+    if _discipline_consumes_seed(queue_discipline):
         return True
     return any(
         _discipline_consumes_seed(qc.discipline, qc.params)
@@ -69,24 +74,21 @@ def run_packet_sweep(
     control_factory: Callable[[int], FlowConfig],
     allocations: tuple[int, ...] | None = None,
     capacity_mbps: float = 50.0,
-    base_rtt_ms: float = 20.0,
-    buffer_bdp: float = 1.0,
     duration_s: float = 15.0,
     warmup_s: float = 5.0,
-    mss_bytes: int = 1500,
     queue_discipline: str = "droptail",
-    queue_params: Mapping[str, Any] | None = None,
     extra_queues: Sequence[QueueConfig] | None = None,
     cross_traffic: Sequence[FlowConfig] | None = None,
     traffic_sources: Sequence[Any] | None = None,
     rtt_ms: Sequence[float] | None = None,
-    loss_rate: float = 0.0,
     seed: int | None = None,
-    event_batching: bool = False,
-    probe: Any = None,
     executor: ParallelExecutor | None = None,
 ) -> AllocationSweep:
     """Sweep the number of treated applications on the packet simulator.
+
+    Every arm runs :func:`repro.netsim.packet.simulation.simulate` on the
+    paper's geometry (:data:`BASE_RTT_MS`, :data:`BUFFER_BDP`,
+    :data:`MSS_BYTES`) with unbatched, unprobed events.
 
     Parameters
     ----------
@@ -95,23 +97,26 @@ def run_packet_sweep(
     treatment_factory, control_factory:
         Callables mapping an application id to a treated / control
         :class:`FlowConfig`.  The ``treated`` flag is set by the sweep;
-        every other field, ``transfer_bytes`` included, is kept.
+        every other field, ``path`` and ``transfer_bytes`` included, is
+        kept.  A lossy arm is a factory path with a ``loss_rate``.
     allocations:
         Which treated counts to simulate (defaults to every value from 0 to
         ``n_units``).  Packet-level runs are much slower than the fluid
         model, so sweeps often simulate only the endpoints and one or two
         interior points.
-    capacity_mbps, base_rtt_ms, buffer_bdp, duration_s, warmup_s, mss_bytes:
+    capacity_mbps, duration_s, warmup_s:
         Passed to :func:`repro.netsim.packet.simulation.simulate`.  The
         default capacity is scaled down from the paper's 10 Gb/s so the
         simulation finishes quickly; the sharing behaviour is rate-free.
-    queue_discipline, queue_params:
+    queue_discipline:
         Bottleneck queue discipline (``"droptail"``/``"red"``/``"codel"``/
-        ``"fq_codel"``/``"dualpi2"``) and its extra parameters, applied to
-        every arm.
+        ``"fq_codel"``/``"dualpi2"``) at its default parameters, applied
+        to every arm.
     extra_queues:
         Additional named queues (e.g. a parking-lot chain) added to every
-        arm; factory-supplied paths may route through them.
+        arm; factory-supplied paths may route through them.  A queue with
+        its own discipline parameters, seed included, is a
+        :class:`QueueConfig` here.
     cross_traffic:
         Unmeasured background applications attached to every arm.
     traffic_sources:
@@ -122,34 +127,14 @@ def run_packet_sweep(
     rtt_ms:
         Per-unit RTT profile: unit ``i`` gets ``rtt_ms[i % len(rtt_ms)]``
         unless its factory already set an explicit ``rtt_ms``.  ``None``
-        keeps every unit on ``base_rtt_ms``; an empty profile is an
+        keeps every unit on :data:`BASE_RTT_MS`; an empty profile is an
         error.
-    loss_rate:
-        Random-loss probability applied to every unit's path.  Composes
-        with factory-supplied :class:`PathConfig`\\ s: a factory path that
-        left ``loss_rate`` at 0.0 picks up the sweep-level rate, while a
-        nonzero factory rate wins.  (A factory cannot pin a single flow
-        to *zero* loss inside a lossy sweep — 0.0 is indistinguishable
-        from unset.)
     seed:
         Seed for the RED/random-loss RNGs.  Normalized to ``None`` in the
         scenario specs when nothing consumes randomness (no lossy path
         segment and no seed-consuming discipline), mirroring the
         inert-knob rule, so replications of deterministic sweeps share
         one cache entry.
-    event_batching:
-        Macro-packet fast path (see
-        :func:`repro.netsim.packet.simulation.simulate`).  Batching
-        changes the simulated traces (coarser bursts), so when enabled
-        it enters the content key — batched and unbatched runs must not
-        share cache entries; left off it stays out of the key, per the
-        inert-knob rule.
-    probe:
-        In-sim telemetry (:class:`repro.obs.probe.ProbeConfig`) attached
-        to every arm.  Probing never changes results, so like every inert
-        knob it enters the content key only when set — but note that a
-        probed arm *does* cache separately from an unprobed one, because
-        the cached result carries the probe log.
     executor:
         Arms are independent, so they fan out over this
         :class:`~repro.runner.executor.ParallelExecutor` (default: a
@@ -172,22 +157,12 @@ def run_packet_sweep(
     extra_params: dict[str, Any] = {}
     if queue_discipline != "droptail":
         extra_params["queue_discipline"] = queue_discipline
-    if queue_params:
-        extra_params["queue_params"] = dict(queue_params)
     if extra_queues:
         extra_params["extra_queues"] = tuple(extra_queues)
     if cross_traffic:
         extra_params["cross_traffic"] = tuple(cross_traffic)
     if traffic_sources:
         extra_params["traffic_sources"] = tuple(traffic_sources)
-    if event_batching:
-        # Batching approximates the unbatched traces, so batched and
-        # unbatched runs must not share cache entries.
-        extra_params["event_batching"] = True
-    if probe is not None:
-        # The simulated outcomes are probe-independent, but the cached
-        # result object carries the probe log, so probed runs key apart.
-        extra_params["probe"] = probe
 
     specs: list[ScenarioSpec] = []
     for k in allocations:
@@ -197,20 +172,11 @@ def run_packet_sweep(
             unit_rtt = base.rtt_ms
             if unit_rtt is None and rtt_ms is not None:
                 unit_rtt = float(rtt_ms[i % len(rtt_ms)])
-            path = base.path
-            if loss_rate > 0.0:
-                # Compose with factory paths instead of silently ignoring
-                # the sweep-level rate; a nonzero factory rate wins.
-                if path is None:
-                    path = PathConfig(loss_rate=loss_rate)
-                elif path.loss_rate == 0.0:
-                    path = replace(path, loss_rate=loss_rate)
-            flows.append(replace(base, treated=i < k, rtt_ms=unit_rtt, path=path))
+            flows.append(replace(base, treated=i < k, rtt_ms=unit_rtt))
         # The seed is inert when no RNG exists to consume it; keep it out
         # of the content key so replications cannot split the cache.
         spec_seed = seed if _consumes_seed(
-            flows, cross_traffic, queue_discipline, queue_params, extra_queues,
-            traffic_sources,
+            flows, cross_traffic, queue_discipline, extra_queues, traffic_sources
         ) else None
         specs.append(
             ScenarioSpec(
@@ -218,11 +184,11 @@ def run_packet_sweep(
                 params={
                     "flows": tuple(flows),
                     "capacity_mbps": capacity_mbps,
-                    "base_rtt_ms": base_rtt_ms,
-                    "buffer_bdp": buffer_bdp,
+                    "base_rtt_ms": BASE_RTT_MS,
+                    "buffer_bdp": BUFFER_BDP,
                     "duration_s": duration_s,
                     "warmup_s": warmup_s,
-                    "mss_bytes": mss_bytes,
+                    "mss_bytes": MSS_BYTES,
                     **extra_params,
                 },
                 seed=spec_seed,

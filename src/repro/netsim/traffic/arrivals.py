@@ -57,8 +57,9 @@ class PoissonArrivals(ArrivalProcess):
     rate_per_s: float
 
     def __post_init__(self) -> None:
-        if self.rate_per_s < 0:
-            raise ValueError("rate_per_s must be non-negative")
+        if not 0 <= self.rate_per_s < math.inf:
+            # An infinite or NaN rate would never let arrival_times return.
+            raise ValueError("rate_per_s must be finite and non-negative")
 
     def arrival_times(
         self,
@@ -66,6 +67,7 @@ class PoissonArrivals(ArrivalProcess):
         horizon_s: float,
         demand: DemandProfile | None = None,
     ) -> list[float]:
+        """Poisson arrivals in ``[0, horizon_s)``, thinned under ``demand``."""
         if self.rate_per_s <= 0.0 or horizon_s <= 0.0:
             return []
         envelope = 1.0 if demand is None else demand.max_multiplier(horizon_s)
@@ -106,4 +108,5 @@ class TraceArrivals(ArrivalProcess):
         horizon_s: float,
         demand: DemandProfile | None = None,
     ) -> list[float]:
+        """The trace's instants before ``horizon_s``; ``rng`` and ``demand`` are unused."""
         return [t for t in self.times if t < horizon_s]

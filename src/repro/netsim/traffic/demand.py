@@ -55,9 +55,11 @@ class ConstantDemand(DemandProfile):
             raise ValueError("level must be non-negative")
 
     def multiplier(self, t: float) -> float:
+        """``level`` at every time."""
         return self.level
 
     def max_multiplier(self, horizon_s: float) -> float:
+        """``level``: a flat profile is its own envelope."""
         return self.level
 
 
@@ -77,6 +79,7 @@ class RampDemand(DemandProfile):
             raise ValueError("t1 must exceed t0")
 
     def multiplier(self, t: float) -> float:
+        """``start_level`` before ``t0``, ``end_level`` after ``t1``, linear between."""
         if t <= self.t0:
             return self.start_level
         if t >= self.t1:
@@ -85,4 +88,5 @@ class RampDemand(DemandProfile):
         return self.start_level + frac * (self.end_level - self.start_level)
 
     def max_multiplier(self, horizon_s: float) -> float:
+        """The larger end of the ramp over ``[0, horizon_s]``."""
         return max(self.start_level, self.multiplier(horizon_s))

@@ -50,9 +50,11 @@ class FixedSizes(SizeSampler):
             raise ValueError("size_bytes must be non-negative")
 
     def sample(self, rng: random.Random) -> float:
+        """``size_bytes``, drawing nothing from ``rng``."""
         return float(self.size_bytes)
 
     def mean_bytes(self) -> float:
+        """``size_bytes``."""
         return float(self.size_bytes)
 
 
@@ -76,11 +78,13 @@ class ParetoSizes(SizeSampler):
             raise ValueError("alpha must be positive")
 
     def sample(self, rng: random.Random) -> float:
+        """One inverse-CDF draw from a single uniform of ``rng``."""
         # Guard against u == 0 (probability ~2**-53, but it would divide by 0).
         u = max(rng.random(), 1e-12)
         return self.min_bytes / u ** (1.0 / self.alpha)
 
     def mean_bytes(self) -> float:
+        """``alpha * min_bytes / (alpha - 1)``, infinite for ``alpha <= 1``."""
         if self.alpha <= 1.0:
             return float("inf")
         return self.alpha * self.min_bytes / (self.alpha - 1.0)

@@ -69,8 +69,8 @@ class TrafficSource:
     label: str = ""
 
     def __post_init__(self) -> None:
-        if self.rtt_ms is not None and self.rtt_ms <= 0:
-            raise ValueError("rtt_ms must be positive")
+        if self.rtt_ms is not None and not 0 < self.rtt_ms < math.inf:
+            raise ValueError("rtt_ms must be positive and finite")
         normalize_ecn(self.ecn)  # reject invalid modes at config time
 
 
@@ -89,7 +89,9 @@ class DynamicTrafficResult:
         simulation ended.
     completion_times_s:
         Flow-completion times (completion minus arrival) of the
-        completed flows, in spawn order.
+        completed flows, in spawn order; the simulation result's
+        :meth:`~repro.netsim.packet.simulation.PacketSimResult.mean_dynamic_fct_s`
+        and ``dynamic_fct_percentile`` summarize them across sources.
     bytes_acked:
         Bytes delivered across all of the source's flows, including the
         ones still in progress at the end.
@@ -101,19 +103,3 @@ class DynamicTrafficResult:
     completion_times_s: tuple[float, ...] = field(default_factory=tuple)
     bytes_acked: int = 0
 
-    def mean_fct_s(self) -> float | None:
-        """Mean flow-completion time, or ``None`` with no completions."""
-        if not self.completion_times_s:
-            return None
-        return sum(self.completion_times_s) / len(self.completion_times_s)
-
-    def p95_fct_s(self) -> float | None:
-        """95th-percentile flow-completion time (nearest-rank).
-
-        The same rank, ``ceil(0.95 n)``, as
-        :meth:`~repro.netsim.packet.simulation.PacketSimResult.dynamic_fct_percentile`.
-        """
-        if not self.completion_times_s:
-            return None
-        ordered = sorted(self.completion_times_s)
-        return ordered[math.ceil(0.95 * len(ordered)) - 1]

@@ -15,9 +15,9 @@ tests and ``repro lint`` (DET002):
   read-only snapshot dictionaries (``QueueDiscipline.probe_snapshot`` /
   ``TcpSender.probe_snapshot``) into the recorder.
 
-The knob is inert by default: ``probe=None`` everywhere, and sweep/fleet
-specs only carry a probe parameter when one is requested, so enabling a
-probe on an uncached run cannot split the result cache.
+The knob is inert by default: ``probe=None`` everywhere, and packet-arm
+and fleet specs only carry a probe parameter when one is requested, so
+enabling a probe on an uncached run cannot split the result cache.
 """
 
 from __future__ import annotations

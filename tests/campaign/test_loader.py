@@ -176,11 +176,19 @@ class TestKnobs:
             {"figure": "fig2a", "noise": "loud"},
             {"figure": "fig2a", "noise": -0.1},
             {"figure": "fig2a", "noise": True},
+            {"figure": "fig2a", "noise": float("nan")},
+            {"figure": "fig2a", "noise": float("inf")},
         ],
     )
     def test_bad_knob_values(self, stage):
         with pytest.raises(CampaignError):
             parse_campaign({"stages": [stage]})
+
+    def test_yaml_nan_noise_is_rejected(self, tmp_path):
+        # ``nan < 0`` is false, so a sign check alone let this through.
+        path = _yaml_file(tmp_path, "stages:\n  - figure: fig2a\n    noise: .nan\n")
+        with pytest.raises(CampaignError, match="noise"):
+            load_campaign(path)
 
 
 class TestSeedGrids:

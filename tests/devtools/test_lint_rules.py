@@ -527,7 +527,7 @@ class TestApi001PrivateAccess:
         diags = lint_snippet(
             tmp_path,
             """
-            from repro.experiments.lab_topology import _sweep_scale
+            from repro.experiments.lab_common import _sweep_scale
             """,
             select=["API001"],
         )
@@ -605,7 +605,7 @@ class TestApi001PrivateAccess:
         diags = lint_snippet(
             tmp_path,
             """
-            from repro.experiments.lab_topology import sweep_scale
+            from repro.experiments.lab_common import sweep_scale
             """,
             select=["API001"],
         )

@@ -10,9 +10,12 @@ These pin the two claims the dynamic-traffic subsystem exists to test:
   study conflates the launch with the ramp.
 """
 
+import argparse
+
 import pytest
 
 from repro.experiments.lab_churn import (
+    _parse_churn_rates,
     run_churn_experiment,
     run_switchback_ramp_experiment,
 )
@@ -99,6 +102,14 @@ class TestChurnExperiment:
         assert serial.bias(4.0) == parallel.bias(4.0)
         assert serial.churn[4.0] == parallel.churn[4.0]
         assert serial.figures[4.0].rows == parallel.figures[4.0].rows
+
+    @pytest.mark.parametrize("text", ["inf", "nan", "0,inf", "2,nan"])
+    def test_non_finite_churn_rates_are_a_usage_error(self, text, capsys):
+        # An infinite or NaN arrival rate used to hang the run.
+        with pytest.raises(SystemExit) as exc:
+            _parse_churn_rates(text, argparse.ArgumentParser(prog="topo_churn"))
+        assert exc.value.code == 2
+        assert "--churn-rates" in capsys.readouterr().err
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):

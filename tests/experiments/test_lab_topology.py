@@ -1,5 +1,7 @@
 """Tests for the topology experiments (RTT heterogeneity, AQM vs drop-tail)."""
 
+import argparse
+
 import pytest
 
 from repro.cli import main
@@ -11,6 +13,7 @@ from repro.experiments import (
 )
 from repro.experiments.lab_topology import (
     AqmBiasComparison,
+    _parse_rtt_spread,
     run_aqm_experiment,
     run_rtt_experiment,
 )
@@ -56,6 +59,14 @@ class TestRttExperiment:
         self, rtt_figure, packet_arm_recorders, assert_packet_arm_golden
     ):
         assert_packet_arm_golden("topo_rtt", packet_arm_recorders["topo_rtt"].specs)
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "10,nan", "20,inf"])
+    def test_non_finite_rtt_spread_is_a_usage_error(self, text, capsys):
+        # A NaN spread used to print a figure of 0 Mb/s throughputs.
+        with pytest.raises(SystemExit) as exc:
+            _parse_rtt_spread(text, argparse.ArgumentParser(prog="topo_rtt"))
+        assert exc.value.code == 2
+        assert "--rtt-spread" in capsys.readouterr().err
 
     def test_empty_rtt_spread_raises(self):
         with pytest.raises(ValueError):

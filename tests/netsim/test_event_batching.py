@@ -17,9 +17,9 @@ import pytest
 from repro.netsim.packet.engine import EventScheduler
 from repro.netsim.packet.packets import Packet, PacketPool
 from repro.netsim.packet.simulation import FlowConfig, simulate
-from repro.netsim.packet.sweep import run_packet_sweep
 from repro.netsim.packet.tcp import BBRSender, CubicSender, RenoSender
 from repro.runner.executor import ParallelExecutor
+from repro.runner.spec import ScenarioSpec
 
 #: Large-BDP bottleneck (~333 packet BDP): windows are big enough for
 #: full-size macros, so this is the regime the fidelity bounds cover.
@@ -132,62 +132,34 @@ class TestTraceEquivalence:
         assert batched_events < exact_events / 2
 
 
-class TestKnobInertness:
-    """Batching keys the cache only when it is on."""
-
-    def test_batching_on_changes_the_cache_key(self):
-        specs = {}
-        for batching in (False, True):
-            recorder = _SpecRecorder()
-            run_packet_sweep(
-                2,
-                treatment_factory=lambda i: FlowConfig(i, connections=2),
-                control_factory=lambda i: FlowConfig(i),
-                allocations=(1,),
-                event_batching=batching,
-                executor=recorder,
-            )
-            specs[batching] = recorder.specs[0]
-        assert "event_batching" not in specs[False].params
-        assert specs[True].params["event_batching"] is True
-        from repro.runner.spec import content_key
-
-        assert content_key(specs[True]) != content_key(specs[False])
-
-
 class TestBatchedSweepDeterminism:
     """jobs=1 vs jobs=4 stay bit-identical with batching enabled."""
 
-    def _sweep(self, jobs):
-        return run_packet_sweep(
-            4,
-            treatment_factory=lambda i: FlowConfig(i, cc="reno", connections=2),
-            control_factory=lambda i: FlowConfig(i, cc="reno", connections=1),
-            allocations=(0, 2, 4),
-            capacity_mbps=20.0,
-            duration_s=4.0,
-            warmup_s=1.0,
-            event_batching=True,
-            executor=ParallelExecutor(jobs=jobs),
-        )
+    def _arms(self):
+        # Batched arms of a 4-unit connection-count sweep, spelled as the
+        # ``netsim.packet_arm`` specs the fleet and benchmarks submit.
+        return [
+            ScenarioSpec(
+                task="netsim.packet_arm",
+                params={
+                    "flows": tuple(
+                        FlowConfig(i, cc="reno", connections=2 if i < k else 1, treated=i < k)
+                        for i in range(4)
+                    ),
+                    "capacity_mbps": 20.0,
+                    "duration_s": 4.0,
+                    "warmup_s": 1.0,
+                    "event_batching": True,
+                },
+            )
+            for k in (0, 2, 4)
+        ]
 
     def test_jobs4_equals_serial_with_batching(self):
-        serial = self._sweep(jobs=1)
-        parallel = self._sweep(jobs=4)
-        assert sorted(serial.results) == sorted(parallel.results)
-        for k in serial.results:
-            assert serial.results[k] == parallel.results[k]
-
-
-class _SpecRecorder:
-    """Stand-in executor capturing the specs a sweep would run."""
-
-    def __init__(self):
-        self.specs = []
-
-    def map(self, specs):
-        self.specs = list(specs)
-        return [None] * len(specs)
+        serial = ParallelExecutor(jobs=1).map(self._arms())
+        parallel = ParallelExecutor(jobs=4).map(self._arms())
+        assert serial == parallel
+        assert all(r.engine.events_processed > 0 for r in serial)
 
 
 def make_sender(cls=RenoSender, **kwargs):

@@ -98,7 +98,6 @@ class TestGoldenOutput:
             duration_s=4.0,
             warmup_s=1.0,
             queue_discipline="droptail",
-            queue_params=None,
             seed=123,  # RNG is never drawn on a loss-free drop-tail path
         )
         assert base == explicit

@@ -1,6 +1,8 @@
 """Tests for the composable network layer (paths, per-flow RTT, loss,
 cross traffic, parking-lot topologies)."""
 
+import math
+
 import pytest
 
 from repro.netsim.packet.network import (
@@ -29,8 +31,9 @@ class TestPathConfig:
             PathConfig(loss_rate=-0.1)
 
     def test_invalid_rtt_raises(self):
-        with pytest.raises(ValueError):
-            PathConfig(rtt_ms=0.0)
+        for rtt_ms in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                PathConfig(rtt_ms=rtt_ms)
 
     def test_empty_queue_sequence_raises(self):
         with pytest.raises(ValueError):
@@ -78,8 +81,9 @@ class TestPerFlowRtt:
         assert via_path == via_flow
 
     def test_invalid_flow_rtt_raises(self):
-        with pytest.raises(ValueError):
-            FlowConfig(0, rtt_ms=-1.0)
+        for rtt_ms in (-1.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                FlowConfig(0, rtt_ms=rtt_ms)
 
 
 class TestRandomLoss:
@@ -374,41 +378,33 @@ class TestAqmEndToEnd:
         assert run(2) != run(3)
 
     def test_explicit_queue_params_seed_wins(self):
-        # A seed pinned in queue_params overrides the network-level seed.
-        def run(sim_seed):
+        # A seed pinned in a queue's params overrides the network-level seed.
+        def run(sim_seed, params):
+            red = QueueConfig(name="red", capacity_mbps=20.0, discipline="red", params=params)
             return simulate(
-                [FlowConfig(i) for i in range(3)],
-                capacity_mbps=20.0, duration_s=6.0, warmup_s=2.0,
-                queue_discipline="red", queue_params={"seed": 5}, seed=sim_seed,
+                [FlowConfig(i, path=PathConfig(queues=("red",))) for i in range(3)],
+                capacity_mbps=50.0, duration_s=6.0, warmup_s=2.0,
+                extra_queues=(red,), seed=sim_seed,
             )
 
-        assert run(1) == run(2)
+        assert run(1, {"seed": 5}) == run(2, {"seed": 5})
+        # Unpinned, the network seed reaches the same queue's lottery.
+        assert run(1, {}) != run(2, {})
+
+
+def segment_chain(capacities):
+    """A parking-lot chain whose segments differ only in capacity."""
+    return tuple(
+        QueueConfig(name=f"seg{i}", capacity_mbps=float(c), buffer_bdp=1.0)
+        for i, c in enumerate(capacities)
+    )
 
 
 class TestHeterogeneousParkingLot:
     """Per-segment capacities: the binding bottleneck can migrate."""
 
-    def test_capacities_build_per_segment_queues(self):
-        queues = parking_lot_queues(3, capacities=(10.0, 20.0, 30.0))
-        assert [q.name for q in queues] == ["seg0", "seg1", "seg2"]
-        assert [q.capacity_mbps for q in queues] == [10.0, 20.0, 30.0]
-
-    def test_uniform_capacities_match_scalar_form(self):
-        assert parking_lot_queues(3, 20.0) == parking_lot_queues(
-            3, capacities=(20.0, 20.0, 20.0)
-        )
-
-    def test_exactly_one_capacity_spelling_required(self):
-        with pytest.raises(ValueError, match="exactly one"):
-            parking_lot_queues(2)
-        with pytest.raises(ValueError, match="exactly one"):
-            parking_lot_queues(2, 10.0, capacities=(10.0, 10.0))
-
-    def test_capacity_list_validated(self):
-        with pytest.raises(ValueError, match="one value per segment"):
-            parking_lot_queues(3, capacities=(10.0, 10.0))
-        with pytest.raises(ValueError, match="positive"):
-            parking_lot_queues(2, capacities=(10.0, -1.0))
+    def test_uniform_chain_is_parking_lot_queues(self):
+        assert parking_lot_queues(3, 20.0) == segment_chain((20, 20, 20))
 
     def _chain_run(self, capacities):
         # A flow spanning the whole chain congests exactly one segment:
@@ -421,7 +417,7 @@ class TestHeterogeneousParkingLot:
             capacity_mbps=50.0,
             duration_s=6.0,
             warmup_s=2.0,
-            extra_queues=parking_lot_queues(n, capacities=capacities),
+            extra_queues=segment_chain(capacities),
         )
 
     def test_binding_bottleneck_follows_the_narrow_segment(self):
@@ -459,7 +455,7 @@ class TestHeterogeneousParkingLot:
                 capacity_mbps=50.0,
                 duration_s=6.0,
                 warmup_s=2.0,
-                extra_queues=parking_lot_queues(2, capacities=(10.0, 25.0)),
+                extra_queues=segment_chain((10.0, 25.0)),
             )
 
         balanced = run(False)

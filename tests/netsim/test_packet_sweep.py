@@ -3,7 +3,12 @@
 import pytest
 
 from repro.core.estimands import AllocationSweep
-from repro.netsim.packet.network import PathConfig, parking_lot_path, parking_lot_queues
+from repro.netsim.packet.network import (
+    PathConfig,
+    QueueConfig,
+    parking_lot_path,
+    parking_lot_queues,
+)
 from repro.netsim.packet.simulation import FlowConfig
 from repro.netsim.packet.sweep import run_packet_sweep
 from repro.runner.cache import ResultCache
@@ -101,54 +106,20 @@ class TestPacketSweep:
             )
 
 
-class TestLossRateComposition:
-    """Regression: ``loss_rate`` must compose with factory-supplied paths
-    instead of being silently ignored."""
-
-    def _specs(self, factory, loss_rate):
-        recorder = SpecRecorder()
-        run_packet_sweep(
-            2,
-            treatment_factory=factory,
-            control_factory=factory,
-            allocations=(1,),
-            loss_rate=loss_rate,
-            seed=3,
-            executor=recorder,
-        )
-        (spec,) = recorder.specs
-        return spec
-
-    def test_factory_path_without_loss_picks_up_sweep_rate(self):
-        factory = lambda i: FlowConfig(i, path=PathConfig(rtt_ms=40.0))  # noqa: E731
-        spec = self._specs(factory, loss_rate=0.02)
-        for flow in spec.params["flows"]:
-            assert flow.path.loss_rate == 0.02
-            assert flow.path.rtt_ms == 40.0  # the rest of the path survives
-
-    def test_explicit_factory_loss_rate_wins(self):
-        factory = lambda i: FlowConfig(i, path=PathConfig(loss_rate=0.3))  # noqa: E731
-        spec = self._specs(factory, loss_rate=0.02)
-        for flow in spec.params["flows"]:
-            assert flow.path.loss_rate == 0.3
-
-    def test_no_factory_path_still_gets_loss_segment(self):
-        spec = self._specs(lambda i: FlowConfig(i), loss_rate=0.05)
-        for flow in spec.params["flows"]:
-            assert flow.path.loss_rate == 0.05
-
-    def test_composed_loss_actually_drops_packets(self):
-        # Plenty of capacity: without the composed loss segment no packet
-        # would ever be lost; with it, losses appear despite empty queues.
+class TestLossyFactoryPaths:
+    def test_factory_loss_actually_drops_packets(self):
+        # Plenty of capacity: without the factory paths' loss segment no
+        # packet would ever be lost; with it, losses appear despite empty
+        # queues.
+        lossy = PathConfig(rtt_ms=30.0, loss_rate=0.03)
         sweep = run_packet_sweep(
             2,
-            treatment_factory=lambda i: FlowConfig(i, path=PathConfig(rtt_ms=30.0)),
-            control_factory=lambda i: FlowConfig(i, path=PathConfig(rtt_ms=30.0)),
+            treatment_factory=lambda i: FlowConfig(i, path=lossy),
+            control_factory=lambda i: FlowConfig(i, path=lossy),
             allocations=(1,),
             capacity_mbps=100.0,
             duration_s=5.0,
             warmup_s=1.0,
-            loss_rate=0.03,
             seed=1,
         )
         result = sweep.results[1]
@@ -160,12 +131,12 @@ class TestInertSeedNormalization:
     """Regression: a seed with no RNG consumer must not enter the content
     key (it used to split the cache across identical replications)."""
 
-    def _spec_seed(self, seed=7, **sweep_kwargs):
+    def _spec_seed(self, seed=7, factory=FlowConfig, **sweep_kwargs):
         recorder = SpecRecorder()
         run_packet_sweep(
             2,
-            treatment_factory=lambda i: FlowConfig(i),
-            control_factory=lambda i: FlowConfig(i),
+            treatment_factory=factory,
+            control_factory=factory,
             allocations=(1,),
             seed=seed,
             executor=recorder,
@@ -184,20 +155,20 @@ class TestInertSeedNormalization:
         assert self._spec_seed(queue_discipline="red") == 7
 
     def test_seed_normalized_when_red_seed_pinned_in_params(self):
-        assert self._spec_seed(
-            queue_discipline="red", queue_params={"seed": 5}
-        ) is None
+        red = QueueConfig(name="red", capacity_mbps=20.0, discipline="red", params={"seed": 5})
+        assert self._spec_seed(extra_queues=(red,)) is None
 
     def test_seed_kept_for_lossy_paths(self):
-        assert self._spec_seed(loss_rate=0.01) == 7
+        lossy = PathConfig(loss_rate=0.01)
+        assert self._spec_seed(factory=lambda i: FlowConfig(i, path=lossy)) == 7
 
     def test_seed_kept_for_lossy_cross_traffic(self):
         cross = (FlowConfig(100, path=PathConfig(loss_rate=0.02)),)
         assert self._spec_seed(cross_traffic=cross) == 7
 
     def test_seed_kept_for_seeded_extra_queue(self):
-        extra = parking_lot_queues(2, 20.0, discipline="red")
-        assert self._spec_seed(extra_queues=extra) == 7
+        red = QueueConfig(name="red", capacity_mbps=20.0, discipline="red")
+        assert self._spec_seed(extra_queues=(red,)) == 7
 
     def test_different_seeds_share_cache_when_inert(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -249,7 +220,7 @@ class TestSweepTopologyKnobs:
 
 class TestFactoryFieldsSurvive:
     def test_finite_transfers_complete_as_in_simulate(self):
-        # The sweep sets only ``treated`` (and composes RTT/path): a
+        # The sweep sets only ``treated`` (and the RTT profile's RTT): a
         # factory's finite transfer must reach the arm, so each flow's
         # completion matches a direct simulation of the same configs.
         from dataclasses import replace

@@ -1,6 +1,7 @@
 """Tests for the dynamic-traffic subsystem (sizes, arrivals, demand,
 sources through the simulator)."""
 
+import math
 import random
 
 import pytest
@@ -127,8 +128,10 @@ class TestArrivalProcesses:
         assert a == b
 
     def test_process_validation(self):
-        with pytest.raises(ValueError):
-            PoissonArrivals(-1.0)
+        # An infinite or NaN rate would keep arrival_times from returning.
+        for rate in (-1.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                PoissonArrivals(rate)
 
 
 class TestDemandProfiles:
@@ -165,45 +168,54 @@ class TestDemandProfiles:
             RampDemand(t0=5.0, t1=5.0)
 
 
+def pooled(*completion_times):
+    """A hand-built result whose sources completed ``completion_times``."""
+    return PacketSimResult(
+        flows=[],
+        duration_s=1.0,
+        capacity_mbps=1.0,
+        total_drops=0,
+        max_queue_occupancy_bytes=0.0,
+        traffic={
+            f"source{i}": DynamicTrafficResult(f"source{i}", completion_times_s=times)
+            for i, times in enumerate(completion_times)
+        },
+    )
+
+
 class TestDynamicTrafficResult:
     def test_no_completions_have_no_fct(self):
-        stats = DynamicTrafficResult("bg", flows_started=3)
-        assert stats.mean_fct_s() is None
-        assert stats.p95_fct_s() is None
+        result = pooled(())
+        assert result.mean_dynamic_fct_s() is None
+        assert result.dynamic_fct_percentile(95.0) is None
 
     def test_fct_summaries_nearest_rank(self):
-        stats = DynamicTrafficResult(
-            "bg", completion_times_s=tuple(float(t) for t in range(20, 0, -1))
-        )
-        assert stats.mean_fct_s() == pytest.approx(10.5)
-        assert stats.p95_fct_s() == 19.0
+        result = pooled(tuple(float(t) for t in range(20, 0, -1)))
+        assert result.mean_dynamic_fct_s() == pytest.approx(10.5)
+        assert result.dynamic_fct_percentile(95.0) == 19.0
 
     def test_single_completion_is_its_own_p95(self):
-        stats = DynamicTrafficResult("bg", completion_times_s=(0.25,))
-        assert stats.p95_fct_s() == 0.25
+        assert pooled((0.25,)).dynamic_fct_percentile(95.0) == 0.25
 
     def test_p95_matches_the_pooled_percentile(self):
-        # Both are nearest rank, ceil(0.95 n); with completions 1..11 s a
-        # rounded rank, int(0.95 n + 0.5), would give 10.0 against 11.0.
+        # Nearest rank, ceil(0.95 n), over every source's completions:
+        # with completions 1..11 s a rounded rank, int(0.95 n + 0.5),
+        # would give 10.0 against 11.0.
         for n in range(1, 61):
-            stats = DynamicTrafficResult(
-                "bg", completion_times_s=tuple(float(t) for t in range(n, 0, -1))
-            )
-            pooled = PacketSimResult(
-                flows=[],
-                duration_s=1.0,
-                capacity_mbps=1.0,
-                total_drops=0,
-                max_queue_occupancy_bytes=0.0,
-                traffic={"bg": stats},
-            )
-            assert stats.p95_fct_s() == pooled.dynamic_fct_percentile(95.0), n
+            times = [float(t) for t in range(n, 0, -1)]
+            result = pooled(tuple(times[::2]), tuple(times[1::2]))
+            assert result.dynamic_fct_percentile(95.0) == math.ceil(0.95 * n), n
 
 
 class TestTrafficSourceValidation:
     def test_non_positive_rtt_rejected(self):
         with pytest.raises(ValueError):
             TrafficSource(arrivals=PoissonArrivals(1.0), sizes=FixedSizes(1.0), rtt_ms=0.0)
+
+    @pytest.mark.parametrize("rtt_ms", [math.inf, math.nan])
+    def test_non_finite_rtt_rejected(self, rtt_ms):
+        with pytest.raises(ValueError, match="finite"):
+            TrafficSource(arrivals=PoissonArrivals(1.0), sizes=FixedSizes(1.0), rtt_ms=rtt_ms)
 
     def test_unknown_ecn_mode_rejected(self):
         with pytest.raises(ValueError):
@@ -235,8 +247,8 @@ class TestTrafficSourceThroughSimulate:
         assert len(stats.completion_times_s) == stats.flows_completed
         assert all(fct > 0 for fct in stats.completion_times_s)
         assert stats.bytes_acked > 0
-        assert stats.mean_fct_s() > 0
-        assert stats.p95_fct_s() >= stats.mean_fct_s() * 0.5
+        assert result.mean_dynamic_fct_s() > 0
+        assert result.dynamic_fct_percentile(95.0) >= result.mean_dynamic_fct_s() * 0.5
 
     def test_dynamic_flows_are_unmeasured(self):
         result = self._run()
@@ -262,7 +274,8 @@ class TestTrafficSourceThroughSimulate:
         started, completed = result.dynamic_flow_counts()
         assert started == result.traffic["bg"].flows_started
         assert completed == result.traffic["bg"].flows_completed
-        assert result.mean_dynamic_fct_s() == result.traffic["bg"].mean_fct_s()
+        times = result.traffic["bg"].completion_times_s
+        assert result.mean_dynamic_fct_s() == sum(times) / len(times)
 
     def test_no_sources_keeps_result_static(self):
         static = simulate(

@@ -150,23 +150,3 @@ class TestContentKeyInertness:
             inspect.signature(fleet_shard_arm).parameters["probe_interval_s"].default
             == 0.0
         )
-
-    def test_sweep_results_unchanged_by_probing(self):
-        from repro.netsim.packet.simulation import FlowConfig
-        from repro.netsim.packet.sweep import run_packet_sweep
-
-        def factory(i):
-            return FlowConfig(flow_id=i)
-
-        kwargs = dict(
-            n_units=2,
-            treatment_factory=factory,
-            control_factory=factory,
-            allocations=(0, 2),
-            capacity_mbps=10.0,
-            duration_s=1.0,
-            warmup_s=0.25,
-        )
-        plain = run_packet_sweep(**kwargs)
-        probed = run_packet_sweep(**kwargs, probe=ProbeConfig(interval_s=0.25))
-        assert plain.tte("throughput_mbps") == probed.tte("throughput_mbps")

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro.experiments import PairedLinkExperiment
+from repro.netsim.packet.network import PathConfig, QueueConfig
 from repro.netsim.packet.simulation import FlowConfig
 from repro.netsim.packet.sweep import run_packet_sweep
 from repro.runner import ParallelExecutor
@@ -54,13 +55,13 @@ class TestTopologySweepParallel:
     def _topology_sweep(self, jobs):
         # Exercises all three new axes at once: AQM discipline, per-unit
         # RTT spread and a random-loss segment (seeded).
+        lossy = PathConfig(loss_rate=0.005)
         return run_packet_sweep(
             4,
-            treatment_factory=lambda i: FlowConfig(i, cc="reno", connections=2),
-            control_factory=lambda i: FlowConfig(i, cc="reno", connections=1),
+            treatment_factory=lambda i: FlowConfig(i, cc="reno", connections=2, path=lossy),
+            control_factory=lambda i: FlowConfig(i, cc="reno", connections=1, path=lossy),
             queue_discipline="codel",
             rtt_ms=(10.0, 30.0),
-            loss_rate=0.005,
             seed=5,
             executor=ParallelExecutor(jobs=jobs),
             **PACKET_KWARGS,
@@ -74,13 +75,15 @@ class TestTopologySweepParallel:
             assert serial.results[k] == parallel.results[k]
 
     def test_red_sweep_jobs4_equals_serial(self):
+        red = QueueConfig(name="red", capacity_mbps=20.0, discipline="red", params={"weight": 0.05})
+        path = PathConfig(queues=("red",))
+
         def sweep(jobs):
             return run_packet_sweep(
                 4,
-                treatment_factory=lambda i: FlowConfig(i, connections=2),
-                control_factory=lambda i: FlowConfig(i),
-                queue_discipline="red",
-                queue_params={"weight": 0.05},
+                treatment_factory=lambda i: FlowConfig(i, connections=2, path=path),
+                control_factory=lambda i: FlowConfig(i, path=path),
+                extra_queues=(red,),
                 seed=11,
                 executor=ParallelExecutor(jobs=jobs),
                 **PACKET_KWARGS,

@@ -162,6 +162,28 @@ class TestCommands:
             main(["fleet", "--quick", "--edges", "-2"])
         assert "--edges" in capsys.readouterr().err
 
+    def test_fleet_edges_below_region_count_is_a_usage_error(self, capsys):
+        # Four regions need four edges; this used to die in FleetSpec
+        # with a ValueError traceback.
+        with pytest.raises(SystemExit) as exc:
+            main(["fleet", "--quick", "--edges", "3"])
+        assert exc.value.code == 2
+        assert "--edges" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("probe", ["nan", "inf"])
+    def test_fleet_non_finite_probe_is_a_usage_error(self, probe, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["fleet", "--quick", "--units", "8", "--edges", "4", "--probe", probe])
+        assert exc.value.code == 2
+        assert "--probe" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("noise", ["-1", "nan", "inf"])
+    def test_sweep_invalid_noise_is_a_usage_error(self, noise, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "fig2a", "--replications", "1", "--noise", noise])
+        assert exc.value.code == 2
+        assert "--noise" in capsys.readouterr().err
+
     def test_invalid_rtt_spread_rejected(self):
         with pytest.raises(SystemExit):
             main(["topo_rtt", "--quick", "--rtt-spread", "10,-4"])

@@ -7,12 +7,16 @@ removed names and options back.
 """
 
 import importlib
+import inspect
 
 import pytest
 
 from repro.core.assignment import interval_assignment
 from repro.netsim.packet.engine import EventScheduler
+from repro.netsim.packet.network import Network, parking_lot_path, parking_lot_queues
 from repro.netsim.packet.queue import make_queue
+from repro.netsim.packet.simulation import simulate
+from repro.netsim.packet.sweep import run_packet_sweep
 
 DELETED = [
     ("repro.core.units", "Unit"),
@@ -43,6 +47,8 @@ DELETED = [
     ("repro.netsim.packet.engine", "EventScheduler.step"),
     ("repro.netsim.packet.engine", "EventScheduler.schedule_in"),
     ("repro.netsim.packet.engine", "EventScheduler.__len__"),
+    ("repro.netsim.traffic.source", "DynamicTrafficResult.mean_fct_s"),
+    ("repro.netsim.traffic.source", "DynamicTrafficResult.p95_fct_s"),
 ]
 
 
@@ -85,3 +91,42 @@ def _queue(discipline, **params):
 def test_removed_option_is_rejected(build):
     with pytest.raises(TypeError):
         build()
+
+
+#: Packet-layer keywords no figure, campaign, example or benchmark set.
+#: A sweep arm's geometry is the paper's (20 ms, one BDP, 1500 bytes), a
+#: lossy arm is a factory path with a ``loss_rate``, a tuned or seeded
+#: queue is a ``QueueConfig`` in ``extra_queues``, and batched or probed
+#: arms are hand-built ``netsim.packet_arm`` specs.
+REMOVED_KEYWORDS = [
+    *(
+        (run_packet_sweep, keyword)
+        for keyword in (
+            "base_rtt_ms",
+            "buffer_bdp",
+            "mss_bytes",
+            "queue_params",
+            "loss_rate",
+            "event_batching",
+            "probe",
+        )
+    ),
+    (simulate, "queue_params"),
+    (Network, "queue_params"),
+    *(
+        (parking_lot_queues, keyword)
+        for keyword in ("capacities", "buffer_bdp", "discipline", "params")
+    ),
+    (parking_lot_path, "rtt_ms"),
+    (parking_lot_path, "loss_rate"),
+]
+
+
+@pytest.mark.parametrize(
+    ("function", "keyword"),
+    REMOVED_KEYWORDS,
+    ids=[f"{function.__name__}-{keyword}" for function, keyword in REMOVED_KEYWORDS],
+)
+def test_removed_keyword_raises_type_error(function, keyword):
+    with pytest.raises(TypeError):
+        inspect.signature(function).bind_partial(**{keyword: None})

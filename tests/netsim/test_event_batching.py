@@ -3,8 +3,8 @@
 Batching is an *approximation* knob: batched traces differ from
 unbatched ones, so these tests pin two different contracts:
 
-* mechanics — macro sizing, counter scaling, pooling and cache keying
-  are exact properties, asserted exactly;
+* mechanics — macro sizing, counter scaling, pooling and worker-count
+  invariance are exact properties, asserted exactly;
 * fidelity — a batched run must reproduce the unbatched run's
   sender-visible metrics within stated tolerances at large windows (the
   regime batching targets).  Per-flow shares at small windows are

@@ -18,6 +18,7 @@ from repro.netsim.fluid.application import Application
 from repro.netsim.fluid.link import BottleneckLink, loss_probability
 from repro.netsim.fluid.competition import (
     CompetitionModel,
+    UnitColumns,
     allocate_throughput,
     allocate_throughput_reference,
     link_loss_rate,
@@ -35,6 +36,7 @@ __all__ = [
     "Application",
     "BottleneckLink",
     "CompetitionModel",
+    "UnitColumns",
     "allocate_throughput",
     "allocate_throughput_reference",
     "link_loss_rate",

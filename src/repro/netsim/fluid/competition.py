@@ -28,6 +28,7 @@ removing burst losses.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from collections.abc import Sequence
 
@@ -38,6 +39,7 @@ from repro.netsim.fluid.link import BottleneckLink
 
 __all__ = [
     "CompetitionModel",
+    "UnitColumns",
     "allocate_throughput",
     "allocate_throughput_reference",
     "link_loss_rate",
@@ -81,8 +83,8 @@ class CompetitionModel:
             raise ValueError("bbr_aggregate_share must be in (0, 1)")
         if not 0.0 < self.pacing_loss_floor <= 1.0:
             raise ValueError("pacing_loss_floor must be in (0, 1]")
-        if self.cubic_weight <= 0.0:
-            raise ValueError("cubic_weight must be positive")
+        if not 0.0 < self.cubic_weight < math.inf:
+            raise ValueError("cubic_weight must be positive and finite")
 
     def connection_weight(self, app: Application) -> float:
         """Competitive weight of one of the application's connections."""
@@ -94,84 +96,106 @@ class CompetitionModel:
         return weight
 
 
-def _validate(applications: Sequence[Application]) -> None:
+def _validate(app_ids: Sequence[int]) -> None:
     """Shared argument validation for the allocation entry points."""
-    if not applications:
+    if not app_ids:
         raise ValueError("at least one application is required")
-    ids = [a.app_id for a in applications]
-    if len(set(ids)) != len(ids):
+    if len(set(app_ids)) != len(app_ids):
         raise ValueError("application ids must be unique")
 
 
-def _app_arrays(
-    applications: Sequence[Application], model: CompetitionModel
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Columnar view of an application list: the fluid model's working set.
+@dataclass(frozen=True, eq=False)
+class UnitColumns:
+    """Applications as columns: the fluid model's working set.
 
-    Returns ``(connections, is_bbr, weights, paced)`` where ``weights`` is
-    each application's total competitive weight (connections x
-    per-connection weight) and BBR applications carry weight 0.
+    Entry ``i`` of every array describes unit ``i``.  A lab sweep builds
+    one record from its treated and one from its control applications,
+    and each arm picks its units from the two with :meth:`where`, so no
+    :class:`Application` is built or copied per arm.
+
+    Attributes
+    ----------
+    app_id:
+        Application ids (unique within one allocation).
+    connections:
+        Parallel TCP connections of each unit, as floats.
+    is_bbr, cubic, paced:
+        Whether each unit runs BBR, runs Cubic, or paces its connections.
     """
-    n = len(applications)
-    connections = np.empty(n, dtype=float)
-    is_bbr = np.empty(n, dtype=bool)
-    paced = np.empty(n, dtype=bool)
-    cubic = np.empty(n, dtype=bool)
-    for i, app in enumerate(applications):
-        connections[i] = app.connections
-        is_bbr[i] = app.cc == "bbr"
-        paced[i] = app.paced
-        cubic[i] = app.cc == "cubic"
-    per_connection = np.ones(n, dtype=float)
-    per_connection[cubic] *= model.cubic_weight
-    per_connection[paced & ~is_bbr] *= model.paced_weight
-    weights = np.where(is_bbr, 0.0, connections * per_connection)
-    return connections, is_bbr, weights, paced
 
+    app_id: np.ndarray
+    connections: np.ndarray
+    is_bbr: np.ndarray
+    cubic: np.ndarray
+    paced: np.ndarray
 
-def _allocate_arrays(
-    capacity_mbps: float,
-    connections: np.ndarray,
-    is_bbr: np.ndarray,
-    weights: np.ndarray,
-    model: CompetitionModel,
-) -> np.ndarray:
-    """Vectorized aggregate split + weighted shares; one bottleneck link."""
-    n_bbr = float(connections[is_bbr].sum())
-    loss_weight = float(weights.sum())
-    if n_bbr > 0 and loss_weight > 0:
-        bbr_capacity = capacity_mbps * model.bbr_aggregate_share
-        loss_capacity = capacity_mbps - bbr_capacity
-    elif n_bbr > 0:
-        bbr_capacity, loss_capacity = capacity_mbps, 0.0
-    else:
-        bbr_capacity, loss_capacity = 0.0, capacity_mbps
-    bbr_share = connections * (bbr_capacity / n_bbr) if n_bbr else connections * 0.0
-    loss_share = weights * (loss_capacity / loss_weight) if loss_weight else weights * 0.0
-    return np.where(is_bbr, bbr_share, loss_share)
+    @classmethod
+    def from_applications(cls, applications: Sequence[Application]) -> "UnitColumns":
+        """The columns of an application list, in list order."""
+        return cls(
+            app_id=np.array([a.app_id for a in applications], dtype=np.int64),
+            connections=np.array([a.connections for a in applications], dtype=float),
+            is_bbr=np.array([a.cc == "bbr" for a in applications], dtype=bool),
+            cubic=np.array([a.cc == "cubic" for a in applications], dtype=bool),
+            paced=np.array([a.paced for a in applications], dtype=bool),
+        )
+
+    def __len__(self) -> int:
+        return len(self.app_id)
+
+    def where(self, mask: np.ndarray, other: "UnitColumns") -> "UnitColumns":
+        """Unit ``i`` of ``self`` where ``mask[i]`` holds, of ``other`` elsewhere."""
+        return UnitColumns(
+            app_id=np.where(mask, self.app_id, other.app_id),
+            connections=np.where(mask, self.connections, other.connections),
+            is_bbr=np.where(mask, self.is_bbr, other.is_bbr),
+            cubic=np.where(mask, self.cubic, other.cubic),
+            paced=np.where(mask, self.paced, other.paced),
+        )
+
+    def weights(self, model: CompetitionModel) -> np.ndarray:
+        """Each unit's total competitive weight (connections x
+        per-connection weight); BBR units carry weight 0."""
+        per_connection = np.where(self.cubic, model.cubic_weight, 1.0)
+        paced = self.paced & ~self.is_bbr
+        per_connection = np.where(paced, per_connection * model.paced_weight, per_connection)
+        return np.where(self.is_bbr, 0.0, self.connections * per_connection)
 
 
 def allocate_throughput(
     link: BottleneckLink,
-    applications: Sequence[Application],
+    units: UnitColumns,
     model: CompetitionModel | None = None,
-) -> dict[int, float]:
-    """Long-term average throughput (Mb/s) of each application.
+) -> np.ndarray:
+    """Long-term average throughput (Mb/s) of each unit, in unit order.
 
     The allocation first splits capacity between the BBR aggregate and the
     loss-based aggregate (see :class:`CompetitionModel`), then divides each
     aggregate among its connections in proportion to their competitive
     weights, and finally sums an application's connections.
 
-    The inner step is numpy-vectorized (no per-application Python loop);
-    :func:`allocate_throughput_reference` keeps the scalar path, pinned
-    equal to this one by tests and raced against it in ``benchmarks/``.
+    The work is numpy over the unit columns (no per-application Python
+    loop); :func:`allocate_throughput_reference` keeps the scalar path,
+    pinned equal to this one by tests and raced against it in
+    ``benchmarks/``.
     """
-    _validate(applications)
+    _validate(units.app_id.tolist())
     model = model or CompetitionModel()
-    connections, is_bbr, weights, _ = _app_arrays(applications, model)
-    shares = _allocate_arrays(link.capacity_mbps, connections, is_bbr, weights, model)
-    return {app.app_id: float(share) for app, share in zip(applications, shares)}
+    connections, is_bbr = units.connections, units.is_bbr
+    weights = units.weights(model)
+    n_bbr = float(connections[is_bbr].sum())
+    loss_weight = float(weights.sum())
+    capacity = link.capacity_mbps
+    if n_bbr > 0 and loss_weight > 0:
+        bbr_capacity = capacity * model.bbr_aggregate_share
+        loss_capacity = capacity - bbr_capacity
+    elif n_bbr > 0:
+        bbr_capacity, loss_capacity = capacity, 0.0
+    else:
+        bbr_capacity, loss_capacity = 0.0, capacity
+    bbr_share = connections * (bbr_capacity / n_bbr) if n_bbr else connections * 0.0
+    loss_share = weights * (loss_capacity / loss_weight) if loss_weight else weights * 0.0
+    return np.where(is_bbr, bbr_share, loss_share)
 
 
 def allocate_throughput_reference(
@@ -180,7 +204,7 @@ def allocate_throughput_reference(
     model: CompetitionModel | None = None,
 ) -> dict[int, float]:
     """Scalar (per-application Python loop) reference for :func:`allocate_throughput`."""
-    _validate(applications)
+    _validate([a.app_id for a in applications])
     model = model or CompetitionModel()
 
     n_bbr = sum(a.connections for a in applications if a.cc == "bbr")
@@ -212,12 +236,14 @@ def allocate_throughput_reference(
 
 def link_loss_rate(
     link: BottleneckLink,
-    applications: Sequence[Application],
+    units: UnitColumns,
+    shares: np.ndarray,
     model: CompetitionModel | None = None,
 ) -> float:
     """Steady-state packet loss (retransmission) rate at the bottleneck.
 
-    All flows cross the same drop-tail queue, so every application observes
+    ``shares`` is :func:`allocate_throughput` of the same ``units``.  All
+    flows cross the same drop-tail queue, so every application observes
     (approximately) the same loss rate — this is why the within-test
     retransmission comparison in the paper's lab A/B tests shows no
     difference between arms even when the total loss rate changes a lot
@@ -230,18 +256,16 @@ def link_loss_rate(
     traffic is present, the loss rate is BBR's ~2x-BDP overshoot loss,
     which is small for a 1-BDP buffer.
     """
-    _validate(applications)
+    if shares.shape != units.connections.shape:
+        raise ValueError("shares must hold one value per unit")
     model = model or CompetitionModel()
-
-    connections, is_bbr, weights, paced = _app_arrays(applications, model)
-    shares = _allocate_arrays(link.capacity_mbps, connections, is_bbr, weights, model)
-    loss_based = ~is_bbr
+    loss_based = ~units.is_bbr
     if not loss_based.any():
         # BBR-only: losses come from BBR's periodic probing overshooting the
         # 1-BDP buffer; small and independent of the number of flows.
         return 0.001
 
-    total_loss_connections = float(connections[loss_based].sum())
+    total_loss_connections = float(units.connections[loss_based].sum())
     total_loss_throughput = float(shares[loss_based].sum())
     per_connection_mbps = total_loss_throughput / total_loss_connections
     if per_connection_mbps <= 0:
@@ -249,7 +273,7 @@ def link_loss_rate(
 
     p = link.loss_probability(per_connection_mbps)
 
-    paced_bytes = float(shares[loss_based & paced].sum())
+    paced_bytes = float(shares[loss_based & units.paced].sum())
     paced_fraction = paced_bytes / total_loss_throughput if total_loss_throughput else 0.0
     burst_factor = model.pacing_loss_floor + (1.0 - model.pacing_loss_floor) * (
         1.0 - paced_fraction
@@ -263,7 +287,7 @@ def link_loss_rate_reference(
     model: CompetitionModel | None = None,
 ) -> float:
     """Scalar (per-application Python loop) reference for :func:`link_loss_rate`."""
-    _validate(applications)
+    _validate([a.app_id for a in applications])
     model = model or CompetitionModel()
 
     throughput = allocate_throughput_reference(link, applications, model)

@@ -12,12 +12,16 @@ result the packet-level sweep returns, so the causal machinery of
 :mod:`repro.core` applies directly to the lab data — the same workflow an
 experimenter would follow.  Each arm is a closed-form allocation, so the
 sweeps run their arms in this process rather than through the runner.
+A sweep builds its treated and its control units once, as
+:class:`~repro.netsim.fluid.competition.UnitColumns`, and each arm picks
+its units from the two.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Sequence
 
 import numpy as np
 
@@ -25,6 +29,7 @@ from repro.core.estimands import AllocationSweep
 from repro.netsim.fluid.application import Application
 from repro.netsim.fluid.competition import (
     CompetitionModel,
+    UnitColumns,
     allocate_throughput,
     link_loss_rate,
 )
@@ -41,43 +46,66 @@ __all__ = [
 LAB_METRICS: tuple[str, ...] = ("throughput_mbps", "retransmit_fraction")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LabExperimentResult:
     """Per-application outcomes of one lab run at a fixed allocation.
 
+    Entry ``i`` of every array belongs to unit ``i`` of the run.
+
     Attributes
     ----------
-    applications:
-        The applications in the run (treatment configuration already applied).
+    treated:
+        Whether each unit is in the treatment group.
     throughput_mbps:
-        Average long-term throughput of each application, keyed by app id.
+        Average long-term throughput of each unit.
     retransmit_fraction:
-        Fraction of bytes retransmitted by each application, keyed by app id.
+        Fraction of bytes each unit retransmitted.
     """
 
-    applications: tuple[Application, ...]
-    throughput_mbps: Mapping[int, float]
-    retransmit_fraction: Mapping[int, float]
+    treated: np.ndarray
+    throughput_mbps: np.ndarray
+    retransmit_fraction: np.ndarray
 
     def group_mean(self, metric: str, treated: bool) -> float:
         """Mean of a metric over the treated or control applications."""
-        values = self.group_values(metric, treated)
-        if not values:
+        if metric not in LAB_METRICS:
+            raise KeyError(f"unknown lab metric {metric!r}; expected one of {LAB_METRICS}")
+        values = getattr(self, metric)[self.treated if treated else ~self.treated]
+        if not values.size:
             raise ValueError(
                 f"no {'treated' if treated else 'control'} applications in this run"
             )
         return float(np.mean(values))
 
-    def group_values(self, metric: str, treated: bool) -> list[float]:
-        """Per-application values of a metric for one arm."""
-        if metric not in LAB_METRICS:
-            raise KeyError(f"unknown lab metric {metric!r}; expected one of {LAB_METRICS}")
-        source = (
-            self.throughput_mbps if metric == "throughput_mbps" else self.retransmit_fraction
-        )
-        return [
-            float(source[a.app_id]) for a in self.applications if a.treated == treated
-        ]
+
+def _check_noise(noise: float) -> None:
+    if not 0.0 <= noise < math.inf:
+        raise ValueError(f"noise must be non-negative and finite, got {noise!r}")
+
+
+def _run_arm(
+    link: BottleneckLink,
+    units: UnitColumns,
+    model: CompetitionModel,
+    noise: float,
+    seed: int | None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each unit's noisy throughput and retransmit fraction on a shared link.
+
+    Unit ``i``'s throughput is scaled by ``1 + draws[2i]`` and its
+    retransmit fraction by ``1 + draws[2i + 1]``, where ``draws`` is one
+    normal draw of ``2n`` values from ``seed``: the values, in order, of
+    drawing a throughput and then a retransmit factor for each unit.
+    """
+    shares = allocate_throughput(link, units, model)
+    loss = link_loss_rate(link, units, shares, model)
+    n = len(units)
+    if noise > 0:
+        draws = np.random.default_rng(seed).normal(0.0, noise, size=2 * n)
+    else:
+        draws = np.zeros(2 * n)
+    factors = 1.0 + draws
+    return np.maximum(shares * factors[0::2], 0.0), np.clip(loss * factors[1::2], 0.0, 1.0)
 
 
 def run_lab_experiment(
@@ -103,38 +131,16 @@ def run_lab_experiment(
     seed:
         Seed for the measurement noise.
     """
-    link = link or BottleneckLink()
-    model = model or CompetitionModel()
-    throughput = allocate_throughput(link, applications, model)
-    loss = link_loss_rate(link, applications, model)
-
-    rng = np.random.default_rng(seed)
-    noisy_throughput: dict[int, float] = {}
-    noisy_retrans: dict[int, float] = {}
-    for app in applications:
-        t_factor = 1.0 + (rng.normal(0.0, noise) if noise > 0 else 0.0)
-        r_factor = 1.0 + (rng.normal(0.0, noise) if noise > 0 else 0.0)
-        noisy_throughput[app.app_id] = max(throughput[app.app_id] * t_factor, 0.0)
-        noisy_retrans[app.app_id] = float(np.clip(loss * r_factor, 0.0, 1.0))
-
-    return LabExperimentResult(
-        applications=tuple(applications),
-        throughput_mbps=noisy_throughput,
-        retransmit_fraction=noisy_retrans,
+    _check_noise(noise)
+    throughput, retransmit = _run_arm(
+        link or BottleneckLink(),
+        UnitColumns.from_applications(applications),
+        model or CompetitionModel(),
+        noise,
+        seed,
     )
-
-
-def _arm_applications(
-    n_units: int,
-    n_treated: int,
-    treatment_factory: Callable[[int], Application],
-    control_factory: Callable[[int], Application],
-) -> list[Application]:
-    """The applications of one sweep arm: the first ``n_treated`` ids treated."""
-    return [
-        treatment_factory(i).as_treated() if i < n_treated else control_factory(i).as_control()
-        for i in range(n_units)
-    ]
+    treated = np.array([a.treated for a in applications], dtype=bool)
+    return LabExperimentResult(treated, throughput, retransmit)
 
 
 def run_lab_sweep(
@@ -155,23 +161,31 @@ def run_lab_sweep(
     treatment_factory, control_factory:
         Callables mapping an application id to a treated / control
         :class:`Application`.  The first ``k`` ids are treated in the run
-        with ``k`` treated units.
+        with ``k`` treated units.  Each factory is called once per id.
     link, model, noise:
-        Passed through to :func:`run_lab_experiment`.
+        As for :func:`run_lab_experiment`.
     seed:
         The run with ``k`` treated units draws its noise from ``seed + k``.
     """
     if n_units < 1:
         raise ValueError("n_units must be at least 1")
+    _check_noise(noise)
+    link = link or BottleneckLink()
+    model = model or CompetitionModel()
+    treated_units = UnitColumns.from_applications([treatment_factory(i) for i in range(n_units)])
+    control_units = UnitColumns.from_applications([control_factory(i) for i in range(n_units)])
+    index = np.arange(n_units)
     sweep = AllocationSweep(n_units)
     for k in range(n_units + 1):
-        sweep.results[k] = run_lab_experiment(
-            _arm_applications(n_units, k, treatment_factory, control_factory),
-            link=link,
-            model=model,
-            noise=noise,
-            seed=None if seed is None else seed + k,
+        treated = index < k
+        throughput, retransmit = _run_arm(
+            link,
+            treated_units.where(treated, control_units),
+            model,
+            noise,
+            None if seed is None else seed + k,
         )
+        sweep.results[k] = LabExperimentResult(treated, throughput, retransmit)
     return sweep
 
 
@@ -187,25 +201,36 @@ def run_isolated_sweep(
     This realizes the "no interference" world of the paper's Figure 1a:
     each unit's outcome cannot depend on other units' assignments because
     they share nothing.  Each application receives its own bottleneck with
-    an equal slice ``capacity / n_units`` of the original link.
+    an equal slice ``capacity / n_units`` of the original link, so each
+    unit's treated and control outcomes are computed once and every arm
+    picks between them.
     """
     if n_units < 1:
         raise ValueError("n_units must be at least 1")
     link = link or BottleneckLink()
+    model = model or CompetitionModel()
     slice_link = BottleneckLink(
         capacity_gbps=link.capacity_gbps / n_units,
         base_rtt_ms=link.base_rtt_ms,
         buffer_bdp=link.buffer_bdp,
         mtu_bytes=link.mtu_bytes,
     )
+
+    def alone(factory: Callable[[int], Application]) -> list[np.ndarray]:
+        """Each unit's throughput and retransmit fraction alone on its slice."""
+        runs = [
+            _run_arm(slice_link, UnitColumns.from_applications([factory(i)]), model, 0.0, None)
+            for i in range(n_units)
+        ]
+        return [np.concatenate(metric) for metric in zip(*runs)]
+
+    treated_alone, control_alone = alone(treatment_factory), alone(control_factory)
+    index = np.arange(n_units)
     sweep = AllocationSweep(n_units)
     for k in range(n_units + 1):
-        throughput: dict[int, float] = {}
-        retrans: dict[int, float] = {}
-        apps = _arm_applications(n_units, k, treatment_factory, control_factory)
-        for app in apps:
-            solo = run_lab_experiment([app], link=slice_link, model=model)
-            throughput[app.app_id] = solo.throughput_mbps[app.app_id]
-            retrans[app.app_id] = solo.retransmit_fraction[app.app_id]
-        sweep.results[k] = LabExperimentResult(tuple(apps), throughput, retrans)
+        treated = index < k
+        sweep.results[k] = LabExperimentResult(
+            treated,
+            *(np.where(treated, t, c) for t, c in zip(treated_alone, control_alone)),
+        )
     return sweep

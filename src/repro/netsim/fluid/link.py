@@ -8,6 +8,7 @@ captures the static parameters of that bottleneck.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,14 +72,14 @@ class BottleneckLink:
     mtu_bytes: int = 9000
 
     def __post_init__(self) -> None:
-        if self.capacity_gbps <= 0:
-            raise ValueError("capacity_gbps must be positive")
-        if self.base_rtt_ms <= 0:
-            raise ValueError("base_rtt_ms must be positive")
-        if self.buffer_bdp < 0:
-            raise ValueError("buffer_bdp must be non-negative")
-        if self.mtu_bytes <= 0:
-            raise ValueError("mtu_bytes must be positive")
+        if not 0 < self.capacity_gbps < math.inf:
+            raise ValueError("capacity_gbps must be positive and finite")
+        if not 0 < self.base_rtt_ms < math.inf:
+            raise ValueError("base_rtt_ms must be positive and finite")
+        if not 0 <= self.buffer_bdp < math.inf:
+            raise ValueError("buffer_bdp must be non-negative and finite")
+        if not 0 < self.mtu_bytes < math.inf:
+            raise ValueError("mtu_bytes must be positive and finite")
 
     @property
     def capacity_mbps(self) -> float:
@@ -98,8 +99,6 @@ class BottleneckLink:
     @property
     def max_queueing_delay_ms(self) -> float:
         """Queueing delay when the buffer is full, in milliseconds."""
-        if self.capacity_gbps == 0:
-            return 0.0
         return self.buffer_bytes * BITS_PER_BYTE / (self.capacity_gbps * 1e9) * 1000.0
 
     def loss_probability(self, per_connection_mbps: float) -> float:

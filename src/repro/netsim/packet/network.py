@@ -140,8 +140,8 @@ class QueueConfig:
     params: Mapping[str, Any] = field(default_factory=dict)  # repro-lint: disable=KEY001
 
     def __post_init__(self) -> None:
-        if self.capacity_mbps <= 0:
-            raise ValueError("capacity_mbps must be positive")
+        if not 0 < self.capacity_mbps < math.inf:
+            raise ValueError("capacity_mbps must be positive and finite")
         if self.buffer_bytes is not None and self.buffer_bdp is not None:
             raise ValueError("specify at most one of buffer_bytes / buffer_bdp")
 
@@ -232,10 +232,10 @@ class Network:
         seed: int | None = None,
         event_batching: bool = False,
     ):
-        if capacity_mbps <= 0:
-            raise ValueError("capacity_mbps must be positive")
-        if base_rtt_ms <= 0:
-            raise ValueError("base_rtt_ms must be positive")
+        if not 0 < capacity_mbps < math.inf:
+            raise ValueError("capacity_mbps must be positive and finite")
+        if not 0 < base_rtt_ms < math.inf:
+            raise ValueError("base_rtt_ms must be positive and finite")
         self.capacity_mbps = float(capacity_mbps)
         self.base_rtt_ms = float(base_rtt_ms)
         self.mss_bytes = int(mss_bytes)

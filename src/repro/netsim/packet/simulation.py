@@ -102,8 +102,8 @@ class FlowConfig:
         normalize_ecn(self.ecn)  # reject invalid modes at config time
         if self.rtt_ms is not None and not 0 < self.rtt_ms < math.inf:
             raise ValueError("rtt_ms must be positive and finite")
-        if self.transfer_bytes is not None and self.transfer_bytes < 0:
-            raise ValueError("transfer_bytes must be non-negative")
+        if self.transfer_bytes is not None and not 0 <= self.transfer_bytes < math.inf:
+            raise ValueError("transfer_bytes must be non-negative and finite (None: unbounded)")
 
 
 @dataclass

@@ -18,6 +18,7 @@ content-keyable inside :class:`~repro.runner.spec.ScenarioSpec` params.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 __all__ = [
@@ -51,8 +52,8 @@ class ConstantDemand(DemandProfile):
     level: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.level < 0:
-            raise ValueError("level must be non-negative")
+        if not 0 <= self.level < math.inf:
+            raise ValueError("level must be non-negative and finite")
 
     def multiplier(self, t: float) -> float:
         """``level`` at every time."""
@@ -73,8 +74,10 @@ class RampDemand(DemandProfile):
     t1: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.start_level < 0 or self.end_level < 0:
-            raise ValueError("levels must be non-negative")
+        if not (0 <= self.start_level < math.inf and 0 <= self.end_level < math.inf):
+            raise ValueError("levels must be non-negative and finite")
+        if not (math.isfinite(self.t0) and math.isfinite(self.t1)):
+            raise ValueError("t0 and t1 must be finite")
         if self.t1 <= self.t0:
             raise ValueError("t1 must exceed t0")
 

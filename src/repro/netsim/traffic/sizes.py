@@ -17,6 +17,7 @@ the simulation seed.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -46,8 +47,8 @@ class FixedSizes(SizeSampler):
     size_bytes: float
 
     def __post_init__(self) -> None:
-        if self.size_bytes < 0:
-            raise ValueError("size_bytes must be non-negative")
+        if not 0 <= self.size_bytes < math.inf:
+            raise ValueError("size_bytes must be non-negative and finite")
 
     def sample(self, rng: random.Random) -> float:
         """``size_bytes``, drawing nothing from ``rng``."""
@@ -72,10 +73,10 @@ class ParetoSizes(SizeSampler):
     alpha: float = 1.5
 
     def __post_init__(self) -> None:
-        if self.min_bytes <= 0:
-            raise ValueError("min_bytes must be positive")
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
+        if not 0 < self.min_bytes < math.inf:
+            raise ValueError("min_bytes must be positive and finite")
+        if not 0 < self.alpha < math.inf:
+            raise ValueError("alpha must be positive and finite")
 
     def sample(self, rng: random.Random) -> float:
         """One inverse-CDF draw from a single uniform of ``rng``."""

@@ -27,7 +27,7 @@ from repro.core.designs.base import AllocationPlan
 from repro.core.units import SESSION_METRICS, OutcomeTable
 from repro.workload.congestion import CongestionModel, LinkHourState
 from repro.workload.demand import DiurnalDemandModel
-from repro.workload.qoe import LinkEffects, SessionOutcomeModel
+from repro.workload.qoe import CellConditions, LinkEffects, SessionDraws, SessionOutcomeModel
 from repro.workload.video import BitrateCapPolicy
 
 __all__ = ["WorkloadConfig", "PairedLinkWorkload", "DEFAULT_LINK_EFFECTS"]
@@ -189,20 +189,14 @@ class PairedLinkWorkload:
         cfg = self.config
         rng = np.random.default_rng(cfg.seed + seed_offset)
 
-        columns: dict[str, list[np.ndarray]] = {
-            name: []
-            for name in (
-                "session_id",
-                "account_id",
-                "day",
-                "hour",
-                "link",
-                "treated",
-                *SESSION_METRICS,
-            )
-        }
-        next_session_id = 0
-
+        # Draw cell by cell, in a fixed order (that order pins the tables);
+        # every deterministic step then runs once over the whole table.
+        sizes: list[int] = []
+        cells: list[tuple[int, int, int]] = []
+        conditions: list[CellConditions] = []
+        treated_parts: list[np.ndarray] = []
+        account_parts: list[np.ndarray] = []
+        draws: list[SessionDraws] = []
         for day in days:
             day = int(day)
             weekend = cfg.demand.is_weekend(day)
@@ -214,44 +208,46 @@ class PairedLinkWorkload:
                     if n == 0:
                         continue
                     treated = rng.random(n) < allocation
-                    capped = treated & treatment_active
-                    state = self.link_hour_state(
-                        int(n - capped.sum()), int(capped.sum())
-                    )
+                    n_capped = int((treated & treatment_active).sum())
+                    state = self.link_hour_state(n - n_capped, n_capped)
                     account_ids = rng.integers(0, cfg.n_accounts, size=n)
                     cell_shock = (
                         float(np.exp(rng.normal(0.0, cfg.hourly_shock_sigma)))
                         if cfg.hourly_shock_sigma > 0
                         else 1.0
                     )
-                    outcomes = cfg.outcomes.generate(
-                        capped=capped,
-                        state=state,
-                        link_effects=effects,
-                        cap_policy=cfg.cap_policy,
-                        account_throughput_factor=self._account_throughput_factor[
-                            account_ids
-                        ],
-                        account_rtt_factor=self._account_rtt_factor[account_ids],
-                        weekend=weekend,
-                        rng=rng,
-                        cell_shock=cell_shock,
-                    )
-                    columns["session_id"].append(
-                        np.arange(next_session_id, next_session_id + n, dtype=float)
-                    )
-                    next_session_id += n
-                    columns["account_id"].append(account_ids.astype(float))
-                    columns["day"].append(np.full(n, float(day)))
-                    columns["hour"].append(np.full(n, float(hour)))
-                    columns["link"].append(np.full(n, float(link)))
-                    columns["treated"].append(treated.astype(float))
-                    for name in SESSION_METRICS:
-                        columns[name].append(np.asarray(outcomes[name], dtype=float))
+                    draws.append(cfg.outcomes.draw(n, rng))
+                    sizes.append(n)
+                    cells.append((day, hour, link))
+                    conditions.append(CellConditions.of(state, effects, weekend, cell_shock))
+                    treated_parts.append(treated)
+                    account_parts.append(account_ids)
 
-        if next_session_id == 0:
+        if not sizes:
             raise ValueError("the workload generated zero sessions")
-        return OutcomeTable({k: np.concatenate(v) for k, v in columns.items()})
+        day_column, hour_column, link_column = (
+            np.repeat(np.asarray(column, dtype=float), sizes) for column in zip(*cells)
+        )
+        treated = np.concatenate(treated_parts)
+        account_ids = np.concatenate(account_parts)
+        outcomes = cfg.outcomes.outcomes(
+            SessionDraws(*(np.concatenate(column) for column in zip(*draws))),
+            treated & treatment_active,
+            self._account_throughput_factor[account_ids],
+            self._account_rtt_factor[account_ids],
+            CellConditions(*(np.repeat(column, sizes) for column in zip(*conditions))),
+            cfg.cap_policy,
+        )
+        columns = {
+            "session_id": np.arange(len(treated), dtype=float),
+            "account_id": account_ids.astype(float),
+            "day": day_column,
+            "hour": hour_column,
+            "link": link_column,
+            "treated": treated.astype(float),
+        }
+        columns.update((name, outcomes[name]) for name in SESSION_METRICS)
+        return OutcomeTable(columns)
 
     def generate_baseline(
         self, days: Sequence[int], seed_offset: int = 101

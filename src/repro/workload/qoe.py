@@ -3,8 +3,10 @@
 Given the congestion state of the link-hour a session lands in, whether the
 session itself is bitrate-capped, and per-link / per-account heterogeneity,
 this module generates the ten outcome metrics reported in the paper's
-Figure 5.  All generation is vectorized over the sessions of one
-(link, day, hour) cell.
+Figure 5.  The random draws are made cell by cell, in a fixed order;
+every deterministic step after them is elementwise numpy, so it runs
+over one (link, day, hour) cell or over a whole table of cells at once
+with the same results.
 
 The model encodes the causal structure the paper identifies:
 
@@ -28,6 +30,7 @@ The model encodes the causal structure the paper identifies:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,7 +41,7 @@ from repro.workload.video import (
     select_bitrate_array,
 )
 
-__all__ = ["LinkEffects", "SessionOutcomeModel"]
+__all__ = ["CellConditions", "LinkEffects", "SessionDraws", "SessionOutcomeModel"]
 
 
 @dataclass(frozen=True)
@@ -55,6 +58,62 @@ class LinkEffects:
     bytes_multiplier: float = 1.0
     stability_offset: float = 0.0
     quality_offset: float = 0.0
+
+
+class SessionDraws(NamedTuple):
+    """The twelve random draws behind sessions' outcomes, one array each.
+
+    Fields are in draw order; :meth:`SessionOutcomeModel.draw` makes them
+    and :meth:`SessionOutcomeModel.outcomes` turns them into metrics.
+    """
+
+    access: np.ndarray
+    throughput_noise: np.ndarray
+    base_rtt: np.ndarray
+    rtt_noise: np.ndarray
+    delay_noise: np.ndarray
+    viewing_hours: np.ndarray
+    bytes_noise: np.ndarray
+    retransmit_noise: np.ndarray
+    rebuffer_noise: np.ndarray
+    cancel: np.ndarray
+    quality: np.ndarray
+    stability: np.ndarray
+
+
+class CellConditions(NamedTuple):
+    """What a link-hour cell imposes on every one of its sessions.
+
+    Each field is one cell's value, or an array holding the value of each
+    session's cell when a whole table is transformed at once.
+    """
+
+    throughput_factor: float | np.ndarray
+    queueing_delay_ms: float | np.ndarray
+    loss_rate: float | np.ndarray
+    rebuffer_multiplier: float | np.ndarray
+    bytes_multiplier: float | np.ndarray
+    stability_offset: float | np.ndarray
+    quality_offset: float | np.ndarray
+    weekend: bool | np.ndarray
+    cell_shock: float | np.ndarray
+
+    @classmethod
+    def of(
+        cls, state: LinkHourState, link_effects: LinkEffects, weekend: bool, cell_shock: float
+    ) -> "CellConditions":
+        """The conditions of one cell."""
+        return cls(
+            state.throughput_factor,
+            state.queueing_delay_ms,
+            state.loss_rate,
+            link_effects.rebuffer_multiplier,
+            link_effects.bytes_multiplier,
+            link_effects.stability_offset,
+            link_effects.quality_offset,
+            bool(weekend),
+            float(cell_shock),
+        )
 
 
 @dataclass(frozen=True)
@@ -113,6 +172,23 @@ class SessionOutcomeModel:
 
     # -- generation -------------------------------------------------------------
 
+    def draw(self, n: int, rng: np.random.Generator) -> SessionDraws:
+        """The random draws behind ``n`` sessions' outcomes, in draw order."""
+        return SessionDraws(
+            access=rng.normal(0.0, self.access_throughput_sigma, size=n),
+            throughput_noise=rng.normal(0.0, self.noise_sigma, size=n),
+            base_rtt=rng.normal(0.0, self.base_rtt_sigma, size=n),
+            rtt_noise=rng.normal(0.0, self.noise_sigma, size=n),
+            delay_noise=rng.normal(0.0, self.noise_sigma, size=n),
+            viewing_hours=rng.exponential(self.viewing_hours_mean, size=n),
+            bytes_noise=rng.normal(0.0, self.noise_sigma, size=n),
+            retransmit_noise=rng.normal(0.0, self.noise_sigma, size=n),
+            rebuffer_noise=rng.normal(0.0, self.noise_sigma, size=n),
+            cancel=rng.random(n),
+            quality=rng.normal(0.0, 0.5, size=n),
+            stability=rng.normal(0.0, 1.0, size=n),
+        )
+
     def generate(
         self,
         capped: np.ndarray,
@@ -160,20 +236,41 @@ class SessionOutcomeModel:
         account_rtt_factor = np.asarray(account_rtt_factor, dtype=float)
         if account_throughput_factor.shape[0] != n or account_rtt_factor.shape[0] != n:
             raise ValueError("account effect arrays must match the number of sessions")
+        return self.outcomes(
+            self.draw(n, rng),
+            capped,
+            account_throughput_factor,
+            account_rtt_factor,
+            CellConditions.of(state, link_effects, weekend, cell_shock),
+            cap_policy,
+        )
 
-        def noise() -> np.ndarray:
-            return np.exp(rng.normal(0.0, self.noise_sigma, size=n))
+    def outcomes(
+        self,
+        draws: SessionDraws,
+        capped: np.ndarray,
+        account_throughput_factor: np.ndarray,
+        account_rtt_factor: np.ndarray,
+        cells: CellConditions,
+        cap_policy: BitrateCapPolicy,
+    ) -> dict[str, np.ndarray]:
+        """Outcome arrays of sessions from their draws and conditions.
 
+        Every array argument holds one entry per session.  ``cells`` holds
+        either one cell's conditions or, for a table of many cells, each
+        session's cell conditions; the result is the same either way, bit
+        for bit, because every step is elementwise.
+        """
         # --- throughput ------------------------------------------------------
         access = (
             self.access_throughput_median_mbps
-            * np.exp(rng.normal(0.0, self.access_throughput_sigma, size=n))
+            * np.exp(draws.access)
             * account_throughput_factor
-            * float(cell_shock)
+            * cells.cell_shock
         )
-        network_throughput = access * state.throughput_factor
+        network_throughput = access * cells.throughput_factor
         measurement_factor = np.where(capped, self.capped_measurement_factor, 1.0)
-        throughput_mbps = network_throughput * measurement_factor * noise()
+        throughput_mbps = network_throughput * measurement_factor * np.exp(draws.throughput_noise)
 
         # --- video bitrate -----------------------------------------------------
         uncapped_bitrate = select_bitrate_array(throughput_mbps, self.ladder)
@@ -182,46 +279,44 @@ class SessionOutcomeModel:
         video_bitrate_kbps = np.where(capped, capped_bitrate, uncapped_bitrate)
 
         # --- minimum RTT --------------------------------------------------------
-        base_rtt = (
-            self.base_rtt_median_ms
-            * np.exp(rng.normal(0.0, self.base_rtt_sigma, size=n))
-            * account_rtt_factor
-        )
+        base_rtt = self.base_rtt_median_ms * np.exp(draws.base_rtt) * account_rtt_factor
         relief = np.where(
             capped, self.rtt_sampling_relief_capped, self.rtt_sampling_relief_uncapped
         )
-        min_rtt_ms = base_rtt + state.queueing_delay_ms * (1.0 - relief) * noise()
+        min_rtt_ms = base_rtt + cells.queueing_delay_ms * (1.0 - relief) * np.exp(draws.rtt_noise)
 
         # --- start play delay ----------------------------------------------------
         startup_bits = self.startup_buffer_mb * 8e6
         transfer_s = startup_bits / np.maximum(network_throughput * 1e6, 1e5)
-        rtt_penalty_s = 6.0 * (base_rtt + state.queueing_delay_ms) / 1000.0
-        play_delay_s = (self.play_delay_floor_s + transfer_s + rtt_penalty_s) * noise()
+        rtt_penalty_s = 6.0 * (base_rtt + cells.queueing_delay_ms) / 1000.0
+        play_delay_s = (self.play_delay_floor_s + transfer_s + rtt_penalty_s) * np.exp(
+            draws.delay_noise
+        )
 
         # --- bytes sent -------------------------------------------------------------
-        viewing_hours = np.clip(
-            rng.exponential(self.viewing_hours_mean, size=n), 0.05, 6.0
-        )
+        viewing_hours = np.clip(draws.viewing_hours, 0.05, 6.0)
         bytes_sent_gb = (
             video_bitrate_kbps * 1000.0 * viewing_hours * 3600.0 / 8.0 / 1e9
-        ) * link_effects.bytes_multiplier * noise()
+        ) * cells.bytes_multiplier * np.exp(draws.bytes_noise)
 
         # --- retransmissions -----------------------------------------------------------
-        loss_rate = self.base_loss_rate + state.loss_rate
+        loss_rate = self.base_loss_rate + cells.loss_rate
         sent_bytes = np.maximum(bytes_sent_gb * 1e9, 1e6)
         fixed_retx = self.fixed_retransmit_mb * 1e6
         retransmit_fraction = np.clip(
-            (loss_rate * sent_bytes + fixed_retx) / sent_bytes * noise(), 0.0, 1.0
+            (loss_rate * sent_bytes + fixed_retx) / sent_bytes * np.exp(draws.retransmit_noise),
+            0.0,
+            1.0,
         )
 
         # --- rebuffers --------------------------------------------------------------------
         pressure = video_bitrate_kbps / np.maximum(network_throughput * 1000.0, 1.0)
         rebuffer_rate = (
             self.base_rebuffer_rate
-            * link_effects.rebuffer_multiplier
+            * cells.rebuffer_multiplier
             * (0.7 + 1.2 * np.clip(pressure, 0.0, 2.0) ** 2)
-            * (1.0 + 25.0 * state.loss_rate)
-            * noise()
+            * (1.0 + 25.0 * cells.loss_rate)
+            * np.exp(draws.rebuffer_noise)
         )
 
         # --- cancelled starts ---------------------------------------------------------
@@ -229,25 +324,24 @@ class SessionOutcomeModel:
             self.base_cancel_probability
             + self.cancel_per_delay_second * np.maximum(play_delay_s - 1.0, 0.0)
         )
-        if weekend:
-            cancel_probability = cancel_probability * self.weekend_cancel_multiplier
-        cancelled_start = (rng.random(n) < np.clip(cancel_probability, 0.0, 0.9)).astype(
-            float
+        cancel_probability = np.where(
+            cells.weekend, cancel_probability * self.weekend_cancel_multiplier, cancel_probability
         )
+        cancelled_start = (draws.cancel < np.clip(cancel_probability, 0.0, 0.9)).astype(float)
 
         # --- perceptual quality and stability ----------------------------------------------------
         perceptual_quality = np.clip(
             100.0 * (1.0 - np.exp(-video_bitrate_kbps / self.quality_scale_kbps))
-            + link_effects.quality_offset
-            + rng.normal(0.0, 0.5, size=n),
+            + cells.quality_offset
+            + draws.quality,
             0.0,
             100.0,
         )
         switches = 2.0 + 15.0 * np.clip(pressure - 0.5, 0.0, 2.0) * (
-            1.0 + 5.0 * state.loss_rate
+            1.0 + 5.0 * cells.loss_rate
         )
         stability = np.clip(
-            100.0 - switches + link_effects.stability_offset + rng.normal(0.0, 1.0, size=n),
+            100.0 - switches + cells.stability_offset + draws.stability,
             0.0,
             100.0,
         )

@@ -1,11 +1,15 @@
 """Tests for the fluid bottleneck-sharing simulator."""
 
+import math
+
+import numpy as np
 import pytest
 
 from repro.core.estimands import AllocationSweep, sutva_holds
 from repro.netsim.fluid import (
     Application,
     BottleneckLink,
+    UnitColumns,
     allocate_throughput,
     link_loss_rate,
     run_lab_experiment,
@@ -14,6 +18,17 @@ from repro.netsim.fluid import (
 from repro.netsim.fluid.competition import CompetitionModel
 from repro.netsim.fluid.lab import run_isolated_sweep
 from repro.runner.spec import get_task
+
+
+def allocate(link, apps, model=None):
+    """Each application's throughput, in list order, through the unit columns."""
+    return allocate_throughput(link, UnitColumns.from_applications(apps), model)
+
+
+def loss_rate(link, apps, model=None):
+    """The link's loss rate for an application list, through the unit columns."""
+    units = UnitColumns.from_applications(apps)
+    return link_loss_rate(link, units, allocate_throughput(link, units, model), model)
 
 
 class TestBottleneckLink:
@@ -93,41 +108,41 @@ class TestCompetitionModel:
 class TestThroughputAllocation:
     def test_equal_flows_share_equally(self):
         apps = [Application(i, cc="reno") for i in range(10)]
-        shares = allocate_throughput(BottleneckLink(), apps)
-        for value in shares.values():
+        shares = allocate(BottleneckLink(), apps)
+        for value in shares:
             assert value == pytest.approx(1000.0)
 
     def test_total_never_exceeds_capacity(self):
         apps = [Application(i, cc="reno", connections=1 + i % 3) for i in range(7)]
-        shares = allocate_throughput(BottleneckLink(), apps)
-        assert sum(shares.values()) == pytest.approx(10000.0)
+        shares = allocate(BottleneckLink(), apps)
+        assert shares.sum() == pytest.approx(10000.0)
 
     def test_two_connections_double_throughput(self):
         apps = [Application(0, connections=2)] + [
             Application(i, connections=1) for i in range(1, 10)
         ]
-        shares = allocate_throughput(BottleneckLink(), apps)
+        shares = allocate(BottleneckLink(), apps)
         assert shares[0] == pytest.approx(2 * shares[1])
 
     def test_paced_gets_half_of_unpaced(self):
         apps = [Application(0, paced=True)] + [Application(i) for i in range(1, 10)]
-        shares = allocate_throughput(BottleneckLink(), apps)
+        shares = allocate(BottleneckLink(), apps)
         assert shares[0] == pytest.approx(0.5 * shares[1])
 
     def test_all_paced_equals_all_unpaced(self):
         paced = [Application(i, paced=True) for i in range(10)]
         unpaced = [Application(i, paced=False) for i in range(10)]
         link = BottleneckLink()
-        assert allocate_throughput(link, paced)[0] == pytest.approx(
-            allocate_throughput(link, unpaced)[0]
+        assert allocate(link, paced)[0] == pytest.approx(
+            allocate(link, unpaced)[0]
         )
 
     def test_bbr_aggregate_share_independent_of_flow_count(self):
         link, model = BottleneckLink(), CompetitionModel(bbr_aggregate_share=0.4)
         one_bbr = [Application(0, cc="bbr")] + [Application(i, cc="cubic") for i in range(1, 10)]
         many_bbr = [Application(i, cc="bbr") for i in range(9)] + [Application(9, cc="cubic")]
-        shares_one = allocate_throughput(link, one_bbr, model)
-        shares_many = allocate_throughput(link, many_bbr, model)
+        shares_one = allocate(link, one_bbr, model)
+        shares_many = allocate(link, many_bbr, model)
         bbr_total_one = shares_one[0]
         bbr_total_many = sum(shares_many[i] for i in range(9))
         assert bbr_total_one == pytest.approx(4000.0)
@@ -135,17 +150,17 @@ class TestThroughputAllocation:
 
     def test_all_bbr_shares_equally(self):
         apps = [Application(i, cc="bbr") for i in range(10)]
-        shares = allocate_throughput(BottleneckLink(), apps)
-        for value in shares.values():
+        shares = allocate(BottleneckLink(), apps)
+        for value in shares:
             assert value == pytest.approx(1000.0)
 
     def test_duplicate_ids_raise(self):
         with pytest.raises(ValueError):
-            allocate_throughput(BottleneckLink(), [Application(0), Application(0)])
+            allocate(BottleneckLink(), [Application(0), Application(0)])
 
     def test_empty_raises(self):
         with pytest.raises(ValueError):
-            allocate_throughput(BottleneckLink(), [])
+            allocate(BottleneckLink(), [])
 
 
 class TestLossRate:
@@ -153,15 +168,15 @@ class TestLossRate:
         link = BottleneckLink()
         one = [Application(i, connections=1) for i in range(10)]
         two = [Application(i, connections=2) for i in range(10)]
-        assert link_loss_rate(link, two) > link_loss_rate(link, one)
+        assert loss_rate(link, two) > loss_rate(link, one)
 
     def test_all_paced_reduces_loss(self):
         link = BottleneckLink()
         unpaced = [Application(i) for i in range(10)]
         paced = [Application(i, paced=True) for i in range(10)]
         model = CompetitionModel(pacing_loss_floor=0.25)
-        assert link_loss_rate(link, paced, model) == pytest.approx(
-            0.25 * link_loss_rate(link, unpaced, model)
+        assert loss_rate(link, paced, model) == pytest.approx(
+            0.25 * loss_rate(link, unpaced, model)
         )
 
     def test_loss_identical_for_all_apps_in_one_run(self):
@@ -170,17 +185,17 @@ class TestLossRate:
             [Application(0, connections=2).as_treated()]
             + [Application(i) for i in range(1, 10)]
         )
-        values = set(round(v, 12) for v in result.retransmit_fraction.values())
+        values = set(round(v, 12) for v in result.retransmit_fraction.tolist())
         assert len(values) == 1
 
     def test_bbr_only_loss_is_small(self):
         apps = [Application(i, cc="bbr") for i in range(10)]
-        assert link_loss_rate(BottleneckLink(), apps) <= 0.01
+        assert loss_rate(BottleneckLink(), apps) <= 0.01
 
     def test_loss_bounded_by_one(self):
         tiny = BottleneckLink(capacity_gbps=0.001)
         apps = [Application(i, connections=4) for i in range(10)]
-        assert link_loss_rate(tiny, apps) <= 1.0
+        assert loss_rate(tiny, apps) <= 1.0
 
 
 class TestLabSweep:
@@ -302,4 +317,80 @@ class TestLabExperimentResult:
     def test_unknown_metric_raises(self):
         result = run_lab_experiment([Application(0).as_control()])
         with pytest.raises(KeyError):
-            result.group_values("nope", treated=False)
+            result.group_mean("nope", treated=False)
+
+    def test_group_mean_is_the_mean_of_the_arm(self):
+        result = run_lab_experiment(
+            [Application(i, connections=1 + i % 2, treated=i < 3) for i in range(7)],
+            noise=0.1,
+            seed=4,
+        )
+        assert result.treated.tolist() == [True] * 3 + [False] * 4
+        for metric in ("throughput_mbps", "retransmit_fraction"):
+            values = getattr(result, metric)
+            assert result.group_mean(metric, True) == np.mean(values[:3])
+            assert result.group_mean(metric, False) == np.mean(values[3:])
+
+
+#: Link and model parameters that are NaN or infinite.  Each used to
+#: construct, and every unit of a sweep on such a link then read NaN.
+NON_FINITE_FLUID = {
+    "capacity-nan": lambda: BottleneckLink(capacity_gbps=math.nan),
+    "capacity-inf": lambda: BottleneckLink(capacity_gbps=math.inf),
+    "base-rtt-nan": lambda: BottleneckLink(base_rtt_ms=math.nan),
+    "base-rtt-inf": lambda: BottleneckLink(base_rtt_ms=math.inf),
+    "buffer-bdp-nan": lambda: BottleneckLink(buffer_bdp=math.nan),
+    "buffer-bdp-inf": lambda: BottleneckLink(buffer_bdp=math.inf),
+    "mtu-nan": lambda: BottleneckLink(mtu_bytes=math.nan),
+    "mtu-inf": lambda: BottleneckLink(mtu_bytes=math.inf),
+    "cubic-weight-nan": lambda: CompetitionModel(cubic_weight=math.nan),
+    "cubic-weight-inf": lambda: CompetitionModel(cubic_weight=math.inf),
+}
+
+
+@pytest.mark.parametrize("build", NON_FINITE_FLUID.values(), ids=NON_FINITE_FLUID)
+def test_non_finite_link_or_model_is_rejected(build):
+    with pytest.raises(ValueError):
+        build()
+
+
+#: Noise levels the lab used to treat as no noise at all (it only tested
+#: ``noise > 0``), and infinity.
+BAD_NOISE = [-0.5, math.nan, math.inf]
+
+
+@pytest.mark.parametrize("noise", BAD_NOISE)
+def test_lab_sweep_rejects_bad_noise(noise):
+    with pytest.raises(ValueError):
+        run_lab_sweep(2, lambda i: Application(i, connections=2), Application, noise=noise, seed=1)
+
+
+@pytest.mark.parametrize("noise", BAD_NOISE)
+def test_lab_experiment_rejects_bad_noise(noise):
+    with pytest.raises(ValueError):
+        run_lab_experiment([Application(0), Application(1)], noise=noise, seed=1)
+
+
+class TestSweepUnits:
+    def test_each_factory_is_called_once_per_id(self):
+        calls = []
+
+        def factory(cc):
+            def build(i):
+                calls.append((cc, i))
+                return Application(i, cc=cc)
+
+            return build
+
+        run_lab_sweep(4, factory("bbr"), factory("cubic"))
+        assert sorted(calls) == sorted((cc, i) for cc in ("bbr", "cubic") for i in range(4))
+
+    def test_arm_with_duplicate_ids_raises(self):
+        # Arm 2 holds treated unit 0 twice (the treatment factory ignores i).
+        with pytest.raises(ValueError, match="unique"):
+            run_lab_sweep(3, lambda i: Application(0, connections=2), Application)
+
+    def test_arm_k_treats_the_first_k_units(self):
+        sweep = run_lab_sweep(3, lambda i: Application(i, connections=2), Application)
+        for k, result in sweep.results.items():
+            assert result.treated.tolist() == [i < k for i in range(3)]

@@ -1,21 +1,27 @@
-"""Pin the vectorized fluid kernels against their scalar references."""
+"""Pin the vectorized fluid kernels and the array lab sweep against their
+scalar references."""
 
 from __future__ import annotations
 
 import random
+from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.netsim.fluid import (
     Application,
     BottleneckLink,
     CompetitionModel,
+    UnitColumns,
     allocate_throughput,
     allocate_throughput_reference,
     link_loss_rate,
     link_loss_rate_reference,
     loss_probability,
+    run_lab_sweep,
     weighted_water_fill,
     weighted_water_fill_reference,
 )
@@ -51,48 +57,135 @@ MIXES = {
 }
 
 
+def _allocate(link, apps, model=None):
+    units = UnitColumns.from_applications(apps)
+    return units, allocate_throughput(link, units, model)
+
+
+def _assert_pinned(link, apps, model=None):
+    """The array allocation and loss rate equal the scalar references, up
+    to summation order."""
+    units, shares = _allocate(link, apps, model)
+    slow = allocate_throughput_reference(link, apps, model)
+    assert shares.tolist() == pytest.approx([slow[a.app_id] for a in apps], rel=1e-12)
+    assert link_loss_rate(link, units, shares, model) == pytest.approx(
+        link_loss_rate_reference(link, apps, model), rel=1e-12
+    )
+
+
 class TestAllocationPinnedToScalar:
     @pytest.mark.parametrize("name", sorted(MIXES))
     def test_named_mixes(self, name):
-        apps = MIXES[name]
-        fast = allocate_throughput(LINK, apps)
-        slow = allocate_throughput_reference(LINK, apps)
-        assert fast.keys() == slow.keys()
-        for app_id in fast:
-            assert fast[app_id] == pytest.approx(slow[app_id], rel=1e-12)
+        _assert_pinned(LINK, MIXES[name])
+        _assert_pinned(BottleneckLink(capacity_gbps=0.05), MIXES[name])
 
     @pytest.mark.parametrize("seed", range(5))
     def test_random_populations(self, seed):
-        apps = _random_apps(seed, n=50)
         model = CompetitionModel(paced_weight=0.6, bbr_aggregate_share=0.35)
-        fast = allocate_throughput(LINK, apps, model)
-        slow = allocate_throughput_reference(LINK, apps, model)
-        for app_id in fast:
-            assert fast[app_id] == pytest.approx(slow[app_id], rel=1e-12)
+        _assert_pinned(LINK, _random_apps(seed, n=50), model)
+        _assert_pinned(BottleneckLink(capacity_gbps=0.2), _random_apps(seed + 100, n=40))
 
     def test_validation_matches_reference(self):
+        for apps in ([], [Application(0), Application(0)]):
+            with pytest.raises(ValueError):
+                _allocate(LINK, apps)
+            with pytest.raises(ValueError):
+                allocate_throughput_reference(LINK, apps)
+
+    def test_shares_must_match_the_units(self):
+        units, shares = _allocate(LINK, MIXES["mixed"])
         with pytest.raises(ValueError):
-            allocate_throughput(LINK, [])
-        with pytest.raises(ValueError):
-            allocate_throughput(LINK, [Application(0), Application(0)])
+            link_loss_rate(LINK, units, shares[:2])
 
-
-class TestLossRatePinnedToScalar:
-    @pytest.mark.parametrize("name", sorted(MIXES))
-    def test_named_mixes(self, name):
-        apps = MIXES[name]
-        link = BottleneckLink(capacity_gbps=0.05)
-        assert link_loss_rate(link, apps) == pytest.approx(
-            link_loss_rate_reference(link, apps), rel=1e-12
+    def test_where_picks_units_by_mask(self):
+        treated = UnitColumns.from_applications([Application(i, cc="bbr") for i in range(3)])
+        control = UnitColumns.from_applications(
+            [Application(i + 10, connections=2, paced=True) for i in range(3)]
         )
+        arm = treated.where(np.array([True, False, True]), control)
+        assert arm.app_id.tolist() == [0, 11, 2]
+        assert arm.is_bbr.tolist() == [True, False, True]
+        assert arm.connections.tolist() == [1.0, 2.0, 1.0]
+        assert arm.paced.tolist() == [False, True, False]
 
-    @pytest.mark.parametrize("seed", range(5))
-    def test_random_populations(self, seed):
-        apps = _random_apps(seed + 100, n=40)
-        link = BottleneckLink(capacity_gbps=0.2)
-        assert link_loss_rate(link, apps) == pytest.approx(
-            link_loss_rate_reference(link, apps), rel=1e-12
-        )
+
+#: Competition weights that are not sums of powers of two, so products and
+#: sums of them round; the lab goldens only pin the default, dyadic ones.
+non_dyadic_models = st.builds(
+    CompetitionModel,
+    paced_weight=st.sampled_from([0.3, 0.55, 0.7, 1.0]),
+    bbr_aggregate_share=st.sampled_from([0.35, 0.4, 0.63]),
+    pacing_loss_floor=st.sampled_from([0.1, 0.25, 0.7]),
+    cubic_weight=st.sampled_from([0.7, 1.0, 1.3, 2.9]),
+)
+factories = st.builds(
+    lambda cc, connections, paced: partial(
+        Application, cc=cc, connections=connections, paced=paced
+    ),
+    st.sampled_from(["reno", "cubic", "bbr"]),
+    st.integers(min_value=1, max_value=3),
+    st.booleans(),
+)
+links = st.sampled_from([LINK, BottleneckLink(capacity_gbps=0.05), BottleneckLink(0.3, 20.0)])
+
+
+def scalar_arm(n_units, k, treatment, control):
+    """The applications of arm ``k``, built the way the scalar lab did."""
+    return [
+        treatment(i).as_treated() if i < k else control(i).as_control() for i in range(n_units)
+    ]
+
+
+class TestLabSweepAgainstScalarOracle:
+    """Every arm of the array sweep against the scalar references."""
+
+    @given(
+        n_units=st.integers(min_value=1, max_value=12),
+        treatment=factories,
+        control=factories,
+        model=non_dyadic_models,
+        link=links,
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_noiseless_arms_equal_the_reference(self, n_units, treatment, control, model, link):
+        sweep = run_lab_sweep(n_units, treatment, control, link=link, model=model)
+        for k, result in sweep.results.items():
+            apps = scalar_arm(n_units, k, treatment, control)
+            throughput = allocate_throughput_reference(link, apps, model)
+            loss = link_loss_rate_reference(link, apps, model)
+            assert result.treated.tolist() == [a.treated for a in apps]
+            assert result.throughput_mbps.tolist() == pytest.approx(
+                [throughput[a.app_id] for a in apps], rel=1e-12
+            )
+            assert result.retransmit_fraction.tolist() == pytest.approx(
+                [loss] * n_units, rel=1e-12
+            )
+
+    @given(
+        n_units=st.integers(min_value=1, max_value=12),
+        treatment=factories,
+        control=factories,
+        model=non_dyadic_models,
+        noise=st.sampled_from([0.01, 0.2, 0.9, 3.0]),
+        seed=st.integers(min_value=0, max_value=2**31),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_noisy_arms_equal_a_per_application_draw_loop(
+        self, n_units, treatment, control, model, noise, seed
+    ):
+        clean = run_lab_sweep(n_units, treatment, control, model=model)
+        noisy = run_lab_sweep(n_units, treatment, control, model=model, noise=noise, seed=seed)
+        for k, result in noisy.results.items():
+            rng = np.random.default_rng(seed + k)
+            loss = float(clean.results[k].retransmit_fraction[0])
+            throughput, retransmit = [], []
+            for share in clean.results[k].throughput_mbps.tolist():
+                t_factor = 1.0 + rng.normal(0.0, noise)
+                r_factor = 1.0 + rng.normal(0.0, noise)
+                throughput.append(max(share * t_factor, 0.0))
+                retransmit.append(float(np.clip(loss * r_factor, 0.0, 1.0)))
+            assert result.throughput_mbps.tolist() == throughput
+            assert result.retransmit_fraction.tolist() == retransmit
 
 
 class TestLossProbabilityKernel:

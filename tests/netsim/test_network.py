@@ -469,3 +469,28 @@ class TestHeterogeneousParkingLot:
         # seg1 migrates the drop concentration to the roomy segment.
         assert drop_share_seg1(balanced) < 0.5
         assert drop_share_seg1(shifted) > drop_share_seg1(balanced) + 0.2
+
+
+#: Constructors given NaN or infinity, which would otherwise reach the
+#: event loop (``simulate`` passes its capacity and RTT to ``Network``).
+NON_FINITE_NETWORK = {
+    "queue-capacity-nan": lambda: QueueConfig("q", capacity_mbps=math.nan),
+    "queue-capacity-inf": lambda: QueueConfig("q", capacity_mbps=math.inf),
+    "network-capacity-nan": lambda: Network(capacity_mbps=math.nan),
+    "network-capacity-inf": lambda: Network(capacity_mbps=math.inf),
+    "network-base-rtt-nan": lambda: Network(base_rtt_ms=math.nan),
+    "network-base-rtt-inf": lambda: Network(base_rtt_ms=math.inf),
+    "flow-transfer-bytes-nan": lambda: FlowConfig(0, transfer_bytes=math.nan),
+    "flow-transfer-bytes-inf": lambda: FlowConfig(0, transfer_bytes=math.inf),
+}
+
+
+@pytest.mark.parametrize("build", NON_FINITE_NETWORK.values(), ids=NON_FINITE_NETWORK)
+def test_non_finite_network_parameter_is_rejected(build):
+    with pytest.raises(ValueError):
+        build()
+
+
+def test_unbounded_transfer_is_still_none():
+    assert FlowConfig(0, transfer_bytes=None).transfer_bytes is None
+    assert FlowConfig(0, transfer_bytes=0.0).transfer_bytes == 0.0

@@ -5,10 +5,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.netsim.fluid import Application, BottleneckLink, allocate_throughput, link_loss_rate
+from repro.netsim.fluid import (
+    Application,
+    BottleneckLink,
+    UnitColumns,
+    allocate_throughput,
+    link_loss_rate,
+)
 from repro.netsim.fluid.competition import CompetitionModel
 
 cc_strategy = st.sampled_from(["reno", "cubic", "bbr"])
+
+
+def allocate(link, apps, model=None):
+    """Each application's throughput, in list order, through the unit columns."""
+    return allocate_throughput(link, UnitColumns.from_applications(list(apps)), model)
 
 
 def application_strategy(app_id):
@@ -33,19 +44,20 @@ class TestFluidInvariants:
     def test_work_conservation(self, apps):
         """The link is always fully utilised by long-lived flows."""
         link = BottleneckLink()
-        shares = allocate_throughput(link, list(apps))
-        assert sum(shares.values()) == pytest.approx(link.capacity_mbps, rel=1e-9)
+        shares = allocate(link, list(apps))
+        assert shares.sum() == pytest.approx(link.capacity_mbps, rel=1e-9)
 
     @given(apps=applications_strategy())
     @settings(max_examples=100, deadline=None)
     def test_non_negative_shares(self, apps):
-        shares = allocate_throughput(BottleneckLink(), list(apps))
-        assert all(v >= 0 for v in shares.values())
+        shares = allocate(BottleneckLink(), list(apps))
+        assert (shares >= 0).all()
 
     @given(apps=applications_strategy())
     @settings(max_examples=100, deadline=None)
     def test_loss_rate_is_a_probability(self, apps):
-        loss = link_loss_rate(BottleneckLink(), list(apps))
+        units = UnitColumns.from_applications(list(apps))
+        loss = link_loss_rate(BottleneckLink(), units, allocate_throughput(BottleneckLink(), units))
         assert 0.0 <= loss <= 1.0
 
     @given(
@@ -57,10 +69,9 @@ class TestFluidInvariants:
         """Doubling link capacity doubles every application's share."""
         base = BottleneckLink(capacity_gbps=capacity)
         double = BottleneckLink(capacity_gbps=2 * capacity)
-        shares_base = allocate_throughput(base, list(apps))
-        shares_double = allocate_throughput(double, list(apps))
-        for app_id, value in shares_base.items():
-            assert shares_double[app_id] == pytest.approx(2 * value, rel=1e-9)
+        shares_base = allocate(base, list(apps))
+        shares_double = allocate(double, list(apps))
+        assert shares_double.tolist() == pytest.approx((2 * shares_base).tolist(), rel=1e-9)
 
     @given(
         n=st.integers(min_value=2, max_value=10),
@@ -71,9 +82,8 @@ class TestFluidInvariants:
     @settings(max_examples=60, deadline=None)
     def test_identical_applications_get_identical_shares(self, n, connections, cc, paced):
         apps = [Application(i, cc=cc, connections=connections, paced=paced) for i in range(n)]
-        shares = allocate_throughput(BottleneckLink(), apps)
-        values = np.array(list(shares.values()))
-        assert np.allclose(values, values[0])
+        shares = allocate(BottleneckLink(), apps)
+        assert np.allclose(shares, shares[0])
 
     @given(
         n=st.integers(min_value=2, max_value=8),
@@ -87,8 +97,8 @@ class TestFluidInvariants:
             Application(i, cc="reno") for i in range(1, n)
         ]
         link = BottleneckLink()
-        base_share = allocate_throughput(link, base_apps)[0]
-        upgraded_share = allocate_throughput(link, upgraded)[0]
+        base_share = allocate(link, base_apps)[0]
+        upgraded_share = allocate(link, upgraded)[0]
         assert upgraded_share >= base_share - 1e-9
 
     @given(share=st.floats(min_value=0.05, max_value=0.95))
@@ -96,5 +106,5 @@ class TestFluidInvariants:
     def test_bbr_aggregate_share_parameter_is_respected(self, share):
         model = CompetitionModel(bbr_aggregate_share=share)
         apps = [Application(0, cc="bbr"), Application(1, cc="cubic")]
-        shares = allocate_throughput(BottleneckLink(), apps, model)
+        shares = allocate(BottleneckLink(), apps, model)
         assert shares[0] == pytest.approx(share * 10000.0)

@@ -355,3 +355,30 @@ class TestTrafficSourceThroughSimulate:
         assert content_key(spec) == content_key(spec)
         result = spec.run()
         assert "source0" in result.traffic
+
+
+#: Constructors given NaN or infinity.  A NaN demand level made
+#: ``PoissonArrivals.arrival_times`` loop forever and a NaN Pareto shape
+#: sampled NaN sizes, so each must fail at construction.
+NON_FINITE_TRAFFIC = {
+    "constant-level-nan": lambda: ConstantDemand(math.nan),
+    "constant-level-inf": lambda: ConstantDemand(math.inf),
+    "ramp-start-level-nan": lambda: RampDemand(start_level=math.nan),
+    "ramp-end-level-inf": lambda: RampDemand(end_level=math.inf),
+    "ramp-t0-nan": lambda: RampDemand(t0=math.nan),
+    "ramp-t0-minus-inf": lambda: RampDemand(t0=-math.inf),
+    "ramp-t1-nan": lambda: RampDemand(t1=math.nan),
+    "ramp-t1-inf": lambda: RampDemand(t1=math.inf),
+    "fixed-size-nan": lambda: FixedSizes(math.nan),
+    "fixed-size-inf": lambda: FixedSizes(math.inf),
+    "pareto-min-bytes-nan": lambda: ParetoSizes(min_bytes=math.nan),
+    "pareto-min-bytes-inf": lambda: ParetoSizes(min_bytes=math.inf),
+    "pareto-alpha-nan": lambda: ParetoSizes(alpha=math.nan),
+    "pareto-alpha-inf": lambda: ParetoSizes(alpha=math.inf),
+}
+
+
+@pytest.mark.parametrize("build", NON_FINITE_TRAFFIC.values(), ids=NON_FINITE_TRAFFIC)
+def test_non_finite_traffic_parameter_is_rejected(build):
+    with pytest.raises(ValueError):
+        build()

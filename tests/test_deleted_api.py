@@ -12,6 +12,8 @@ import inspect
 import pytest
 
 from repro.core.assignment import interval_assignment
+from repro.netsim.fluid.competition import allocate_throughput, link_loss_rate
+from repro.netsim.fluid.lab import LabExperimentResult
 from repro.netsim.packet.engine import EventScheduler
 from repro.netsim.packet.network import Network, parking_lot_path, parking_lot_queues
 from repro.netsim.packet.queue import make_queue
@@ -49,6 +51,7 @@ DELETED = [
     ("repro.netsim.packet.engine", "EventScheduler.__len__"),
     ("repro.netsim.traffic.source", "DynamicTrafficResult.mean_fct_s"),
     ("repro.netsim.traffic.source", "DynamicTrafficResult.p95_fct_s"),
+    ("repro.netsim.fluid.lab", "LabExperimentResult.group_values"),
 ]
 
 
@@ -119,6 +122,11 @@ REMOVED_KEYWORDS = [
     ),
     (parking_lot_path, "rtt_ms"),
     (parking_lot_path, "loss_rate"),
+    # The fluid kernels take unit columns (``UnitColumns``), and a lab
+    # run holds per-unit arrays rather than its ``Application`` list.
+    (allocate_throughput, "applications"),
+    (link_loss_rate, "applications"),
+    (LabExperimentResult, "applications"),
 ]
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.units import SESSION_METRICS
 from repro.workload.congestion import LinkHourState
-from repro.workload.qoe import LinkEffects, SessionOutcomeModel
+from repro.workload.qoe import CellConditions, LinkEffects, SessionDraws, SessionOutcomeModel
 from repro.workload.video import BitrateCapPolicy
 
 
@@ -198,3 +198,63 @@ class TestLinkEffects:
         weekday = model.generate(weekend=False, rng=rng1, **kwargs)
         weekend = model.generate(weekend=True, rng=rng2, **kwargs)
         assert weekend["cancelled_start"].mean() > weekday["cancelled_start"].mean()
+
+
+class TestTableTransform:
+    """The paired-link generator draws cell by cell but transforms the
+    whole table at once; both must give the same bits."""
+
+    CELLS = [
+        # (state, link effects, weekend, shock, sessions, capped fraction)
+        (UNCONGESTED, LinkEffects(), False, 1.0, 31, 0.0),
+        (CONGESTED, LinkEffects(rebuffer_multiplier=1.2, bytes_multiplier=1.05), True, 1.1, 9, 1.0),
+        (CONGESTED, LinkEffects(stability_offset=2.0, quality_offset=-0.1), False, 0.93, 1, 0.5),
+        (UNCONGESTED, LinkEffects(), True, 1.31, 60, 0.3),
+    ]
+
+    def test_table_transform_equals_per_cell_generation(self):
+        model = SessionOutcomeModel()
+        cap_policy = BitrateCapPolicy(cap_kbps=1750.0)
+        setup = np.random.default_rng(1)
+        capped = [setup.random(n) < fraction for *_, n, fraction in self.CELLS]
+        account_tp = [np.exp(setup.normal(0.0, 0.25, size=c.size)) for c in capped]
+        account_rtt = [np.exp(setup.normal(0.0, 0.2, size=c.size)) for c in capped]
+
+        rng = np.random.default_rng(9)
+        per_cell = [
+            model.generate(c, state, effects, cap_policy, tp, rtt, weekend, rng, shock)
+            for (state, effects, weekend, shock, _, _), c, tp, rtt in zip(
+                self.CELLS, capped, account_tp, account_rtt
+            )
+        ]
+
+        rng = np.random.default_rng(9)
+        draws = [model.draw(c.size, rng) for c in capped]
+        conditions = [
+            CellConditions.of(state, effects, weekend, shock)
+            for state, effects, weekend, shock, _, _ in self.CELLS
+        ]
+        sizes = [c.size for c in capped]
+        table = model.outcomes(
+            SessionDraws(*(np.concatenate(column) for column in zip(*draws))),
+            np.concatenate(capped),
+            np.concatenate(account_tp),
+            np.concatenate(account_rtt),
+            CellConditions(*(np.repeat(column, sizes) for column in zip(*conditions))),
+            cap_policy,
+        )
+
+        assert set(table) == set(SESSION_METRICS)
+        for metric in SESSION_METRICS:
+            expected = np.concatenate([cell[metric] for cell in per_cell])
+            assert table[metric].tobytes() == expected.tobytes(), metric
+
+    def test_draws_follow_the_generator_stream(self):
+        # ``generate`` draws exactly what ``draw`` does, so the generator
+        # state after one cell is the same either way.
+        model = SessionOutcomeModel()
+        a, b = np.random.default_rng(2), np.random.default_rng(2)
+        model.draw(17, a)
+        ones, capped = np.ones(17), np.zeros(17, dtype=bool)
+        model.generate(capped, UNCONGESTED, LinkEffects(), BitrateCapPolicy(), ones, ones, False, b)
+        assert a.random() == b.random()

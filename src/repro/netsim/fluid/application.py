@@ -15,7 +15,7 @@ experiments of Section 3 correspond to three treatments:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 __all__ = ["Application", "CC_ALGORITHMS"]
 
@@ -38,10 +38,11 @@ class Application:
     paced:
         Whether the application's connections pace their packets.
     treated:
-        Whether the application is in the treatment group of the current
-        A/B test.  The flag does not change behaviour by itself — the
-        experiment harness builds treated applications with the treatment
-        configuration.
+        Whether the application is in the treatment group when it runs
+        through :func:`~repro.netsim.fluid.lab.run_lab_experiment`.  The
+        flag does not change behaviour by itself, and a lab sweep ignores
+        it: arm ``k`` treats its first ``k`` units, built with the
+        treatment configuration.
     """
 
     app_id: int
@@ -57,14 +58,6 @@ class Application:
             )
         if self.connections < 1:
             raise ValueError("an application needs at least one connection")
-
-    def as_treated(self) -> "Application":
-        """Return a copy flagged as treated."""
-        return replace(self, treated=True)
-
-    def as_control(self) -> "Application":
-        """Return a copy flagged as control."""
-        return replace(self, treated=False)
 
     @property
     def is_loss_based(self) -> bool:

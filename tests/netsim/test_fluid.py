@@ -77,11 +77,6 @@ class TestApplication:
         with pytest.raises(ValueError):
             Application(0, connections=0)
 
-    def test_arm_flipping(self):
-        app = Application(0)
-        assert app.as_treated().treated
-        assert not app.as_treated().as_control().treated
-
     def test_loss_based_classification(self):
         assert Application(0, cc="reno").is_loss_based
         assert Application(0, cc="cubic").is_loss_based
@@ -182,7 +177,7 @@ class TestLossRate:
     def test_loss_identical_for_all_apps_in_one_run(self):
         # The loss rate is a link property, not a per-application property.
         result = run_lab_experiment(
-            [Application(0, connections=2).as_treated()]
+            [Application(0, connections=2, treated=True)]
             + [Application(i) for i in range(1, 10)]
         )
         values = set(round(v, 12) for v in result.retransmit_fraction.tolist())
@@ -310,12 +305,12 @@ class TestIsolatedSweep:
 
 class TestLabExperimentResult:
     def test_group_mean_requires_members(self):
-        result = run_lab_experiment([Application(0).as_control()])
+        result = run_lab_experiment([Application(0)])
         with pytest.raises(ValueError):
             result.group_mean("throughput_mbps", treated=True)
 
     def test_unknown_metric_raises(self):
-        result = run_lab_experiment([Application(0).as_control()])
+        result = run_lab_experiment([Application(0)])
         with pytest.raises(KeyError):
             result.group_mean("nope", treated=False)
 

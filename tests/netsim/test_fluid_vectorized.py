@@ -4,6 +4,7 @@ scalar references."""
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -132,7 +133,7 @@ links = st.sampled_from([LINK, BottleneckLink(capacity_gbps=0.05), BottleneckLin
 def scalar_arm(n_units, k, treatment, control):
     """The applications of arm ``k``, built the way the scalar lab did."""
     return [
-        treatment(i).as_treated() if i < k else control(i).as_control() for i in range(n_units)
+        replace(treatment(i), treated=True) if i < k else control(i) for i in range(n_units)
     ]
 
 

@@ -52,6 +52,8 @@ DELETED = [
     ("repro.netsim.traffic.source", "DynamicTrafficResult.mean_fct_s"),
     ("repro.netsim.traffic.source", "DynamicTrafficResult.p95_fct_s"),
     ("repro.netsim.fluid.lab", "LabExperimentResult.group_values"),
+    ("repro.netsim.fluid.application", "Application.as_treated"),
+    ("repro.netsim.fluid.application", "Application.as_control"),
 ]
 
 

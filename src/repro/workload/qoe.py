@@ -65,6 +65,10 @@ class SessionDraws(NamedTuple):
 
     Fields are in draw order; :meth:`SessionOutcomeModel.draw` makes them
     and :meth:`SessionOutcomeModel.outcomes` turns them into metrics.
+    Every field but ``viewing_hours`` and ``cancel`` holds standard
+    normals, which :meth:`~SessionOutcomeModel.outcomes` scales by the
+    draw's sigma: ``rng.normal(0, sigma)`` is ``sigma`` times the
+    generator's next standard normal, bit for bit.
     """
 
     access: np.ndarray
@@ -173,20 +177,30 @@ class SessionOutcomeModel:
     # -- generation -------------------------------------------------------------
 
     def draw(self, n: int, rng: np.random.Generator) -> SessionDraws:
-        """The random draws behind ``n`` sessions' outcomes, in draw order."""
+        """The random draws behind ``n`` sessions' outcomes, in draw order.
+
+        Each run of consecutive normal draws is one call: row ``i`` of
+        ``rng.standard_normal((k, n))`` holds the values of the ``i``-th of
+        ``k`` successive ``size=n`` draws.
+        """
+        access, throughput_noise, base_rtt, rtt_noise, delay_noise = rng.standard_normal((5, n))
+        viewing_hours = rng.exponential(self.viewing_hours_mean, size=n)
+        bytes_noise, retransmit_noise, rebuffer_noise = rng.standard_normal((3, n))
+        cancel = rng.random(n)
+        quality, stability = rng.standard_normal((2, n))
         return SessionDraws(
-            access=rng.normal(0.0, self.access_throughput_sigma, size=n),
-            throughput_noise=rng.normal(0.0, self.noise_sigma, size=n),
-            base_rtt=rng.normal(0.0, self.base_rtt_sigma, size=n),
-            rtt_noise=rng.normal(0.0, self.noise_sigma, size=n),
-            delay_noise=rng.normal(0.0, self.noise_sigma, size=n),
-            viewing_hours=rng.exponential(self.viewing_hours_mean, size=n),
-            bytes_noise=rng.normal(0.0, self.noise_sigma, size=n),
-            retransmit_noise=rng.normal(0.0, self.noise_sigma, size=n),
-            rebuffer_noise=rng.normal(0.0, self.noise_sigma, size=n),
-            cancel=rng.random(n),
-            quality=rng.normal(0.0, 0.5, size=n),
-            stability=rng.normal(0.0, 1.0, size=n),
+            access,
+            throughput_noise,
+            base_rtt,
+            rtt_noise,
+            delay_noise,
+            viewing_hours,
+            bytes_noise,
+            retransmit_noise,
+            rebuffer_noise,
+            cancel,
+            quality,
+            stability,
         )
 
     def generate(
@@ -261,16 +275,20 @@ class SessionOutcomeModel:
         session's cell conditions; the result is the same either way, bit
         for bit, because every step is elementwise.
         """
+
+        def noise(standard_normal: np.ndarray) -> np.ndarray:
+            return np.exp(self.noise_sigma * standard_normal)
+
         # --- throughput ------------------------------------------------------
         access = (
             self.access_throughput_median_mbps
-            * np.exp(draws.access)
+            * np.exp(self.access_throughput_sigma * draws.access)
             * account_throughput_factor
             * cells.cell_shock
         )
         network_throughput = access * cells.throughput_factor
         measurement_factor = np.where(capped, self.capped_measurement_factor, 1.0)
-        throughput_mbps = network_throughput * measurement_factor * np.exp(draws.throughput_noise)
+        throughput_mbps = network_throughput * measurement_factor * noise(draws.throughput_noise)
 
         # --- video bitrate -----------------------------------------------------
         uncapped_bitrate = select_bitrate_array(throughput_mbps, self.ladder)
@@ -279,17 +297,21 @@ class SessionOutcomeModel:
         video_bitrate_kbps = np.where(capped, capped_bitrate, uncapped_bitrate)
 
         # --- minimum RTT --------------------------------------------------------
-        base_rtt = self.base_rtt_median_ms * np.exp(draws.base_rtt) * account_rtt_factor
+        base_rtt = (
+            self.base_rtt_median_ms
+            * np.exp(self.base_rtt_sigma * draws.base_rtt)
+            * account_rtt_factor
+        )
         relief = np.where(
             capped, self.rtt_sampling_relief_capped, self.rtt_sampling_relief_uncapped
         )
-        min_rtt_ms = base_rtt + cells.queueing_delay_ms * (1.0 - relief) * np.exp(draws.rtt_noise)
+        min_rtt_ms = base_rtt + cells.queueing_delay_ms * (1.0 - relief) * noise(draws.rtt_noise)
 
         # --- start play delay ----------------------------------------------------
         startup_bits = self.startup_buffer_mb * 8e6
         transfer_s = startup_bits / np.maximum(network_throughput * 1e6, 1e5)
         rtt_penalty_s = 6.0 * (base_rtt + cells.queueing_delay_ms) / 1000.0
-        play_delay_s = (self.play_delay_floor_s + transfer_s + rtt_penalty_s) * np.exp(
+        play_delay_s = (self.play_delay_floor_s + transfer_s + rtt_penalty_s) * noise(
             draws.delay_noise
         )
 
@@ -297,14 +319,14 @@ class SessionOutcomeModel:
         viewing_hours = np.clip(draws.viewing_hours, 0.05, 6.0)
         bytes_sent_gb = (
             video_bitrate_kbps * 1000.0 * viewing_hours * 3600.0 / 8.0 / 1e9
-        ) * cells.bytes_multiplier * np.exp(draws.bytes_noise)
+        ) * cells.bytes_multiplier * noise(draws.bytes_noise)
 
         # --- retransmissions -----------------------------------------------------------
         loss_rate = self.base_loss_rate + cells.loss_rate
         sent_bytes = np.maximum(bytes_sent_gb * 1e9, 1e6)
         fixed_retx = self.fixed_retransmit_mb * 1e6
         retransmit_fraction = np.clip(
-            (loss_rate * sent_bytes + fixed_retx) / sent_bytes * np.exp(draws.retransmit_noise),
+            (loss_rate * sent_bytes + fixed_retx) / sent_bytes * noise(draws.retransmit_noise),
             0.0,
             1.0,
         )
@@ -316,7 +338,7 @@ class SessionOutcomeModel:
             * cells.rebuffer_multiplier
             * (0.7 + 1.2 * np.clip(pressure, 0.0, 2.0) ** 2)
             * (1.0 + 25.0 * cells.loss_rate)
-            * np.exp(draws.rebuffer_noise)
+            * noise(draws.rebuffer_noise)
         )
 
         # --- cancelled starts ---------------------------------------------------------
@@ -330,10 +352,11 @@ class SessionOutcomeModel:
         cancelled_start = (draws.cancel < np.clip(cancel_probability, 0.0, 0.9)).astype(float)
 
         # --- perceptual quality and stability ----------------------------------------------------
+        # The quality draw has sigma 0.5 and the stability draw sigma 1.
         perceptual_quality = np.clip(
             100.0 * (1.0 - np.exp(-video_bitrate_kbps / self.quality_scale_kbps))
             + cells.quality_offset
-            + draws.quality,
+            + 0.5 * draws.quality,
             0.0,
             100.0,
         )

@@ -249,12 +249,24 @@ class TestTableTransform:
             expected = np.concatenate([cell[metric] for cell in per_cell])
             assert table[metric].tobytes() == expected.tobytes(), metric
 
-    def test_draws_follow_the_generator_stream(self):
-        # ``generate`` draws exactly what ``draw`` does, so the generator
-        # state after one cell is the same either way.
+    def test_draw_equals_twelve_separate_draws(self):
+        # The model draws each run of normals with one call and keeps them
+        # standard; scaled by their sigmas they are the values (and leave
+        # the generator in the state) of one ``size=n`` call per draw.
         model = SessionOutcomeModel()
-        a, b = np.random.default_rng(2), np.random.default_rng(2)
-        model.draw(17, a)
-        ones, capped = np.ones(17), np.zeros(17, dtype=bool)
-        model.generate(capped, UNCONGESTED, LinkEffects(), BitrateCapPolicy(), ones, ones, False, b)
-        assert a.random() == b.random()
+        grouped, separate = np.random.default_rng(2), np.random.default_rng(2)
+        draws = model.draw(17, grouped)
+        sigmas = {"access": model.access_throughput_sigma, "base_rtt": model.base_rtt_sigma}
+        sigmas |= {"quality": 0.5, "stability": 1.0}
+        for field in SessionDraws._fields:
+            if field == "viewing_hours":
+                expected = separate.exponential(model.viewing_hours_mean, size=17)
+                got = draws.viewing_hours
+            elif field == "cancel":
+                expected, got = separate.random(17), draws.cancel
+            else:
+                sigma = sigmas.get(field, model.noise_sigma)
+                expected = separate.normal(0.0, sigma, size=17)
+                got = sigma * getattr(draws, field)
+            assert got.tobytes() == expected.tobytes(), field
+        assert grouped.random() == separate.random()

@@ -154,8 +154,8 @@ class UnitColumns:
         )
 
     def weights(self, model: CompetitionModel) -> np.ndarray:
-        """Each unit's total competitive weight (connections x
-        per-connection weight); BBR units carry weight 0."""
+        """Each unit's competitive weight: connections times the weight of
+        one of its connections, and 0 for BBR units."""
         per_connection = np.where(self.cubic, model.cubic_weight, 1.0)
         paced = self.paced & ~self.is_bbr
         per_connection = np.where(paced, per_connection * model.paced_weight, per_connection)
@@ -176,8 +176,7 @@ def allocate_throughput(
 
     The work is numpy over the unit columns (no per-application Python
     loop); :func:`allocate_throughput_reference` keeps the scalar path,
-    pinned equal to this one by tests and raced against it in
-    ``benchmarks/``.
+    pinned equal to this one by tests.
     """
     _validate(units.app_id.tolist())
     model = model or CompetitionModel()

@@ -166,6 +166,43 @@ class TestGroupedMeansMatchMasks:
         )
 
 
+class TestEveryGroupSize:
+    """Tables with 30 groups of each size from 1 to 20 rows, interleaved.
+
+    Groups of fewer than 8 rows and groups of 8 or more are summed by
+    different code; each mean must equal the group's slice sum over its
+    size, bit for bit (``tobytes``, so the sign of a zero counts too).
+    """
+
+    @pytest.mark.parametrize("signs", ["positive", "mixed"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_means_equal_slice_sums(self, signs, seed):
+        rng = np.random.default_rng(seed)
+        sizes = rng.permutation(np.repeat(np.arange(1, 21), 30))
+        keys = rng.permutation(np.repeat(np.arange(sizes.size), sizes)).astype(float)
+        values = rng.lognormal(0.0, 3.0, keys.size)
+        if signs == "mixed":
+            values *= rng.choice([-1.0, 1.0], keys.size)
+            values[rng.random(keys.size) < 0.05] = -0.0
+            values[rng.random(keys.size) < 0.05] = 0.0
+        first, means, counts = group_means(values, keys)
+
+        ranked = values[np.argsort(keys, kind="stable")]
+        starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+        expected = np.array([np.add.reduce(ranked[s : s + n]) / n for s, n in zip(starts, sizes)])
+        assert counts.tolist() == sizes.tolist()
+        assert keys[first].tolist() == list(range(sizes.size))
+        assert means.tobytes() == expected.tobytes()
+
+    def test_groups_of_negative_zeros(self):
+        values = np.array([-0.0, -0.0, -0.0, 1.0, -1.0] + [-0.0] * 9)
+        keys = np.array([0, 1, 1, 2, 2] + [3] * 9)
+        _first, means, _counts = group_means(values, keys)
+        groups = ([-0.0], [-0.0] * 2, [1.0, -1.0], [-0.0] * 9)
+        expected = np.array([np.array(group).mean() for group in groups])
+        assert means.tobytes() == expected.tobytes()
+
+
 class TestEmptyTable:
     @pytest.fixture
     def empty(self):

@@ -168,6 +168,11 @@ class OutcomeTable:
         return f"OutcomeTable(rows={self._length}, columns={self.column_names})"
 
 
+#: Group size from which ``np.add.reduce`` switches from a left-to-right
+#: sum to its pairwise one (numpy's ``pairwise_sum`` block).
+_PAIRWISE_MIN = 8
+
+
 def group_means(
     values: np.ndarray, *keys: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -179,11 +184,17 @@ def group_means(
     first row, the mean of its values and its number of rows.
 
     One stable sort groups the rows, so each group's rows keep their table
-    order.  Each mean is ``np.add.reduce`` over the group's contiguous run
-    of sorted values, divided by its size.  That is how ``ndarray.mean``
-    adds, so each mean is bit for bit the mean of a boolean-mask selection
-    of the group.  ``np.add.reduceat`` and ``np.bincount`` add in another
-    order and change the last bits.
+    order.  Each mean is the group's sum divided by its size, and each sum
+    is the one ``np.add.reduce`` makes over the group's contiguous run of
+    sorted values.  That is how ``ndarray.mean`` adds, so each mean is bit
+    for bit the mean of a boolean-mask selection of the group.
+    ``np.add.reduce`` adds fewer than 8 values left to right from +0.0, so
+    those groups are summed all at once: their rows are laid out as a
+    zero-padded matrix, one group a row, whose columns are added left to
+    right.  A sum that starts at +0.0 is never -0.0, so adding a padded
+    +0.0 leaves it as it is.  From 8 values numpy sums pairwise, so larger
+    groups keep one ``np.add.reduce`` each.  ``np.add.reduceat`` and
+    ``np.bincount`` add in another order and change the last bits.
     """
     order = np.lexsort(keys)
     is_start = np.zeros(order.size, dtype=bool)
@@ -194,5 +205,17 @@ def group_means(
     starts = np.flatnonzero(is_start)
     counts = np.diff(starts, append=order.size)
     ranked = values[order]
-    sums = [np.add.reduce(ranked[s:s + n]) for s, n in zip(starts.tolist(), counts.tolist())]
-    return order[starts], np.array(sums, dtype=float) / counts, counts
+    sums = np.empty(counts.size)
+    small = counts < _PAIRWISE_MIN
+    columns = np.arange(_PAIRWISE_MIN - 1)
+    has_row = columns < counts[small, None]
+    padded = np.zeros(has_row.shape)
+    padded[has_row] = ranked[(starts[small, None] + columns)[has_row]]
+    small_sums = np.zeros(padded.shape[0])
+    for column in padded.T:
+        small_sums += column
+    sums[small] = small_sums
+    large = np.flatnonzero(~small)
+    for i, s, n in zip(large.tolist(), starts[large].tolist(), counts[large].tolist()):
+        sums[i] = np.add.reduce(ranked[s:s + n])
+    return order[starts], sums / counts, counts

@@ -67,7 +67,11 @@ class LabExperimentResult:
     retransmit_fraction: np.ndarray
 
     def group_mean(self, metric: str, treated: bool) -> float:
-        """Mean of a metric over the treated or control applications."""
+        """Mean of a metric over the treated or control applications.
+
+        ``np.add.reduce`` of the values divided by their count: what
+        ``ndarray.mean`` computes for float64, without its wrapper.
+        """
         if metric not in LAB_METRICS:
             raise KeyError(f"unknown lab metric {metric!r}; expected one of {LAB_METRICS}")
         values = getattr(self, metric)[self.treated if treated else ~self.treated]
@@ -75,7 +79,7 @@ class LabExperimentResult:
             raise ValueError(
                 f"no {'treated' if treated else 'control'} applications in this run"
             )
-        return float(np.mean(values))
+        return float(np.add.reduce(values) / values.size)
 
 
 def _check_noise(noise: float) -> None:

@@ -34,9 +34,9 @@ def loss_probability(
     below zero map to a loss probability of 1, and the result is clipped
     to [0, 1].
 
-    This is the shared kernel behind :func:`repro.netsim.fluid.competition.
-    link_loss_rate` (one link, scalar) and the fleet hybrid's backbone
-    coupling (thousands of edges, vectorized).
+    This is the fleet hybrid's backbone coupling kernel (thousands of
+    edges at once); :meth:`BottleneckLink.loss_probability` computes the
+    same value for one rate in Python floats.
     """
     rate_bps = np.asarray(per_connection_mbps, dtype=float) * 1e6
     rtt_s = np.asarray(rtt_ms, dtype=float) / 1000.0
@@ -105,8 +105,15 @@ class BottleneckLink:
         """Loss probability sustaining the given per-connection rate here.
 
         Evaluates the square-root TCP loss-throughput relationship with
-        this link's RTT and MTU; see :func:`loss_probability`.
+        this link's RTT and MTU.  It makes the float operations of
+        :func:`loss_probability`, in the same order, on Python floats, so
+        it returns the kernel's value without its array overhead.
         """
-        return loss_probability(
-            per_connection_mbps, rtt_ms=self.base_rtt_ms, mtu_bytes=self.mtu_bytes
-        )
+        rate_bps = float(per_connection_mbps) * 1e6
+        if not rate_bps > 0.0:
+            return 1.0
+        rtt_s = float(self.base_rtt_ms) / 1000.0
+        segment_bits = float(self.mtu_bytes) * BITS_PER_BYTE
+        ratio = segment_bits / (rtt_s * rate_bps)
+        # numpy evaluates an array's ``** 2`` as ``x * x``.
+        return min(1.5 * (ratio * ratio), 1.0)

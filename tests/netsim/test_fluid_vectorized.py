@@ -188,6 +188,28 @@ class TestLabSweepAgainstScalarOracle:
             assert result.throughput_mbps.tolist() == throughput
             assert result.retransmit_fraction.tolist() == retransmit
 
+    @given(
+        n_units=st.integers(min_value=1, max_value=12),
+        treatment=factories,
+        control=factories,
+        model=non_dyadic_models,
+        link=links,
+        noise=st.sampled_from([0.0, 0.05, 0.9, 3.0]),
+        seed=st.integers(min_value=0, max_value=2**31),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_group_mean_equals_np_mean(self, n_units, treatment, control, model, link, noise, seed):
+        sweep = run_lab_sweep(
+            n_units, treatment, control, link=link, model=model, noise=noise, seed=seed
+        )
+        for result in sweep.results.values():
+            for metric in ("throughput_mbps", "retransmit_fraction"):
+                values = getattr(result, metric)
+                for arm in (True, False):
+                    mask = result.treated if arm else ~result.treated
+                    if mask.any():
+                        assert result.group_mean(metric, arm) == float(np.mean(values[mask]))
+
 
 class TestLossProbabilityKernel:
     def test_scalar_matches_inline_formula(self):
@@ -207,6 +229,25 @@ class TestLossProbabilityKernel:
             assert result[i] == pytest.approx(
                 loss_probability(float(rates[i]), rtt_ms=float(rtts[i]), mtu_bytes=1500)
             )
+
+    def test_link_method_equals_the_kernel(self):
+        rng = np.random.default_rng(104)
+        for _ in range(5000):
+            link = BottleneckLink(
+                capacity_gbps=float(rng.uniform(0.01, 100.0)),
+                base_rtt_ms=float(rng.lognormal(0.0, 2.0)),
+                mtu_bytes=int(rng.integers(64, 9001)),
+            )
+            rate = float(rng.lognormal(0.0, 8.0)) * float(rng.choice([0.0, -1.0, 1.0, 1.0]))
+            kernel = loss_probability(rate, rtt_ms=link.base_rtt_ms, mtu_bytes=link.mtu_bytes)
+            assert link.loss_probability(rate) == kernel
+            assert link.loss_probability(np.float64(rate)) == kernel
+
+    def test_link_method_clips(self):
+        assert BottleneckLink().loss_probability(0.0) == 1.0
+        assert BottleneckLink().loss_probability(-3.0) == 1.0
+        assert BottleneckLink().loss_probability(float("nan")) == 1.0
+        assert BottleneckLink().loss_probability(1e-9) == 1.0
 
     def test_clipping(self):
         assert loss_probability(0.0, rtt_ms=1.0, mtu_bytes=1500) == 1.0

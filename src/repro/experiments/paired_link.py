@@ -1,6 +1,6 @@
 """The paired-link bitrate-capping experiment (Section 4, Figures 5-9, 13).
 
-Runs the full protocol:
+The full protocol generates three workload weeks:
 
 1. a baseline week with no treatment anywhere (used to validate that the
    two links are statistically similar — Section 4.1);
@@ -13,18 +13,26 @@ paper reports: the two naive within-link A/B effects, the approximate TTE,
 the spillover (Figure 5), the hourly throughput time series (Figure 6),
 the four-cell means for throughput and minimum RTT (Figures 7-8), the
 peak/off-peak retransmission split (Figure 9), and the hourly-vs-account
-confidence-interval comparison (Figure 13).
+confidence-interval comparison (Figure 13).  Each of them is computed the
+first time it is read.
+
+:meth:`PairedLinkExperiment.run` generates all three weeks unless told
+otherwise.  Each registered figure generates only the week it reads:
+``baseline`` the baseline week, and fig5, fig7, fig8, fig9 and fig10 the
+experiment week.  No figure reads the A/A week.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Mapping, Sequence
+from functools import cached_property
 
 import numpy as np
 
 from repro.core.analysis.pipeline import AnalysisConfig, MetricEstimate, analyze_metric
 from repro.core.designs import ExperimentDesign
+from repro.core.designs.base import ComparisonSpec
 from repro.core.designs.paired_link import DESIGN
 from repro.core.experiment import evaluate_comparisons
 from repro.core.units import SESSION_METRICS, OutcomeTable
@@ -46,6 +54,9 @@ BASELINE_DAYS: tuple[int, ...] = (0, 1, 2, 3, 4, 5, 6)
 
 #: Days of the post-experiment A/A week.
 AA_DAYS: tuple[int, ...] = (0, 1, 2, 3, 4)
+
+#: The protocol's workload weeks, in the order they are generated.
+WEEKS: tuple[str, ...] = ("baseline", "experiment", "aa")
 
 #: Estimand labels reported in Figure 5, in display order.
 FIGURE5_ESTIMANDS: tuple[str, ...] = ("ab_0.05", "ab_0.95", "tte", "spillover")
@@ -99,16 +110,95 @@ class CellMeans:
         return self.link2_treated - self.link2_control
 
 
+class _Estimates(Mapping[str, dict[str, MetricEstimate]]):
+    """The design's estimands, in order, each evaluated when first read.
+
+    ``estimates[estimand][metric]`` is a :class:`MetricEstimate`.  Reading
+    an estimand runs its comparison for every session metric once, through
+    :func:`~repro.core.experiment.evaluate_comparisons`.
+    """
+
+    def __init__(
+        self,
+        table: OutcomeTable,
+        comparisons: Sequence[ComparisonSpec],
+        baselines: dict[str, float],
+    ) -> None:
+        self._table = table
+        self._comparisons = {spec.estimand: spec for spec in comparisons}
+        self._baselines = baselines
+        self._evaluated: dict[str, dict[str, MetricEstimate]] = {}
+
+    def __getitem__(self, estimand: str) -> dict[str, MetricEstimate]:
+        if estimand not in self._evaluated:
+            spec = self._comparisons[estimand]
+            self._evaluated[estimand] = evaluate_comparisons(
+                self._table, [spec], baselines=self._baselines
+            )[estimand]
+        return self._evaluated[estimand]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._comparisons)
+
+    def __len__(self) -> int:
+        return len(self._comparisons)
+
+
 @dataclass
 class PairedLinkOutcome:
-    """Everything produced by one run of the paired-link experiment."""
+    """Everything produced by one run of the paired-link experiment.
+
+    ``tables`` holds the workload weeks the run generated, by name (see
+    :data:`WEEKS`); reading a week the run did not generate raises
+    ``ValueError``.  The baselines and estimates derive from the
+    experiment week and are computed the first time they are read.
+    """
 
     config: WorkloadConfig
-    baseline_table: OutcomeTable
-    experiment_table: OutcomeTable
-    aa_table: OutcomeTable
-    baselines: dict[str, float]
-    estimates: dict[str, dict[str, MetricEstimate]]
+    tables: dict[str, OutcomeTable]
+
+    def _week(self, week: str) -> OutcomeTable:
+        try:
+            return self.tables[week]
+        except KeyError:
+            raise ValueError(
+                f"this run did not generate the {week!r} week (it generated "
+                f"{list(self.tables)}); pass it in PairedLinkExperiment.run(weeks=...)"
+            ) from None
+
+    @property
+    def baseline_table(self) -> OutcomeTable:
+        """The untreated baseline week (Section 4.1)."""
+        return self._week("baseline")
+
+    @property
+    def experiment_table(self) -> OutcomeTable:
+        """The five-day main experiment week."""
+        return self._week("experiment")
+
+    @property
+    def aa_table(self) -> OutcomeTable:
+        """The post-experiment A/A week (Section 5)."""
+        return self._week("aa")
+
+    @cached_property
+    def baselines(self) -> dict[str, float]:
+        """Per-metric mean of the global control condition.
+
+        Everything is normalized by the control sessions on the
+        mostly-uncapped link (Appendix B.1).
+        """
+        global_control = self.experiment_table.where(link=DESIGN.control_link, treated=0)
+        return {metric: global_control.mean(metric) for metric in SESSION_METRICS}
+
+    @cached_property
+    def estimates(self) -> Mapping[str, dict[str, MetricEstimate]]:
+        """The design's four estimands, each computed when first read."""
+        return _Estimates(
+            self.experiment_table,
+            DESIGN.comparisons(self.config.links, EXPERIMENT_DAYS),
+            self.baselines,
+        )
 
     # -- Figure 5 -----------------------------------------------------------------
 
@@ -292,6 +382,20 @@ def generate_aa_table(
     return PairedLinkWorkload(config).generate_aa_test(tuple(days))
 
 
+def _week_spec(config: WorkloadConfig, week: str) -> ScenarioSpec:
+    """The runner spec that generates one workload week."""
+    if week == "baseline":
+        task, params = "workload.baseline_table", {"config": config, "days": BASELINE_DAYS}
+    elif week == "experiment":
+        task = "workload.experiment_table"
+        params = {"config": config, "design": DESIGN, "days": EXPERIMENT_DAYS}
+    elif week == "aa":
+        task, params = "workload.aa_table", {"config": config, "days": AA_DAYS}
+    else:
+        raise ValueError(f"unknown week {week!r}; choose from {WEEKS}")
+    return ScenarioSpec(task=task, params=params, label=f"paired_link[{week}]")
+
+
 @dataclass
 class PairedLinkExperiment:
     """Configuration and runner for the full paired-link protocol.
@@ -308,51 +412,30 @@ class PairedLinkExperiment:
 
     config: WorkloadConfig = field(default_factory=WorkloadConfig)
 
-    def run(self, executor: ParallelExecutor | None = None) -> PairedLinkOutcome:
-        """Run baseline, main experiment and A/A weeks, then analyze.
+    def run(
+        self, executor: ParallelExecutor | None = None, *, weeks: Sequence[str] = WEEKS
+    ) -> PairedLinkOutcome:
+        """Generate the requested workload weeks; the outcome analyzes them.
 
-        The three workload weeks are independently seeded (each table
-        draws from ``config.seed`` plus its own offset), so they run as
-        three scenario specs on ``executor`` (default: a serial, uncached
-        one), with results bit-identical for any worker count.
+        ``weeks`` names the weeks to generate, from :data:`WEEKS`; the
+        default is all three, the full protocol.  Each registered figure
+        asks only for the week it reads: ``baseline`` for the baseline
+        figure, ``experiment`` for fig5 and fig7-fig10.  The estimates
+        need the experiment week and are computed when first read.
+
+        Each week is independently seeded (its table draws from
+        ``config.seed`` plus its own offset), so a week's table is the
+        same whichever other weeks run beside it.  The weeks run as
+        scenario specs on ``executor`` (default: a serial, uncached one),
+        in :data:`WEEKS` order, with results bit-identical for any worker
+        count.
         """
-        specs = (
-            ScenarioSpec(
-                task="workload.baseline_table",
-                params={"config": self.config, "days": BASELINE_DAYS},
-                label="paired_link[baseline]",
-            ),
-            ScenarioSpec(
-                task="workload.experiment_table",
-                params={"config": self.config, "design": DESIGN, "days": EXPERIMENT_DAYS},
-                label="paired_link[experiment]",
-            ),
-            ScenarioSpec(
-                task="workload.aa_table",
-                params={"config": self.config, "days": AA_DAYS},
-                label="paired_link[aa]",
-            ),
-        )
-        baseline_table, experiment_table, aa_table = (executor or ParallelExecutor()).map(specs)
-
-        # Normalize everything by the global control condition: the control
-        # sessions on the mostly-uncapped link (Appendix B.1).
-        global_control = experiment_table.where(link=DESIGN.control_link, treated=0)
-        baselines = {metric: global_control.mean(metric) for metric in SESSION_METRICS}
-        estimates = evaluate_comparisons(
-            experiment_table,
-            DESIGN.comparisons(self.config.links, EXPERIMENT_DAYS),
-            baselines=baselines,
-        )
-
-        return PairedLinkOutcome(
-            config=self.config,
-            baseline_table=baseline_table,
-            experiment_table=experiment_table,
-            aa_table=aa_table,
-            baselines=baselines,
-            estimates=estimates,
-        )
+        specs = {week: _week_spec(self.config, week) for week in weeks}
+        if not specs:
+            raise ValueError("weeks must name at least one week")
+        ran = [week for week in WEEKS if week in specs]
+        tables = (executor or ParallelExecutor()).map([specs[week] for week in ran])
+        return PairedLinkOutcome(config=self.config, tables=dict(zip(ran, tables)))
 
 
 # -- the paired-link figures ----------------------------------------------------
@@ -362,30 +445,32 @@ class PairedLinkExperiment:
 
 
 def _run_workload(
-    quick: bool, seed: int, executor: ParallelExecutor | None = None
+    quick: bool, seed: int, week: str, executor: ParallelExecutor | None = None
 ) -> PairedLinkOutcome:
     config = WorkloadConfig(sessions_at_peak=150 if quick else 300, seed=seed)
-    return PairedLinkExperiment(config=config).run(executor)
+    return PairedLinkExperiment(config=config).run(executor, weeks=(week,))
 
 
 def _paired_figure(
     name: str,
     help: str,
+    week: str,
     cells: Callable[[PairedLinkOutcome], dict[str, float]],
     table: Callable[[PairedLinkOutcome], str],
 ) -> Figure:
     """A figure reduced from one paired-link run: ``cells`` for sweeps and
-    campaigns, ``table(outcome)`` for ``repro <name>``.  The run's three
-    workload weeks go to the command's executor."""
+    campaigns, ``table(outcome)`` for ``repro <name>``.  The run generates
+    only ``week``, the one workload week the figure reads, on the
+    command's executor; the figure computes only the estimates it reads."""
     return Figure(
         name=name,
         help=help,
         group="paired-link",
         knob="quick",
         seeded=True,
-        cells=lambda quick, seed: cells(_run_workload(quick, 0 if seed is None else seed)),
+        cells=lambda quick, seed: cells(_run_workload(quick, 0 if seed is None else seed, week)),
         render=lambda args, parser, executor: [
-            table(_run_workload(args.quick, args.seed, executor))
+            table(_run_workload(args.quick, args.seed, week, executor))
         ],
     )
 
@@ -456,6 +541,7 @@ register(
     _paired_figure(
         "baseline",
         "Section 4.1 baseline link-similarity table",
+        week="baseline",
         cells=lambda outcome: {
             f"rel_diff_pct:{row.metric}": row.relative_percent
             for row in compare_links_at_baseline(outcome.baseline_table)
@@ -473,6 +559,7 @@ register(
     _paired_figure(
         "fig5",
         "paired-link treatment-effect table (Figure 5)",
+        week="experiment",
         cells=lambda outcome: {
             f"{estimand}:{metric}": outcome.estimates[estimand][metric].relative_percent
             for estimand in FIGURE5_ESTIMANDS
@@ -491,6 +578,7 @@ register(
     _paired_figure(
         "fig7",
         "paired-link throughput cells (Figure 7)",
+        week="experiment",
         cells=lambda outcome: _cell_means(outcome.figure7_cells()),
         table=lambda outcome: _cell_means_table(
             "throughput (Mb/s)", outcome.figure7_cells(), ".2f"
@@ -501,6 +589,7 @@ register(
     _paired_figure(
         "fig8",
         "paired-link min-RTT cells (Figure 8)",
+        week="experiment",
         cells=lambda outcome: _cell_means(outcome.figure8_cells()),
         table=lambda outcome: _cell_means_table(
             "min RTT (normalized)", outcome.figure8_cells(), ".3f"
@@ -511,6 +600,7 @@ register(
     _paired_figure(
         "fig9",
         "paired-link retransmission split (Figure 9)",
+        week="experiment",
         cells=lambda outcome: {
             name: 100.0 * value for name, value in outcome.figure9_retransmit_split().items()
         },
@@ -521,6 +611,7 @@ register(
     _paired_figure(
         "fig10",
         "switchback / event-study design comparison (Figure 10)",
+        week="experiment",
         cells=_design_cells,
         table=_design_table,
     )

@@ -49,6 +49,45 @@ class TestRunStructure:
                 assert low <= row[estimand] <= high
 
 
+class TestWeeks:
+    """A run generates the weeks it is asked for, each as the full protocol does."""
+
+    @pytest.fixture(scope="class")
+    def aa_only(self):
+        config = WorkloadConfig(sessions_at_peak=220, n_accounts=3000, seed=11)
+        return PairedLinkExperiment(config=config).run(weeks=("aa",))
+
+    def test_default_runs_the_full_protocol(self, outcome):
+        assert list(outcome.tables) == ["baseline", "experiment", "aa"]
+
+    def test_a_week_run_alone_equals_the_same_week_in_the_protocol(self, outcome, aa_only):
+        assert list(aa_only.tables) == ["aa"]
+        assert aa_only.aa_table.column_names == outcome.aa_table.column_names
+        for name in outcome.aa_table.column_names:
+            assert aa_only.aa_table[name].tobytes() == outcome.aa_table[name].tobytes()
+
+    def test_weeks_not_generated_raise(self, aa_only):
+        for read in ("baseline_table", "experiment_table", "baselines", "estimates"):
+            with pytest.raises(ValueError, match="did not generate"):
+                getattr(aa_only, read)
+
+    @pytest.mark.parametrize("weeks", [(), ("week",), ("experiment", "aa_week")])
+    def test_bad_weeks_raise(self, weeks):
+        with pytest.raises(ValueError):
+            PairedLinkExperiment().run(weeks=weeks)
+
+    def test_estimates_list_the_design_order_and_compute_when_read(self):
+        config = WorkloadConfig(sessions_at_peak=60, n_accounts=500, seed=5)
+        estimates = PairedLinkExperiment(config=config).run(weeks=("experiment",)).estimates
+        assert list(estimates) == ["tte", "spillover", "ab_0.95", "ab_0.05"]
+        assert len(estimates) == 4
+        assert not estimates._evaluated
+        assert estimates["spillover"] is estimates["spillover"]
+        assert list(estimates._evaluated) == ["spillover"]
+        with pytest.raises(KeyError):
+            estimates["ab_0.5"]
+
+
 class TestFigure5Shape:
     """The headline qualitative pattern of the paper's Figure 5."""
 

@@ -217,5 +217,5 @@ def group_means(
     sums[small] = small_sums
     large = np.flatnonzero(~small)
     for i, s, n in zip(large.tolist(), starts[large].tolist(), counts[large].tolist()):
-        sums[i] = np.add.reduce(ranked[s:s + n])
+        sums[i] = np.add.reduce(ranked[s : s + n])
     return order[starts], sums / counts, counts

@@ -13,8 +13,8 @@ paper reports: the two naive within-link A/B effects, the approximate TTE,
 the spillover (Figure 5), the hourly throughput time series (Figure 6),
 the four-cell means for throughput and minimum RTT (Figures 7-8), the
 peak/off-peak retransmission split (Figure 9), and the hourly-vs-account
-confidence-interval comparison (Figure 13).  Each of them is computed the
-first time it is read.
+confidence-interval comparison (Figure 13).  Each of the four Figure 5
+comparisons runs the first time its estimates are read.
 
 :meth:`PairedLinkExperiment.run` generates all three weeks unless told
 otherwise.  Each registered figure generates only the week it reads:

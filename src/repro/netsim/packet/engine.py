@@ -9,7 +9,6 @@ scheduled earlier run earlier and comparison never falls through to the
 from __future__ import annotations
 
 import heapq
-import itertools
 from collections.abc import Callable
 
 __all__ = ["EventScheduler", "CalendarScheduler"]
@@ -33,31 +32,32 @@ class EventScheduler:
 
     def __init__(self) -> None:
         self._heap: list[tuple[float, int, Callable[[], None]]] = []
-        self._counter = itertools.count()
-        self._now = 0.0
+        #: Current simulation time in seconds.  A plain attribute, read
+        #: on every hot-path callback; only :meth:`run` advances it.
+        self.now = 0.0
         #: Lifetime count of callbacks executed (the events/sec numerator
         #: of the performance model; see ``docs/performance.md``).
         self.events_processed = 0
         #: Lifetime count of events ever inserted (processed + still
         #: pending); reported in :class:`repro.obs.metrics.EngineCounters`.
+        #: An event's count at insertion is its tie-break sequence number.
         self.events_scheduled = 0
-
-    @property
-    def now(self) -> float:
-        """Current simulation time in seconds."""
-        return self._now
 
     def schedule(self, time: float, callback: Callable[[], None]) -> None:
         """Schedule ``callback`` to run at absolute ``time``.
 
-        Scheduling in the past raises ``ValueError``.
+        A time before :attr:`now`, or NaN, raises ``ValueError``: a NaN
+        entry at the head of the heap would block every later event.  An
+        infinite time is accepted and never fires.
         """
-        if time < self._now:
+        if not time >= self.now:
             raise ValueError(
-                f"cannot schedule an event at {time} before current time {self._now}"
+                f"cannot schedule an event at {time}: event times must be "
+                f"numbers no earlier than the current time {self.now}"
             )
-        heapq.heappush(self._heap, (float(time), next(self._counter), callback))
-        self.events_scheduled += 1
+        sequence = self.events_scheduled
+        heapq.heappush(self._heap, (float(time), sequence, callback))
+        self.events_scheduled = sequence + 1
 
     def run(self, until: float) -> None:
         """Run events in time order until the clock reaches ``until``.
@@ -67,12 +67,17 @@ class EventScheduler:
         """
         heap = self._heap
         pop = heapq.heappop
-        while heap and heap[0][0] <= until:
-            time, _, callback = pop(heap)
-            self._now = time
-            self.events_processed += 1
-            callback()
-        self._now = max(self._now, until)
+        processed = self.events_processed
+        try:
+            while heap and heap[0][0] <= until:
+                time, _, callback = pop(heap)
+                self.now = time
+                processed += 1
+                callback()
+        finally:
+            self.events_processed = processed
+        if until > self.now:
+            self.now = until
 
 
 class CalendarScheduler(EventScheduler):

@@ -373,11 +373,17 @@ class Network:
         rtt_s = (rtt_ms if rtt_ms is not None else self.base_rtt_ms) / 1000.0
         cid = self._next_connection
         self._next_connection += 1
+        # A loss-free path hands packets straight to its first queue; the
+        # bound ``enqueue`` is taken now, so a wrapper installed on the
+        # queue class later does not see this connection's sends.
+        transmit = (
+            self._ingress if path.loss_rate > 0.0 else self._queues[path.queues[0]].enqueue
+        )
         sender = make_sender(
             config.cc,
             cid,
             self.scheduler,
-            self._ingress,
+            transmit,
             mss_bytes=self.mss_bytes,
             base_rtt_s=rtt_s,
             paced=config.paced,
@@ -466,31 +472,37 @@ class Network:
     # -- packet forwarding -----------------------------------------------------
 
     def _ingress(self, packet: Packet) -> None:
-        """Entry point for sender transmissions: loss segment, then first queue."""
+        """Sender transmissions on a lossy path: loss segment, then first queue."""
         cid = packet.flow_id
         loss_rate = self._loss_rate[cid]
-        if loss_rate > 0.0 and self._rng.random() < loss_rate:
+        if self._rng.random() < loss_rate:
             self.random_losses += 1
             self._notify_loss(packet, self.scheduler.now)
             return
         self._queues[self._routes[cid][0]].enqueue(packet)
 
     def _departure_handler(self, queue_name: str):
-        def on_departure(packet: Packet, departure_time: float) -> None:
-            route = self._routes[packet.flow_id]
-            hop = route.index(queue_name)
-            if hop + 1 < len(route):
-                self._queues[route[hop + 1]].enqueue(packet)
-                return
-            sender = self._senders[packet.flow_id]
-            ack_time = departure_time + self._rtt_s[packet.flow_id]
+        queues = self._queues
+        routes = self._routes
+        senders = self._senders
+        rtt_s = self._rtt_s
+        pool = self._pool
 
-            def deliver_ack(sender=sender, packet=packet, ack_time=ack_time) -> None:
-                rtt_sample = ack_time - packet.send_time
+        def on_departure(packet: Packet, departure_time: float) -> None:
+            cid = packet.flow_id
+            route = routes[cid]
+            if route[-1] != queue_name:
+                queues[route[route.index(queue_name) + 1]].enqueue(packet)
+                return
+            sender = senders[cid]
+            ack_time = departure_time + rtt_s[cid]
+            rtt_sample = ack_time - packet.send_time
+
+            def deliver_ack() -> None:
                 sender.handle_ack(packet, rtt_sample)
                 # The ack was this packet's one terminal event (each packet
                 # ends in exactly one of ack / loss): recycle the slot.
-                self._pool.release(packet)
+                pool.release(packet)
 
             self.scheduler.schedule(ack_time, deliver_ack)
 

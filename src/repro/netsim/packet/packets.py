@@ -89,9 +89,10 @@ class PacketPool:
     ) -> Packet:
         """Return a packet with the given fields, reusing a retired slot."""
         self.acquired += 1
-        if self._free:
+        free = self._free
+        if free:
             self.reused += 1
-            packet = self._free.pop()
+            packet = free.pop()
             packet.flow_id = flow_id
             packet.sequence = sequence
             packet.size_bytes = size_bytes

@@ -111,8 +111,12 @@ class QueueDiscipline:
         #: Waiting packets, each paired with its arrival time.
         self._queue: deque[tuple[Packet, float]] = deque()
         self._queued_bytes = 0.0
-        self._busy = False
+        #: The packet on the wire; ``None`` while the link is idle.
+        self._in_service: Packet | None = None
         self._service_finish_time = 0.0
+        #: Whether this discipline overrides the :meth:`_on_arrival` hook
+        #: (RED, DualPI2); the others skip the no-op call per arrival.
+        self._observes_arrivals = type(self)._on_arrival is not QueueDiscipline._on_arrival
 
         #: Total packets offered to the queue (served + dropped + waiting).
         self.packets_offered = 0
@@ -158,7 +162,7 @@ class QueueDiscipline:
         """
         backlog = self._queued_bytes * 8.0 / self._rate_bps
         residual = 0.0
-        if self._busy:
+        if self._in_service is not None:
             residual = max(self._service_finish_time - self._scheduler.now, 0.0)
         return backlog + residual
 
@@ -199,7 +203,7 @@ class QueueDiscipline:
         self._queue.append((packet, now))
         self._queued_bytes += packet.size_bytes
 
-    def _next_packet(self) -> Packet | None:
+    def _next_packet(self, now: float) -> Packet | None:
         """Pop the next packet to serve (FIFO); AQM may drop stale ones here."""
         if not self._queue:
             return None
@@ -213,15 +217,17 @@ class QueueDiscipline:
         """Offer a packet to the queue.  Returns True if accepted, False if dropped."""
         now = self._scheduler.now
         self.packets_offered += 1
-        self._on_arrival(packet, now)
-        if self._busy:
+        if self._observes_arrivals:
+            self._on_arrival(packet, now)
+        if self._in_service is not None:
             if not self._admit(packet, now):
                 self._drop(packet, now)
                 return False
             self._enqueue_packet(packet, now)
-            self.max_occupancy_bytes = max(self.max_occupancy_bytes, self._queued_bytes)
+            if self._queued_bytes > self.max_occupancy_bytes:
+                self.max_occupancy_bytes = self._queued_bytes
         else:
-            self._start_service(packet)
+            self._start_service(packet, now)
         return True
 
     def _drop(self, packet: Packet, time: float) -> None:
@@ -244,22 +250,25 @@ class QueueDiscipline:
             return True
         return False
 
-    def _start_service(self, packet: Packet) -> None:
-        self._busy = True
+    def _start_service(self, packet: Packet, now: float) -> None:
+        """Put ``packet`` on the wire; it departs one serialization time later."""
+        self._in_service = packet
         self.packets_served += 1
-        self.bytes_served += packet.size_bytes
-        finish = self._scheduler.now + self.transmission_time(packet)
+        size = packet.size_bytes
+        self.bytes_served += size
+        finish = now + size * 8.0 / self._rate_bps
         self._service_finish_time = finish
-        self._scheduler.schedule(finish, lambda p=packet: self._finish_service(p))
+        self._scheduler.schedule(finish, self._finish_service)
 
-    def _finish_service(self, packet: Packet) -> None:
-        self._on_departure(packet, self._scheduler.now)
-        next_packet = self._next_packet()
+    def _finish_service(self) -> None:
+        now = self._scheduler.now
+        self._on_departure(self._in_service, now)
+        next_packet = self._next_packet(now)
         if next_packet is not None:
-            self._start_service(next_packet)
+            self._start_service(next_packet, now)
         else:
-            self._busy = False
-            self._became_idle(self._scheduler.now)
+            self._in_service = None
+            self._became_idle(now)
 
 
 class DropTailQueue(QueueDiscipline):
@@ -403,18 +412,18 @@ class _CoDelControl:
     def _control_law(self, t: float) -> float:
         return t + self.interval_s / math.sqrt(self.count)
 
-    def _ok_to_drop(self, sojourn_s: float, now: float, backlog_bytes: float) -> bool:
-        if sojourn_s < self.target_s or backlog_bytes <= self.min_backlog_bytes:
-            self.first_above_time = 0.0
-            return False
-        if self.first_above_time == 0.0:
-            self.first_above_time = now + self.interval_s
-            return False
-        return now >= self.first_above_time
-
     def should_drop(self, sojourn_s: float, now: float, backlog_bytes: float) -> bool:
         """CoDel's control law: whether to drop the packet dequeued now."""
-        ok = self._ok_to_drop(sojourn_s, now, backlog_bytes)
+        # ``ok``: the sojourn has stayed above target for a full interval
+        # (and the backlog exceeds the floor).
+        if sojourn_s < self.target_s or backlog_bytes <= self.min_backlog_bytes:
+            self.first_above_time = 0.0
+            ok = False
+        elif self.first_above_time == 0.0:
+            self.first_above_time = now + self.interval_s
+            ok = False
+        else:
+            ok = now >= self.first_above_time
         if self.dropping:
             if not ok:
                 self.dropping = False
@@ -479,8 +488,7 @@ class CoDelQueue(QueueDiscipline):
     def _admit(self, packet: Packet, now: float) -> bool:
         return self._queued_bytes + packet.size_bytes <= self._buffer_bytes
 
-    def _next_packet(self) -> Packet | None:
-        now = self._scheduler.now
+    def _next_packet(self, now: float) -> Packet | None:
         while self._queue:
             packet, arrival = self._queue.popleft()
             self._queued_bytes -= packet.size_bytes
@@ -645,8 +653,7 @@ class FqCoDelQueue(QueueDiscipline):
         ):
             del self._codel[key]
 
-    def _next_packet(self) -> Packet | None:
-        now = self._scheduler.now
+    def _next_packet(self, now: float) -> Packet | None:
         while self._new_flows or self._old_flows:
             from_new = bool(self._new_flows)
             flows = self._new_flows if from_new else self._old_flows
@@ -869,8 +876,7 @@ class DualPI2Queue(QueueDiscipline):
             self._c_bytes += packet.size_bytes
         self._queued_bytes += packet.size_bytes
 
-    def _next_packet(self) -> Packet | None:
-        now = self._scheduler.now
+    def _next_packet(self, now: float) -> Packet | None:
         self._maybe_update(now)
         while self._l_queue or self._c_queue:
             serve_l = bool(self._l_queue) and (

@@ -379,13 +379,14 @@ class TcpSender:
 
     def current_pacing_rate_bps(self) -> float:
         """Pacing rate for paced flows (Linux-style multiple of cwnd/RTT)."""
-        gain = self.SS_PACING_GAIN if self.in_slow_start else self.CA_PACING_GAIN
+        gain = self.SS_PACING_GAIN if self.cwnd < self.ssthresh else self.CA_PACING_GAIN
         rtt = self.srtt if self.srtt > 0 else self.base_rtt_s
         return gain * self.cwnd * self.mss_bytes * 8.0 / rtt
 
     def window_limit(self) -> int:
         """Maximum number of packets allowed in flight right now."""
-        return max(int(self.cwnd), 1)
+        limit = int(self.cwnd)
+        return 1 if 1 > limit else limit
 
     # -- feedback from the network ----------------------------------------------
 
@@ -402,9 +403,11 @@ class TcpSender:
         segments = packet.segments
         self.packets_acked += segments
         self.bytes_acked += packet.size_bytes
-        self.inflight = max(self.inflight - segments, 0)
+        inflight = self.inflight - segments
+        self.inflight = inflight if inflight > 0 else 0
         if rtt_sample > 0:
-            self.min_rtt = min(self.min_rtt, rtt_sample)
+            if rtt_sample < self.min_rtt:
+                self.min_rtt = rtt_sample
             # Standard EWMA with alpha = 1/8.
             self.srtt = 0.875 * self.srtt + 0.125 * rtt_sample
         if packet.ce_marked:
@@ -460,7 +463,8 @@ class TcpSender:
             return  # stale feedback for an already-finished transfer
         segments = packet.segments
         self.packets_lost += segments
-        self.inflight = max(self.inflight - segments, 0)
+        inflight = self.inflight - segments
+        self.inflight = inflight if inflight > 0 else 0
         self._pending_retransmissions += segments
         self.on_loss(packet)
         self._try_send()
@@ -499,52 +503,43 @@ class TcpSender:
             segments = min(segments, self._transfer_packets - self._new_packets_sent)
         return max(segments, 1)
 
-    def _build_packet(self) -> Packet:
-        segments = self._batch_size()
+    def _send_one(self) -> Packet:
+        """Build the next packet (a retransmission first) and transmit it."""
+        segments = 1 if self.batch_segments == 1 else self._batch_size()
         if self._pending_retransmissions > 0:
             self._pending_retransmissions -= segments
             retransmission = True
         else:
             retransmission = False
             self._new_packets_sent += segments
+        size = self.mss_bytes * segments
         packet = self._pool.acquire(
-            flow_id=self.flow_id,
-            sequence=self.next_sequence,
-            size_bytes=self.mss_bytes * segments,
-            send_time=self.scheduler.now,
-            is_retransmission=retransmission,
-            ecn_capable=self.ecn,
-            l4s=self.ecn_mode == "l4s",
-            segments=segments,
+            self.flow_id,
+            self.next_sequence,
+            size,
+            self.scheduler.now,
+            retransmission,
+            self.ecn,
+            self.ecn_mode == "l4s",
+            segments,
         )
         self.next_sequence += 1
-        return packet
-
-    def _send_one(self) -> Packet:
-        packet = self._build_packet()
-        self.packets_sent += packet.segments
-        self.bytes_sent += packet.size_bytes
-        if packet.is_retransmission:
-            self.packets_retransmitted += packet.segments
-            self.bytes_retransmitted += packet.size_bytes
-        self.inflight += packet.segments
+        self.packets_sent += segments
+        self.bytes_sent += size
+        if retransmission:
+            self.packets_retransmitted += segments
+            self.bytes_retransmitted += size
+        self.inflight += segments
         self.transmit(packet)
         return packet
 
     def _can_send(self) -> bool:
+        """Whether the window admits one more packet and data remains to send."""
+        if not self._started or self.completed or self.inflight >= self.window_limit():
+            return False
         return (
-            self._started
-            and not self.completed
-            and self.inflight < self.window_limit()
-            and self._has_data_to_send()
-        )
-
-    def _has_data_to_send(self) -> bool:
-        """Whether un-sent new data or a queued retransmission remains."""
-        if self._pending_retransmissions > 0:
-            return True
-        return (
-            self._transfer_packets is None
+            self._pending_retransmissions > 0
+            or self._transfer_packets is None
             or self._new_packets_sent < self._transfer_packets
         )
 
@@ -553,23 +548,27 @@ class TcpSender:
         if not self._started or self.completed:
             return
         if self.paced:
-            self._try_send_paced()
-        else:
-            while self._can_send():
-                self._send_one()
-
-    def _try_send_paced(self) -> None:
-        if self._pacing_timer_armed:
+            if self._pacing_timer_armed or not self._can_send():
+                return
+            now = self.scheduler.now
+            send_at = self._next_pacing_time
+            if send_at > now:
+                self._pacing_timer_armed = True
+                self.scheduler.schedule(send_at, self._pacing_timer_fired)
+            else:
+                self._send_paced_packet()
             return
-        if not self._can_send():
-            return
-        now = self.scheduler.now
-        send_at = max(now, self._next_pacing_time)
-        if send_at <= now:
-            self._send_paced_packet()
-        else:
-            self._pacing_timer_armed = True
-            self.scheduler.schedule(send_at, self._pacing_timer_fired)
+        # Sending changes neither the window nor a rate estimate (feedback
+        # only arrives through scheduled events), so one limit serves the
+        # whole burst.
+        limit = self.window_limit()
+        budget = self._transfer_packets
+        while self.inflight < limit and (
+            self._pending_retransmissions > 0
+            or budget is None
+            or self._new_packets_sent < budget
+        ):
+            self._send_one()
 
     def _pacing_timer_fired(self) -> None:
         self._pacing_timer_armed = False
@@ -578,7 +577,9 @@ class TcpSender:
 
     def _send_paced_packet(self) -> None:
         packet = self._send_one()
-        rate = max(self.current_pacing_rate_bps(), 1.0)
+        rate = self.current_pacing_rate_bps()
+        if rate < 1.0:
+            rate = 1.0
         # A macro-packet earns a proportionally longer pacing interval,
         # so the paced *byte* rate is unchanged by batching (for a
         # single-segment packet this is exactly the old mss/rate gap).

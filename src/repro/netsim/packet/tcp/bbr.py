@@ -23,6 +23,7 @@ the sharing behaviour under study.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 
 from repro.netsim.packet.packets import Packet
@@ -50,6 +51,8 @@ class BBRSender(TcpSender):
         self._cwnd_gain = self.STARTUP_GAIN
         self._bw_samples: deque[float] = deque(maxlen=self.BW_FILTER_LEN)
         self._bw_samples.append(self.mss_bytes * 8.0 / self.base_rtt_s * self.cwnd)
+        #: The filter's maximum, refreshed whenever a sample is appended.
+        self._max_bw = self._bw_samples[0]
         self._full_bw = 0.0
         self._full_bw_rounds = 0
         self._cycle_index = 0
@@ -63,23 +66,26 @@ class BBRSender(TcpSender):
     @property
     def bottleneck_bw_bps(self) -> float:
         """Current windowed-max bottleneck bandwidth estimate, bits/s."""
-        return max(self._bw_samples) if self._bw_samples else 0.0
+        return self._max_bw
 
     @property
     def estimated_bdp_packets(self) -> float:
         """Estimated bandwidth-delay product in packets."""
-        rtt = self.min_rtt if self.min_rtt != float("inf") else self.base_rtt_s
-        return self.bottleneck_bw_bps * rtt / (self.mss_bytes * 8.0)
+        rtt = self.min_rtt if self.min_rtt != math.inf else self.base_rtt_s
+        return self._max_bw * rtt / (self.mss_bytes * 8.0)
 
     # -- TcpSender overrides ------------------------------------------------------
 
     def current_pacing_rate_bps(self) -> float:
         """Pacing rate: the phase gain times the bottleneck estimate."""
-        return max(self._pacing_gain * self.bottleneck_bw_bps, 1e3)
+        rate = self._pacing_gain * self._max_bw
+        return 1e3 if 1e3 > rate else rate
 
     def window_limit(self) -> int:
         """Inflight cap: the cwnd gain times the estimated BDP."""
-        return max(int(self._cwnd_gain * self.estimated_bdp_packets), 4)
+        rtt = self.min_rtt if self.min_rtt != math.inf else self.base_rtt_s
+        limit = int(self._cwnd_gain * (self._max_bw * rtt / (self.mss_bytes * 8.0)))
+        return 4 if 4 > limit else limit
 
     def _send_one(self) -> Packet:  # record delivery state at send time
         self._delivered_at_send[self.next_sequence] = (
@@ -103,6 +109,7 @@ class BBRSender(TcpSender):
             if elapsed > 0:
                 rate = (self._delivered_bytes_total - delivered_then) * 8.0 / elapsed
                 self._bw_samples.append(rate)
+                self._max_bw = max(self._bw_samples)
         self._update_phase()
 
     def on_loss(self, packet: Packet) -> None:

@@ -30,14 +30,16 @@ class RenoSender(TcpSender):
         far below the batching tolerance).  A batch straddling the
         slow-start exit splits at the threshold.
         """
-        if self.in_slow_start:
-            headroom = max(self.ssthresh - self.cwnd, 0.0)
-            ss_acks = min(float(segments), headroom)
-            self.cwnd += ss_acks
+        cwnd = self.cwnd
+        if cwnd < self.ssthresh:
+            # In slow start the headroom to ssthresh is positive.
+            headroom = self.ssthresh - cwnd
+            ss_acks = headroom if headroom < segments else float(segments)
+            self.cwnd = cwnd = cwnd + ss_acks
             segments -= int(ss_acks)
             if segments <= 0:
                 return
-        self.cwnd += segments / max(self.cwnd, 1.0)
+        self.cwnd = cwnd + segments / (1.0 if 1.0 > cwnd else cwnd)
 
     def on_loss(self, packet: Packet) -> None:
         """Multiplicative decrease: halve the window (floor MIN_CWND)."""

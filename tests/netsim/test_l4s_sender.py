@@ -166,7 +166,7 @@ class TestAlphaEstimator:
             for i in range(10):
                 ack_packet(sender, ce=i % 2 == 0, sequence=seq)
                 seq += 1
-            scheduler._now = scheduler.now + sender.srtt + 1e-6
+            scheduler.now = scheduler.now + sender.srtt + 1e-6
         assert 0.4 < sender.l4s_alpha < 0.75
 
     def test_alpha_decays_without_marks(self):
@@ -179,7 +179,7 @@ class TestAlphaEstimator:
             for i in range(10):
                 ack_packet(sender, ce=False, sequence=seq)
                 seq += 1
-            scheduler._now = scheduler.now + sender.srtt + 1e-6
+            scheduler.now = scheduler.now + sender.srtt + 1e-6
         assert sender.l4s_alpha < 0.2
 
 

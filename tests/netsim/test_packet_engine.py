@@ -1,5 +1,6 @@
 """Tests for the discrete-event engine and the drop-tail queue."""
 
+import math
 import random
 
 import pytest
@@ -45,6 +46,30 @@ class TestEventScheduler:
         sched.run(until=2.0)
         with pytest.raises(ValueError):
             sched.schedule(1.5, lambda: None)
+
+    def test_nan_time_raises_and_leaves_the_heap_runnable(self):
+        # ``nan < now`` is False, so a bare past-time check would accept a
+        # NaN event, which then sits at the heap head and blocks the rest.
+        sched = EventScheduler()
+        fired = []
+        with pytest.raises(ValueError):
+            sched.schedule(float("nan"), lambda: fired.append("nan"))
+        sched.schedule(1.0, lambda: fired.append("a"))
+        sched.schedule(0.5, lambda: fired.append("b"))
+        sched.run(until=2.0)
+        assert fired == ["b", "a"]
+        assert sched.events_scheduled == sched.events_processed == 2
+
+    def test_infinite_time_is_accepted_and_never_fires(self):
+        sched = EventScheduler()
+        fired = []
+        sched.schedule(math.inf, lambda: fired.append("inf"))
+        sched.schedule(1.0, lambda: fired.append("a"))
+        sched.run(until=2.0)
+        sched.run(until=1e300)
+        assert fired == ["a"]
+        assert sched.now == 1e300
+        assert (sched.events_scheduled, sched.events_processed) == (2, 1)
 
     def test_schedule_returns_nothing(self):
         assert EventScheduler().schedule(1.0, lambda: None) is None

@@ -115,7 +115,8 @@ class _Estimates(Mapping[str, dict[str, MetricEstimate]]):
 
     ``estimates[estimand][metric]`` is a :class:`MetricEstimate`.  Reading
     an estimand runs its comparison for every session metric once, through
-    :func:`~repro.core.experiment.evaluate_comparisons`.
+    :func:`~repro.core.experiment.evaluate_comparisons`; :meth:`metric`
+    runs it for one metric only.
     """
 
     def __init__(
@@ -136,6 +137,21 @@ class _Estimates(Mapping[str, dict[str, MetricEstimate]]):
                 self._table, [spec], baselines=self._baselines
             )[estimand]
         return self._evaluated[estimand]
+
+    def metric(self, estimand: str, metric: str) -> MetricEstimate:
+        """``self[estimand][metric]``, analyzing no other metric.
+
+        An estimand already read in full answers from its evaluation;
+        otherwise only ``metric`` is analyzed, and nothing is kept.
+        """
+        if estimand in self._evaluated:
+            return self._evaluated[estimand][metric]
+        return evaluate_comparisons(
+            self._table,
+            [self._comparisons[estimand]],
+            metrics=(metric,),
+            baselines=self._baselines,
+        )[estimand][metric]
 
     def __iter__(self) -> Iterator[str]:
         return iter(self._comparisons)
@@ -192,7 +208,7 @@ class PairedLinkOutcome:
         return {metric: global_control.mean(metric) for metric in SESSION_METRICS}
 
     @cached_property
-    def estimates(self) -> Mapping[str, dict[str, MetricEstimate]]:
+    def estimates(self) -> _Estimates:
         """The design's four estimands, each computed when first read."""
         return _Estimates(
             self.experiment_table,
@@ -218,8 +234,12 @@ class PairedLinkOutcome:
         return rows
 
     def estimate(self, estimand: str, metric: str) -> MetricEstimate:
-        """One estimate (e.g. ``estimate("tte", "throughput_mbps")``)."""
-        return self.estimates[estimand][metric]
+        """One estimate (e.g. ``estimate("tte", "throughput_mbps")``).
+
+        Analyzes only ``metric``, unless the estimand was already read in
+        full through :attr:`estimates`.
+        """
+        return self.estimates.metric(estimand, metric)
 
     # -- Figure 6 -----------------------------------------------------------------
 
@@ -315,7 +335,7 @@ class PairedLinkOutcome:
             treated_mean = mean_fraction(link1, 1, peak)
             control_mean = mean_fraction(link2, 0, peak)
             result[label] = (treated_mean - control_mean) / control_mean
-        overall = self.estimates["tte"]["retransmit_fraction"]
+        overall = self.estimate("tte", "retransmit_fraction")
         result["overall"] = overall.relative.estimate
         return result
 

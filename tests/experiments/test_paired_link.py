@@ -87,6 +87,16 @@ class TestWeeks:
         with pytest.raises(KeyError):
             estimates["ab_0.5"]
 
+    @pytest.mark.parametrize("seed", [0, 3, 7])
+    def test_one_estimate_analyzes_one_metric_and_equals_the_full_read(self, seed):
+        config = WorkloadConfig(sessions_at_peak=60, n_accounts=500, seed=seed)
+        outcome = PairedLinkExperiment(config=config).run(weeks=("experiment",))
+        alone = outcome.estimate("tte", "retransmit_fraction")
+        assert not outcome.estimates._evaluated
+        full = outcome.estimates["tte"]["retransmit_fraction"]
+        assert alone == full
+        assert outcome.estimate("tte", "retransmit_fraction") is full
+
 
 class TestFigure5Shape:
     """The headline qualitative pattern of the paper's Figure 5."""

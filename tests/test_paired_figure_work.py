@@ -6,8 +6,9 @@ fig10 only the experiment week, so each submits that one week to its
 executor, under the content key the full protocol gives it
 (``PAIRED_LINK_TABLE_KEYS``, a quick seed-7 run).  Each figure's cells
 then run ``analyze_metric`` only for the comparisons they read: fig5
-the four Figure 5 estimands, fig9 the TTE, fig10 the TTE and its two
-emulated day splits, and ``baseline`` the link-1 vs link-2 comparison.
+the four Figure 5 estimands, fig9 the TTE of its one metric
+(``retransmit_fraction``), fig10 the TTE and its two emulated day
+splits, and ``baseline`` the link-1 vs link-2 comparison.
 """
 
 import argparse
@@ -39,7 +40,7 @@ ANALYSES = {
     "fig5": {"tte": 10, "spillover": 10, "ab_0.95": 10, "ab_0.05": 10},
     "fig7": {},
     "fig8": {},
-    "fig9": {"tte": 10},
+    "fig9": {"tte": 1},
     "fig10": {"tte": 10, "tte_emulated": 20},
 }
 

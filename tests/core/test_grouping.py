@@ -4,7 +4,8 @@
 ``OutcomeTable.groupby_mean`` and ``cluster_robust_variance`` group rows
 with one stable sort (``repro.core.units.group_means``).  The references
 below are the loops they replaced: one boolean mask per group, then
-``.mean()`` of the masked values.  Every field must be equal with ``np.array_equal`` (dtype too),
+``.mean()`` of the masked values.  Every field must be equal byte for
+byte (dtype, shape and ``tobytes()``, so the sign of a zero counts too),
 never approximately: a stable sort keeps each group's rows in table
 order, and ``np.add.reduce(x) / n`` is how ``ndarray.mean`` adds.
 """
@@ -89,7 +90,8 @@ def masked_cluster_variance(outcomes: np.ndarray, clusters: np.ndarray) -> tuple
 
 def assert_identical(actual: np.ndarray, expected: np.ndarray) -> None:
     assert actual.dtype == expected.dtype
-    assert np.array_equal(actual, expected)
+    assert actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
 
 
 @st.composite
@@ -153,17 +155,21 @@ class TestGroupedMeansMatchMasks:
     def test_groupby_mean(self, table, key):
         actual = table.groupby_mean(key, "value")
         expected = masked_groupby_mean(table, key, "value")
-        assert list(actual) == list(expected)
-        assert np.array_equal(list(actual.values()), list(expected.values()))
+        for part in (dict.keys, dict.values):
+            assert_identical(
+                np.array(list(part(actual)), dtype=float),
+                np.array(list(part(expected)), dtype=float),
+            )
 
     @given(table=session_tables())
     @settings(max_examples=400, deadline=None)
     def test_cluster_robust_variance(self, table):
         assume(len(table) > 0)
         outcomes, clusters = table["value"], table["account_id"]
-        assert cluster_robust_variance(outcomes, clusters) == masked_cluster_variance(
-            outcomes, clusters
-        )
+        variance, n_clusters = cluster_robust_variance(outcomes, clusters)
+        expected_variance, expected_clusters = masked_cluster_variance(outcomes, clusters)
+        assert n_clusters == expected_clusters
+        assert_identical(np.array(variance), np.array(expected_variance))
 
 
 class TestEveryGroupSize:

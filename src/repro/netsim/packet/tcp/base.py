@@ -550,11 +550,9 @@ class TcpSender:
         if self.paced:
             if self._pacing_timer_armed or not self._can_send():
                 return
-            now = self.scheduler.now
-            send_at = self._next_pacing_time
-            if send_at > now:
+            if self._next_pacing_time > self.scheduler.now:
                 self._pacing_timer_armed = True
-                self.scheduler.schedule(send_at, self._pacing_timer_fired)
+                self.scheduler.schedule(self._next_pacing_time, self._pacing_timer_fired)
             else:
                 self._send_paced_packet()
             return

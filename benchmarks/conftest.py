@@ -43,8 +43,8 @@ _SRC = Path(__file__).resolve().parent.parent / "src"
 if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
-from repro.experiments import PairedLinkExperiment  # noqa: E402
-from repro.workload import WorkloadConfig  # noqa: E402
+from repro.experiments.paired_link import PairedLinkExperiment  # noqa: E402
+from repro.workload.netflix import WorkloadConfig  # noqa: E402
 
 #: Days of the main experiment (Wednesday through Sunday).
 EXPERIMENT_DAYS = (0, 1, 2, 3, 4)

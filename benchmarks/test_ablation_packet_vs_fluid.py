@@ -18,7 +18,7 @@ and inflight modelling than this substrate implements.
 import pytest
 from benchmarks._helpers import run_once
 
-from repro.netsim.packet import FlowConfig, simulate
+from repro.netsim.packet.simulation import FlowConfig, simulate
 
 CAPACITY_MBPS = 50.0
 SIM_KWARGS = dict(capacity_mbps=CAPACITY_MBPS, base_rtt_ms=20, duration_s=20, warmup_s=5)

@@ -12,7 +12,7 @@ from itertools import combinations
 
 from benchmarks._helpers import EXPERIMENT_DAYS, run_once
 
-from repro.core.designs import SwitchbackDesign
+from repro.core.designs.switchback import SwitchbackDesign
 from repro.experiments.alternate_designs import emulate_switchback
 
 

@@ -8,7 +8,7 @@ bitrate, retransmissions) show no meaningful difference.
 
 from benchmarks._helpers import run_once
 
-from repro.experiments import compare_links_at_baseline
+from repro.experiments.baseline_validation import compare_links_at_baseline
 from repro.reporting import format_table
 
 

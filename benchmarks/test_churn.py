@@ -16,7 +16,9 @@ from _helpers import run_once
 
 from repro.netsim.packet.simulation import FlowConfig
 from repro.netsim.packet.sweep import run_packet_sweep
-from repro.netsim.traffic import ParetoSizes, PoissonArrivals, TrafficSource
+from repro.netsim.traffic.arrivals import PoissonArrivals
+from repro.netsim.traffic.sizes import ParetoSizes
+from repro.netsim.traffic.source import TrafficSource
 
 #: Quick-mode sweep sizing, matching the topology experiments' quick scale.
 QUICK_KWARGS = dict(

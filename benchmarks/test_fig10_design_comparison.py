@@ -9,7 +9,7 @@ post-deployment period lands on the weekend.
 
 from benchmarks._helpers import EXPERIMENT_DAYS, run_once
 
-from repro.experiments import compare_designs
+from repro.experiments.alternate_designs import compare_designs
 from repro.reporting import format_table
 
 METRICS = (

@@ -10,7 +10,7 @@ throughput visibly improves after the switch.
 import numpy as np
 from benchmarks._helpers import EXPERIMENT_DAYS, run_once
 
-from repro.core.designs import EventStudyDesign
+from repro.core.designs.event_study import EventStudyDesign
 from repro.experiments.alternate_designs import emulate_event_study
 
 

@@ -10,7 +10,7 @@ switchback estimator still recovers the paired-link TTE.
 import numpy as np
 from benchmarks._helpers import EXPERIMENT_DAYS, run_once
 
-from repro.core.designs import SwitchbackDesign
+from repro.core.designs.switchback import SwitchbackDesign
 from repro.experiments.alternate_designs import emulate_switchback
 
 TREATMENT_DAYS = (0, 2, 4)

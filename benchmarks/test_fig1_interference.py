@@ -10,7 +10,7 @@ allocation and the A/B estimate is biased.
 from benchmarks._helpers import run_once
 
 from repro.core.estimands import sutva_holds
-from repro.netsim.fluid import Application
+from repro.netsim.fluid.application import Application
 from repro.netsim.fluid.lab import run_isolated_sweep, run_lab_sweep
 
 

@@ -9,7 +9,7 @@ and the TTE on retransmitted bytes is a large increase.
 import pytest
 from benchmarks._helpers import run_once
 
-from repro.experiments import run_connections_experiment
+from repro.experiments.lab_connections import run_connections_experiment
 
 
 def test_fig2a_parallel_connections(benchmark):

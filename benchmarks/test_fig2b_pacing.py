@@ -10,7 +10,7 @@ positive.
 import pytest
 from benchmarks._helpers import run_once
 
-from repro.experiments import run_pacing_experiment
+from repro.experiments.lab_pacing import run_pacing_experiment
 
 
 def test_fig2b_pacing(benchmark):

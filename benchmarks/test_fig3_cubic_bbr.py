@@ -9,7 +9,7 @@ per-flow throughput.
 import pytest
 from benchmarks._helpers import run_once
 
-from repro.experiments import run_cc_experiment
+from repro.experiments.lab_cc import run_cc_experiment
 
 
 def test_fig3_bbr_vs_cubic(benchmark):

@@ -16,11 +16,8 @@ import numpy as np
 
 from _helpers import run_once
 
-from repro.netsim.fluid import (
-    loss_probability,
-    weighted_water_fill,
-    weighted_water_fill_reference,
-)
+from repro.netsim.fluid.competition import weighted_water_fill, weighted_water_fill_reference
+from repro.netsim.fluid.link import loss_probability
 
 #: Edges in the synthetic fleet the step iterates over.
 N_EDGES = 2000

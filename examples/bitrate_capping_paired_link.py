@@ -15,10 +15,10 @@ Run with:  python examples/bitrate_capping_paired_link.py
 import argparse
 
 from repro.core.units import SESSION_METRICS
-from repro.experiments import PairedLinkExperiment, compare_links_at_baseline
-from repro.experiments.paired_link import DESIGN
+from repro.experiments.baseline_validation import compare_links_at_baseline
+from repro.experiments.paired_link import DESIGN, PairedLinkExperiment
 from repro.reporting import format_table
-from repro.workload import WorkloadConfig
+from repro.workload.netflix import WorkloadConfig
 
 
 def main() -> None:

@@ -9,11 +9,11 @@ spillovers are non-zero — exactly what the diagnostics report.
 Run with:  python examples/gradual_deployment_interference.py
 """
 
-from repro.core.analysis import detect_interference
-from repro.core.designs import GradualDeploymentDesign
+from repro.core.analysis.interference import detect_interference
+from repro.core.designs.gradual_deployment import GradualDeploymentDesign
 from repro.core.experiment import evaluate_comparisons
 from repro.reporting import format_table
-from repro.workload import PairedLinkWorkload, WorkloadConfig
+from repro.workload.netflix import PairedLinkWorkload, WorkloadConfig
 
 METRIC = "throughput_mbps"
 

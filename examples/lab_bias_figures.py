@@ -8,11 +8,9 @@ concluded.
 Run with:  python examples/lab_bias_figures.py
 """
 
-from repro.experiments import (
-    run_cc_experiment,
-    run_connections_experiment,
-    run_pacing_experiment,
-)
+from repro.experiments.lab_cc import run_cc_experiment
+from repro.experiments.lab_connections import run_connections_experiment
+from repro.experiments.lab_pacing import run_pacing_experiment
 from repro.reporting import format_percent
 
 

@@ -12,7 +12,7 @@ Run with:  python examples/quickstart.py
 """
 
 from repro.core.estimands import sutva_holds
-from repro.experiments import run_connections_experiment
+from repro.experiments.lab_connections import run_connections_experiment
 from repro.reporting import format_percent, format_table
 
 

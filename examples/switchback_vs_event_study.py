@@ -14,10 +14,12 @@ Run with:  python examples/switchback_vs_event_study.py
 
 import numpy as np
 
-from repro.core.analysis import aggregate_hourly, required_sample_size
-from repro.experiments import PairedLinkExperiment, compare_designs, run_aa_calibration
+from repro.core.analysis.aggregation import aggregate_hourly
+from repro.core.analysis.power import required_sample_size
+from repro.experiments.alternate_designs import compare_designs, run_aa_calibration
+from repro.experiments.paired_link import PairedLinkExperiment
 from repro.reporting import format_table
-from repro.workload import WorkloadConfig
+from repro.workload.netflix import WorkloadConfig
 
 METRICS = (
     "throughput_mbps",

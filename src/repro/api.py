@@ -36,7 +36,7 @@ from repro.campaign.spec import (
     figure_knobs,
 )
 from repro.campaign.validate import ValidationReport, validate_run
-from repro.experiments.figures import FIGURES, figure_spec
+from repro.experiments.figures import figure_spec, figures
 from repro.runner.cache import ResultCache, default_cache_dir
 from repro.runner.executor import ParallelExecutor
 from repro.runner.spec import ScenarioSpec, canonical, content_key
@@ -71,4 +71,4 @@ __all__ = [
 
 def list_figures() -> tuple[str, ...]:
     """The registered figure names, in the order ``repro list`` shows them."""
-    return tuple(FIGURES)
+    return tuple(figures())

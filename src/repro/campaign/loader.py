@@ -22,8 +22,9 @@ Unknown keys are rejected at every level — a typo must fail the load,
 not silently drop a knob.  Inapplicable knobs are an error when set on a
 stage but are dropped when they arrive via ``defaults`` (so one
 ``defaults: {quick: true}`` can cover a mixed lab/topology campaign).
-Deterministic figures ignore seed settings entirely; their stages
-compile to a single seed-free arm regardless of ``replications``.
+Deterministic figures check their seed settings, then ignore them;
+their stages compile to a single seed-free arm regardless of
+``replications``.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from repro.campaign.spec import (
     figure_is_seeded,
     figure_knobs,
 )
-from repro.experiments.figures import FIGURES, KNOBS, parse_knob
+from repro.experiments.figures import KNOBS, figures, parse_knob
 
 __all__ = ["CampaignError", "load_campaign", "parse_campaign"]
 
@@ -170,8 +171,8 @@ def _parse_stage(raw: Any, index: int, defaults: Mapping[str, Any]) -> list[Stag
     figure = raw.get("figure")
     if not isinstance(figure, str) or not figure:
         raise CampaignError(f"{where}: 'figure' is required and must be a string")
-    if figure not in FIGURES:
-        raise CampaignError(f"{where}: unknown figure {figure!r}; choose one of {list(FIGURES)}")
+    if figure not in figures():
+        raise CampaignError(f"{where}: unknown figure {figure!r}; choose one of {list(figures())}")
     where = f"stages[{index}] ({figure})"
     base_name = raw.get("name", figure)
     base_name = _require_str(base_name, f"{where}.name")
@@ -188,7 +189,10 @@ def _parse_stage(raw: Any, index: int, defaults: Mapping[str, Any]) -> list[Stag
             )
         knobs[knob] = _check_knob(knob, raw[knob], f"{where}.{knob}")
 
-    seeds = _parse_seed_grid(raw, defaults, figure, where)
+    seeds = _parse_seed_grid(raw, defaults, where)
+    if not figure_is_seeded(figure):
+        # Replications of a pure function are a single cache entry.
+        seeds = ()
 
     sweep = raw.get("sweep", {})
     if not isinstance(sweep, Mapping):
@@ -249,24 +253,19 @@ def _make_stage(
 def _parse_seed_grid(
     raw: Mapping[str, Any],
     defaults: Mapping[str, Any],
-    figure: str,
     where: str,
 ) -> tuple[int, ...]:
     """Resolve ``seeds`` / ``replications`` + ``base_seed`` into a grid.
 
-    Stage-level settings override ``defaults``.  Deterministic figures
-    collapse to the empty grid (one seed-free arm) no matter what the
-    file says — replications of a pure function are a single cache entry.
+    Stage-level settings override ``defaults``.
     """
-    if not figure_is_seeded(figure):
-        return ()
     if "seeds" in raw and "replications" in raw:
         raise CampaignError(f"{where}: give either 'seeds' or 'replications', not both")
     source: Mapping[str, Any] = raw if ("seeds" in raw or "replications" in raw) else defaults
     seeds = source.get("seeds")
     replications = source.get("replications")
     base_seed = raw.get("base_seed", defaults.get("base_seed", 0))
-    base_seed = _check_int(base_seed, f"{where}.base_seed")
+    base_seed = _check_seed(base_seed, f"{where}.base_seed")
     if seeds is not None and replications is not None:
         raise CampaignError(
             f"{where}: give either 'seeds' or 'replications' in defaults, not both"
@@ -274,7 +273,7 @@ def _parse_seed_grid(
     if seeds is not None:
         if not isinstance(seeds, Sequence) or isinstance(seeds, (str, bytes)):
             raise CampaignError(f"{where}.seeds: expected a list of ints, got {seeds!r}")
-        return tuple(_check_int(s, f"{where}.seeds") for s in seeds)
+        return tuple(_check_seed(s, f"{where}.seeds") for s in seeds)
     if replications is not None:
         count = _check_int(replications, f"{where}.replications")
         if count < 1:
@@ -296,6 +295,14 @@ def _check_int(value: Any, where: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise CampaignError(f"{where}: expected an integer, got {value!r}")
     return value
+
+
+def _check_seed(value: Any, where: str) -> int:
+    """Type-check a seed: a non-negative integer, as numpy's generators need."""
+    seed = _check_int(value, where)
+    if seed < 0:
+        raise CampaignError(f"{where}: seeds must be >= 0, got {seed}")
+    return seed
 
 
 def _format_value(value: Any) -> str:

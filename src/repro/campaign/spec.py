@@ -82,7 +82,7 @@ class StageSpec:
         name in the loader; sweep expansion suffixes ``[knob=value]``).
     figure:
         A registered figure name (a key of
-        :data:`repro.experiments.figures.FIGURES`).
+        :func:`repro.experiments.figures.figures`).
     knobs:
         Figure-applicable knob settings (the figure's
         :attr:`~repro.experiments.figures.Figure.knob`).  Canonicalized,

@@ -53,10 +53,11 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.experiments.figures import FIGURES, figure_spec, parse_knob
+from repro.experiments.figures import figure_spec, figures, get_figure, parse_knob
 from repro.obs.trace import RunTracer, add_trace_arguments
 from repro.reporting import format_table
-from repro.runner import ParallelExecutor, ResultCache, default_cache_dir
+from repro.runner.cache import ResultCache, default_cache_dir
+from repro.runner.executor import ParallelExecutor
 
 __all__ = ["build_parser", "main"]
 
@@ -106,11 +107,14 @@ def _make_executor(args: argparse.Namespace) -> ParallelExecutor:
 
 
 def _run_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    figure = FIGURES.get(args.target) if args.target else None
+    figure = figures().get(args.target) if args.target else None
     if figure is None:
-        parser.error(
-            f"'sweep' needs a figure to replicate; choose one of {', '.join(FIGURES)}"
+        problem = (
+            f"unknown figure {args.target!r}"
+            if args.target
+            else "'sweep' needs a figure to replicate"
         )
+        parser.error(f"{problem}; choose one of {', '.join(figures())}")
     if args.replications < 1:
         parser.error("--replications must be at least 1")
     try:
@@ -162,7 +166,8 @@ def _run_campaign_command(
     args: argparse.Namespace, parser: argparse.ArgumentParser
 ) -> int:
     """``repro run CAMPAIGN``: execute a declarative campaign file."""
-    from repro.campaign import CampaignError, load_campaign, run_campaign
+    from repro.campaign.loader import CampaignError, load_campaign
+    from repro.campaign.run import run_campaign
 
     try:
         campaign = load_campaign(args.campaign_file)
@@ -201,7 +206,8 @@ def _run_validate_command(
     args: argparse.Namespace, parser: argparse.ArgumentParser
 ) -> int:
     """``repro validate RUNDIR``: check a campaign run directory."""
-    from repro.campaign import CampaignError, load_campaign, validate_run
+    from repro.campaign.loader import CampaignError, load_campaign
+    from repro.campaign.validate import validate_run
 
     campaign = None
     if args.campaign:
@@ -221,13 +227,13 @@ def _run_validate_command(
 def _run_list_command() -> int:
     """``repro list``: enumerate figures, campaign commands and tools."""
     groups: dict[str, list[str]] = {}
-    for figure in FIGURES.values():
+    for figure in figures().values():
         groups.setdefault(figure.group, []).append(figure.name)
     for index, (group, names) in enumerate(groups.items()):
         # The first heading is one column narrower than the rest, as it
         # always was: this output is pinned byte for byte.
         print(f"{group} figures:".ljust(20 if index == 0 else 21) + ", ".join(names))
-    print("sweepable figures:   " + ", ".join(FIGURES))
+    print("sweepable figures:   " + ", ".join(figures()))
     print(
         "campaigns:           run (repro run campaign.yaml --jobs N --trace RUN), "
         "validate (repro validate RUN)"
@@ -374,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     configure_report_parser(report)
     report.set_defaults(_subparser=report)
 
-    for figure in FIGURES.values():
+    for figure in figures().values():
         sub = subparsers.add_parser(figure.name, parents=[common], help=figure.help)
         if figure.add_arguments is not None:
             figure.add_arguments(sub)
@@ -403,6 +409,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         return run_report(args)
     if getattr(args, "profile", False) and args.trace is None:
         subparser.error("--profile requires --trace DIR (hotspots land in the trace)")
+    if getattr(args, "seed", 0) < 0:
+        subparser.error(f"--seed must be a non-negative integer, got {args.seed}")
     if args.figure == "sweep":
         return _run_sweep(args, subparser)
     if args.figure == "run":
@@ -410,7 +418,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     if getattr(args, "probe", None) is not None and not 0 < args.probe < math.inf:
         subparser.error("--probe needs a positive, finite sampling interval in seconds")
     executor = _make_executor(args)
-    print("\n".join(FIGURES[args.figure].render(args, subparser, executor)))
+    print("\n".join(get_figure(args.figure).render(args, subparser, executor)))
     if executor.tracer is not None:
         print(f"trace written to {args.trace}", file=sys.stderr)
     return 0

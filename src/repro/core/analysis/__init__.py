@@ -15,37 +15,3 @@ This subpackage implements Appendix B of the paper:
 It also provides power calculations (:mod:`repro.core.analysis.power`) and
 SUTVA/interference diagnostics (:mod:`repro.core.analysis.interference`).
 """
-
-from repro.core.analysis.aggregation import (
-    HourlyAggregate,
-    aggregate_by_account,
-    aggregate_hourly,
-)
-from repro.core.analysis.newey_west import newey_west_covariance
-from repro.core.analysis.regression import OLSResult, ols, treatment_effect_regression
-from repro.core.analysis.pipeline import AnalysisConfig, MetricEstimate, analyze_metric
-from repro.core.analysis.power import minimum_detectable_effect, required_sample_size
-from repro.core.analysis.interference import (
-    InterferenceDiagnostics,
-    detect_interference,
-)
-from repro.core.analysis.sketch import QuantileSketch, StreamingStats
-
-__all__ = [
-    "HourlyAggregate",
-    "aggregate_by_account",
-    "aggregate_hourly",
-    "newey_west_covariance",
-    "OLSResult",
-    "ols",
-    "treatment_effect_regression",
-    "AnalysisConfig",
-    "MetricEstimate",
-    "analyze_metric",
-    "minimum_detectable_effect",
-    "required_sample_size",
-    "InterferenceDiagnostics",
-    "detect_interference",
-    "QuantileSketch",
-    "StreamingStats",
-]

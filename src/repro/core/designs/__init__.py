@@ -21,19 +21,3 @@ A design's comparisons become estimates through
 a comparison within one of these designs (``ab_<allocation>``), not a
 design of its own.
 """
-
-from repro.core.designs.base import AllocationPlan, ComparisonSpec, ExperimentDesign
-from repro.core.designs.paired_link import PairedLinkDesign
-from repro.core.designs.switchback import SwitchbackDesign
-from repro.core.designs.event_study import EventStudyDesign
-from repro.core.designs.gradual_deployment import GradualDeploymentDesign
-
-__all__ = [
-    "AllocationPlan",
-    "ComparisonSpec",
-    "ExperimentDesign",
-    "PairedLinkDesign",
-    "SwitchbackDesign",
-    "EventStudyDesign",
-    "GradualDeploymentDesign",
-]

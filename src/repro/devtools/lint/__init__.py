@@ -9,7 +9,7 @@ that point down the layer map (LAY001).
 
 Library entry point::
 
-    from repro.devtools.lint import lint_paths
+    from repro.devtools.lint.engine import lint_paths
     diagnostics = lint_paths(["src"])
 
 CLI::
@@ -22,18 +22,3 @@ Suppress a finding inline with a justification::
 
 See ``docs/invariants.md`` for the full rule table and rationale.
 """
-
-from repro.devtools.lint.base import RULES, Diagnostic, Rule, register_rule, rule_table
-from repro.devtools.lint.config import DEFAULT_CONFIG, LintConfig
-from repro.devtools.lint.engine import lint_paths
-
-__all__ = [
-    "Diagnostic",
-    "Rule",
-    "RULES",
-    "register_rule",
-    "rule_table",
-    "LintConfig",
-    "DEFAULT_CONFIG",
-    "lint_paths",
-]

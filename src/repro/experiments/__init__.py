@@ -31,85 +31,8 @@ substrate and returns the rows/series behind the paper's figures:
 * :mod:`repro.experiments.alternate_designs` — the Section 5 emulated
   switchback and event study (Figures 10-12) and the A/A calibration.
 
-Each module registers its figures in :mod:`repro.experiments.figures`,
-the one registry the CLI, sweeps, campaigns and :mod:`repro.api` read.
-The imports below run in registry order, the order ``repro list`` shows.
+A module that defines figures declares them in its ``FIGURES`` tuple.
+:mod:`repro.experiments.figures` names those modules once, in the order
+``repro list`` shows them, and is the one registry the CLI, sweeps,
+campaigns and :mod:`repro.api` read.
 """
-
-from repro.experiments.figures import FIGURES, Figure, figure_spec
-from repro.experiments.lab_common import BiasComparison, LabFigure, sweep_to_figure
-from repro.experiments.lab_connections import run_connections_experiment
-from repro.experiments.lab_pacing import run_pacing_experiment
-from repro.experiments.lab_cc import run_cc_experiment
-from repro.experiments.paired_link import PairedLinkExperiment, PairedLinkOutcome
-from repro.experiments.baseline_validation import compare_links_at_baseline
-from repro.experiments.alternate_designs import (
-    AlternateDesignComparison,
-    emulate_event_study,
-    emulate_switchback,
-    run_aa_calibration,
-    compare_designs,
-)
-from repro.experiments.lab_topology import (
-    AqmBiasComparison,
-    run_aqm_experiment,
-    run_rtt_experiment,
-)
-from repro.experiments.lab_parking_lot import (
-    ParkingLotComparison,
-    run_fq_experiment,
-    run_parking_lot_experiment,
-)
-from repro.experiments.lab_churn import (
-    ChurnBiasComparison,
-    SwitchbackRampOutcome,
-    run_churn_experiment,
-    run_switchback_ramp_experiment,
-)
-from repro.experiments.lab_l4s import L4sBiasComparison, run_l4s_experiment
-from repro.experiments.lab_fleet import (
-    FleetBiasComparison,
-    FleetOutcome,
-    run_fleet_experiment,
-)
-from repro.experiments.gradual_deployment import (
-    GradualDeploymentOutcome,
-    run_gradual_deployment,
-)
-
-__all__ = [
-    "Figure",
-    "FIGURES",
-    "figure_spec",
-    "BiasComparison",
-    "LabFigure",
-    "sweep_to_figure",
-    "run_connections_experiment",
-    "run_pacing_experiment",
-    "run_cc_experiment",
-    "AqmBiasComparison",
-    "run_rtt_experiment",
-    "run_aqm_experiment",
-    "ParkingLotComparison",
-    "run_parking_lot_experiment",
-    "run_fq_experiment",
-    "ChurnBiasComparison",
-    "SwitchbackRampOutcome",
-    "run_churn_experiment",
-    "run_switchback_ramp_experiment",
-    "FleetBiasComparison",
-    "FleetOutcome",
-    "run_fleet_experiment",
-    "L4sBiasComparison",
-    "run_l4s_experiment",
-    "PairedLinkExperiment",
-    "PairedLinkOutcome",
-    "compare_links_at_baseline",
-    "AlternateDesignComparison",
-    "emulate_event_study",
-    "emulate_switchback",
-    "run_aa_calibration",
-    "compare_designs",
-    "GradualDeploymentOutcome",
-    "run_gradual_deployment",
-]

@@ -27,9 +27,10 @@ from collections.abc import Sequence
 from typing import ClassVar
 
 from repro.core.analysis.pipeline import AnalysisConfig, MetricEstimate
-from repro.core.designs import EventStudyDesign, SwitchbackDesign
 from repro.core.designs.base import CellSelector, ComparisonSpec
+from repro.core.designs.event_study import EventStudyDesign
 from repro.core.designs.paired_link import DESIGN
+from repro.core.designs.switchback import SwitchbackDesign
 from repro.core.experiment import evaluate_comparisons
 from repro.core.units import SESSION_METRICS, OutcomeTable
 

@@ -1,16 +1,13 @@
 """The figure registry: every ``repro`` figure, declared once.
 
 Each figure of the paper, and of this reproduction's extensions, is one
-:class:`Figure` record, registered by the experiment module that computes
-it.  The record holds everything the layers above need to know about the
-figure: its help line and ``repro list`` group, the knob it consumes,
-whether it consumes the seed, how one replication reduces to scalar cells
-and what ``repro <name>`` prints.  The CLI, ``repro sweep``, campaigns and
-:mod:`repro.api` all derive from :data:`FIGURES`, so adding a figure is one
-``register(Figure(...))`` call in its experiment module.
-
-Registry order is import order: :mod:`repro.experiments` imports its
-modules in the order ``repro list`` shows their figures.
+:class:`Figure` record in the ``FIGURES`` tuple of the experiment module
+that computes it.  The record holds everything the layers above need to
+know about the figure: its help line and ``repro list`` group, the knob
+it consumes, whether it consumes the seed, how one replication reduces to
+scalar cells and what ``repro <name>`` prints.  The CLI, ``repro sweep``,
+campaigns and :mod:`repro.api` all read :func:`figures`, which imports
+the modules of :data:`FIGURE_MODULES` on first use.
 
 This module also holds the two functions every figure shares:
 :func:`figure_spec`, the one constructor of content-keyed ``figure.cells``
@@ -20,9 +17,12 @@ arms, and the ``figure.cells`` runner task itself.
 from __future__ import annotations
 
 import argparse
+import functools
+import importlib
 import math
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import TYPE_CHECKING, Any
 
 from repro.runner.spec import ScenarioSpec, register_task
@@ -32,9 +32,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "KNOBS",
+    "FIGURE_MODULES",
     "Figure",
-    "FIGURES",
-    "register",
+    "figures",
     "get_figure",
     "parse_knob",
     "figure_spec",
@@ -44,6 +44,20 @@ __all__ = [
 #: The knobs a figure can consume, each figure exactly one.  Their
 #: defaults are the ``figure.cells`` task defaults.
 KNOBS: tuple[str, ...] = ("quick", "noise")
+
+#: The modules of :mod:`repro.experiments` that define figures, in the
+#: order ``repro list`` shows them.  Each holds a ``FIGURES`` tuple.
+FIGURE_MODULES: tuple[str, ...] = (
+    "lab_connections",
+    "lab_pacing",
+    "lab_cc",
+    "paired_link",
+    "lab_topology",
+    "lab_parking_lot",
+    "lab_churn",
+    "lab_l4s",
+    "lab_fleet",
+)
 
 
 @dataclass(frozen=True)
@@ -104,25 +118,28 @@ class Figure:
             )
 
 
-#: Every registered figure, by name, in registry order.
-FIGURES: dict[str, Figure] = {}
+@functools.cache
+def figures() -> Mapping[str, Figure]:
+    """Every figure, by name, in :data:`FIGURE_MODULES` order (read-only).
 
-
-def register(figure: Figure) -> Figure:
-    """Add ``figure`` to :data:`FIGURES` and return it."""
-    existing = FIGURES.get(figure.name)
-    if existing is not None and existing is not figure:
-        raise ValueError(f"figure {figure.name!r} is already registered")
-    FIGURES[figure.name] = figure
-    return figure
+    Imports the figure modules on the first call.  Raises ``ValueError``
+    if two figures share a name.
+    """
+    found: dict[str, Figure] = {}
+    for module in FIGURE_MODULES:
+        for figure in importlib.import_module(f"repro.experiments.{module}").FIGURES:
+            if figure.name in found:
+                raise ValueError(f"figure {figure.name!r} is defined twice")
+            found[figure.name] = figure
+    return MappingProxyType(found)
 
 
 def get_figure(name: str) -> Figure:
-    """The registered figure called ``name`` (``KeyError`` if unknown)."""
+    """The figure called ``name`` (``KeyError`` if unknown)."""
     try:
-        return FIGURES[name]
+        return figures()[name]
     except KeyError:
-        raise KeyError(f"unknown figure {name!r}; choose one of {list(FIGURES)}") from None
+        raise KeyError(f"unknown figure {name!r}; choose one of {list(figures())}") from None
 
 
 def parse_knob(knob: str, value: Any) -> Any:

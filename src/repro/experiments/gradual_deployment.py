@@ -16,7 +16,7 @@ from collections.abc import Sequence
 
 from repro.core.analysis.interference import InterferenceDiagnostics, detect_interference
 from repro.core.analysis.pipeline import AnalysisConfig, MetricEstimate
-from repro.core.designs import GradualDeploymentDesign
+from repro.core.designs.gradual_deployment import GradualDeploymentDesign
 from repro.core.experiment import evaluate_comparisons
 from repro.core.units import SESSION_METRICS, OutcomeTable
 from repro.workload.netflix import PairedLinkWorkload, WorkloadConfig

@@ -11,7 +11,7 @@ is in the minority look good.
 
 from __future__ import annotations
 
-from repro.experiments.figures import Figure, register
+from repro.experiments.figures import Figure
 from repro.experiments.lab_common import LAB_UNITS, LabFigure, sweep_to_figure
 from repro.netsim.fluid.application import Application
 from repro.netsim.fluid.lab import run_lab_sweep
@@ -53,7 +53,7 @@ def run_cc_experiment(
     )
 
 
-register(
+FIGURES = (
     Figure(
         name="fig3",
         help="Cubic-vs-BBR lab figure (Figure 3)",
@@ -62,5 +62,5 @@ register(
         seeded=True,
         cells=lambda noise, seed: run_cc_experiment(noise=noise, seed=seed).cells(),
         render=lambda args, parser, executor: run_cc_experiment().summary_lines(),
-    )
+    ),
 )

@@ -42,14 +42,17 @@ from dataclasses import dataclass
 from collections.abc import Sequence
 
 from repro.core.designs.switchback import SwitchbackDesign
-from repro.experiments.figures import Figure, register
+from repro.experiments.figures import Figure
 from repro.experiments.lab_common import (
     BiasComparison,
     LabFigure,
     sweep_connection_treatment,
     sweep_to_figure,
 )
-from repro.netsim.traffic import ParetoSizes, PoissonArrivals, RampDemand, TrafficSource
+from repro.netsim.traffic.arrivals import PoissonArrivals
+from repro.netsim.traffic.demand import RampDemand
+from repro.netsim.traffic.sizes import ParetoSizes
+from repro.netsim.traffic.source import TrafficSource
 from repro.runner.executor import ParallelExecutor
 
 __all__ = [
@@ -603,7 +606,7 @@ def _render_churn(
     return [*comparison.summary_lines(), "", *ramp.summary_lines()]
 
 
-register(
+FIGURES = (
     Figure(
         name="topo_churn",
         help="bias under flow churn + switchback-vs-ramp",
@@ -616,5 +619,5 @@ register(
         ).cells(),
         render=_render_churn,
         add_arguments=_add_churn_arguments,
-    )
+    ),
 )

@@ -16,7 +16,7 @@ tests of the paper's Section 3.1:
 
 from __future__ import annotations
 
-from repro.experiments.figures import Figure, register
+from repro.experiments.figures import Figure
 from repro.experiments.lab_common import (
     CONTROL_CONNECTIONS,
     LAB_UNITS,
@@ -55,7 +55,7 @@ def run_connections_experiment(*, noise: float = 0.0, seed: int | None = 0) -> L
     )
 
 
-register(
+FIGURES = (
     Figure(
         name="fig2a",
         help="parallel-connections lab figure (Figure 2a)",
@@ -64,5 +64,5 @@ register(
         seeded=True,
         cells=lambda noise, seed: run_connections_experiment(noise=noise, seed=seed).cells(),
         render=lambda args, parser, executor: run_connections_experiment().summary_lines(),
-    )
+    ),
 )

@@ -39,8 +39,9 @@ import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
-from repro.experiments.figures import Figure, register
-from repro.netsim.fleet import GRANULARITIES, FleetResult, FleetSpec, run_fleet
+from repro.experiments.figures import Figure
+from repro.netsim.fleet.engine import FleetResult, run_fleet
+from repro.netsim.fleet.spec import GRANULARITIES, FleetSpec
 from repro.obs.trace import ProgressPrinter, add_trace_arguments, walltime
 from repro.runner.executor import ParallelExecutor
 
@@ -311,7 +312,7 @@ def _render_fleet(
     return comparison.summary_lines()
 
 
-register(
+FIGURES = (
     Figure(
         name="fleet",
         help="sharded fleet: bias vs assignment cluster size",
@@ -325,5 +326,5 @@ register(
         ).cells(),
         render=_render_fleet,
         add_arguments=_add_fleet_arguments,
-    )
+    ),
 )

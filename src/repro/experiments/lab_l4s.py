@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.experiments.figures import Figure, register
+from repro.experiments.figures import Figure
 from repro.experiments.lab_common import (
     BiasComparison,
     LabFigure,
@@ -175,7 +175,7 @@ def run_l4s_experiment(
     )
 
 
-register(
+FIGURES = (
     Figure(
         name="topo_l4s",
         help="L4S/DCTCP marking vs classic AQM bias",
@@ -187,5 +187,5 @@ register(
         render=lambda args, parser, executor: run_l4s_experiment(
             quick=args.quick, executor=executor
         ).summary_lines(),
-    )
+    ),
 )

@@ -16,7 +16,7 @@ here:
 
 from __future__ import annotations
 
-from repro.experiments.figures import Figure, register
+from repro.experiments.figures import Figure
 from repro.experiments.lab_common import LAB_UNITS, LabFigure, sweep_to_figure
 from repro.netsim.fluid.application import Application
 from repro.netsim.fluid.lab import run_lab_sweep
@@ -43,7 +43,7 @@ def run_pacing_experiment(*, noise: float = 0.0, seed: int | None = 0) -> LabFig
     )
 
 
-register(
+FIGURES = (
     Figure(
         name="fig2b",
         help="pacing lab figure (Figure 2b)",
@@ -52,5 +52,5 @@ register(
         seeded=True,
         cells=lambda noise, seed: run_pacing_experiment(noise=noise, seed=seed).cells(),
         render=lambda args, parser, executor: run_pacing_experiment().summary_lines(),
-    )
+    ),
 )

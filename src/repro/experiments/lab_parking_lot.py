@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from collections.abc import Sequence
 
 from repro.core.estimands import AllocationSweep
-from repro.experiments.figures import Figure, register
+from repro.experiments.figures import Figure
 from repro.experiments.lab_common import (
     BiasComparison,
     sweep_connection_treatment,
@@ -300,7 +300,7 @@ def _render_parking_lot(
     ).summary_lines()
 
 
-register(
+FIGURES = (
     Figure(
         name="topo_parking",
         help="parking-lot bias and cross-segment spillover",
@@ -315,9 +315,7 @@ register(
             default=DEFAULT_SEGMENTS,
             help="bottleneck segments in the parking-lot chain (default: 4)",
         ),
-    )
-)
-register(
+    ),
     Figure(
         name="topo_fq",
         help="per-flow FQ-CoDel vs drop-tail bias",
@@ -335,5 +333,5 @@ register(
             default="droptail,fq_codel",
             help="queue disciplines to compare (default: droptail,fq_codel)",
         ),
-    )
+    ),
 )

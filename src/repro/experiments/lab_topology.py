@@ -28,7 +28,7 @@ import argparse
 import math
 from collections.abc import Sequence
 
-from repro.experiments.figures import Figure, register
+from repro.experiments.figures import Figure
 from repro.experiments.lab_common import (
     BIAS_ALLOCATION,
     BiasComparison,
@@ -183,7 +183,7 @@ def _parse_rtt_spread(text: str, parser: argparse.ArgumentParser) -> tuple[float
     return values
 
 
-register(
+FIGURES = (
     Figure(
         name="topo_rtt",
         help="A/B bias under heterogeneous RTTs",
@@ -201,9 +201,7 @@ register(
             default="10,20,40,80",
             help="per-unit RTT profile, comma-separated ms (default: 10,20,40,80)",
         ),
-    )
-)
-register(
+    ),
     Figure(
         name="topo_aqm",
         help="A/B bias under AQM (CoDel/RED) vs drop-tail",
@@ -221,5 +219,5 @@ register(
             default="droptail,codel",
             help="queue disciplines to compare (default: droptail,codel)",
         ),
-    )
+    ),
 )

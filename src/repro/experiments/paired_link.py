@@ -31,14 +31,13 @@ from functools import cached_property
 import numpy as np
 
 from repro.core.analysis.pipeline import AnalysisConfig, MetricEstimate, analyze_metric
-from repro.core.designs import ExperimentDesign
-from repro.core.designs.base import ComparisonSpec
+from repro.core.designs.base import ComparisonSpec, ExperimentDesign
 from repro.core.designs.paired_link import DESIGN
 from repro.core.experiment import evaluate_comparisons
 from repro.core.units import SESSION_METRICS, OutcomeTable
 from repro.experiments.alternate_designs import AlternateDesignComparison, compare_designs
 from repro.experiments.baseline_validation import compare_links_at_baseline
-from repro.experiments.figures import Figure, register
+from repro.experiments.figures import Figure
 from repro.reporting import format_table
 from repro.runner.executor import ParallelExecutor
 from repro.runner.spec import ScenarioSpec, register_task
@@ -557,7 +556,7 @@ def _design_table(outcome: PairedLinkOutcome) -> str:
     )
 
 
-register(
+FIGURES = (
     _paired_figure(
         "baseline",
         "Section 4.1 baseline link-similarity table",
@@ -573,9 +572,7 @@ register(
                 for r in compare_links_at_baseline(outcome.baseline_table)
             ],
         ),
-    )
-)
-register(
+    ),
     _paired_figure(
         "fig5",
         "paired-link treatment-effect table (Figure 5)",
@@ -592,9 +589,7 @@ register(
                 for row in outcome.figure5_rows()
             ],
         ),
-    )
-)
-register(
+    ),
     _paired_figure(
         "fig7",
         "paired-link throughput cells (Figure 7)",
@@ -603,9 +598,7 @@ register(
         table=lambda outcome: _cell_means_table(
             "throughput (Mb/s)", outcome.figure7_cells(), ".2f"
         ),
-    )
-)
-register(
+    ),
     _paired_figure(
         "fig8",
         "paired-link min-RTT cells (Figure 8)",
@@ -614,9 +607,7 @@ register(
         table=lambda outcome: _cell_means_table(
             "min RTT (normalized)", outcome.figure8_cells(), ".3f"
         ),
-    )
-)
-register(
+    ),
     _paired_figure(
         "fig9",
         "paired-link retransmission split (Figure 9)",
@@ -625,14 +616,12 @@ register(
             name: 100.0 * value for name, value in outcome.figure9_retransmit_split().items()
         },
         table=_retransmit_table,
-    )
-)
-register(
+    ),
     _paired_figure(
         "fig10",
         "switchback / event-study design comparison (Figure 10)",
         week="experiment",
         cells=_design_cells,
         table=_design_table,
-    )
+    ),
 )

@@ -22,17 +22,3 @@ Two simulators back the lab experiments of Section 3:
     (Poisson, on/off bursts, traces) with heavy-tailed size samplers,
     and time-varying demand profiles that modulate churn intensity.
 """
-
-from repro.netsim.fluid import (
-    Application,
-    BottleneckLink,
-    run_lab_experiment,
-    run_lab_sweep,
-)
-
-__all__ = [
-    "Application",
-    "BottleneckLink",
-    "run_lab_experiment",
-    "run_lab_sweep",
-]

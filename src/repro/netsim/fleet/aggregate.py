@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.analysis import QuantileSketch, StreamingStats
+from repro.core.analysis.sketch import QuantileSketch, StreamingStats
 
 __all__ = [
     "ARMS",

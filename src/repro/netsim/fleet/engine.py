@@ -30,10 +30,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+import repro.netsim.fleet.shard  # noqa: F401  (registers the fleet.shard_arm task)
 from repro.netsim.fleet.aggregate import ShardStats, cell_key
 from repro.netsim.fleet.hybrid import FleetCoupling, couple_fleet
 from repro.netsim.fleet.spec import FleetSpec, fleet_assignment
-from repro.runner import ParallelExecutor, ScenarioSpec, content_key
+from repro.runner.executor import ParallelExecutor
+from repro.runner.spec import ScenarioSpec, content_key
 
 __all__ = ["FleetResult", "run_fleet", "shard_specs"]
 

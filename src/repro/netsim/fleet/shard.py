@@ -28,7 +28,9 @@ from repro.netsim.fleet.aggregate import (
 )
 from repro.netsim.packet.network import PathConfig
 from repro.netsim.packet.simulation import FlowConfig, simulate
-from repro.netsim.traffic import ParetoSizes, PoissonArrivals, TrafficSource
+from repro.netsim.traffic.arrivals import PoissonArrivals
+from repro.netsim.traffic.sizes import ParetoSizes
+from repro.netsim.traffic.source import TrafficSource
 from repro.obs.probe import ProbeConfig
 from repro.runner.spec import register_task
 

@@ -75,7 +75,7 @@ class FleetSpec:
         sketch; 0 disables churn.
     sketch_compression:
         Compression factor of the per-cell quantile sketches
-        (:class:`repro.core.analysis.QuantileSketch`).
+        (:class:`repro.core.analysis.sketch.QuantileSketch`).
     probe_interval_s:
         Sim-time cadence of in-shard queue-depth probing, in seconds.
         0 (default) disables probing; when positive every shard samples

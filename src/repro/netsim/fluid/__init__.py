@@ -13,38 +13,3 @@ steady-state model of how long-lived flows share a single bottleneck:
 * :mod:`repro.netsim.fluid.lab` — the A/B-sweep harness that recreates the
   paper's Figures 2 and 3.
 """
-
-from repro.netsim.fluid.application import Application
-from repro.netsim.fluid.link import BottleneckLink, loss_probability
-from repro.netsim.fluid.competition import (
-    CompetitionModel,
-    UnitColumns,
-    allocate_throughput,
-    allocate_throughput_reference,
-    link_loss_rate,
-    link_loss_rate_reference,
-    weighted_water_fill,
-    weighted_water_fill_reference,
-)
-from repro.netsim.fluid.lab import (
-    LabExperimentResult,
-    run_lab_experiment,
-    run_lab_sweep,
-)
-
-__all__ = [
-    "Application",
-    "BottleneckLink",
-    "CompetitionModel",
-    "UnitColumns",
-    "allocate_throughput",
-    "allocate_throughput_reference",
-    "link_loss_rate",
-    "link_loss_rate_reference",
-    "loss_probability",
-    "weighted_water_fill",
-    "weighted_water_fill_reference",
-    "LabExperimentResult",
-    "run_lab_experiment",
-    "run_lab_sweep",
-]

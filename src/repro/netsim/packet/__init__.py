@@ -28,48 +28,3 @@ model's sharing behaviour and to support ablation benchmarks.
 
 Public entry point: :func:`repro.netsim.packet.simulation.simulate`.
 """
-
-from repro.netsim.packet.engine import EventScheduler
-from repro.netsim.packet.network import (
-    Network,
-    PathConfig,
-    QueueConfig,
-    parking_lot_path,
-    parking_lot_queues,
-)
-from repro.netsim.packet.queue import (
-    QUEUE_DISCIPLINES,
-    CoDelQueue,
-    DropTailQueue,
-    FqCoDelQueue,
-    QueueDiscipline,
-    REDQueue,
-    make_queue,
-)
-from repro.netsim.packet.simulation import FlowConfig, PacketSimResult, simulate
-from repro.netsim.packet.sweep import run_packet_sweep
-from repro.netsim.packet.tcp import BBRSender, CubicSender, RenoSender, TcpSender
-
-__all__ = [
-    "EventScheduler",
-    "QueueDiscipline",
-    "DropTailQueue",
-    "REDQueue",
-    "CoDelQueue",
-    "FqCoDelQueue",
-    "QUEUE_DISCIPLINES",
-    "make_queue",
-    "Network",
-    "PathConfig",
-    "QueueConfig",
-    "parking_lot_queues",
-    "parking_lot_path",
-    "FlowConfig",
-    "PacketSimResult",
-    "simulate",
-    "run_packet_sweep",
-    "BBRSender",
-    "CubicSender",
-    "RenoSender",
-    "TcpSender",
-]

@@ -19,23 +19,20 @@ flows (``cross_traffic``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from collections.abc import Sequence
 from typing import TYPE_CHECKING
 
 from repro.netsim.packet.network import Network, PathConfig, QueueConfig
 from repro.netsim.packet.tcp.base import normalize_ecn
-from repro.obs.metrics import EngineCounters
-from repro.obs.probe import ProbeConfig, ProbeLog
+from repro.obs.probe import ProbeConfig
 from repro.runner.spec import register_task
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.netsim.traffic.source import DynamicTrafficResult, TrafficSource
+    from repro.netsim.packet.network import PacketSimResult
+    from repro.netsim.traffic.source import TrafficSource
 
-__all__ = ["FlowConfig", "FlowResult", "PacketSimResult", "simulate"]
-
-#: The per-application metrics :meth:`PacketSimResult.group_mean` averages.
-_GROUP_METRICS: tuple[str, ...] = ("throughput_mbps", "retransmit_fraction")
+__all__ = ["FlowConfig", "simulate"]
 
 
 @dataclass(frozen=True)
@@ -104,131 +101,6 @@ class FlowConfig:
             raise ValueError("rtt_ms must be positive and finite")
         if self.transfer_bytes is not None and not 0 <= self.transfer_bytes < math.inf:
             raise ValueError("transfer_bytes must be non-negative and finite (None: unbounded)")
-
-
-@dataclass
-class FlowResult:
-    """Measured outcomes of one application."""
-
-    flow_id: int
-    treated: bool
-    throughput_mbps: float
-    retransmit_fraction: float
-    packets_sent: int
-    packets_lost: int
-    #: Acked packets that carried a CE mark (0 unless the flow uses ECN).
-    packets_marked: int = 0
-    #: Whether a finite application (``FlowConfig.transfer_bytes``)
-    #: delivered every connection's transfer before the simulation ended;
-    #: ``None`` for unlimited applications.
-    completed: bool | None = None
-    #: Flow-completion time of a finite application, in seconds: from its
-    #: first connection's start to its last connection's completion.
-    #: ``None`` while incomplete and for unlimited applications.
-    fct_s: float | None = None
-
-
-@dataclass
-class PacketSimResult:
-    """Results of a packet-level simulation run.
-
-    Cross-traffic applications are excluded from ``flows`` but their
-    packets still show up in the queue counters.
-
-    Flow-completion accounting (the dynamic-traffic subsystem):
-
-    * finite *measured* applications (``FlowConfig.transfer_bytes``)
-      report their completion state and flow-completion time on their own
-      :class:`FlowResult` (``completed``/``fct_s``);
-    * *dynamic* flows spawned by traffic sources are unmeasured — like
-      cross traffic they never appear in ``flows`` — but each source's
-      lifecycle lands in ``traffic``: flows started/completed, the
-      per-flow completion times (spawn order) and delivered bytes, see
-      :class:`~repro.netsim.traffic.source.DynamicTrafficResult`.
-      :meth:`mean_dynamic_fct_s` and :meth:`dynamic_flow_counts`
-      aggregate across sources.
-    """
-
-    flows: list[FlowResult]
-    duration_s: float
-    capacity_mbps: float
-    total_drops: int
-    max_queue_occupancy_bytes: float
-    #: Drops per named queue (one entry, "bottleneck", in the default topology).
-    queue_drops: dict[str, int] = field(default_factory=dict)
-    #: ECN CE marks per named queue.
-    queue_marks: dict[str, int] = field(default_factory=dict)
-    #: Per-source lifecycle results of dynamic traffic, keyed by the
-    #: source's label (``"source<i>"`` when unset); empty without sources.
-    traffic: dict[str, DynamicTrafficResult] = field(default_factory=dict)
-    #: Engine counters of the run; ``None`` only for hand-built results
-    #: in tests.
-    engine: EngineCounters | None = None
-    #: Sampled in-sim telemetry when the run was probed, else ``None``.
-    probe: ProbeLog | None = None
-
-    def flow(self, flow_id: int) -> FlowResult:
-        """Result of the application with the given id."""
-        for f in self.flows:
-            if f.flow_id == flow_id:
-                return f
-        raise KeyError(f"no flow with id {flow_id}")
-
-    def group_mean(self, metric: str, treated: bool) -> float:
-        """Mean ``throughput_mbps`` or ``retransmit_fraction`` of one arm."""
-        if metric not in _GROUP_METRICS:
-            raise KeyError(f"unknown metric {metric!r}; expected one of {_GROUP_METRICS}")
-        values = [getattr(f, metric) for f in self.flows if f.treated == treated]
-        if not values:
-            raise ValueError("no flows in the requested arm")
-        return sum(values) / len(values)
-
-    def group_mean_throughput(self, treated: bool) -> float:
-        """Mean application throughput (Mb/s) of one arm."""
-        return self.group_mean("throughput_mbps", treated)
-
-    def total_throughput_mbps(self) -> float:
-        """Aggregate throughput of all applications."""
-        return sum(f.throughput_mbps for f in self.flows)
-
-    def total_marks(self) -> int:
-        """Aggregate ECN CE marks across all queues."""
-        return sum(self.queue_marks.values())
-
-    def dynamic_flow_counts(self) -> tuple[int, int]:
-        """(started, completed) dynamic flows across all traffic sources."""
-        started = sum(t.flows_started for t in self.traffic.values())
-        completed = sum(t.flows_completed for t in self.traffic.values())
-        return started, completed
-
-    def mean_dynamic_fct_s(self) -> float | None:
-        """Mean flow-completion time across every source's completed
-        dynamic flows, or ``None`` when nothing completed."""
-        fcts = [
-            fct for t in self.traffic.values() for fct in t.completion_times_s
-        ]
-        if not fcts:
-            return None
-        return sum(fcts) / len(fcts)
-
-    def dynamic_fct_percentile(self, percentile: float) -> float | None:
-        """Nearest-rank percentile of the pooled dynamic FCTs.
-
-        ``percentile`` is in [0, 100]; pools the completion times of all
-        traffic sources (like :meth:`mean_dynamic_fct_s`) and returns
-        ``None`` when nothing completed.  Tail percentiles (p95/p99) are
-        the latency observable the mean FCT hides: a handful of elephant
-        flows dominate the mean while the tail tracks queueing.
-        """
-        if not 0.0 <= percentile <= 100.0:
-            raise ValueError("percentile must be in [0, 100]")
-        fcts = sorted(
-            fct for t in self.traffic.values() for fct in t.completion_times_s
-        )
-        if not fcts:
-            return None
-        rank = max(int(math.ceil(percentile / 100.0 * len(fcts))) - 1, 0)
-        return fcts[min(rank, len(fcts) - 1)]
 
 
 @register_task("netsim.packet_arm")

@@ -20,12 +20,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from repro.netsim.packet.network import PathConfig
 from repro.netsim.packet.tcp.base import normalize_ecn
 from repro.netsim.traffic.arrivals import ArrivalProcess
 from repro.netsim.traffic.demand import DemandProfile
 from repro.netsim.traffic.sizes import SizeSampler
+
+if TYPE_CHECKING:  # pragma: no cover - the network module imports this one
+    from repro.netsim.packet.network import PathConfig
 
 __all__ = ["TrafficSource", "DynamicTrafficResult"]
 
@@ -90,7 +93,7 @@ class DynamicTrafficResult:
     completion_times_s:
         Flow-completion times (completion minus arrival) of the
         completed flows, in spawn order; the simulation result's
-        :meth:`~repro.netsim.packet.simulation.PacketSimResult.mean_dynamic_fct_s`
+        :meth:`~repro.netsim.packet.network.PacketSimResult.mean_dynamic_fct_s`
         and ``dynamic_fct_percentile`` summarize them across sources.
     bytes_acked:
         Bytes delivered across all of the source's flows, including the

@@ -22,25 +22,3 @@ Three tiers, each usable on its own (see ``docs/observability.md``):
 (:class:`~repro.obs.metrics.EngineCounters`) every packet simulation
 reports.
 """
-
-from repro.obs.metrics import EngineCounters
-from repro.obs.probe import Probe, ProbeConfig, ProbeLog, ProbeRecord, TraceRecorder
-from repro.obs.profile import format_hotspots, merge_profile_rows
-from repro.obs.report import render_report
-from repro.obs.trace import ProgressPrinter, RunTracer, TaskRun, walltime
-
-__all__ = [
-    "EngineCounters",
-    "Probe",
-    "ProbeConfig",
-    "ProbeLog",
-    "ProbeRecord",
-    "TraceRecorder",
-    "ProgressPrinter",
-    "RunTracer",
-    "TaskRun",
-    "walltime",
-    "format_hotspots",
-    "merge_profile_rows",
-    "render_report",
-]

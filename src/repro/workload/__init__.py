@@ -18,21 +18,3 @@ preserves the mechanism under study:
 * :mod:`repro.workload.netflix` assembles everything into the paired-link
   session generator consumed by the experiment harnesses.
 """
-
-from repro.workload.congestion import CongestionModel, LinkHourState
-from repro.workload.demand import DiurnalDemandModel
-from repro.workload.netflix import PairedLinkWorkload, WorkloadConfig
-from repro.workload.qoe import SessionOutcomeModel
-from repro.workload.video import BITRATE_LADDER_KBPS, BitrateCapPolicy, select_bitrate
-
-__all__ = [
-    "CongestionModel",
-    "LinkHourState",
-    "DiurnalDemandModel",
-    "PairedLinkWorkload",
-    "WorkloadConfig",
-    "SessionOutcomeModel",
-    "BITRATE_LADDER_KBPS",
-    "BitrateCapPolicy",
-    "select_bitrate",
-]

@@ -242,6 +242,18 @@ class TestSeedGrids:
         with pytest.raises(CampaignError):
             parse_campaign({"stages": [{"figure": "fig2a", "seeds": bad}]})
 
+    @pytest.mark.parametrize(
+        ("stage", "field"),
+        [
+            ({"figure": "fig2a", "noise": 0.05, "seeds": [-1]}, "seeds"),
+            ({"figure": "fig5", "base_seed": -3}, "base_seed"),
+            ({"figure": "topo_rtt", "seeds": [-1]}, "seeds"),
+        ],
+    )
+    def test_negative_seeds_rejected(self, stage, field):
+        with pytest.raises(CampaignError, match=f"{field}: seeds must be >= 0"):
+            parse_campaign({"stages": [stage]})
+
     def test_zero_replications_rejected(self):
         with pytest.raises(CampaignError, match=">= 1"):
             parse_campaign({"stages": [{"figure": "fig2a", "replications": 0}]})

@@ -9,7 +9,7 @@ from repro.campaign import (
     figure_is_seeded,
     figure_knobs,
 )
-from repro.experiments.figures import FIGURES
+from repro.experiments.figures import figures
 
 
 class TestFigureTaxonomy:
@@ -28,6 +28,14 @@ class TestFigureTaxonomy:
         assert figure_is_seeded("fleet")
         assert not figure_is_seeded("topo_rtt")
         assert not figure_is_seeded("topo_l4s")
+
+    def test_a_figure_defined_twice_is_rejected(self, monkeypatch):
+        import repro.experiments.figures as registry
+
+        twice = ("lab_connections", "lab_connections")
+        monkeypatch.setattr(registry, "FIGURE_MODULES", twice)
+        with pytest.raises(ValueError, match="'fig2a' is defined twice"):
+            figures.__wrapped__()  # the uncached body: the cache keeps every figure
 
 
 class TestAnalysisSettings:
@@ -141,7 +149,7 @@ class TestCampaignSpec:
         assert arm.key == content_key(sweep_spec)
 
     def test_every_figure_compiles(self):
-        for figure in FIGURES:
+        for figure in figures():
             seeds = () if not figure_is_seeded(figure) else (0,)
             stage = StageSpec(name=figure, figure=figure, seeds=seeds)
             [arm] = stage.arms()

@@ -3,21 +3,16 @@
 import numpy as np
 import pytest
 
-from repro.core.analysis import (
-    AnalysisConfig,
-    InterferenceDiagnostics,
-    aggregate_by_account,
-    aggregate_hourly,
-    analyze_metric,
-    detect_interference,
+from repro.core.analysis.aggregation import aggregate_by_account, aggregate_hourly
+from repro.core.analysis.interference import InterferenceDiagnostics, detect_interference
+from repro.core.analysis.newey_west import bartlett_weights, newey_west_covariance
+from repro.core.analysis.pipeline import AnalysisConfig, analyze_metric
+from repro.core.analysis.power import (
+    switchback_intervals_needed,
     minimum_detectable_effect,
-    newey_west_covariance,
-    ols,
     required_sample_size,
-    treatment_effect_regression,
 )
-from repro.core.analysis.newey_west import bartlett_weights
-from repro.core.analysis.power import switchback_intervals_needed
+from repro.core.analysis.regression import ols, treatment_effect_regression
 from repro.core.estimators import EstimateWithCI
 from repro.core.units import OutcomeTable
 

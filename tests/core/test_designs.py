@@ -2,14 +2,11 @@
 
 import pytest
 
-from repro.core.designs import (
-    AllocationPlan,
-    EventStudyDesign,
-    GradualDeploymentDesign,
-    PairedLinkDesign,
-    SwitchbackDesign,
-)
-from repro.core.designs.base import CellSelector
+from repro.core.designs.base import CellSelector, AllocationPlan
+from repro.core.designs.event_study import EventStudyDesign
+from repro.core.designs.gradual_deployment import GradualDeploymentDesign
+from repro.core.designs.paired_link import PairedLinkDesign
+from repro.core.designs.switchback import SwitchbackDesign
 
 LINKS = (1, 2)
 DAYS = (0, 1, 2, 3, 4)

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core.designs import PairedLinkDesign
 from repro.core.designs.base import CellSelector, ComparisonSpec
+from repro.core.designs.paired_link import PairedLinkDesign
 from repro.core.experiment import evaluate_comparisons, select_cells
 from repro.core.units import OutcomeTable
 

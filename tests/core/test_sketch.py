@@ -8,7 +8,7 @@ import random
 import numpy as np
 import pytest
 
-from repro.core.analysis import QuantileSketch, StreamingStats
+from repro.core.analysis.sketch import QuantileSketch, StreamingStats
 
 
 def _pareto_sample(n: int, seed: int, alpha: float = 1.5) -> list[float]:

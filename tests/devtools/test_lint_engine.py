@@ -4,7 +4,7 @@ import textwrap
 
 import pytest
 
-from repro.devtools.lint import lint_paths
+from repro.devtools.lint.engine import lint_paths
 from repro.devtools.lint.walker import collect_files, load_file, module_name_for
 
 RANDOM_SNIPPET = """

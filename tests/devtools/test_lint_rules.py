@@ -5,7 +5,7 @@ import textwrap
 
 import pytest
 
-from repro.devtools.lint import lint_paths
+from repro.devtools.lint.engine import lint_paths
 
 
 def lint_snippet(tmp_path, code, select=None, name="snippet.py"):
@@ -646,7 +646,7 @@ class TestLay001LayerImports:
             tmp_path,
             "repro.runner.executor",
             """
-            from repro.experiments.figures import FIGURES
+            from repro.experiments.figures import figures
             """,
         )
         assert codes(diags) == ["LAY001"]
@@ -716,7 +716,7 @@ class TestLay001LayerImports:
                 tmp_path,
                 module,
                 """
-                from repro.experiments.figures import FIGURES
+                from repro.experiments.figures import figures
                 from repro.runner.spec import ScenarioSpec
                 """,
             )
@@ -791,7 +791,7 @@ class TestLay001LayerImports:
 
 class TestRuleMetadata:
     def test_every_rule_has_code_summary_and_scope(self):
-        from repro.devtools.lint import RULES
+        from repro.devtools.lint.base import RULES
 
         assert set(RULES) == {
             "DET001", "DET002", "DET003", "KEY001", "KEY002", "API001", "LAY001",

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
-from repro.devtools.lint import lint_paths
+from repro.devtools.lint.engine import lint_paths
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 

@@ -4,17 +4,17 @@ import dataclasses
 
 import pytest
 
-from repro.experiments import (
+from repro.experiments.alternate_designs import (
+    emulate_day_split,
     AlternateDesignComparison,
-    PairedLinkExperiment,
     compare_designs,
     emulate_event_study,
     emulate_switchback,
     run_aa_calibration,
 )
-from repro.experiments.alternate_designs import emulate_day_split
+from repro.experiments.paired_link import PairedLinkExperiment
 from repro.runner.spec import get_task
-from repro.workload import WorkloadConfig
+from repro.workload.netflix import WorkloadConfig
 
 
 @pytest.fixture(scope="module")

@@ -13,22 +13,16 @@ import inspect
 
 import pytest
 
-from repro.experiments import (
-    PairedLinkExperiment,
-    compare_designs,
-    run_aqm_experiment,
-    run_cc_experiment,
-    run_churn_experiment,
-    run_connections_experiment,
-    run_fleet_experiment,
-    run_fq_experiment,
-    run_l4s_experiment,
-    run_pacing_experiment,
-    run_parking_lot_experiment,
-    run_rtt_experiment,
-    run_switchback_ramp_experiment,
-)
-from repro.experiments.alternate_designs import emulate_day_split
+from repro.experiments.alternate_designs import emulate_day_split, compare_designs
+from repro.experiments.lab_cc import run_cc_experiment
+from repro.experiments.lab_churn import run_churn_experiment, run_switchback_ramp_experiment
+from repro.experiments.lab_connections import run_connections_experiment
+from repro.experiments.lab_fleet import run_fleet_experiment
+from repro.experiments.lab_l4s import run_l4s_experiment
+from repro.experiments.lab_pacing import run_pacing_experiment
+from repro.experiments.lab_parking_lot import run_fq_experiment, run_parking_lot_experiment
+from repro.experiments.lab_topology import run_aqm_experiment, run_rtt_experiment
+from repro.experiments.paired_link import PairedLinkExperiment
 from repro.netsim.fleet import run_fleet
 from repro.netsim.packet.sweep import run_packet_sweep
 

@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.core.designs import GradualDeploymentDesign
+from repro.core.designs.gradual_deployment import GradualDeploymentDesign
 from repro.experiments.gradual_deployment import run_gradual_deployment
-from repro.workload import WorkloadConfig
+from repro.workload.netflix import WorkloadConfig
 
 
 @pytest.fixture(scope="module")

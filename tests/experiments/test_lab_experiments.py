@@ -2,13 +2,10 @@
 
 import pytest
 
-from repro.experiments import (
-    run_cc_experiment,
-    run_connections_experiment,
-    run_pacing_experiment,
-    sweep_to_figure,
-)
-from repro.experiments.lab_common import LabFigure
+from repro.experiments.lab_cc import run_cc_experiment
+from repro.experiments.lab_common import LabFigure, sweep_to_figure
+from repro.experiments.lab_connections import run_connections_experiment
+from repro.experiments.lab_pacing import run_pacing_experiment
 
 
 @pytest.fixture(scope="module")
@@ -127,7 +124,8 @@ class TestLabFigureHelpers:
             connections_figure.tte("nope")
 
     def test_sweep_to_figure_builds_from_any_sweep(self):
-        from repro.netsim.fluid import Application, run_lab_sweep
+        from repro.netsim.fluid.application import Application
+        from repro.netsim.fluid.lab import run_lab_sweep
 
         sweep = run_lab_sweep(
             4, lambda i: Application(i, connections=2), lambda i: Application(i)

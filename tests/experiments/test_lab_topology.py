@@ -5,12 +5,10 @@ import argparse
 import pytest
 
 from repro.cli import main
-from repro.experiments import (
-    BiasComparison,
-    ChurnBiasComparison,
-    L4sBiasComparison,
-    ParkingLotComparison,
-)
+from repro.experiments.lab_churn import ChurnBiasComparison
+from repro.experiments.lab_common import BiasComparison
+from repro.experiments.lab_l4s import L4sBiasComparison
+from repro.experiments.lab_parking_lot import ParkingLotComparison
 from repro.experiments.lab_topology import (
     AqmBiasComparison,
     _parse_rtt_spread,

@@ -14,17 +14,16 @@ change is meant to move a figure, regenerate its file from
 
 import pytest
 
-import repro.experiments  # noqa: F401  (registers the figures)
-from repro.experiments.figures import FIGURES
+from repro.experiments.figures import get_figure
 from repro.experiments.paired_link import PairedLinkExperiment, PairedLinkOutcome
-from repro.workload import WorkloadConfig
+from repro.workload.netflix import WorkloadConfig
 
 PAIRED_FIGURES = ("baseline", "fig5", "fig7", "fig8", "fig9", "fig10")
 
 
 def paired_golden_text(name: str) -> str:
     """The golden text of one paired-link figure's quick seed-0 cells."""
-    cells = FIGURES[name].cells(True, 0)
+    cells = get_figure(name).cells(True, 0)
     return "".join(f"{cell} {value!r}\n" for cell, value in cells.items())
 
 

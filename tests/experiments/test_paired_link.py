@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 from repro.core.units import SESSION_METRICS
-from repro.experiments import PairedLinkExperiment, compare_links_at_baseline
-from repro.workload import WorkloadConfig
+from repro.experiments.baseline_validation import compare_links_at_baseline
+from repro.experiments.paired_link import PairedLinkExperiment
+from repro.workload.netflix import WorkloadConfig
 
 
 @pytest.fixture(scope="module")

@@ -13,11 +13,9 @@ import pytest
 from repro.netsim.packet.network import Network, PathConfig
 from repro.netsim.packet.packets import Packet
 from repro.netsim.packet.simulation import FlowConfig, simulate
-from repro.netsim.traffic import (
-    FixedSizes,
-    TraceArrivals,
-    TrafficSource,
-)
+from repro.netsim.traffic.arrivals import TraceArrivals
+from repro.netsim.traffic.sizes import FixedSizes
+from repro.netsim.traffic.source import TrafficSource
 
 
 class TestFiniteTransfers:

@@ -6,17 +6,15 @@ import numpy as np
 import pytest
 
 from repro.core.estimands import AllocationSweep, sutva_holds
-from repro.netsim.fluid import (
-    Application,
-    BottleneckLink,
+from repro.netsim.fluid.application import Application
+from repro.netsim.fluid.competition import (
+    CompetitionModel,
     UnitColumns,
     allocate_throughput,
     link_loss_rate,
-    run_lab_experiment,
-    run_lab_sweep,
 )
-from repro.netsim.fluid.competition import CompetitionModel
-from repro.netsim.fluid.lab import run_isolated_sweep
+from repro.netsim.fluid.lab import run_isolated_sweep, run_lab_experiment, run_lab_sweep
+from repro.netsim.fluid.link import BottleneckLink
 from repro.runner.spec import get_task
 
 

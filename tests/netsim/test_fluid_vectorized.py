@@ -12,20 +12,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.netsim.fluid import (
-    Application,
-    BottleneckLink,
+from repro.netsim.fluid.application import Application
+from repro.netsim.fluid.competition import (
     CompetitionModel,
     UnitColumns,
     allocate_throughput,
     allocate_throughput_reference,
     link_loss_rate,
     link_loss_rate_reference,
-    loss_probability,
-    run_lab_sweep,
     weighted_water_fill,
     weighted_water_fill_reference,
 )
+from repro.netsim.fluid.lab import run_lab_sweep
+from repro.netsim.fluid.link import BottleneckLink, loss_probability
 
 LINK = BottleneckLink()
 

@@ -114,7 +114,7 @@ class TestGoldenOutput:
         # Telemetry on must not move a single golden float or counter:
         # the probe barriers pop the exact same event order as a single
         # scheduler run.
-        from repro.obs import ProbeConfig
+        from repro.obs.probe import ProbeConfig
 
         probed = simulate(
             _mixed_flows(),

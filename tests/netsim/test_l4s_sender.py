@@ -13,9 +13,9 @@ from repro.netsim.packet.engine import EventScheduler
 from repro.netsim.packet.packets import Packet
 from repro.netsim.packet.simulation import FlowConfig, simulate
 from repro.netsim.packet.tcp import BBRSender, CubicSender, RenoSender
-from repro.netsim.traffic import TrafficSource
 from repro.netsim.traffic.arrivals import PoissonArrivals
 from repro.netsim.traffic.sizes import FixedSizes
+from repro.netsim.traffic.source import TrafficSource
 
 
 def make_sender(cls=RenoSender, ecn="l4s", **kwargs):

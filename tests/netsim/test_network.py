@@ -14,7 +14,9 @@ from repro.netsim.packet.network import (
     parking_lot_queues,
 )
 from repro.netsim.packet.simulation import FlowConfig, simulate
-from repro.netsim.traffic import FixedSizes, PoissonArrivals, TrafficSource
+from repro.netsim.traffic.arrivals import PoissonArrivals
+from repro.netsim.traffic.sizes import FixedSizes
+from repro.netsim.traffic.source import TrafficSource
 
 
 class TestPathConfig:

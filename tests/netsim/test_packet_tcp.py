@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.netsim.packet import FlowConfig, simulate
 from repro.netsim.packet.engine import EventScheduler
 from repro.netsim.packet.packets import Packet
+from repro.netsim.packet.simulation import FlowConfig, simulate
 from repro.netsim.packet.tcp import BBRSender, CubicSender, RenoSender, make_sender
 
 

@@ -5,14 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.netsim.fluid import (
-    Application,
-    BottleneckLink,
+from repro.netsim.fluid.application import Application
+from repro.netsim.fluid.competition import (
+    CompetitionModel,
     UnitColumns,
     allocate_throughput,
     link_loss_rate,
 )
-from repro.netsim.fluid.competition import CompetitionModel
+from repro.netsim.fluid.link import BottleneckLink
 
 cc_strategy = st.sampled_from(["reno", "cubic", "bbr"])
 

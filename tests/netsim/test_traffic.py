@@ -6,17 +6,12 @@ import random
 
 import pytest
 
-from repro.netsim.packet.simulation import FlowConfig, PacketSimResult, simulate
-from repro.netsim.traffic import (
-    ConstantDemand,
-    DynamicTrafficResult,
-    FixedSizes,
-    ParetoSizes,
-    PoissonArrivals,
-    RampDemand,
-    TraceArrivals,
-    TrafficSource,
-)
+from repro.netsim.packet.network import PacketSimResult
+from repro.netsim.packet.simulation import FlowConfig, simulate
+from repro.netsim.traffic.arrivals import PoissonArrivals, TraceArrivals
+from repro.netsim.traffic.demand import ConstantDemand, RampDemand
+from repro.netsim.traffic.sizes import FixedSizes, ParetoSizes
+from repro.netsim.traffic.source import DynamicTrafficResult, TrafficSource
 
 
 class TestSizeSamplers:

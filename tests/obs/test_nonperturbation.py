@@ -17,7 +17,8 @@ import pytest
 from repro.netsim.fleet import FleetSpec, run_fleet
 from repro.netsim.fleet.aggregate import QUEUE_DEPTH_CELL
 from repro.netsim.packet.simulation import FlowConfig, simulate
-from repro.obs import EngineCounters, ProbeConfig
+from repro.obs.metrics import EngineCounters
+from repro.obs.probe import ProbeConfig
 from repro.runner.spec import content_key, get_task
 
 PROBE = ProbeConfig(interval_s=0.5)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.obs import Probe, ProbeConfig, ProbeLog, ProbeRecord, TraceRecorder
+from repro.obs.probe import Probe, ProbeConfig, ProbeLog, ProbeRecord, TraceRecorder
 
 
 class TestProbeConfig:

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.cli import build_parser, main
-from repro.obs import RunTracer, TaskRun
 from repro.obs.report import render_report
+from repro.obs.trace import RunTracer, TaskRun
 from repro.runner import ParallelExecutor, ScenarioSpec
 
 

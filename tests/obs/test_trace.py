@@ -3,15 +3,8 @@
 import io
 import json
 
-from repro.obs import (
-    ProgressPrinter,
-    RunTracer,
-    TaskRun,
-    format_hotspots,
-    merge_profile_rows,
-)
-from repro.obs.profile import run_profiled
-from repro.obs.trace import observe_spec
+from repro.obs.profile import run_profiled, format_hotspots, merge_profile_rows
+from repro.obs.trace import observe_spec, ProgressPrinter, RunTracer, TaskRun
 from repro.runner import ParallelExecutor, ResultCache, ScenarioSpec, get_task
 
 

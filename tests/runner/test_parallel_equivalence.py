@@ -9,12 +9,12 @@ the packet sweep and the paired-link experiment.
 import numpy as np
 import pytest
 
-from repro.experiments import PairedLinkExperiment
+from repro.experiments.paired_link import PairedLinkExperiment
 from repro.netsim.packet.network import PathConfig, QueueConfig
 from repro.netsim.packet.simulation import FlowConfig
 from repro.netsim.packet.sweep import run_packet_sweep
 from repro.runner import ParallelExecutor
-from repro.workload import WorkloadConfig
+from repro.workload.netflix import WorkloadConfig
 
 PACKET_KWARGS = dict(
     allocations=(0, 2, 4),
@@ -114,7 +114,9 @@ class TestChurnSweepParallel:
     worker fan-out cannot perturb churn results either."""
 
     def _churn_sweep(self, jobs):
-        from repro.netsim.traffic import ParetoSizes, PoissonArrivals, TrafficSource
+        from repro.netsim.traffic.arrivals import PoissonArrivals
+        from repro.netsim.traffic.sizes import ParetoSizes
+        from repro.netsim.traffic.source import TrafficSource
 
         source = TrafficSource(
             arrivals=PoissonArrivals(4.0),

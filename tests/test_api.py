@@ -27,9 +27,9 @@ class TestSurface:
 
 class TestHelpers:
     def test_list_figures_matches_the_task_registry(self):
-        from repro.experiments.figures import FIGURES
+        from repro.experiments.figures import figures
 
-        assert api.list_figures() == tuple(FIGURES)
+        assert api.list_figures() == tuple(figures())
         assert "fig2a" in api.list_figures()
         assert "fleet" in api.list_figures()
 

@@ -3,13 +3,13 @@
 import pytest
 
 from repro.cli import build_parser, main
-from repro.experiments.figures import FIGURES
+from repro.experiments.figures import figures
 
 
 class TestParser:
     def test_known_figures_accepted(self):
         parser = build_parser()
-        for name in FIGURES:
+        for name in figures():
             args = parser.parse_args([name])
             assert args.figure == name
 
@@ -292,6 +292,31 @@ class TestSweepCommand:
             main(["sweep"])
         with pytest.raises(SystemExit):
             main(["sweep", "not-a-figure"])
+
+    def test_sweep_unknown_target_is_named(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "nosuch"])
+        assert exc.value.code == 2
+        assert "unknown figure 'nosuch'; choose one of fig2a, " in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep"])
+        assert exc.value.code == 2
+        assert "'sweep' needs a figure to replicate" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fig5", "--quick", "--seed", "-1"],
+            ["fig2a", "--seed", "-1"],
+            ["sweep", "fig2a", "--seed", "-5", "--replications", "2"],
+        ],
+        ids=["fig5", "fig2a", "sweep"],
+    )
+    def test_negative_seed_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "--seed must be a non-negative integer" in capsys.readouterr().err
 
     def test_stray_target_on_non_sweep_command_rejected(self):
         with pytest.raises(SystemExit):

@@ -12,7 +12,7 @@ import pytest
 
 from repro import __version__, api
 from repro.experiments.paired_link import PairedLinkExperiment
-from repro.workload import WorkloadConfig
+from repro.workload.netflix import WorkloadConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 

@@ -54,6 +54,8 @@ DELETED = [
     ("repro.netsim.fluid.lab", "LabExperimentResult.group_values"),
     ("repro.netsim.fluid.application", "Application.as_treated"),
     ("repro.netsim.fluid.application", "Application.as_control"),
+    ("repro.experiments.figures", "register"),
+    ("repro.experiments.figures", "FIGURES"),
 ]
 
 

@@ -9,16 +9,15 @@ fast.
 
 import pytest
 
-from repro.core.analysis import detect_interference
-from repro.core.designs import GradualDeploymentDesign, PairedLinkDesign
+from repro.core.analysis.interference import detect_interference
+from repro.core.designs.gradual_deployment import GradualDeploymentDesign
+from repro.core.designs.paired_link import PairedLinkDesign
 from repro.core.experiment import evaluate_comparisons
 from repro.core.units import SESSION_METRICS
-from repro.experiments import (
-    PairedLinkExperiment,
-    compare_designs,
-    run_connections_experiment,
-)
-from repro.workload import PairedLinkWorkload, WorkloadConfig
+from repro.experiments.alternate_designs import compare_designs
+from repro.experiments.lab_connections import run_connections_experiment
+from repro.experiments.paired_link import PairedLinkExperiment
+from repro.workload.netflix import PairedLinkWorkload, WorkloadConfig
 
 
 @pytest.fixture(scope="module")

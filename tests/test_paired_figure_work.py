@@ -19,9 +19,8 @@ from collections import Counter
 import pytest
 
 import repro.core.analysis.pipeline as pipeline
-import repro.experiments  # noqa: F401  (registers the figures)
 from repro import api
-from repro.experiments.figures import FIGURES
+from repro.experiments.figures import figures, get_figure
 from test_content_key_golden import PAIRED_LINK_TABLE_KEYS, _RecordingExecutor, _Submitted
 
 #: figure -> the one workload week it generates.
@@ -46,7 +45,7 @@ ANALYSES = {
 
 
 def test_every_paired_link_figure_is_listed():
-    paired = [name for name, figure in FIGURES.items() if figure.group == "paired-link"]
+    paired = [name for name, figure in figures().items() if figure.group == "paired-link"]
     assert paired == list(FIGURE_WEEKS) == list(ANALYSES)
 
 
@@ -55,7 +54,7 @@ def test_render_submits_only_its_week(figure):
     executor = _RecordingExecutor()
     args = argparse.Namespace(quick=True, seed=7)
     with pytest.raises(_Submitted):
-        FIGURES[figure].render(args, argparse.ArgumentParser(), executor)
+        get_figure(figure).render(args, argparse.ArgumentParser(), executor)
     label = f"paired_link[{FIGURE_WEEKS[figure]}]"
     keys = {spec.label: api.content_key(spec) for spec in executor.specs}
     assert keys == {label: PAIRED_LINK_TABLE_KEYS[label]}
@@ -80,5 +79,5 @@ def analyses(monkeypatch):
 
 @pytest.mark.parametrize("figure", ANALYSES)
 def test_cells_analyze_only_what_they_read(figure, analyses):
-    FIGURES[figure].cells(True, 7)
+    get_figure(figure).cells(True, 7)
     assert dict(analyses) == ANALYSES[figure]

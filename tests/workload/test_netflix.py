@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core.designs import PairedLinkDesign
 from repro.core.designs.base import AllocationPlan
+from repro.core.designs.paired_link import PairedLinkDesign
 from repro.core.units import SESSION_METRICS
 from repro.workload.netflix import DEFAULT_LINK_EFFECTS, PairedLinkWorkload, WorkloadConfig
 

@@ -100,7 +100,7 @@ class StageSpec:
     seeds: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        """Validate knob applicability and the seed grid shape."""
+        """Validate knob applicability, the seed grid shape and its seeds."""
         try:
             get_figure(self.figure).check_knobs(self.knobs)
         except ValueError as exc:
@@ -115,6 +115,9 @@ class StageSpec:
                 raise ValueError(
                     f"stage {self.name!r}: duplicate seeds in {self.seeds!r}"
                 )
+            negative = [seed for seed in self.seeds if seed < 0]
+            if negative:
+                raise ValueError(f"stage {self.name!r}: seeds must be >= 0, got {negative[0]}")
         elif self.seeds:
             raise ValueError(
                 f"stage {self.name!r}: figure {self.figure!r} is deterministic; "

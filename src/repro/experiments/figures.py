@@ -174,10 +174,13 @@ def figure_spec(
     default when not given, so a knob spelled at its default keys like
     one never passed), and an unseeded figure's seed is normalised to
     ``None`` so replications cannot split the cache.  An inapplicable
-    knob raises ``ValueError`` naming the allowed one.
+    knob raises ``ValueError`` naming the allowed one, and so does a
+    negative seed (numpy's generators take none).
     """
     entry = get_figure(figure)
     entry.check_knobs(knobs)
+    if seed is not None and seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     params: dict[str, object] = {"figure": figure}
     if entry.knob == "noise":
         params["noise"] = float(knobs.get("noise", 0.0))

@@ -11,8 +11,10 @@ is in the minority look good.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 from repro.experiments.figures import Figure
-from repro.experiments.lab_common import LAB_UNITS, LabFigure, sweep_to_figure
+from repro.experiments.lab_common import CELL_ALLOCATIONS, LAB_UNITS, LabFigure, sweep_to_figure
 from repro.netsim.fluid.application import Application
 from repro.netsim.fluid.lab import run_lab_sweep
 
@@ -25,6 +27,7 @@ def run_cc_experiment(
     control_cc: str = "cubic",
     noise: float = 0.0,
     seed: int | None = 0,
+    allocations: Sequence[int] | None = None,
 ) -> LabFigure:
     """Run the congestion-control lab sweep and return the figure data.
 
@@ -35,6 +38,8 @@ def run_cc_experiment(
         Cubic).  Swapping them answers "what if we were deploying Cubic
         into a BBR world" — both directions show a large, misleading A/B
         improvement.
+    allocations:
+        The treated counts to run (default: all eleven).
     """
     sweep = run_lab_sweep(
         LAB_UNITS,
@@ -42,6 +47,7 @@ def run_cc_experiment(
         control_factory=lambda i: Application(i, cc=control_cc),
         noise=noise,
         seed=seed,
+        allocations=allocations,
     )
     return sweep_to_figure(
         sweep,
@@ -60,7 +66,9 @@ FIGURES = (
         group="lab",
         knob="noise",
         seeded=True,
-        cells=lambda noise, seed: run_cc_experiment(noise=noise, seed=seed).cells(),
+        cells=lambda noise, seed: run_cc_experiment(
+            noise=noise, seed=seed, allocations=CELL_ALLOCATIONS
+        ).cells(),
         render=lambda args, parser, executor: run_cc_experiment().summary_lines(),
     ),
 )

@@ -30,6 +30,7 @@ from repro.netsim.packet.sweep import run_packet_sweep
 
 __all__ = [
     "BIAS_ALLOCATION",
+    "CELL_ALLOCATIONS",
     "CONTROL_CONNECTIONS",
     "LAB_UNITS",
     "TREATMENT_CONNECTIONS",
@@ -133,6 +134,13 @@ class LabFigureRow:
     control_throughput_mbps: float | None
     treatment_retransmit: float | None
     control_retransmit: float | None
+
+
+#: The treated counts of a :data:`LAB_UNITS`-unit sweep that
+#: :meth:`LabFigure.cells` reads: none and all (the TTEs) and half (the
+#: A/B estimate and spillover at 0.5).  A fluid figure's cells run only
+#: these; ``repro fig2a`` and the others still run every count.
+CELL_ALLOCATIONS: tuple[int, ...] = (0, LAB_UNITS // 2, LAB_UNITS)
 
 
 @dataclass

@@ -16,8 +16,11 @@ tests of the paper's Section 3.1:
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 from repro.experiments.figures import Figure
 from repro.experiments.lab_common import (
+    CELL_ALLOCATIONS,
     CONTROL_CONNECTIONS,
     LAB_UNITS,
     TREATMENT_CONNECTIONS,
@@ -30,13 +33,20 @@ from repro.netsim.fluid.lab import run_lab_sweep
 __all__ = ["run_connections_experiment"]
 
 
-def run_connections_experiment(*, noise: float = 0.0, seed: int | None = 0) -> LabFigure:
+def run_connections_experiment(
+    *,
+    noise: float = 0.0,
+    seed: int | None = 0,
+    allocations: Sequence[int] | None = None,
+) -> LabFigure:
     """Run the parallel-connections lab sweep and return the figure data.
 
     Parameters
     ----------
     noise, seed:
         Measurement noise level and seed.
+    allocations:
+        The treated counts to run (default: all eleven).
     """
     sweep = run_lab_sweep(
         LAB_UNITS,
@@ -44,6 +54,7 @@ def run_connections_experiment(*, noise: float = 0.0, seed: int | None = 0) -> L
         control_factory=lambda i: Application(i, cc="reno", connections=CONTROL_CONNECTIONS),
         noise=noise,
         seed=seed,
+        allocations=allocations,
     )
     return sweep_to_figure(
         sweep,
@@ -62,7 +73,9 @@ FIGURES = (
         group="lab",
         knob="noise",
         seeded=True,
-        cells=lambda noise, seed: run_connections_experiment(noise=noise, seed=seed).cells(),
+        cells=lambda noise, seed: run_connections_experiment(
+            noise=noise, seed=seed, allocations=CELL_ALLOCATIONS
+        ).cells(),
         render=lambda args, parser, executor: run_connections_experiment().summary_lines(),
     ),
 )

@@ -16,22 +16,30 @@ here:
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 from repro.experiments.figures import Figure
-from repro.experiments.lab_common import LAB_UNITS, LabFigure, sweep_to_figure
+from repro.experiments.lab_common import CELL_ALLOCATIONS, LAB_UNITS, LabFigure, sweep_to_figure
 from repro.netsim.fluid.application import Application
 from repro.netsim.fluid.lab import run_lab_sweep
 
 __all__ = ["run_pacing_experiment"]
 
 
-def run_pacing_experiment(*, noise: float = 0.0, seed: int | None = 0) -> LabFigure:
-    """Run the pacing lab sweep and return the figure data."""
+def run_pacing_experiment(
+    *,
+    noise: float = 0.0,
+    seed: int | None = 0,
+    allocations: Sequence[int] | None = None,
+) -> LabFigure:
+    """Run the pacing lab sweep at ``allocations`` (default: all eleven)."""
     sweep = run_lab_sweep(
         LAB_UNITS,
         treatment_factory=lambda i: Application(i, cc="reno", paced=True),
         control_factory=lambda i: Application(i, cc="reno", paced=False),
         noise=noise,
         seed=seed,
+        allocations=allocations,
     )
     return sweep_to_figure(
         sweep,
@@ -50,7 +58,9 @@ FIGURES = (
         group="lab",
         knob="noise",
         seeded=True,
-        cells=lambda noise, seed: run_pacing_experiment(noise=noise, seed=seed).cells(),
+        cells=lambda noise, seed: run_pacing_experiment(
+            noise=noise, seed=seed, allocations=CELL_ALLOCATIONS
+        ).cells(),
         render=lambda args, parser, executor: run_pacing_experiment().summary_lines(),
     ),
 )

@@ -155,8 +155,9 @@ def run_lab_sweep(
     model: CompetitionModel | None = None,
     noise: float = 0.0,
     seed: int | None = None,
+    allocations: Sequence[int] | None = None,
 ) -> AllocationSweep:
-    """Sweep the number of treated applications from 0 to ``n_units``.
+    """Sweep the number of treated applications, by default from 0 to ``n_units``.
 
     Parameters
     ----------
@@ -169,10 +170,20 @@ def run_lab_sweep(
     link, model, noise:
         As for :func:`run_lab_experiment`.
     seed:
-        The run with ``k`` treated units draws its noise from ``seed + k``.
+        The run with ``k`` treated units draws its noise from ``seed + k``,
+        whichever other runs the sweep makes.
+    allocations:
+        Which treated counts to run (defaults to every value from 0 to
+        ``n_units``).  A figure whose cells read only a few counts runs
+        only those.
     """
     if n_units < 1:
         raise ValueError("n_units must be at least 1")
+    if allocations is None:
+        allocations = range(n_units + 1)
+    for k in allocations:
+        if not 0 <= k <= n_units:
+            raise ValueError(f"treated count {k} outside [0, {n_units}]")
     _check_noise(noise)
     link = link or BottleneckLink()
     model = model or CompetitionModel()
@@ -180,7 +191,7 @@ def run_lab_sweep(
     control_units = UnitColumns.from_applications([control_factory(i) for i in range(n_units)])
     index = np.arange(n_units)
     sweep = AllocationSweep(n_units)
-    for k in range(n_units + 1):
+    for k in allocations:
         treated = index < k
         throughput, retransmit = _run_arm(
             link,

@@ -11,9 +11,10 @@ shape and a common execution engine:
     name, its parameters, and the seed that makes it deterministic.
 
 :class:`~repro.runner.executor.ParallelExecutor`
-    Fans a list of specs out over a ``ProcessPoolExecutor``.  Because all
-    randomness is derived from the per-spec seed, parallel results are
-    bit-identical to serial ones.
+    Fans a list of specs out over a ``ProcessPoolExecutor``, in chunks
+    that shrink as the list drains.  Because all randomness is derived
+    from the per-spec seed, parallel results are bit-identical to serial
+    ones.
 
 :class:`~repro.runner.cache.ResultCache`
     A content-keyed on-disk cache: a spec's key hashes its task name,

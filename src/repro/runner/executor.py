@@ -12,18 +12,34 @@ imports its module in the worker: every task is found under every
 process start method, ``spawn`` included, although each registers in
 its own module and the runner imports none of them.
 
+Specs go to the workers in chunks, by guided self-scheduling
+(Polychronopoulos & Kuck, 1987).  The first chunks hold one spec each,
+one per worker, so a caller's leading long specs each start a worker;
+every later chunk holds ``ceil(remaining / (2 * workers))`` of the specs
+not yet in a chunk.  A spec that costs about one pool round trip, such
+as a fluid lab arm, then no longer pays a round trip of its own.  The
+pool holds at most one chunk more than there are workers, so a worker
+that finishes starts its next chunk at once, and the rest wait in this
+process.  A map that exits early (a task error, an ``on_task_done`` or
+cache put that raises, Ctrl-C) submits no more chunks and cancels those
+no worker has started, so it returns once the chunks in flight finish.
+
 Observability (all off by default): a :class:`~repro.obs.trace.RunTracer`
 receives task spans and cache hit/miss events, ``profile=True`` wraps
 each task body in cProfile, and ``on_task_done`` delivers live progress
-callbacks — ``(done, total, run)`` — as tasks complete.  None of these
-change what is executed or cached, only what is observed about it.
+callbacks — ``(done, total, run)`` — as tasks complete.  Each spec of a
+chunk keeps its own span, cache put and callback, in spec order.  None
+of these change what is executed or cached, only what is observed about
+it.
 """
 
 from __future__ import annotations
 
 import os
+from collections import deque
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
+from contextlib import closing
 from typing import Any
 
 from repro.obs.trace import RunTracer, TaskRun, observe_spec
@@ -31,6 +47,29 @@ from repro.runner.cache import ResultCache
 from repro.runner.spec import ScenarioSpec, content_key, get_task
 
 __all__ = ["ParallelExecutor"]
+
+
+def _guided_chunks(n: int, workers: int) -> list[slice]:
+    """Split ``n`` specs into guided self-scheduling chunks, in order.
+
+    The first ``min(workers, n)`` chunks hold one spec each; every later
+    chunk holds ``ceil(remaining / (2 * workers))`` of the specs not yet
+    in a chunk, so those chunks never grow.
+    """
+    chunks: list[slice] = []
+    start = 0
+    while start < n:
+        size = 1 if start < workers else -(-(n - start) // (2 * workers))
+        chunks.append(slice(start, start + size))
+        start += size
+    return chunks
+
+
+def _observe_chunk(
+    calls: Sequence[tuple[ScenarioSpec, Callable[..., Any]]], profile: bool
+) -> list[TaskRun]:
+    """Run one chunk of ``(spec, task)`` calls in a worker; one run per spec, in order."""
+    return [observe_spec(spec, task, profile) for spec, task in calls]
 
 
 class ParallelExecutor:
@@ -97,28 +136,40 @@ class ParallelExecutor:
                 else:
                     pending.append(i)
 
-        for done, (i, run) in enumerate(self._execute(specs, pending), start=1):
-            results[i] = run.result
-            if self.cache is not None:
-                self.cache.put(keys[i], run.result)
-            if self.tracer is not None:
-                self.tracer.task(run)
-            if self.on_task_done is not None:
-                self.on_task_done(done, len(pending), run)
+        # ``closing`` shuts the pool down as soon as this loop raises.
+        with closing(self._execute(specs, pending)) as runs:
+            for done, (i, run) in enumerate(runs, start=1):
+                results[i] = run.result
+                if self.cache is not None:
+                    self.cache.put(keys[i], run.result)
+                if self.tracer is not None:
+                    self.tracer.task(run)
+                if self.on_task_done is not None:
+                    self.on_task_done(done, len(pending), run)
         return results
 
     def _execute(
         self, specs: Sequence[ScenarioSpec], pending: Sequence[int]
     ) -> Iterator[tuple[int, TaskRun]]:
-        """Run ``specs[i]`` for each pending ``i``; yield ``(i, run)`` as each completes."""
-        calls = [(i, get_task(specs[i].task)) for i in pending]
+        """Run ``specs[i]`` for each pending ``i``; yield ``(i, run)`` as each chunk completes."""
+        calls = [(specs[i], get_task(specs[i].task)) for i in pending]
         if self.jobs == 1 or len(calls) <= 1:
-            for i, task in calls:
-                yield i, observe_spec(specs[i], task, self.profile)
+            for i, (spec, task) in zip(pending, calls):
+                yield i, observe_spec(spec, task, self.profile)
             return
-        with ProcessPoolExecutor(max_workers=min(self.jobs, len(calls))) as pool:
-            futures = {
-                pool.submit(observe_spec, specs[i], task, self.profile): i for i, task in calls
-            }
-            for future in as_completed(futures):
-                yield futures[future], future.result()
+        workers = min(self.jobs, len(calls))
+        chunks = deque(_guided_chunks(len(calls), workers))
+        running: dict[Future[list[TaskRun]], slice] = {}
+        pool = ProcessPoolExecutor(max_workers=workers)
+        try:
+            while chunks or running:
+                # One chunk waits in the pool behind the busy workers, so a
+                # worker that finishes starts its next chunk at once.
+                while chunks and len(running) <= workers:
+                    chunk = chunks.popleft()
+                    running[pool.submit(_observe_chunk, calls[chunk], self.profile)] = chunk
+                done, _ = wait(running, return_when=FIRST_COMPLETED)
+                for future in done:
+                    yield from zip(pending[running.pop(future)], future.result())
+        finally:
+            pool.shutdown(cancel_futures=True)

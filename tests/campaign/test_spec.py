@@ -63,6 +63,10 @@ class TestStageSpec:
         with pytest.raises(ValueError, match="duplicate seeds"):
             StageSpec(name="s", figure="fig2a", seeds=(1, 1))
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match=r"stage 's': seeds must be >= 0, got -2"):
+            StageSpec(name="s", figure="fig2a", seeds=(3, -2))
+
     def test_deterministic_stage_rejects_seeds(self):
         with pytest.raises(ValueError, match="deterministic"):
             StageSpec(name="s", figure="topo_rtt", seeds=(0,))

@@ -201,6 +201,17 @@ class TestLabSweep:
         assert sorted(sweep.results) == list(range(11))
         assert sweep.allocations[0] == 0.0 and sweep.allocations[-1] == 1.0
 
+    def test_sweep_runs_only_the_given_allocations(self):
+        factories = (lambda i: Application(i, connections=2), lambda i: Application(i))
+        part = run_lab_sweep(10, *factories, noise=0.1, seed=4, allocations=(10, 0, 5))
+        full = run_lab_sweep(10, *factories, noise=0.1, seed=4)
+        assert sorted(part.results) == [0, 5, 10]
+        for k in (0, 5, 10):
+            expected = full.results[k].throughput_mbps.tobytes()
+            assert part.results[k].throughput_mbps.tobytes() == expected
+        with pytest.raises(ValueError, match=r"treated count 11 outside \[0, 10\]"):
+            run_lab_sweep(10, *factories, allocations=(0, 11))
+
     def test_connections_tte_is_zero_for_throughput(self):
         sweep = run_lab_sweep(
             10,

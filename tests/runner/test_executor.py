@@ -1,10 +1,14 @@
 """Tests for the parallel executor."""
 
 import os
+import time
+from pathlib import Path
 
 import pytest
 
+from repro.obs.trace import RunTracer
 from repro.runner import ParallelExecutor, ResultCache, ScenarioSpec, register_task
+from repro.runner.executor import _guided_chunks
 
 _EXECUTIONS = []
 
@@ -18,6 +22,14 @@ def _record(value, seed=None):
 @register_task("test.fail")
 def _fail(seed=None):
     raise RuntimeError("task exploded")
+
+
+@register_task("test.mark")
+def _mark(directory, index, seed=None):
+    # The marker file records that the spec ran, whichever process ran it.
+    time.sleep(0.05)
+    (Path(directory) / str(index)).touch()
+    return index
 
 
 def _echo_specs(n):
@@ -56,6 +68,70 @@ class TestParallelExecutor:
     def test_task_error_propagates(self):
         with pytest.raises(RuntimeError, match="task exploded"):
             ParallelExecutor(jobs=1).map([ScenarioSpec(task="test.fail")])
+
+
+class TestChunks:
+    @pytest.mark.parametrize("workers", [1, 2, 3, 8])
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 20, 152, 1000])
+    def test_guided_chunks_cover_each_spec_once_in_order(self, n, workers):
+        chunks = _guided_chunks(n, workers)
+        assert [i for chunk in chunks for i in range(n)[chunk]] == list(range(n))
+        sizes = [chunk.stop - chunk.start for chunk in chunks]
+        lead = min(workers, n)
+        assert sizes[:lead] == [1] * lead
+        guided = sizes[lead:]
+        assert guided == sorted(guided, reverse=True)
+
+    def test_guided_chunk_sizes(self):
+        # After one spec per worker, each chunk takes a quarter of what is
+        # left at two workers, rounded up.
+        sizes = [chunk.stop - chunk.start for chunk in _guided_chunks(152, 2)]
+        assert sizes == [1, 1, 38, 28, 21, 16, 12, 9, 7, 5, 4, 3, 2, 2, 1, 1, 1]
+
+    def test_each_spec_gets_its_own_callback_and_span(self, tmp_path):
+        # Chunks are a transport detail: every spec still gets a result, a
+        # progress callback and a span of its own.
+        specs = _echo_specs(23)
+        progress = []
+        tracer = RunTracer(tmp_path / "RUN")
+        results = ParallelExecutor(
+            jobs=2,
+            tracer=tracer,
+            on_task_done=lambda done, total, run: progress.append((done, total, run.result)),
+        ).map(specs)
+        tracer.finish()
+        assert [r["index"] for r in results] == list(range(23))
+        assert [(done, total) for done, total, _ in progress] == [(d, 23) for d in range(1, 24)]
+        assert sorted(result["index"] for _, _, result in progress) == list(range(23))
+        assert len(tracer.tasks) == 23
+        assert sorted(run.result["index"] for run in tracer.tasks) == list(range(23))
+
+
+class TestEarlyExit:
+    """A parallel map that fails stops handing out the specs still queued."""
+
+    def _marked(self, directory, n):
+        return [
+            ScenarioSpec(task="test.mark", params={"directory": str(directory), "index": i})
+            for i in range(n)
+        ]
+
+    def test_task_error_cancels_queued_specs(self, tmp_path):
+        specs = [ScenarioSpec(task="test.fail"), *self._marked(tmp_path, 20)]
+        with pytest.raises(RuntimeError, match="task exploded"):
+            ParallelExecutor(jobs=2).map(specs)
+        # Only the chunks already in the pool run: one spec, then five.
+        assert len(list(tmp_path.iterdir())) <= 10
+
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    def test_raising_callback_cancels_queued_specs(self, tmp_path, error):
+        # A callback or cache put that raises, or Ctrl-C, leaves the map early.
+        def stop(done, total, run):
+            raise error("stop here")
+
+        with pytest.raises(error, match="stop here"):
+            ParallelExecutor(jobs=2, on_task_done=stop).map(self._marked(tmp_path, 20))
+        assert len(list(tmp_path.iterdir())) <= 10
 
 
 class TestExecutorCaching:

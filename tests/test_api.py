@@ -43,6 +43,13 @@ class TestHelpers:
         with pytest.raises(KeyError, match="unknown figure 'figZ'"):
             api.figure_spec("figZ")
 
+    def test_figure_spec_rejects_a_negative_seed(self):
+        # As ``--seed -1`` and a campaign file's seed -1 are rejected;
+        # numpy's generators would fail on it only once the arm runs.
+        with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+            api.figure_spec("fig2a", seed=-1, noise=0.05)
+        assert api.figure_spec("fig2a", seed=0, noise=0.05).seed == 0
+
     @pytest.mark.parametrize(
         ("figure", "knobs", "allowed"),
         [("fig2a", {"quick": True}, "noise"), ("fig5", {"noise": 0.1}, "quick")],
